@@ -81,11 +81,31 @@ def _load_scheme(paths):
     return scheme_from_matrices(mats)
 
 
+def _partition_arg(text):
+    """argparse type of --partition: a 'blocks:SIZE' value needs an integer."""
+    if text.startswith("blocks:"):
+        try:
+            int(text[len("blocks:"):])
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r}: expected 'blocks:SIZE' with an integer SIZE")
+    return text
+
+
+def _indices_arg(text):
+    """argparse type of --indices: integers separated by commas or spaces."""
+    try:
+        return [int(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: expected integers separated by commas, e.g. 1,2")
+
+
 def _resolve_partition(arg, size):
     if arg is None or arg == "singletons":
         return EquitablePartition.singletons(size)
     if arg.startswith("blocks:"):
-        return EquitablePartition.contiguous_blocks(size, int(arg.split(":", 1)[1]))
+        return EquitablePartition.contiguous_blocks(size, int(arg[len("blocks:"):]))
     part = fileio.read_partition(arg)
     if part.size != size:
         raise InvalidSpec(
@@ -253,10 +273,10 @@ def _classical_doc(rep, inputs):
     }
 
 
-def _parse_indices(text):
-    if text is None:
+def _parse_indices(indices):
+    if indices is None:
         raise InvalidSpec("this construction needs --indices, e.g. --indices 1,2")
-    return [int(v) for v in text.replace(",", " ").split()]
+    return indices
 
 
 def _cmd_construct(args):
@@ -403,10 +423,10 @@ def _build_parser():
     c.add_argument("files", nargs="+")
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--r", type=int, default=1)
-    c.add_argument("--partition", default=None,
+    c.add_argument("--partition", type=_partition_arg, default=None,
                    help="partition file, 'singletons', or 'blocks:SIZE'")
     c.add_argument("--group", default=None)
-    c.add_argument("--indices", default=None)
+    c.add_argument("--indices", type=_indices_arg, default=None)
     c.add_argument("--index", type=int, default=None)
     c.add_argument("--alpha", type=int, default=1)
     c.add_argument("--weight", type=int, default=None)
@@ -444,6 +464,14 @@ def _build_parser():
     return top
 
 
+def _fail(exc, witness):
+    """Exit status 1, with the {error, message, witness} document on stderr."""
+    doc = {"error": type(exc).__name__, "message": str(exc),
+           "witness": _jsonable(witness)}
+    sys.stderr.write(fileio.dumps(doc))
+    return 1
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -453,10 +481,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except LcdError as exc:
-        doc = {"error": type(exc).__name__, "message": str(exc),
-               "witness": _jsonable(exc.witness)}
-        sys.stderr.write(fileio.dumps(doc))
-        return 1
+        return _fail(exc, exc.witness)
+    except OSError as exc:  # a missing or unreadable input file
+        return _fail(exc, exc.filename)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,6 +24,10 @@ class FieldTooLarge(LcdError):
     """Requested field order exceeds the supported bound."""
 
 
+class EncodingOutOfRange(LcdError):
+    """An encoded field element lies outside [0, q)."""
+
+
 class DivisionByZero(LcdError):
     """Multiplicative inverse of zero requested."""
 
@@ -140,10 +144,6 @@ class NotSquareOrder(LcdError):
 
 class OrderTooLarge(LcdError):
     """Exhaustive enumeration only supported for tiny orders."""
-
-
-class NotPerfectSquare(LcdError):
-    """Unbiasedness needs sqrt(order) (or sqrt(weight)) to be an integer."""
 
 
 class NotUnbiased(LcdError):

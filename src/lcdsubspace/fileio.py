@@ -210,14 +210,21 @@ def code_from_doc(doc):
     f = field_new(p, r)
     subs = []
     for rows in words:
-        M = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        try:
+            M = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        except (TypeError, ValueError):
+            raise FileFormatError(f"codeword rows must be {n} integers each")
         subs.append(Subspace(f, n, M))
     return SubspaceCode(subs)
 
 
 def read_code_json(path):
     with open(path, encoding="utf-8") as fh:
-        return code_from_doc(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"{path}: not a JSON document ({exc})")
+    return code_from_doc(doc)
 
 
 def write_json(path, doc):

@@ -15,6 +15,14 @@ routines live on the field object (``f.matmul``, ``f.rref``, ...).  Extension
 field multiplication uses log/antilog tables for q <= 2**16 and coefficient
 arithmetic above that; matrix products always use per-degree integer matmuls
 followed by modulus reduction, which keeps everything vectorised and exact.
+
+Elimination over F_2 (chosen by ``q == 2`` alone) packs each row into one
+Python int, column 0 in the highest bit, so adding two rows is one XOR of
+arbitrary width.  Rows are reduced into a pivot table keyed by leading bit
+(the bit length of the row): ``rank`` stops there, ``rref`` back-substitutes
+and unpacks into the same int64 matrix and pivot tuple as every other
+field, and ``det`` is ``rank == n``.  Every other field eliminates on the
+int64 matrix itself, one pivot column at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DivisionByZero,
+    EncodingOutOfRange,
     FieldMismatch,
     FieldTooLarge,
     LcdError,
@@ -205,6 +214,59 @@ def _smallest_irreducible(p, r):
     raise LcdError(f"no irreducible polynomial of degree {r} over F_{p}")  # unreachable
 
 
+# --- F_2 elimination on rows packed into Python ints ---
+
+def _gf2_pack(A):
+    """Rows of a 0/1 matrix as ints; column c is bit 8*ceil(cols/8) - 1 - c."""
+    if A.size == 0:
+        return []
+    nb = (A.shape[1] + 7) // 8
+    # packbits is several times faster on booleans than on int64
+    buf = np.packbits(A.astype(bool), axis=1).tobytes()
+    return [int.from_bytes(buf[i:i + nb], "big") for i in range(0, len(buf), nb)]
+
+
+def _gf2_pivots(rows):
+    """Echelon basis of the span of packed rows: {leading bit length: row}."""
+    table = {}
+    for r in rows:
+        while r:
+            b = r.bit_length()
+            p = table.get(b)
+            if p is None:
+                table[b] = r
+                break
+            r ^= p
+    return table
+
+
+def _gf2_rref(A):
+    """(R, pivots) of a 0/1 int64 matrix, as GF.rref returns them."""
+    rows, cols = A.shape
+    nb = (cols + 7) // 8
+    table = _gf2_pivots(_gf2_pack(A))
+    # back-substitute from the rightmost pivot column, so each row is reduced
+    # only by rows that are reduced already (and so touch no other pivot)
+    done = {}
+    mask = 0
+    for b in sorted(table):
+        r = table[b]
+        m = r & mask
+        while m:
+            t = m.bit_length()
+            r ^= done[t]
+            m ^= 1 << (t - 1)
+        done[b] = r
+        mask |= 1 << (b - 1)
+    lead = sorted(done, reverse=True)
+    R = np.zeros((rows, cols), dtype=np.int64)
+    if lead:
+        buf = b"".join(done[b].to_bytes(nb, "big") for b in lead)
+        bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8))
+        R[:len(lead)] = bits.reshape(len(lead), 8 * nb)[:, :cols]
+    return R, tuple(8 * nb - b for b in lead)
+
+
 class GF:
     """The finite field F_{p^r} with a deterministic modulus.
 
@@ -260,7 +322,7 @@ class GF:
     def element(self, val):
         val = int(val)
         if not 0 <= val < self.q:
-            raise LcdError(f"encoded value {val} outside [0, {self.q})")
+            raise EncodingOutOfRange(f"encoded value {val} outside [0, {self.q})")
         return FieldElement(self, val)
 
     def elements(self):
@@ -432,7 +494,7 @@ class GF:
         if A.ndim != 2:
             raise DimensionMismatch(f"expected a matrix, got ndim={A.ndim}")
         if A.size and (A.min() < 0 or A.max() >= self.q):
-            raise LcdError(f"encoded entries must lie in [0, {self.q})")
+            raise EncodingOutOfRange(f"encoded entries must lie in [0, {self.q})")
         return A
 
     def matmul(self, A, B):
@@ -455,13 +517,21 @@ class GF:
             conv[:, :, s] = 0
         return self._from_digits(conv[:, :, :self.r])
 
+    @staticmethod
+    def _as_rows(M):
+        A = np.asarray(M, dtype=np.int64)
+        if A.ndim == 1:
+            A = A[None, :]
+        if A.ndim != 2:
+            raise DimensionMismatch("elimination expects a matrix")
+        return A
+
     def rref(self, M):
         """Reduced row echelon form.  Returns (R, pivots)."""
-        R = np.array(M, dtype=np.int64, copy=True)
-        if R.ndim == 1:
-            R = R[None, :]
-        if R.ndim != 2:
-            raise DimensionMismatch("rref expects a matrix")
+        A = self._as_rows(M)
+        if self.q == 2:
+            return _gf2_rref(A)
+        R = A.copy()
         rows, cols = R.shape
         pivots = []
         rr = 0
@@ -487,13 +557,18 @@ class GF:
         return R, tuple(pivots)
 
     def rank(self, M):
+        if self.q == 2:
+            return len(_gf2_pivots(_gf2_pack(self._as_rows(M))))
         return len(self.rref(M)[1])
 
     def det(self, M):
-        A = np.array(M, dtype=np.int64, copy=True)
+        A = np.asarray(M, dtype=np.int64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch("determinant needs a square matrix")
         n = A.shape[0]
+        if self.q == 2:
+            return int(self.rank(A) == n)
+        A = A.copy()
         det = 1
         for c in range(n):
             nz = np.flatnonzero(A[c:, c])
@@ -515,21 +590,20 @@ class GF:
 
     def kernel(self, M):
         """Basis of the right null space {x : M x = 0}, rows in rref form."""
-        A = np.asarray(M, dtype=np.int64)
-        if A.ndim == 1:
-            A = A[None, :]
+        A = self._as_rows(M)
         n = A.shape[1]
         if A.shape[0] == 0:
             return np.eye(n, dtype=np.int64)
         R, piv = self.rref(A)
-        free = [c for c in range(n) if c not in piv]
-        if not free:
+        free = np.ones(n, dtype=bool)
+        free[list(piv)] = False
+        free = np.flatnonzero(free)
+        if not free.size:
             return np.zeros((0, n), dtype=np.int64)
-        K = np.zeros((len(free), n), dtype=np.int64)
-        for idx, fc in enumerate(free):
-            K[idx, fc] = 1
-            for i, pc in enumerate(piv):
-                K[idx, pc] = self.neg(int(R[i, fc]))
+        # x_free = e_i forces x_pivot = -R[:, free] e_i
+        K = np.zeros((free.size, n), dtype=np.int64)
+        K[np.arange(free.size), free] = 1
+        K[:, list(piv)] = self.neg(R[:len(piv), free]).T
         K, _ = self.rref(K)
         return K
 
@@ -591,7 +665,7 @@ class FieldElement:
 
     def __post_init__(self):
         if not 0 <= self.val < self.field.q:
-            raise LcdError(f"encoded value {self.val} outside [0, {self.field.q})")
+            raise EncodingOutOfRange(f"encoded value {self.val} outside [0, {self.field.q})")
 
     @property
     def coeffs(self):

@@ -54,17 +54,3 @@ def reduce_mod(A, field):
     A = as_int_matrix(A)
     return A % field.p
 
-
-def is_zero_one(A):
-    A = np.asarray(A)
-    return bool(((A == 0) | (A == 1)).all())
-
-
-def is_pm_one(A):
-    A = np.asarray(A)
-    return bool(((A == 1) | (A == -1)).all())
-
-
-def is_symmetric(A):
-    A = np.asarray(A)
-    return A.ndim == 2 and A.shape[0] == A.shape[1] and bool((A == A.T).all())

@@ -34,9 +34,9 @@ class Subspace:
         else:
             if vectors is None:
                 vectors = np.zeros((0, self.n), dtype=np.int64)
-            V = np.asarray(vectors, dtype=np.int64)
-            if V.ndim == 1:
-                V = V[None, :]
+            # entries outside [0, q) raise here: they are not field elements,
+            # and elimination would make the canonical form depend on row order
+            V = field.asmatrix(vectors)
             if V.shape[1] != self.n and V.size:
                 raise AmbientMismatch(f"vectors of length {V.shape[1]} in ambient {self.n}")
             if V.size == 0:
@@ -136,7 +136,7 @@ def dual(U):
 def distance(U, W):
     """Subspace distance dim(U+W) - dim(U n W) = 2 dim(U+W) - dim U - dim W."""
     W = U._check_mate(W)
-    return 2 * (U + W).dim - U.dim - W.dim
+    return 2 * U.field.rank(np.vstack([U.basis, W.basis])) - U.dim - W.dim
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lcdsubspace
 from lcdsubspace import fileio
 from lcdsubspace.cli import main
 from lcdsubspace.codes import SubspaceCode
@@ -10,6 +12,8 @@ from lcdsubspace.hadamard import sylvester
 from lcdsubspace.subspaces import span
 
 import oracles
+
+BUNDLED = Path(lcdsubspace.__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -55,6 +59,15 @@ def test_verify_hadamard_bad_input_is_exit_1(tmp_path, capsys):
     assert rc == 1
     doc = json.loads(err)
     assert doc["error"] == "GramFailure" and "message" in doc
+
+
+def test_verify_missing_file_is_exit_1(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    rc, _, err = run(capsys, "verify", "hadamard", missing)
+    assert rc == 1
+    doc = json.loads(err)
+    assert doc["error"] == "FileNotFoundError"
+    assert doc["witness"] == missing and "message" in doc
 
 
 def test_verify_weighing(tmp_path, capsys):
@@ -172,6 +185,14 @@ def test_construct_cor45(tmp_path, capsys):
     assert doc["params"]["n"] == 8 and doc["params"]["size"] == 1
 
 
+def test_construct_bad_partition_is_exit_2(capsys):
+    a, b = (str(BUNDLED / name) for name in ("bush16_a.txt", "bush16_b.txt"))
+    rc, out, err = run(capsys, "construct", "thm59", a, b, "--p", "2",
+                       "--partition", "blocks:x")
+    assert rc == 2
+    assert out == "" and "blocks:SIZE" in err
+
+
 def test_construct_hypothesis_failure_is_exit_1(tmp_path, capsys):
     g = tmp_path / "c4.txt"
     g.write_text("1 2\n2 3\n3 4\n4 1\n")
@@ -206,6 +227,19 @@ def test_decode_and_simulate(tmp_path, capsys, f5):
     assert doc["trials"] == 300 and doc["agreement"] == 300
     assert (doc["correct"], doc["failure"], doc["wrong"]) == (66, 234, 0)
     assert "naive_seconds" in doc["informational"]
+
+
+def test_decode_code_that_is_not_json_is_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    recv = tmp_path / "recv.txt"
+    fileio.write_matrix(recv, np.array([[1, 0]]), "fq", modulus=2)
+    rc, out, err = run(capsys, "decode", "--code", str(bad),
+                       "--received", str(recv))
+    assert rc == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "FileFormatError"
+    assert set(doc) == {"error", "message", "witness"}
 
 
 def test_screen(tmp_path, capsys):

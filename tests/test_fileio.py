@@ -5,7 +5,7 @@ import pytest
 
 from lcdsubspace import fileio
 from lcdsubspace.codes import SubspaceCode
-from lcdsubspace.errors import FileFormatError
+from lcdsubspace.errors import EncodingOutOfRange, FileFormatError
 from lcdsubspace.subspaces import span
 
 
@@ -97,6 +97,16 @@ def test_code_json_roundtrip(tmp_path, f4):
     assert fileio.dumps(doc) == text
 
 
-def test_code_doc_validation():
+def test_code_doc_validation(tmp_path):
     with pytest.raises(FileFormatError):
         fileio.code_from_doc({"codewords": []})
+    good = {"field": {"p": 2, "r": 1}, "ambient": 2, "codewords": [[[1, 0]]]}
+    assert len(fileio.code_from_doc(good)) == 1
+    with pytest.raises(EncodingOutOfRange):
+        fileio.code_from_doc({**good, "codewords": [[[1, 0]], [[2, 1]]]})
+    with pytest.raises(FileFormatError):  # ragged rows
+        fileio.code_from_doc({**good, "codewords": [[[1, 0], [1]]]})
+    path = tmp_path / "bad.json"
+    path.write_text("{bad")
+    with pytest.raises(FileFormatError):
+        fileio.read_code_json(path)

@@ -127,6 +127,29 @@ def test_rref_pinned_examples(f2, f3):
     assert f3.rank([[1, 2], [2, 1]]) == 1
 
 
+def _gf2_boundary_matrices(rng):
+    """0/1 matrices whose widths cross the byte and 64-bit packing boundaries:
+    empty, all-zero, random, and tall rank-deficient (a product C B)."""
+    yield np.zeros((0, 5), dtype=np.int64)
+    for n in (1, 7, 8, 9, 62, 63, 64, 65, 130):
+        yield np.zeros((4, n), dtype=np.int64)
+        for k in (1, 5, 17):
+            yield np.array([[rng.randrange(2) for _ in range(n)] for _ in range(k)])
+        r = min(n, 6)
+        C = np.array([[rng.randrange(2) for _ in range(r)] for _ in range(70)])
+        B = np.array([[rng.randrange(2) for _ in range(n)] for _ in range(r)])
+        yield C @ B % 2
+
+
+def _assert_matches_oracle(f, M):
+    R, piv = f.rref(M)
+    oR, opiv = oracles.rref(f, np.atleast_2d(M).tolist())
+    assert piv == opiv
+    assert R.tolist() == oR
+    assert f.rank(M) == len(piv)
+    return R, piv
+
+
 def test_rref_matches_oracle_randomized(all_fields):
     rng = random.Random(20260825)
     for f in all_fields:
@@ -134,10 +157,28 @@ def test_rref_matches_oracle_randomized(all_fields):
             k = rng.randrange(1, 5)
             n = rng.randrange(1, 6)
             M = [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]
-            R, piv = f.rref(M)
-            oR, opiv = oracles.rref(f, M)
-            assert piv == opiv
-            assert R.tolist() == oR
+            _assert_matches_oracle(f, M)
+        # a single row given as a 1-D vector
+        _assert_matches_oracle(f, [rng.randrange(f.q) for _ in range(6)])
+
+    f2 = field_new(2)
+    _assert_matches_oracle(f2, [1, 0, 1, 1, 0, 0, 0, 0, 1])
+    for A in _gf2_boundary_matrices(rng):
+        k, n = A.shape
+        R, piv = _assert_matches_oracle(f2, A)
+        # kernel: the right dimension, annihilated by A, and in rref of full
+        # row rank, so it is the canonical basis of the whole null space
+        K = f2.kernel(A)
+        assert K.shape == (n - len(piv), n)
+        assert not (A @ K.T % 2).any()
+        oK, oKpiv = oracles.rref(f2, K.tolist())
+        assert oK == K.tolist() and len(oKpiv) == len(K)
+        # det of the leading square block
+        m = min(k, n)
+        S = A[:m, :m]
+        want = (oracles.det_leibniz(f2, S.tolist()) if m <= 6
+                else int(oracles.rank(f2, S.tolist()) == m))
+        assert f2.det(S) == want
 
 
 def test_kernel_pinned_and_oracle(f2, f3):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
-from lcdsubspace.errors import AmbientMismatch, FieldMismatch, NotLCD
+from lcdsubspace.errors import (
+    AmbientMismatch,
+    EncodingOutOfRange,
+    FieldMismatch,
+    NotLCD,
+)
 from lcdsubspace.subspaces import (
     Subspace,
     distance,
@@ -33,6 +38,19 @@ def test_canonical_form_and_equality(f3):
     R, piv = f3.rref(a.basis)
     assert R.tolist() == a.basis.tolist()
     assert len(piv) == a.dim
+
+
+def test_encodings_outside_the_field_are_rejected(f2, f9):
+    # 3 is not an element of GF(2); either row order must fail the same way
+    # instead of giving a canonical form that depends on the order
+    with pytest.raises(EncodingOutOfRange):
+        Subspace(f2, 2, [[1, 0], [3, 1]])
+    with pytest.raises(EncodingOutOfRange):
+        Subspace(f2, 2, [[3, 1], [1, 0]])
+    with pytest.raises(EncodingOutOfRange):
+        span(f9, 2, [[0, 9]])
+    with pytest.raises(EncodingOutOfRange):
+        span(f9, 2, [[-1, 0]])
 
 
 def test_zero_and_full(f2):
