@@ -1,9 +1,10 @@
 """Minimum-distance decoding, two ways.
 
 The naive decoder measures the subspace distance to every codeword.  The
-projection decoder precomputes one complement projector per codeword and
-reads each distance off a single rank computation.  On LCD codes the two
-agree verdict for verdict.
+projection decoder precomputes the coordinates of the projection onto each
+codeword's dual, stacked side by side, and reads every distance off one
+product and one rank per codeword.  On LCD codes the two agree verdict for
+verdict.
 """
 from lcdsubspace.codes import (SubspaceCode, decode_naive, decode_projection,
                                is_lcd_subspace_code, params,

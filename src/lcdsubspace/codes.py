@@ -28,7 +28,7 @@ from .errors import (
     PairBudgetExceeded,
     RankDeficient,
 )
-from .subspaces import Subspace, distance, pairwise_lcd, projector_complement
+from .subspaces import Subspace, complement_coordinates, distance, pairwise_lcd
 
 PAIR_BUDGET = 10 ** 7
 
@@ -206,10 +206,16 @@ def decode_naive(code, received):
 
 
 class ProjectionDecoder:
-    """Precomputes one complement projector per codeword.
+    """Precomputes the complement coordinates of every codeword.
+
+    For codeword C_i with complement coordinates Q_i and W_i (see
+    subspaces.complement_coordinates) the projector is P_i = Q_i W_i, and
+    W_i has full row rank, so rank(R P_i) = rank(R Q_i).  The Q_i are
+    stacked once into Q = [Q_1 | ... | Q_N] (n x sum(n - dim C_i)), and each
+    received word costs one product R Q and one rank per column block.
 
     Requires the code to pass is_lcd_subspace_code (every codeword is then
-    LCD, so the projectors exist).
+    LCD, so the Q_i exist).
     """
 
     def __init__(self, code):
@@ -218,27 +224,28 @@ class ProjectionDecoder:
             raise NotLCDCode("projection decoding needs an LCD subspace code",
                              witness=check.witness)
         self.code = code
-        self.projectors = [projector_complement(w) for w in code]
+        blocks = [complement_coordinates(w)[0] for w in code]
+        self.coordinates = np.hstack(blocks)
+        self._widths = [b.shape[1] for b in blocks]
 
     def decode(self, received):
         R = _coerce_received(self.code, received)
         f = self.code.field
-        dists = []
-        for w, P in zip(self.code, self.projectors):
-            if R.dim:
-                projected = f.matmul(R.basis, P)
-                pdim = f.rank(projected)
-            else:
-                pdim = 0
-            dists.append(w.dim + 2 * pdim - R.dim)
+        ranks = f.block_ranks(f.matmul(R.basis, self.coordinates), self._widths)
+        dists = [w.dim + 2 * rank - R.dim for w, rank in zip(self.code, ranks)]
         return _verdict(dists)
 
 
-def decode_projection(code, received):
-    """Projection decoding; the decoder is built once and cached on the code."""
+def projection_decoder(code):
+    """The code's ProjectionDecoder, built on first use and cached on the code."""
     if code._decoder is None:
         code._decoder = ProjectionDecoder(code)
-    return code._decoder.decode(received)
+    return code._decoder
+
+
+def decode_projection(code, received):
+    """Projection decoding with the code's cached decoder."""
+    return projection_decoder(code).decode(received)
 
 
 def classical_lcd_check(field, G):

@@ -194,7 +194,7 @@ def code_to_doc(code):
     return {
         "field": {"p": f.p, "r": f.r},
         "ambient": code.n,
-        "codewords": [[[int(v) for v in row] for row in w.basis] for w in code],
+        "codewords": [w.basis.tolist() for w in code],
     }
 
 

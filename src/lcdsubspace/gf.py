@@ -13,8 +13,12 @@ For the common small cases this picks
 Matrices over F_q are plain numpy int64 arrays of encoded values; all matrix
 routines live on the field object (``f.matmul``, ``f.rref``, ...).  Extension
 field multiplication uses log/antilog tables for q <= 2**16 and coefficient
-arithmetic above that; matrix products always use per-degree integer matmuls
-followed by modulus reduction, which keeps everything vectorised and exact.
+arithmetic above that.  A matrix product over F_p, and each per-digit product
+of an extension field, runs through float BLAS whenever every partial sum,
+at most inner_dim * (p - 1)**2, is an integer the float type holds exactly
+whatever the summation order: float32 below 2**24, float64 below 2**53.
+Past 2**53 it is an int64 product, which numpy computes without BLAS.  The
+result is reduced mod p (``& 1`` when p = 2), so every product is exact.
 
 Elimination over F_2 (chosen by ``q == 2`` alone) packs each row into one
 Python int, column 0 in the highest bit, so adding two rows is one XOR of
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -45,6 +49,9 @@ from .errors import (
 
 MAX_FIELD_ORDER = 1 << 20
 _TABLE_LIMIT = 1 << 16
+# float types for matrix products, narrowest first, each with the power of
+# two below which it holds every integer exactly (its mantissa width)
+_EXACT_FLOATS = ((np.float32, 1 << 24), (np.float64, 1 << 53))
 
 
 def _is_prime(n):
@@ -503,19 +510,35 @@ class GF:
         if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
             raise DimensionMismatch(f"cannot multiply {A.shape} by {B.shape}")
         if self.r == 1:
-            return (A @ B) % self.p
+            return self._mod_p(self._dot(A, B))
         Ad = self._to_digits(A)
         Bd = self._to_digits(B)
         conv = np.zeros((A.shape[0], B.shape[1], 2 * self.r - 1), dtype=np.int64)
         for i in range(self.r):
             for j in range(self.r):
-                conv[:, :, i + j] += Ad[:, :, i] @ Bd[:, :, j]
-        conv %= self.p
+                conv[:, :, i + j] += self._dot(Ad[:, :, i], Bd[:, :, j])
+        conv = self._mod_p(conv)
         for s in range(2 * self.r - 2, self.r - 1, -1):
             c = conv[:, :, s]
             conv[:, :, :self.r] = (conv[:, :, :self.r] + c[:, :, None] * self._redc[s - self.r]) % self.p
             conv[:, :, s] = 0
         return self._from_digits(conv[:, :, :self.r])
+
+    def _dot(self, A, B):
+        """Exact integer product of int64 matrices with entries in [0, p).
+
+        BLAS runs it in the narrowest float type that holds every partial
+        sum exactly; numpy's int64 product (no BLAS) is the fallback.
+        """
+        bound = A.shape[1] * (self.p - 1) ** 2
+        for dtype, exact in _EXACT_FLOATS:
+            if bound < exact:
+                return (A.astype(dtype) @ B.astype(dtype)).astype(np.int64)
+        return A @ B
+
+    def _mod_p(self, C):
+        # & 1 is several times faster than % 2 on int64 arrays
+        return C & 1 if self.p == 2 else C % self.p
 
     @staticmethod
     def _as_rows(M):
@@ -560,6 +583,21 @@ class GF:
         if self.q == 2:
             return len(_gf2_pivots(_gf2_pack(self._as_rows(M))))
         return len(self.rref(M)[1])
+
+    def block_ranks(self, M, widths):
+        """Ranks of the consecutive column blocks of M, of the given widths."""
+        A = self._as_rows(M)
+        ends = list(accumulate(widths, initial=0))
+        if min(widths, default=0) < 0 or ends[-1] != A.shape[1]:
+            raise DimensionMismatch(f"block widths {widths} do not split {A.shape[1]} columns")
+        spans = list(zip(ends, ends[1:]))
+        if self.q != 2:
+            return [self.rank(A[:, s:e]) for s, e in spans]
+        # pack every row once; a block is a shift and a mask of the packed row
+        rows = _gf2_pack(A)
+        top = 8 * ((A.shape[1] + 7) // 8)
+        return [len(_gf2_pivots([(r >> (top - e)) & ((1 << (e - s)) - 1) for r in rows]))
+                for s, e in spans]
 
     def det(self, M):
         A = np.asarray(M, dtype=np.int64)

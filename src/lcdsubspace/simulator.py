@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import ProjectionDecoder, decode_naive, is_lcd_subspace_code
+from .codes import decode_naive, is_lcd_subspace_code, projection_decoder
 from .errors import InternalInconsistency, InvalidSpec, NotLCDCode
 from .subspaces import Subspace
 
@@ -102,7 +102,8 @@ def run_experiment(code, spec, trials):
 
     Both decoders run on every received word; their verdicts must match
     exactly (same status, index, and distance).  Timings are medians of
-    per-trial wall time, excluding the one-off projector precomputation.
+    per-trial wall time, excluding the one-off decoder precomputation,
+    which is cached on the code.
     """
     if trials < 1:
         raise InvalidSpec("trials must be >= 1")
@@ -118,7 +119,7 @@ def run_experiment(code, spec, trials):
         raise InvalidSpec(
             f"error_count {spec.error_count} exceeds n = {code.n}")
 
-    decoder = ProjectionDecoder(code)
+    decoder = projection_decoder(code)
     correct = failure = wrong = agreement = 0
     distances = []
     naive_times = []

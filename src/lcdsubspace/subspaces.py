@@ -196,18 +196,28 @@ def pairwise_lcd(U, W):
     return PairwiseLcdCheck(ok, det_ns)
 
 
-def projector_complement(U):
-    """Matrix P with v P = projection of v onto U^perp along U.
+def complement_coordinates(U):
+    """(Q, W): W is the rref basis of U^perp and Q the last n - dim U columns
+    of [U; W]^-1, so v Q holds the coordinates on W of the projection of v
+    onto U^perp along U.
 
-    Exists iff U is LCD (the ambient space splits as U + U^perp); P is
-    idempotent, kills U and fixes U^perp pointwise.
+    Exists iff U is LCD (the ambient space splits as U + U^perp).
     """
     f = U.field
     n = U.n
-    W = U.dual()
-    S = np.vstack([U.basis, W.basis])
-    if f.rank(S) != n:
-        raise NotLCD(f"subspace meets its dual in dimension {n - f.rank(S)}")
-    Sinv = f.inv_matrix(S)
-    tail = np.vstack([np.zeros((U.dim, n), dtype=np.int64), W.basis])
-    return f.matmul(Sinv, tail)
+    W = U.dual().basis
+    S = np.vstack([U.basis, W])
+    rank = f.rank(S)
+    if rank != n:
+        raise NotLCD(f"subspace meets its dual in dimension {n - rank}")
+    return f.inv_matrix(S)[:, U.dim:], W
+
+
+def projector_complement(U):
+    """Matrix P with v P = projection of v onto U^perp along U.
+
+    Exists iff U is LCD; P = Q W from complement_coordinates, is idempotent,
+    kills U and fixes U^perp pointwise.
+    """
+    Q, W = complement_coordinates(U)
+    return U.field.matmul(Q, W)

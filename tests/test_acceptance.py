@@ -24,7 +24,7 @@ from lcdsubspace.hadamard import (UnbiasedSet, are_unbiased, gramian_B,
                                   search_unbiased_extension, sylvester)
 from lcdsubspace.schemes import (EquitablePartition, divisibility_screen,
                                  quotient_matrices, verify_quotient_algebra)
-from lcdsubspace.simulator import ChannelSpec, run_experiment
+from lcdsubspace.simulator import ChannelSpec, corrupt, run_experiment
 from lcdsubspace.subspaces import (Subspace, distance, intersect, is_lcd,
                                    pairwise_lcd, projector_complement, span)
 from lcdsubspace import fileio
@@ -384,6 +384,20 @@ def test_criterion_08_order_16_identities_and_code(bush_uset,
     for _ in range(40):
         i, j = rng.integers(0, len(words), size=2)
         assert pairwise_lcd(words[int(i)], words[int(j)]).ok
+
+
+def test_criterion_08_order_16_code_decodes_distance_one_words(thm59_report):
+    # one erasure or one error is within the unique decoding radius of d = 4
+    code = thm59_report.code
+    rng = np.random.default_rng(859)
+    for t in range(16):
+        sent = int(rng.integers(0, len(code)))
+        spec = ChannelSpec(t % 2, 1 - t % 2, rng_seed=859)
+        R = corrupt(code[sent], spec, t)
+        a = decode_naive(code, R)
+        b = decode_projection(code, R)
+        assert a == b
+        assert (b.status, b.index, b.distance) == ("decoded", sent, 1)
 
 
 # --- criterion 9 ---

@@ -157,6 +157,30 @@ def test_decoders_agree_randomized(f2, f3, f4):
         checked = 0
 
 
+def test_projection_on_zero_width_and_full_width_blocks(f2, f9):
+    # {F_q^n} has a zero-width block of complement coordinates, {0} a
+    # full-width one; d(F_q^n, R) = n - dim R and d(0, R) = dim R
+    n = 3
+    for f in (f2, f9):
+        other = [1, 1, 1] if f.q == 2 else [1, 1, 0]
+        received = [Subspace.zero(f, n), np.zeros((0, n), dtype=np.int64),
+                    line(f, [0, 1, 1]), Subspace.full(f, n)]
+        for code, dist in ((SubspaceCode([Subspace.full(f, n)]), lambda k: n - k),
+                           (SubspaceCode([Subspace.zero(f, n)]), lambda k: k)):
+            dec = ProjectionDecoder(code)
+            assert dec.coordinates.shape == (n, n - code[0].dim)
+            for R in received:
+                out = dec.decode(R)
+                k = R.dim if isinstance(R, Subspace) else 0
+                assert out == decode_naive(code, R)
+                assert (out.status, out.index, out.distance) == ("decoded", 0, dist(k))
+        lines = SubspaceCode([line(f, [1, 0, 0]), line(f, other)])
+        assert is_lcd_subspace_code(lines)
+        out = ProjectionDecoder(lines).decode(Subspace.zero(f, n))
+        assert out == decode_naive(lines, Subspace.zero(f, n))
+        assert (out.status, out.distance) == ("failure", 1)
+
+
 def test_classical_lcd_pinned(f2, f3):
     assert not classical_lcd_check(f2, [[1, 1]])
     assert classical_lcd_check(f3, [[1, 1]])

@@ -234,6 +234,83 @@ def test_matmul_matches_scalar_loops(all_fields):
                 assert int(C[i, j]) == s
 
 
+def _exact_product(f, A, B):
+    """A B over f from exact Python-int dot products: over F_p one integer
+    sum reduced mod p, over an extension field digitwise sums of oracle
+    products."""
+    A, cols = np.asarray(A).tolist(), np.asarray(B).T.tolist()
+    if f.r == 1:
+        return [[sum(a * b for a, b in zip(row, col)) % f.p for col in cols] for row in A]
+
+    def add(x, y):
+        return sum((x // f.p ** i + y // f.p ** i) % f.p * f.p ** i for i in range(f.r))
+
+    out = []
+    for row in A:
+        out.append([])
+        for col in cols:
+            acc = 0
+            for a, b in zip(row, col):
+                acc = add(acc, oracles.ext_mul(f, a, b))
+            out[-1].append(acc)
+    return out
+
+
+@pytest.mark.parametrize("p, exact", [(251, 2 ** 24), (1048573, 2 ** 53)])
+def test_matmul_exact_on_each_side_of_a_float_bound(p, exact):
+    # float32 holds every integer below 2**24 exactly, float64 below 2**53;
+    # 1048573 is the largest prime below 2**20, and its inner dimensions
+    # 8192 and 8193 straddle 2**53
+    f = field_new(p)
+    rng = np.random.default_rng(p)
+    low = (exact - 1) // (p - 1) ** 2
+    for k in (low, low + 1):
+        full = (np.full((2, k), p - 1), np.full((k, 3), p - 1))
+        # one odd product makes entry (0, 0) an odd sum: past the bound the
+        # narrower float cannot hold it
+        odd = tuple(M.copy() for M in full)
+        odd[0][0, 0] = odd[1][0, 0] = p - 2
+        rand = (rng.integers(0, p, (2, k)), rng.integers(0, p, (k, 3)))
+        for A, B in (full, odd, rand):
+            assert f.matmul(A, B).tolist() == _exact_product(f, A, B)
+
+
+def test_matmul_matches_exact_dot_products(f2, f9):
+    rng = np.random.default_rng(9)
+    for f in (f2, f9):
+        for m, k, n in ((0, 4, 3), (3, 0, 2), (1, 1, 1), (20, 30, 25)):
+            A, B = rng.integers(0, f.q, (m, k)), rng.integers(0, f.q, (k, n))
+            assert f.matmul(A, B).tolist() == _exact_product(f, A, B)
+        top = np.full((4, 40), f.q - 1)
+        assert f.matmul(top, top.T).tolist() == _exact_product(f, top, top.T)
+    # as wide as the stacked complement coordinates of the (192, 31, 4; 96)
+    # code; a GF(2) dot product is the parity of an AND of packed bits
+    A, B = rng.integers(0, 2, (95, 192)), rng.integers(0, 2, (192, 2976))
+    rows = [int("".join(map(str, r)), 2) for r in A.tolist()]
+    cols = [int("".join(map(str, c)), 2) for c in B.T.tolist()]
+    want = [[(r & c).bit_count() & 1 for c in cols] for r in rows]
+    assert f2.matmul(A, B).tolist() == want
+
+
+def test_block_ranks_match_oracle(all_fields):
+    rng = random.Random(31)
+    for f in all_fields:
+        for widths in ([], [0], [3], [0, 3, 0], [1, 7, 8, 9, 0, 2], [65, 0, 64]):
+            n = sum(widths)
+            for k in (0, 1, 4, 12):
+                M = np.array([[rng.randrange(f.q) for _ in range(n)] for _ in range(k)],
+                             dtype=np.int64).reshape(k, n)
+                start, want = 0, []
+                for w in widths:
+                    want.append(oracles.rank(f, M[:, start:start + w].tolist()))
+                    start += w
+                assert f.block_ranks(M, widths) == want
+        with pytest.raises(DimensionMismatch):
+            f.block_ranks(np.zeros((2, 4), dtype=np.int64), [1, 2])
+        with pytest.raises(DimensionMismatch):
+            f.block_ranks(np.zeros((2, 4), dtype=np.int64), [5, -1])
+
+
 def test_solve_and_inverse(f3, f9):
     rng = random.Random(3)
     for f in (f3, f9):
