@@ -13,9 +13,14 @@ For the common small cases this picks
 Matrices over F_q are plain numpy int64 arrays of encoded values; all matrix
 routines live on the field object (``f.matmul``, ``f.rref``, ...).  Extension
 field multiplication uses log/antilog tables for q <= 2**16 and coefficient
-arithmetic above that.  A matrix product over F_p, and each per-digit product
-of an extension field, runs through float BLAS whenever every partial sum,
-at most inner_dim * (p - 1)**2, is an integer the float type holds exactly
+arithmetic above that.  The tables hold the powers of the smallest primitive
+element g, and ``log[0]`` is a sentinel past every sum of two nonzero logs
+with ``exp`` zero from there on, so a product, zero included, is the single
+gather ``exp[log[a] + log[b]]``.
+
+A matrix product over F_p, and each per-digit product of an extension
+field, runs through float BLAS whenever every partial sum, at most
+inner_dim * (p - 1)**2, is an integer the float type holds exactly
 whatever the summation order: float32 below 2**24, float64 below 2**53.
 Past 2**53 it is an int64 product, which numpy computes without BLAS.  The
 result is reduced mod p (``& 1`` when p = 2), so every product is exact.
@@ -25,8 +30,18 @@ Python int, column 0 in the highest bit, so adding two rows is one XOR of
 arbitrary width.  Rows are reduced into a pivot table keyed by leading bit
 (the bit length of the row): ``rank`` stops there, ``rref`` back-substitutes
 and unpacks into the same int64 matrix and pivot tuple as every other
-field, and ``det`` is ``rank == n``.  Every other field eliminates on the
-int64 matrix itself, one pivot column at a time.
+field, and ``det`` is ``rank == n``.
+
+Every other field runs one elimination core on a copy of the int64 matrix,
+one pivot column at a time, with row operations bound once per field: on
+F_p the update is ``(R - fac (x) row) % p`` (products below 2**40) and the
+inverse ``pow(a, p - 2, p)``; with tables a product is one gather, and a
+difference is an XOR when p = 2 and digitwise otherwise; above 2**16 the
+public ``mul`` and ``sub`` do it.  ``rref`` reduces above and below each
+pivot, while ``rank`` and ``det`` (the pivot product, negated for an odd
+number of row swaps) eliminate below it only.  The core rejects entries
+outside [0, q) with ``EncodingOutOfRange``, since a gather would silently
+wrap a negative one.
 """
 
 from __future__ import annotations
@@ -299,6 +314,7 @@ class GF:
         self._redc = self._reduction_rows() if r > 1 else None
         self._exp = None
         self._log = None
+        self._ops = None
         self.generator = None
 
     def _reduction_rows(self):
@@ -349,7 +365,7 @@ class GF:
         return (a[..., None] // self._pw) % self.p
 
     def _from_digits(self, d):
-        return (d * self._pw).sum(axis=-1)
+        return d @ self._pw
 
     @staticmethod
     def _coerce2(a, b):
@@ -386,16 +402,19 @@ class GF:
         elif self.r == 1:
             out = (a - b) % self.p
         else:
-            out = self._from_digits((self._to_digits(a) - self._to_digits(b)) % self.p)
+            out = self._sub_digits(a, b)
         return int(out) if scalar else out
+
+    def _sub_digits(self, a, b):
+        # a // p^i is congruent to digit i of a mod p, so no reduction first
+        return self._from_digits((a[..., None] // self._pw - b[..., None] // self._pw) % self.p)
 
     def mul(self, a, b):
         a, b, scalar = self._coerce2(a, b)
         if self.r == 1:
             out = (a * b) % self.p
         elif self._ensure_tables():
-            idx = (self._log[a] + self._log[b]) % (self.q - 1)
-            out = np.where((a == 0) | (b == 0), 0, self._exp[idx])
+            out = self._exp[self._log[a] + self._log[b]]
         else:
             out = self._mul_digits(a, b)
         return int(out) if scalar else out
@@ -429,7 +448,7 @@ class GF:
                            dtype=np.int64).reshape(arr.shape)
             return out
         if self._ensure_tables():
-            out = self._exp[(self.q - 1 - self._log[arr]) % (self.q - 1)]
+            out = self._exp[self.q - 1 - self._log[arr]]
             return int(out) if scalar else out
         if scalar:
             return self.pow(int(arr), self.q - 2)
@@ -462,35 +481,52 @@ class GF:
         return True
 
     def _build_tables(self):
-        q = self.q
+        """exp/log tables of the smallest primitive element g.
+
+        exp[i] = g^(i mod (q - 1)) below the sentinel s = 2 (q - 1), which is
+        log[0] and lies past every sum of two nonzero logs; exp is zero from s
+        on.  So exp[log[a] + log[b]] = a b for all a, b, and
+        exp[q - 1 - log[a]] = 1 / a for a != 0, with no mask and no modulo.
+        """
+        p, r, q = self.p, self.r, self.q
+        if p == 2:
+            bits = sum(c << i for i, c in enumerate(self.modulus))
+
+            def mul(a, b):
+                return _gf2_mulmod(a, b, bits, r)
+        else:
+            def mul(a, b):
+                return self.from_coeffs(
+                    _poly_mulmod(self.coeffs(a), self.coeffs(b), self.modulus, p))
+
+        def power(a, e):
+            result = 1
+            while e:
+                if e & 1:
+                    result = mul(result, a)
+                a = mul(a, a)
+                e >>= 1
+            return result
+
         order_factors = _prime_factors(q - 1)
-        gen = None
-        for g in range(1, q):
-            if all(self._pow_slow(g, (q - 1) // ell) != 1 for ell in order_factors):
-                gen = g
-                break
-        exp = np.zeros(max(q - 1, 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._mul_slow(cur, gen)
+        gen = next(g for g in range(1, q)
+                   if all(power(g, (q - 1) // ell) != 1 for ell in order_factors))
+        # doubling: exp[k:2k] = g^k exp[:k].  Multiplying by g^k is F_p-linear,
+        # so it is one product of digit vectors with M, whose row i holds the
+        # digits of x^i g^k
+        exp = np.ones(1, dtype=np.int64)
+        while exp.size < q - 1:
+            gk = mul(int(exp[-1]), gen)
+            M = np.array([self.coeffs(mul(p ** i, gk)) for i in range(r)], dtype=np.int64)
+            exp = np.concatenate([exp, self._from_digits(self._to_digits(exp) @ M % p)])
+        exp = exp[:q - 1]
+        sentinel = 2 * (q - 1)
+        log = np.empty(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        log[0] = sentinel
         self.generator = gen
-        self._exp = exp
+        self._exp = np.concatenate([exp, exp, np.zeros(sentinel + 1, dtype=np.int64)])
         self._log = log
-
-    def _mul_slow(self, a, b):
-        return int(self._mul_digits(np.int64(a), np.int64(b)))
-
-    def _pow_slow(self, a, e):
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_slow(result, base)
-            base = self._mul_slow(base, base)
-            e >>= 1
-        return result
 
     # --- matrices (int64 arrays of encoded values) ---
 
@@ -549,40 +585,78 @@ class GF:
             raise DimensionMismatch("elimination expects a matrix")
         return A
 
-    def rref(self, M):
-        """Reduced row echelon form.  Returns (R, pivots)."""
-        A = self._as_rows(M)
-        if self.q == 2:
-            return _gf2_rref(A)
-        R = A.copy()
+    def _elimination_ops(self):
+        """(scale, elim, inv) for the q != 2 core, bound once per field:
+        scale(row, s) = s row, elim(T, fac, row) = T - fac (x) row, and
+        inv(a) the inverse of a nonzero int."""
+        if self._ops is None:
+            p, q = self.p, self.q
+            if self.r == 1:
+                # entries lie below 2**20, so products stay below 2**40
+                self._ops = (lambda row, s: row * s % p,
+                             lambda T, fac, row: (T - fac[:, None] * row) % p,
+                             lambda a: pow(a, p - 2, p))
+            elif self._ensure_tables():
+                exp, log = self._exp, self._log
+                sub = np.bitwise_xor if p == 2 else self._sub_digits
+                self._ops = (lambda row, s: exp[log[row] + log[s]],
+                             lambda T, fac, row: sub(T, exp[log[fac][:, None] + log[row]]),
+                             lambda a: int(exp[q - 1 - log[a]]))
+            else:
+                self._ops = (self.mul,
+                             lambda T, fac, row: self.sub(T, self.mul(fac[:, None], row)),
+                             self.inv)
+        return self._ops
+
+    def _eliminate(self, M, full):
+        """Row-reduce a copy of M over a field with q != 2.
+
+        full: clear each pivot column above the pivot too, so R is the rref;
+        otherwise below it only (forward elimination), all rank and det need.
+        Returns (R, pivots, pivot values before scaling, row swaps).
+        """
+        R = self._as_rows(M).copy()
+        if R.size and (R.min() < 0 or R.max() >= self.q):
+            raise EncodingOutOfRange(f"encoded entries must lie in [0, {self.q})")
+        scale, elim, inv = self._elimination_ops()
         rows, cols = R.shape
-        pivots = []
-        rr = 0
+        pivots, values, swaps = [], [], 0
         for c in range(cols):
+            rr = len(pivots)
             if rr == rows:
                 break
-            nz = np.flatnonzero(R[rr:, c])
+            nz = R[rr:, c].nonzero()[0]
             if nz.size == 0:
                 continue
-            pr = rr + int(nz[0])
-            if pr != rr:
+            if nz[0]:
+                pr = rr + int(nz[0])
                 R[[rr, pr]] = R[[pr, rr]]
+                swaps += 1
             pv = int(R[rr, c])
             if pv != 1:
-                R[rr] = self.mul(R[rr], self.inv(pv))
-            f = R[:, c].copy()
-            f[rr] = 0
-            tgt = np.flatnonzero(f)
+                R[rr, c:] = scale(R[rr, c:], inv(pv))
+            # rows at and below rr are zero left of c, so only columns c: change;
+            # after the swap the nonzero entries below the pivot are at nz[1:]
+            tgt = rr + nz[1:]
+            if full:
+                tgt = np.concatenate([R[:rr, c].nonzero()[0], tgt])
             if tgt.size:
-                R[tgt] = self.sub(R[tgt], self.mul(f[tgt, None], R[rr][None, :]))
+                R[tgt, c:] = elim(R[tgt, c:], R[tgt, c], R[rr, c:])
             pivots.append(c)
-            rr += 1
-        return R, tuple(pivots)
+            values.append(pv)
+        return R, tuple(pivots), values, swaps
+
+    def rref(self, M):
+        """Reduced row echelon form.  Returns (R, pivots)."""
+        if self.q == 2:
+            return _gf2_rref(self._as_rows(M))
+        R, pivots, _, _ = self._eliminate(M, full=True)
+        return R, pivots
 
     def rank(self, M):
         if self.q == 2:
             return len(_gf2_pivots(_gf2_pack(self._as_rows(M))))
-        return len(self.rref(M)[1])
+        return len(self._eliminate(M, full=False)[1])
 
     def block_ranks(self, M, widths):
         """Ranks of the consecutive column blocks of M, of the given widths."""
@@ -606,24 +680,12 @@ class GF:
         n = A.shape[0]
         if self.q == 2:
             return int(self.rank(A) == n)
-        A = A.copy()
-        det = 1
-        for c in range(n):
-            nz = np.flatnonzero(A[c:, c])
-            if nz.size == 0:
-                return 0
-            pr = c + int(nz[0])
-            if pr != c:
-                A[[c, pr]] = A[[pr, c]]
-                det = self.neg(det)
-            pv = int(A[c, c])
-            det = self.mul(det, pv)
-            if c + 1 < n:
-                f = A[c + 1:, c]
-                tgt = np.flatnonzero(f)
-                if tgt.size:
-                    mult = self.mul(f[tgt], self.inv(pv))
-                    A[c + 1 + tgt] = self.sub(A[c + 1 + tgt], self.mul(mult[:, None], A[c][None, :]))
+        _, pivots, values, swaps = self._eliminate(A, full=False)
+        if len(pivots) < n:
+            return 0
+        det = self.neg(1) if swaps % 2 else 1
+        for v in values:
+            det = self.mul(det, v)
         return det
 
     def kernel(self, M):

@@ -24,7 +24,7 @@ from .gf import GF
 class Subspace:
     """An immutable subspace of F_q^n held as an rref basis matrix."""
 
-    __slots__ = ("field", "n", "basis", "_key")
+    __slots__ = ("field", "n", "basis", "_key", "_dual")
 
     def __init__(self, field, n, vectors=None, *, _rref=None):
         self.field = field
@@ -47,6 +47,7 @@ class Subspace:
         B.setflags(write=False)
         self.basis = B
         self._key = (field.p, field.r, self.n, B.shape[0], B.tobytes())
+        self._dual = None
 
     # --- constructors ---
 
@@ -69,16 +70,11 @@ class Subspace:
         return self.basis.shape[0]
 
     def contains(self, v):
-        """Membership test by reduction against the rref basis."""
-        w = np.array(v, dtype=np.int64, copy=True).ravel()
-        if w.shape[0] != self.n:
-            raise AmbientMismatch(f"vector of length {w.shape[0]} in ambient {self.n}")
-        f = self.field
-        for row in self.basis:
-            c = int(np.flatnonzero(row)[0])  # pivot column, entry 1
-            if w[c]:
-                w = f.sub(w, f.mul(np.int64(w[c]), row))
-        return not w.any()
+        """Membership test: v lies in U iff adjoining it keeps the rank."""
+        w = self.field.asmatrix(np.ravel(v))
+        if w.shape[1] != self.n:
+            raise AmbientMismatch(f"vector of length {w.shape[1]} in ambient {self.n}")
+        return self.field.rank(np.vstack([self.basis, w])) == self.dim
 
     def _check_mate(self, other):
         if not isinstance(other, Subspace):
@@ -97,9 +93,14 @@ class Subspace:
         return Subspace(self.field, self.n, stacked)
 
     def dual(self):
-        """Orthogonal complement under the standard dot product."""
-        K = self.field.kernel(self.basis)
-        return Subspace(self.field, self.n, _rref=K)
+        """Orthogonal complement under the standard dot product.
+
+        Its basis is computed once and kept; the Subspace around it is not,
+        as its key would double the memory held per subspace.
+        """
+        if self._dual is None:
+            self._dual = self.field.kernel(self.basis)
+        return Subspace(self.field, self.n, _rref=self._dual)
 
     def __and__(self, other):
         other = self._check_mate(other)

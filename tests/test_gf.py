@@ -8,11 +8,12 @@ import oracles
 from lcdsubspace.errors import (
     DimensionMismatch,
     DivisionByZero,
+    EncodingOutOfRange,
     FieldTooLarge,
     LcdError,
     NotPrime,
 )
-from lcdsubspace.gf import field_from_order, field_new
+from lcdsubspace.gf import GF, field_from_order, field_new
 
 
 def test_construction_validation():
@@ -98,6 +99,28 @@ def test_division_and_pow(all_fields):
                 assert f.pow(a, e) == acc
 
 
+def test_tables_are_powers_of_the_smallest_primitive_element():
+    # rebuilt here by one independent oracle product per power
+    for p, r in ((2, 8), (3, 5)):
+        f = GF(p, r)
+        q = f.q
+
+        def order(g):
+            x, k = g, 1
+            while x != 1:
+                x, k = oracles.ext_mul(f, x, g), k + 1
+            return k
+
+        gen = next(g for g in range(1, q) if order(g) == q - 1)
+        powers = [1]
+        for _ in range(q - 2):
+            powers.append(oracles.ext_mul(f, powers[-1], gen))
+        assert f.mul(gen, 1) == gen  # builds the tables
+        assert f.generator == gen
+        assert f._exp[:q - 1].tolist() == powers
+        assert [int(f._log[v]) for v in powers] == list(range(q - 1))
+
+
 def test_scalar_ops_accept_arrays(f9):
     a = np.array([0, 1, 5, 8])
     b = np.array([3, 3, 3, 3])
@@ -179,6 +202,45 @@ def test_rref_matches_oracle_randomized(all_fields):
         want = (oracles.det_leibniz(f2, S.tolist()) if m <= 6
                 else int(oracles.rank(f2, S.tolist()) == m))
         assert f2.det(S) == want
+
+
+@pytest.mark.parametrize("p, r", [(5, 1), (2, 16), (2, 17), (1048573, 1)])
+def test_elimination_matches_oracle_at_the_boundaries(p, r):
+    # 2**16 is the largest order with log/exp tables and 2**17 the smallest
+    # without; 1048573 is the largest prime below 2**20
+    f = field_new(p, r)
+    rng = random.Random(p + r)
+
+    def rand(k, n):
+        return [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]
+
+    mats = [rand(k, n) for k, n in ((1, 1), (2, 3), (3, 2), (4, 4), (3, 5), (5, 3))]
+    mats.append([[0] * 3 for _ in range(3)])
+    # a zero corner forces a row swap, so det must flip its sign
+    M = rand(4, 4)
+    M[0][0] = 0
+    mats.append(M)
+    # rank deficient: one row a multiple of another, one row zero
+    M = rand(4, 5)
+    M[2] = f.mul(np.array(M[0]), rng.randrange(1, f.q)).tolist()
+    M[3] = [0] * 5
+    mats.append(M)
+    mats.append([row[:4] for row in M])
+    for M in mats:
+        _assert_matches_oracle(f, M)
+        if len(M) == len(M[0]):
+            assert f.det(M) == oracles.det_leibniz(f, M)
+
+
+def test_elimination_rejects_encodings_outside_the_field(f3, f4, f9):
+    # a table gather would wrap -1 to the last entry; every field but GF(2)
+    # rejects it (GF(2) reads any nonzero entry as 1)
+    for f in (f3, f4, f9, field_new(2, 17)):
+        for bad in (-1, f.q):
+            M = [[1, 0], [0, bad]]
+            for op in (f.rref, f.rank, f.det, f.kernel):
+                with pytest.raises(EncodingOutOfRange):
+                    op(M)
 
 
 def test_kernel_pinned_and_oracle(f2, f3):

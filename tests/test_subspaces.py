@@ -64,20 +64,21 @@ def test_zero_and_full(f2):
     assert full.contains([1, 1, 1])
 
 
-def test_contains_matches_enumeration(f3):
+def test_contains_matches_enumeration(f3, f9):
     rng = random.Random(1)
-    U = rand_subspace(rng, f3, 4, 2)
-    vecs = oracles.span_tuples(f3, 4, U.basis.tolist())
-    assert len(vecs) == f3.q ** U.dim
-    for v in vecs:
-        assert U.contains(list(v))
-    misses = 0
-    for _ in range(30):
-        w = tuple(rng.randrange(3) for _ in range(4))
-        if w not in vecs:
-            misses += 1
-            assert not U.contains(list(w))
-    assert misses > 0
+    for f in (f3, f9):
+        U = rand_subspace(rng, f, 4, 2)
+        vecs = oracles.span_tuples(f, 4, U.basis.tolist())
+        assert len(vecs) == f.q ** U.dim
+        for v in vecs:
+            assert U.contains(list(v))
+        misses = 0
+        for _ in range(30):
+            w = tuple(rng.randrange(f.q) for _ in range(4))
+            if w not in vecs:
+                misses += 1
+                assert not U.contains(list(w))
+        assert misses > 0
 
 
 def test_pinned_intersection(f3):
