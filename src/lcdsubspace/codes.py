@@ -28,6 +28,7 @@ from .errors import (
     PairBudgetExceeded,
     RankDeficient,
 )
+from .gf import BlockRankFactor
 from .subspaces import Subspace, complement_coordinates, distance, pairwise_lcd
 
 PAIR_BUDGET = 10 ** 7
@@ -179,16 +180,29 @@ class DecodeOutcome:
         return self.status == "decoded"
 
 
-def _coerce_received(code, received):
+def _received_rows(code, received):
+    """Generator rows of a received word, checked against the code: the
+    field of a Subspace, the ambient length, and encodings in [0, q)."""
     if isinstance(received, Subspace):
         if received.field != code.field:
             raise FieldMismatch("received word over a different field")
-        if received.n != code.n:
-            raise AmbientMismatch("received word in a different ambient space")
+        rows = received.basis
+    else:
+        rows = code.field.asmatrix(received)
+        if rows.size == 0:
+            rows = rows.reshape(0, code.n)
+    if rows.shape[1] != code.n:
+        raise AmbientMismatch("received word in a different ambient space")
+    return rows
+
+
+def _coerce_received(code, received):
+    rows = _received_rows(code, received)
+    if isinstance(received, Subspace):
         return received
     # raw generator rows are accepted and canonicalised; the projection
     # formula is span-invariant so both entry paths agree
-    return Subspace(code.field, code.n, received)
+    return Subspace(code.field, code.n, rows)
 
 
 def _verdict(dists):
@@ -211,8 +225,15 @@ class ProjectionDecoder:
     For codeword C_i with complement coordinates Q_i and W_i (see
     subspaces.complement_coordinates) the projector is P_i = Q_i W_i, and
     W_i has full row rank, so rank(R P_i) = rank(R Q_i).  The Q_i are
-    stacked once into Q = [Q_1 | ... | Q_N] (n x sum(n - dim C_i)), and each
-    received word costs one product R Q and one rank per column block.
+    stacked once into Q = [Q_1 | ... | Q_N] (n x sum(n - dim C_i)) and
+    prepared as a gf.BlockRankFactor (over F_2, its Four-Russians tables),
+    and each received word costs one product R Q and one rank per column
+    block.
+
+    The received rows are reduced to an echelon set, not to rref: rank(R Q_i)
+    is the dimension of the image of span(R) under x -> x Q_i, so it depends
+    only on the span of the rows, and any basis of it, whose size is dim R,
+    gives the same ranks.
 
     Requires the code to pass is_lcd_subspace_code (every codeword is then
     LCD, so the Q_i exist).
@@ -226,14 +247,12 @@ class ProjectionDecoder:
         self.code = code
         blocks = [complement_coordinates(w)[0] for w in code]
         self.coordinates = np.hstack(blocks)
-        self._widths = [b.shape[1] for b in blocks]
+        self._factor = BlockRankFactor(code.field, self.coordinates,
+                                       [b.shape[1] for b in blocks])
 
     def decode(self, received):
-        R = _coerce_received(self.code, received)
-        f = self.code.field
-        ranks = f.block_ranks(f.matmul(R.basis, self.coordinates), self._widths)
-        dists = [w.dim + 2 * rank - R.dim for w, rank in zip(self.code, ranks)]
-        return _verdict(dists)
+        dim, ranks = self._factor(_received_rows(self.code, received))
+        return _verdict([w.dim + 2 * rank - dim for w, rank in zip(self.code, ranks)])
 
 
 def projection_decoder(code):

@@ -15,8 +15,11 @@ from lcdsubspace.codes import (
     sampled_min_distance,
 )
 from lcdsubspace.errors import (
+    AmbientMismatch,
     DegenerateCode,
     EmptyCode,
+    EncodingOutOfRange,
+    FieldMismatch,
     NotLCDCode,
     PairBudgetExceeded,
     RankDeficient,
@@ -155,6 +158,62 @@ def test_decoders_agree_randomized(f2, f3, f4):
                 # the reported distance is the true minimum either way
                 assert a.distance == min(distance(R, w) for w in code)
         checked = 0
+
+
+def _isotropic_lcd_code(f, n, k, size, rng):
+    """size codewords <[I_k | Y_i H]> of GF(2)^n, columns shuffled alike.
+    H's rows e_2t + e_2t+1 are orthogonal to each other and to themselves,
+    so every Gram block G_i G_j^T is I_k and the code is LCD."""
+    m = (n - k) // 2
+    H = np.zeros((m, n - k), dtype=np.int64)
+    H[np.arange(m), 2 * np.arange(m)] = H[np.arange(m), 2 * np.arange(m) + 1] = 1
+    perm = rng.permutation(n)
+    eye = np.eye(k, dtype=np.int64)
+    gens = [np.hstack([eye, rng.integers(0, 2, (k, m)) @ H % 2])[:, perm] for _ in range(size)]
+    return SubspaceCode([Subspace(f, n, G) for G in gens])
+
+
+@pytest.mark.parametrize("n, k", [(9, 3), (64, 20), (65, 30), (130, 40)])
+def test_decoders_agree_across_byte_and_word_boundaries(f2, n, k):
+    # raw rows reach the packed product with duplicates and dependent rows,
+    # which it reduces to an echelon set of its own
+    rng = np.random.default_rng(n)
+    code = _isotropic_lcd_code(f2, n, k, 4, rng)
+    assert len(code) == 4 and is_lcd_subspace_code(code)
+    dec = ProjectionDecoder(code)
+    for t in range(24):
+        basis = code[t % 4].basis
+        kind = t // 4 % 3
+        if kind == 0:       # one erasure, one row repeated
+            rows = np.vstack([basis[1:], basis[1:2]])
+        elif kind == 1:     # one error vector, rows mixed
+            mix = rng.integers(0, 2, (k + 1, k + 1))
+            rows = mix @ np.vstack([basis, rng.integers(0, 2, (1, n))]) % 2
+        else:               # any rows at all, some zero or repeated
+            rows = rng.integers(0, 2, (int(rng.integers(0, n + 2)), n))
+            rows = np.vstack([rows, rows[:2], np.zeros((1, n), dtype=np.int64)])
+        out = dec.decode(rows)
+        assert out == decode_naive(code, rows)
+        assert out == dec.decode(Subspace(f2, n, rows))
+        R = Subspace(f2, n, rows)
+        assert out.distance == min(distance(R, w) for w in code)
+        if kind == 0:
+            assert (out.status, out.index) == ("decoded", t % 4)
+
+
+def test_decoders_reject_received_words_that_do_not_fit(f2, f3):
+    # raw rows reach the projection decoder's packed product unconverted,
+    # so both decoders check them first
+    for f, other in ((f2, f3), (f3, f2)):
+        code = SubspaceCode([line(f, [1, 0, 0]), line(f, [1, 1, 0] if f.q == 3 else [1, 1, 1])])
+        dec = ProjectionDecoder(code)
+        bad = [([[0, 1, -1]], EncodingOutOfRange), ([[0, 1, f.q]], EncodingOutOfRange),
+               ([[0, 1]], AmbientMismatch), (Subspace.full(f, 4), AmbientMismatch),
+               (Subspace.full(other, 3), FieldMismatch)]
+        for received, error in bad:
+            for decode in (dec.decode, lambda R: decode_naive(code, R)):
+                with pytest.raises(error):
+                    decode(received)
 
 
 def test_projection_on_zero_width_and_full_width_blocks(f2, f9):

@@ -13,7 +13,7 @@ from lcdsubspace.errors import (
     LcdError,
     NotPrime,
 )
-from lcdsubspace.gf import GF, field_from_order, field_new
+from lcdsubspace.gf import GF, BlockRankFactor, field_from_order, field_new
 
 
 def test_construction_validation():
@@ -371,6 +371,89 @@ def test_block_ranks_match_oracle(all_fields):
             f.block_ranks(np.zeros((2, 4), dtype=np.int64), [1, 2])
         with pytest.raises(DimensionMismatch):
             f.block_ranks(np.zeros((2, 4), dtype=np.int64), [5, -1])
+
+
+def test_matmul_rejects_encodings_outside_the_field(f2, f3, f9):
+    # unchecked, GF(2) reads 3 and -1 as 1 and GF(9) reads 12 as its low
+    # two base-3 digits, 3
+    for f in (f2, f3, f9, field_new(2, 17)):
+        ok = np.ones((1, 2), dtype=np.int64)
+        for bad in (-1, f.q):
+            M = np.array([[1, bad]])
+            for A, B in ((M, ok.T), (ok, M.T)):
+                with pytest.raises(EncodingOutOfRange):
+                    f.matmul(A, B)
+
+
+def _block_ranks_of_product(f, rows, B, widths, rank):
+    """rank() of each column block of rows B, the product from exact
+    Python-int dot products."""
+    if f.q == 2:
+        # a GF(2) dot product is the parity of an AND of packed bits
+        packed = [int("".join(map(str, r)) or "0", 2) for r in rows.tolist()]
+        cols = [int("".join(map(str, c)) or "0", 2) for c in B.T.tolist()]
+        product = [[(r & c).bit_count() & 1 for c in cols] for r in packed]
+    else:
+        product = _exact_product(f, rows, B)
+    out, start = [], 0
+    for w in widths:
+        out.append(rank([p[start:start + w] for p in product]))
+        start += w
+    return out
+
+
+@pytest.mark.parametrize("inner", [1, 7, 8, 9, 191])
+def test_block_rank_factor_matches_dot_products(f2, inner):
+    # blocks of 63 to 130 columns start and end on both sides of 64-bit
+    # boundaries, and inner dimensions other than multiples of 8 leave the
+    # last table part-filled
+    widths = [0, 1, 63, 64, 0, 65, 96, 130]
+    rng = np.random.default_rng(inner)
+    B = rng.integers(0, 2, (inner, sum(widths)))
+    factor = BlockRankFactor(f2, B, widths)
+    some = rng.integers(0, 2, (12, inner))
+    cases = [np.zeros((0, inner), dtype=np.int64), np.zeros((3, inner), dtype=np.int64),
+             some[:1], some, np.vstack([some[:5], some[:5]]), np.ones((2, inner), dtype=np.int64)]
+    if inner == 191:
+        # 97 rows of rank 96, the last the sum of the first two
+        full = rng.integers(0, 2, (96, inner))
+        cases.append(np.vstack([full, full[0] ^ full[1]]))
+    for rows in cases:
+        want = _block_ranks_of_product(f2, rows, B, widths, oracles.gf2_rank)
+        got = factor(rows)
+        assert got == (oracles.gf2_rank(rows.tolist()), want)
+        if inner <= 9 and len(rows) <= 12:
+            # the xor-basis oracle agrees with the generic one
+            assert want == _block_ranks_of_product(
+                f2, rows, B, widths, lambda M: oracles.rank(f2, M))
+            assert got[0] == oracles.rank(f2, rows.tolist())
+    if inner == 191:
+        assert got[0] == 96     # the last case, the 97 rows
+
+
+def test_block_rank_factor_on_other_fields(f3, f4, f9):
+    rng = np.random.default_rng(5)
+    widths = [0, 2, 5, 0, 3]
+    for f in (f3, f4, f9):
+        B = rng.integers(0, f.q, (6, sum(widths)))
+        factor = BlockRankFactor(f, B, widths)
+        for k in (0, 1, 4, 8):
+            rows = rng.integers(0, f.q, (k, 6))
+            rows = np.vstack([rows, rows[:2]])
+            want = _block_ranks_of_product(f, rows, B, widths,
+                                           lambda M: oracles.rank(f, M))
+            assert factor(rows) == (oracles.rank(f, rows.tolist()), want)
+
+
+def test_block_rank_factor_validation(all_fields):
+    for f in all_fields:
+        B = np.zeros((3, 4), dtype=np.int64)
+        with pytest.raises(DimensionMismatch):
+            BlockRankFactor(f, B, [1, 2])
+        with pytest.raises(EncodingOutOfRange):
+            BlockRankFactor(f, B - 1, [4])
+        with pytest.raises(DimensionMismatch):
+            BlockRankFactor(f, B, [4])(np.zeros((2, 4), dtype=np.int64))
 
 
 def test_solve_and_inverse(f3, f9):
