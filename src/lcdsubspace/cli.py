@@ -43,14 +43,13 @@ from .subspaces import Subspace
 
 
 def _jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    # arrays are left to fileio.dumps, which writes integer matrices itself
+    if obj is None or isinstance(obj, (bool, int, float, str, np.ndarray)):
         return obj
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

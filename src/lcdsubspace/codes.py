@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations, product, tee
 
 import numpy as np
 
@@ -107,8 +108,7 @@ def params(code, *, pair_budget=PAIR_BUDGET, allow_degenerate=False):
         npairs = s * (s - 1) // 2
         if npairs > pair_budget:
             raise PairBudgetExceeded(f"{npairs} pairs exceed budget {pair_budget}")
-        d = min(distance(code[i], code[j])
-                for i in range(s) for j in range(i + 1, s))
+        d = min(_distances(code, combinations(range(s), 2)))
     dims = code.dims
     return CodeParams(code.n, s, d, dims, code.field.q, len(dims) == 1)
 
@@ -119,15 +119,21 @@ def sampled_min_distance(code, samples=10 ** 4, seed=0):
     if s < 2:
         raise DegenerateCode("minimum distance undefined for one codeword")
     rng = random.Random(seed)
-    best = None
+    pairs = []
     for _ in range(samples):
         i = rng.randrange(s)
         j = rng.randrange(s - 1)
-        if j >= i:
-            j += 1
-        d = distance(code[i], code[j])
-        best = d if best is None else min(best, d)
-    return best
+        pairs.append((i, j + (j >= i)))
+    return min(_distances(code, pairs), default=None)
+
+
+def _distances(code, pairs):
+    """Subspace distances 2 dim(C_i + C_j) - dim C_i - dim C_j for (i, j)
+    in pairs, lazily."""
+    bases = [w.basis for w in code]
+    pairs, stacked = tee(pairs)
+    ranks = code.field.stack_ranks(bases, bases, stacked)
+    return (2 * r - len(bases[i]) - len(bases[j]) for (i, j), r in zip(pairs, ranks))
 
 
 @dataclass(frozen=True)
@@ -149,19 +155,15 @@ def is_lcd_subspace_code(code):
     """
     if code._lcd is not None:
         return code._lcd
-    f = code.field
-    n = code.n
-    duals = [w.dual() for w in code]
+    bases = [w.basis for w in code]
+    duals = [w.dual().basis for w in code]
+    pairs, stacked = tee(product(range(len(code)), repeat=2))
+    ranks = code.field.stack_ranks(bases, duals, stacked)
     result = LcdCodeCheck(True, None)
-    for i, ci in enumerate(code):
-        for j, dj in enumerate(duals):
-            # dim(C_i n C_j^perp) = dim C_i + dim C_j^perp - dim(C_i + C_j^perp)
-            stacked = np.vstack([ci.basis, dj.basis])
-            meet = ci.dim + dj.dim - f.rank(stacked)
-            if meet != 0:
-                result = LcdCodeCheck(False, (i, j))
-                break
-        if not result.ok:
+    for (i, j), rank in zip(pairs, ranks):
+        # dim(C_i n C_j^perp) = dim C_i + dim C_j^perp - dim(C_i + C_j^perp)
+        if len(bases[i]) + len(duals[j]) != rank:
+            result = LcdCodeCheck(False, (i, j))
             break
     code._lcd = result
     return result
@@ -251,7 +253,9 @@ class ProjectionDecoder:
                                        [b.shape[1] for b in blocks])
 
     def decode(self, received):
-        dim, ranks = self._factor(_received_rows(self.code, received))
+        # a Subspace's basis is in rref already, so the factor skips reducing it
+        dim, ranks = self._factor(_received_rows(self.code, received),
+                                  independent=isinstance(received, Subspace))
         return _verdict([w.dim + 2 * rank - dim for w, rank in zip(self.code, ranks)])
 
 

@@ -4,11 +4,20 @@ Matrix files carry a header line "kind rows cols [modulus]" with kind one of
 int, pm1, zpm1, fq, followed by whitespace-separated integer rows.  Blank
 lines and '#' comments are ignored everywhere.  Group and partition files
 use 1-based indices; everything in memory is 0-based.
+
+JSON documents are written by ``dumps`` as ``json.dumps(doc, sort_keys=True,
+indent=2)`` would write them with every ndarray replaced by its ``tolist()``,
+byte for byte.  ``dumps`` writes 2-D integer arrays, such as the codeword
+bases of a code document, itself: one joined string per row, spliced into the
+text ``json.dumps`` writes for the rest of the document.  json's indenting
+encoder is pure Python, and the 571,392 basis entries of the (192, 31, 4; 96)
+code would otherwise pass through it one by one.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,7 +203,7 @@ def code_to_doc(code):
     return {
         "field": {"p": f.p, "r": f.r},
         "ambient": code.n,
-        "codewords": [w.basis.tolist() for w in code],
+        "codewords": [w.basis for w in code],
     }
 
 
@@ -234,7 +243,50 @@ def write_json(path, doc):
 
 
 def dumps(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """JSON text of doc with sorted keys, indent 2 and a final newline.
+
+    json.dumps writes the document with a placeholder string in place of
+    each 2-D integer array (other arrays become lists), and the arrays are
+    spliced in after.  A placeholder is a run of '@' and the array's index.
+    The run is lengthened until a quote followed by it occurs in the text
+    once per placeholder, so that no string of the document can pass for one.
+    """
+    mark, matrices = "@", []
+
+    def placeholder(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        if obj.ndim != 2 or obj.dtype.kind not in "iu":
+            return obj.tolist()
+        matrices.append(obj)
+        return f"{mark}{len(matrices) - 1}"
+
+    while True:
+        text = json.dumps(doc, sort_keys=True, indent=2, default=placeholder)
+        if text.count('"' + mark) == len(matrices):
+            break
+        mark += "@"
+        matrices.clear()
+
+    def splice(m):
+        # the array opens where its placeholder stood, on a line indented by
+        # the spaces that begin it
+        line = text[text.rfind("\n", 0, m.start()) + 1:m.start()]
+        pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        rows = [_list_text(list(map(str, row)), pad + "  ")
+                for row in matrices[int(m.group(1))].tolist()]
+        return _list_text(rows, pad)
+
+    return re.sub(f'"{mark}(\\d+)"', splice, text) + "\n"
+
+
+def _list_text(items, pad):
+    """A list of JSON texts laid out as json.dumps(indent=2) lays out a list
+    whose line begins with pad (a newline and the spaces of its indent)."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
 def matrix_over_field(data, field=None):

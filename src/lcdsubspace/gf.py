@@ -47,7 +47,10 @@ Python int, column 0 in the highest bit, so adding two rows is one XOR of
 arbitrary width.  Rows are reduced into a pivot table keyed by leading bit
 (the bit length of the row): ``rank`` stops there, ``rref`` back-substitutes
 and unpacks into the same int64 matrix and pivot tuple as every other
-field, and ``det`` is ``rank == n``.
+field, and ``det`` is ``rank == n``.  ``stack_ranks`` ranks many stacks
+[A_i; B_j] of the same matrices, as the LCD check and the distance scans
+do, packing each matrix once: a stack is the concatenation of two lists of
+packed rows.
 
 Every other field runs one elimination core on a copy of the int64 matrix,
 one pivot column at a time, with row operations bound once per field: on
@@ -687,6 +690,23 @@ class GF:
             return len(_gf2_pivots(_gf2_pack(self._as_rows(M))))
         return len(self._eliminate(M, full=False)[1])
 
+    def stack_ranks(self, tops, bottoms, pairs):
+        """rank([tops[i]; bottoms[j]]) for each (i, j) of pairs, lazily.
+
+        Every matrix needs the same number of columns.  Over F_2 each one is
+        packed once, not once per pair, and a stack is the concatenation of
+        two lists of packed rows; every other field stacks and ranks.
+        """
+        tops = [self._as_rows(A) for A in tops]
+        bottoms = [self._as_rows(A) for A in bottoms]
+        if len({A.shape[1] for A in tops + bottoms}) > 1:
+            raise DimensionMismatch("stacked matrices need the same number of columns")
+        if self.q != 2:
+            return (self.rank(np.vstack([tops[i], bottoms[j]])) for i, j in pairs)
+        tops = [_gf2_pack(A) for A in tops]
+        bottoms = [_gf2_pack(A) for A in bottoms]
+        return (len(_gf2_pivots(tops[i] + bottoms[j])) for i, j in pairs)
+
     def block_ranks(self, M, widths):
         """Ranks of the consecutive column blocks of M, of the given widths."""
         A = self._as_rows(M)
@@ -771,10 +791,13 @@ class BlockRankFactor:
 
     ``factor(rows)`` returns (rank of rows, [rank of block i of rows B]) for
     consecutive column blocks of B of the given widths.  The rows are trusted
-    to hold encodings in [0, q); B is checked when the factor is built.
+    to hold encodings in [0, q), and with ``independent=True`` to be linearly
+    independent, as a Subspace basis is, so they are not reduced first; B is
+    checked when the factor is built.
     Over F_2 the product runs on Four-Russians tables, 32 bits per entry of
     B (see the module docstring); every other field keeps B and runs
-    ``matmul`` and ``block_ranks`` on an echelon basis of the rows.
+    ``matmul`` and ``block_ranks`` on the independent rows or on an echelon
+    basis of them.
     """
 
     def __init__(self, field, B, widths):
@@ -803,17 +826,21 @@ class BlockRankFactor:
                 table += [t ^ row for t in table]
             self._tables.append(table)
 
-    def __call__(self, rows):
+    def __call__(self, rows, independent=False):
         f = self.field
         A = f._as_rows(rows)
         if A.shape[1] != self.inner:
             raise DimensionMismatch(f"cannot multiply {A.shape} by a factor of {self.inner} rows")
+        # the span of the rows decides every rank below, so any basis of it
+        # serves: the rows themselves when they are independent (a Subspace
+        # basis), otherwise an echelon set (no back-substitution), whose size
+        # is the rank of the rows
         if f.q != 2:
-            R, pivots, _, _ = f._eliminate(A, full=False)
-            return len(pivots), f.block_ranks(f.matmul(R[:len(pivots)], self._B), self.widths)
-        # the span of the rows decides every rank below, so an echelon basis
-        # (no back-substitution) serves, and its size is the rank of the rows
-        echelon = _gf2_pivots(_gf2_pack(A)).values()
+            if not independent:
+                R, pivots, _, _ = f._eliminate(A, full=False)
+                A = R[:len(pivots)]
+            return len(A), f.block_ranks(f.matmul(A, self._B), self.widths)
+        echelon = _gf2_pack(A) if independent else _gf2_pivots(_gf2_pack(A)).values()
         groups = len(self._tables)
         product = []
         for r in echelon:

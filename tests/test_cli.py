@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +193,22 @@ def test_construct_bad_partition_is_exit_2(capsys):
                        "--partition", "blocks:x")
     assert rc == 2
     assert out == "" and "blocks:SIZE" in err
+
+
+def test_construct_thm59_document_is_pinned(tmp_path, monkeypatch, capsys):
+    # the (192, 31, 4; 96) document, byte for byte, with the input files
+    # named as from the root of a source checkout; it records their names
+    data = tmp_path / "src" / "lcdsubspace" / "data"
+    data.mkdir(parents=True)
+    for name in ("bush16_a.txt", "bush16_b.txt"):
+        shutil.copy(BUNDLED / name, data / name)
+    monkeypatch.chdir(tmp_path)
+    rc, out, _ = run(capsys, "construct", "thm59", "src/lcdsubspace/data/bush16_a.txt",
+                     "src/lcdsubspace/data/bush16_b.txt", "--p", "2", "-o", "code.json")
+    assert rc == 0
+    assert (tmp_path / "code.json").read_text(encoding="utf-8") == out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c0ea7cd1ff20fb6b4e12ccc4808bc4fa3cf419fd7025ed945a8c62495b3d876f")
 
 
 def test_construct_hypothesis_failure_is_exit_1(tmp_path, capsys):

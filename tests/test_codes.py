@@ -106,6 +106,39 @@ def test_lcd_code_matches_direct_intersections(f2, f3, f4):
             assert bool(is_lcd_subspace_code(code)) == expect
 
 
+def _first_meeting_pair(code):
+    """The lowest (i, j) with C_i n C_j^perp != 0, from one stacked rank per
+    ordered pair, or None."""
+    f = code.field
+    for i, ci in enumerate(code):
+        for j, cj in enumerate(code):
+            dj = cj.dual()
+            if f.rank(np.vstack([ci.basis, dj.basis])) != ci.dim + dj.dim:
+                return (i, j)
+    return None
+
+
+def test_lcd_witness_matches_direct_stacked_ranks(f2, f3, f9):
+    # codewords <[I_k | Y]> with sparse random Y: most of these codes are not
+    # LCD, at pairs past (0, 0) too; GF(2) also at the widths 64 and 65
+    rng = np.random.default_rng(23)
+    witnesses = set()
+    for f, n in ((f2, 5), (f2, 9), (f2, 64), (f2, 65), (f3, 5), (f3, 9), (f9, 5), (f9, 9)):
+        for _ in range(8):
+            words = []
+            for _ in range(int(rng.integers(2, 6))):
+                k = int(rng.integers(1, n))
+                Y = rng.integers(0, f.q, (k, n - k)) * (rng.random((k, n - k)) < 0.3)
+                words.append(Subspace(f, n, np.hstack([np.eye(k, dtype=np.int64), Y])))
+            code = SubspaceCode(words)
+            want = _first_meeting_pair(code)
+            check = is_lcd_subspace_code(code)
+            assert (check.ok, check.witness) == (want is None, want)
+            witnesses.add(want)
+    # the seeded codes reach witnesses other than the first pair
+    assert len(witnesses - {None, (0, 0)}) >= 4
+
+
 def test_decode_pinned_failures(f3):
     tied = SubspaceCode([line(f3, [1, 0]), line(f3, [0, 1])])
     out = decode_naive(tied, line(f3, [1, 1]))
@@ -214,6 +247,29 @@ def test_decoders_reject_received_words_that_do_not_fit(f2, f3):
             for decode in (dec.decode, lambda R: decode_naive(code, R)):
                 with pytest.raises(error):
                     decode(received)
+
+
+def test_subspace_and_its_raw_rows_decode_alike(f3, f9):
+    # a Subspace's basis reaches the block ranks unreduced, raw rows through
+    # an echelon reduction; both must give the same verdict
+    rng = np.random.default_rng(39)
+    for f in (f3, f9):
+        n = 6
+        code = None
+        while code is None or not is_lcd_subspace_code(code):
+            code = SubspaceCode([Subspace(f, n, rng.integers(0, f.q, (int(rng.integers(1, 4)), n)))
+                                 for _ in range(3)])
+        dec = ProjectionDecoder(code)
+        for t in range(30):
+            rows = rng.integers(0, f.q, (int(rng.integers(0, n + 1)), n))
+            if t % 3 == 0:
+                rows = np.vstack([code[t % len(code)].basis, rows[:1]])
+            R = Subspace(f, n, rows)
+            # the generators shuffled, one repeated: dependent, unlike R's basis
+            raw = np.vstack([rows, rows[:1]])[rng.permutation(len(rows) + min(len(rows), 1))]
+            out = dec.decode(R)
+            assert out == dec.decode(raw) == decode_naive(code, R)
+            assert out.distance == min(distance(R, w) for w in code)
 
 
 def test_projection_on_zero_width_and_full_width_blocks(f2, f9):

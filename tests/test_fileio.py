@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -110,3 +111,59 @@ def test_code_doc_validation(tmp_path):
     path.write_text("{bad")
     with pytest.raises(FileFormatError):
         fileio.read_code_json(path)
+
+
+def _to_lists(doc):
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: _to_lists(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_to_lists(v) for v in doc]
+    return doc
+
+
+def _random_array(rng):
+    rows, cols = rng.choice([(0, 3), (0, 0), (4, 0), (1, 1), (3, 5), (2, 130)])
+    if rng.random() < 0.2:  # a narrower integer type
+        values, dtype = range(256), np.uint8
+    else:
+        values, dtype = [0, 1, 7, -3, -1000, 2 ** 62, -2 ** 63, 2 ** 63 - 1], np.int64
+    A = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+    return np.array(A, dtype=dtype).reshape(rows, cols)
+
+
+# non-ASCII, escaped, and strings that begin like the writer's placeholders
+_STRINGS = ["", "x", "codewords", "é", "日本", "a\"b\\c\n", "@", "@0", "@@1", "x\"@0", "@@@@@@2@@"]
+
+
+def _random_leaf(rng):
+    return rng.choice([_random_array(rng), rng.choice(_STRINGS), rng.randrange(-2 ** 70, 2 ** 70),
+                       -5, 0, None, True, 1.5, [], {}])
+
+
+def _random_doc(rng, depth):
+    """A document with an integer array at the given depth of nesting in
+    lists and dicts, beside random branches and leaves."""
+    if depth == 0:
+        return _random_array(rng)
+    side = [_random_doc(rng, rng.randrange(depth)) if rng.random() < 0.5 else _random_leaf(rng)
+            for _ in range(rng.randrange(4))]
+    spine = _random_doc(rng, depth - 1)
+    if rng.random() < 0.5:
+        side.insert(rng.randrange(len(side) + 1), spine)
+        return side
+    return dict(zip(rng.sample(_STRINGS, len(side) + 1), side + [spine]))
+
+
+def test_dumps_writes_arrays_as_json_writes_their_lists():
+    rng = random.Random(606)
+    for depth in range(5):
+        for _ in range(40):
+            doc = _random_doc(rng, depth)
+            assert fileio.dumps(doc) == json.dumps(_to_lists(doc), sort_keys=True, indent=2) + "\n"
+    # other arrays are written as their lists
+    doc = {"v": np.arange(3), "x": np.ones((2, 2)) / 2, "b": np.eye(2, dtype=bool)}
+    assert fileio.dumps(doc) == json.dumps(_to_lists(doc), sort_keys=True, indent=2) + "\n"
+    with pytest.raises(TypeError):
+        fileio.dumps({"s": {1, 2}})

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 import pytest
@@ -371,6 +371,26 @@ def test_block_ranks_match_oracle(all_fields):
             f.block_ranks(np.zeros((2, 4), dtype=np.int64), [1, 2])
         with pytest.raises(DimensionMismatch):
             f.block_ranks(np.zeros((2, 4), dtype=np.int64), [5, -1])
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 130])
+def test_stack_ranks_match_oracle(f2, f3, f9, n):
+    # over GF(2) each matrix is packed once and stacks are concatenated
+    # packed rows, so widths on each side of byte and word boundaries matter
+    rng = np.random.default_rng(n)
+    for f in (f2, f3, f9):
+        tops = [rng.integers(0, f.q, (k, n)) for k in (0, 1, 3, 5)]
+        bottoms = [rng.integers(0, f.q, (k, n)) for k in (0, 2, 4)]
+        # rows shared with a top, and a bottom of 0 rows, make rank-deficient stacks
+        bottoms.append(np.vstack([tops[3][1:3], rng.integers(0, f.q, (1, n))]))
+        pairs = [(i, j) for i in range(4) for j in range(4)] + [(3, 3), (0, 0)]
+        want = [oracles.rank(f, np.vstack([tops[i], bottoms[j]]).tolist()) for i, j in pairs]
+        assert list(f.stack_ranks(tops, bottoms, pairs)) == want
+        assert list(f.stack_ranks(bottoms, tops, [(j, i) for i, j in pairs])) == want
+        # lazily: an endless pair iterator yields its first rank
+        assert next(f.stack_ranks(tops, bottoms, repeat((3, 3)))) == want[15]
+        with pytest.raises(DimensionMismatch):
+            f.stack_ranks(tops, [np.zeros((1, n + 1), dtype=np.int64)], [(0, 0)])
 
 
 def test_matmul_rejects_encodings_outside_the_field(f2, f3, f9):
