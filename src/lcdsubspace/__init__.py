@@ -9,6 +9,7 @@ from .codes import (
     SubspaceCode,
     classical_lcd_check,
     decode_naive,
+    decode_naive_many,
     decode_projection,
     is_lcd_subspace_code,
     params,
@@ -84,7 +85,8 @@ __all__ = [
     "SubspaceCode", "TrialStats", "UnbiasedSet", "WeighingMatrix",
     "algebra_closure", "all_hadamard", "are_unbiased", "build_block",
     "bush_schemes", "bush_unbiased_pair_16", "check_distance_regular",
-    "classical_lcd_check", "corrupt", "decode_naive", "decode_projection",
+    "classical_lcd_check", "corrupt", "decode_naive", "decode_naive_many",
+    "decode_projection",
     "distance", "divisibility_screen", "dual", "field_from_order", "field_new",
     "gramian_B", "intersect", "intersection_array", "is_bush", "is_lcd",
     "is_lcd_subspace_code", "is_regular", "lcd_code_thm42", "load_bundled",

@@ -30,7 +30,7 @@ from .errors import (
     RankDeficient,
 )
 from .gf import BlockRankFactor
-from .subspaces import Subspace, complement_coordinates, distance, pairwise_lcd
+from .subspaces import Subspace, complement_coordinates, pairwise_lcd
 
 PAIR_BUDGET = 10 ** 7
 
@@ -198,15 +198,6 @@ def _received_rows(code, received):
     return rows
 
 
-def _coerce_received(code, received):
-    rows = _received_rows(code, received)
-    if isinstance(received, Subspace):
-        return received
-    # raw generator rows are accepted and canonicalised; the projection
-    # formula is span-invariant so both entry paths agree
-    return Subspace(code.field, code.n, rows)
-
-
 def _verdict(dists):
     dmin = min(dists)
     hits = [i for i, d in enumerate(dists) if d == dmin]
@@ -217,8 +208,27 @@ def _verdict(dists):
 
 def decode_naive(code, received):
     """Minimum-distance decoding by direct subspace distances."""
-    R = _coerce_received(code, received)
-    return _verdict([distance(w, R) for w in code])
+    return decode_naive_many(code, [received])[0]
+
+
+def decode_naive_many(code, words):
+    """decode_naive of each received word (a Subspace or generator rows).
+
+    d(C_i, R) = 2 rank [C_i; R] - dim C_i - dim R, and dim R is the rank of
+    R stacked under no rows, so one stack_ranks call ranks every stack of
+    every word.  The distances depend on the span of R alone, so raw rows
+    need no canonical form first.
+    """
+    rows = [_received_rows(code, w) for w in words]
+    bases = [w.basis for w in code]
+    tops = bases + [np.zeros((0, code.n), dtype=np.int64)]
+    pairs = [(i, t) for t in range(len(rows)) for i in range(len(tops))]
+    ranks = list(code.field.stack_ranks(tops, rows, pairs))
+    out = []
+    for t in range(len(rows)):
+        *joint, dim = ranks[t * len(tops):(t + 1) * len(tops)]
+        out.append(_verdict([2 * r - len(B) - dim for r, B in zip(joint, bases)]))
+    return out
 
 
 class ProjectionDecoder:
@@ -230,12 +240,12 @@ class ProjectionDecoder:
     stacked once into Q = [Q_1 | ... | Q_N] (n x sum(n - dim C_i)) and
     prepared as a gf.BlockRankFactor (over F_2, its Four-Russians tables),
     and each received word costs one product R Q and one rank per column
-    block.
+    block; decode_many takes, off F_2, one product (R_1; ...; R_T) Q for
+    all its words and ranks every block of every word in one stack.
 
-    The received rows are reduced to an echelon set, not to rref: rank(R Q_i)
-    is the dimension of the image of span(R) under x -> x Q_i, so it depends
-    only on the span of the rows, and any basis of it, whose size is dim R,
-    gives the same ranks.
+    rank(R Q_i) is the dimension of the image of span(R) under x -> x Q_i,
+    so it depends only on the span of the rows: any spanning set gives the
+    same ranks, an echelon set over F_2 and the rows as given elsewhere.
 
     Requires the code to pass is_lcd_subspace_code (every codeword is then
     LCD, so the Q_i exist).
@@ -253,10 +263,17 @@ class ProjectionDecoder:
                                        [b.shape[1] for b in blocks])
 
     def decode(self, received):
+        return self.decode_many([received])[0]
+
+    def decode_many(self, words):
+        """decode() of each received word (a Subspace or generator rows), with
+        one factor call for all: off F_2 one product (R_1; ...; R_T) Q and one
+        stacked rank call over every column block of every word."""
+        rows = [_received_rows(self.code, w) for w in words]
         # a Subspace's basis is in rref already, so the factor skips reducing it
-        dim, ranks = self._factor(_received_rows(self.code, received),
-                                  independent=isinstance(received, Subspace))
-        return _verdict([w.dim + 2 * rank - dim for w, rank in zip(self.code, ranks)])
+        results = self._factor.many(rows, [isinstance(w, Subspace) for w in words])
+        return [_verdict([w.dim + 2 * rank - dim for w, rank in zip(self.code, ranks)])
+                for dim, ranks in results]
 
 
 def projection_decoder(code):

@@ -351,16 +351,7 @@ def subspace_code_from_algebra(basis, alphas=None, *, include_zero_x=False,
         rnd = random.Random(seed)
         pair_list = [(rnd.randrange(size), rnd.randrange(size))
                      for _ in range(100)]
-    for i, j in pair_list:
-        Xi, ai = ordered[i]
-        Xj, aj = ordered[j]
-        got = f.matmul(build_block(f, Xi, ai), build_block(f, Xj, aj).T)
-        want = np.zeros((t, t), dtype=np.int64)
-        want[np.arange(t), np.arange(t)] = f.mul(np.int64(ai), np.int64(aj))
-        if not (got == want).all():
-            raise VerificationFailed(
-                "product identity N_x N_y^T = a_x a_y I failed",
-                witness=(i, j))
+    _check_product_identity(f, t, ordered, pair_list, all_pairs)
 
     distance_exhaustive = True
     try:
@@ -383,6 +374,38 @@ def subspace_code_from_algebra(basis, alphas=None, *, include_zero_x=False,
         identity_pairs_checked=len(pair_list), identity_all_pairs=all_pairs,
         alphas=alphas, include_zero_x=include_zero_x, algebra_dim=a,
         tallies=tallies, source=source)
+
+
+def _check_product_identity(f, t, ordered, pair_list, all_pairs):
+    """N_i N_j^T = a_i a_j I_t for each (i, j) of pair_list, N_i = [X_i | a_i I]
+    being built once per codeword it needs; raises with the first failing
+    pair.
+
+    With all pairs (i major, j minor), each N_i takes one product with the
+    blocks N_j^T side by side, t x (size t) entries, rather than one per pair.
+    """
+    alphas = np.array([al for _, al in ordered], dtype=np.int64)
+    if all_pairs:
+        blocks = [build_block(f, X, al) for X, al in ordered]
+        right = np.hstack([N.T for N in blocks])
+        for i, N in enumerate(blocks):
+            got = f.matmul(N, right).reshape(t, len(blocks), t)
+            # block j must be a_i a_j on its diagonal and zero off it
+            diagonal = np.arange(t)
+            got[diagonal, :, diagonal] -= f.mul(alphas[i], alphas)
+            bad = np.flatnonzero(got.any(axis=(0, 2)))
+            if bad.size:
+                raise VerificationFailed(
+                    "product identity N_x N_y^T = a_x a_y I failed",
+                    witness=(i, int(bad[0])))
+        return
+    blocks = {k: build_block(f, *ordered[k]) for pair in pair_list for k in pair}
+    for i, j in pair_list:
+        got = f.matmul(blocks[i], blocks[j].T)
+        if not (got == f.mul(alphas[i], alphas[j]) * np.eye(t, dtype=np.int64)).all():
+            raise VerificationFailed(
+                "product identity N_x N_y^T = a_x a_y I failed",
+                witness=(i, j))
 
 
 def _assert_scaling_invariance(f, t, rep, seed):

@@ -30,17 +30,18 @@ A right factor B multiplied by many row sets, as the projection decoder
 multiplies every received word by the same complement coordinates, is
 prepared once as a ``BlockRankFactor`` with the widths of its column blocks;
 a call returns the rank of the rows and the rank of each column block of
-rows B.  Over F_2, when the factor is built, each row of B is packed into
-one Python int, column c in bit c, and every 8 rows of B get one 256-entry
-table of the XORs of their subsets (the Four-Russians method, M4RM:
-Albrecht, Bard and Hart, ACM TOMS 2010).  A call reduces the rows to an
-echelon set, reads each as ceil(n / 8) bytes, XORs one table entry per byte
-into a packed product row, and takes each block's rank off one shift and
-one mask of each product row.  Python ints, not uint64 arrays, hold the
-tables: a product row is then a few dozen XORs with no conversion, faster
-than numpy gathers both for the 95 rows of a (192, 31, 4; 96) decode and
-for a handful of rows.  Every other field keeps B and runs ``matmul`` and
-``block_ranks``.
+rows B, and ``many`` does so for many row sets at once.  Over F_2, when the
+factor is built, each row of B is packed into one Python int, column c in
+bit c, and every 8 rows of B get one 256-entry table of the XORs of their
+subsets (the Four-Russians method, M4RM: Albrecht, Bard and Hart, ACM TOMS
+2010).  A call reduces the rows to an echelon set, reads each as
+ceil(n / 8) bytes, XORs one table entry per byte into a packed product row,
+and takes each block's rank off one shift and one mask of each product row.
+Python ints, not uint64 arrays, hold the tables: a product row is then a
+few dozen XORs with no conversion, faster than numpy gathers both for the
+95 rows of a (192, 31, 4; 96) decode and for a handful of rows.  Every
+other field keeps B and runs one ``matmul`` of all the row sets, stacked,
+and one ``ranks`` of every column block of every row set.
 
 Elimination over F_2 (chosen by ``q == 2`` alone) packs each row into one
 Python int, column 0 in the highest bit, so adding two rows is one XOR of
@@ -48,27 +49,42 @@ arbitrary width.  Rows are reduced into a pivot table keyed by leading bit
 (the bit length of the row): ``rank`` stops there, ``rref`` back-substitutes
 and unpacks into the same int64 matrix and pivot tuple as every other
 field, and ``det`` is ``rank == n``.  ``stack_ranks`` ranks many stacks
-[A_i; B_j] of the same matrices, as the LCD check and the distance scans
-do, packing each matrix once: a stack is the concatenation of two lists of
-packed rows.
+[A_i; B_j] of the same matrices, as the LCD check, the distance scans and
+naive decoding do, packing and reducing each matrix once: a stack is the
+concatenation of two lists of packed rows.
 
-Every other field runs one elimination core on a copy of the int64 matrix,
-one pivot column at a time, with row operations bound once per field: on
-F_p the update is ``(R - fac (x) row) % p`` (products below 2**40) and the
-inverse ``pow(a, p - 2, p)``; with tables a product is one gather, and a
-difference is an XOR when p = 2 and digitwise otherwise; above 2**16 the
-public ``mul`` and ``sub`` do it.  ``rref`` reduces above and below each
-pivot, while ``rank`` and ``det`` (the pivot product, negated for an odd
-number of row swaps) eliminate below it only.  The core rejects entries
-outside [0, q) with ``EncodingOutOfRange``, since a gather would silently
-wrap a negative one.
+Every other field runs one elimination core, ``_eliminate``, on a stack of
+matrices (B x m x n): ``rank``, ``rref`` and ``det`` pass a stack of one,
+and ``ranks(stack)`` returns the rank of each matrix of a stack.  Column by
+column, each matrix pivots on its first unused row with a nonzero entry
+there (no row moves); the pivot rows are divided by their pivots, and one
+gathered product and one difference clear the column across the whole
+stack, so the numpy calls per column do not grow with B.  Row operations
+are bound once per field: on F_p the update is ``(T - fac (x) row) % p``
+(products below 2**40) with inverses from a table of Fermat powers; with
+log/exp tables a product is one gather, and a difference is an XOR when
+p = 2, a lookup in a table of all q**2 differences for odd p up to q = 2**8,
+and digitwise above; past 2**16 the public ``mul``, ``sub`` and ``inv`` do
+it.  ``rref`` clears above and below each pivot, while ``rank`` and ``det``
+(the pivot product times the sign of the pivot rows' permutation) clear
+below it only, and stop once every matrix has all its pivots.  Over F_2,
+``ranks`` packs the whole stack at once and reduces each matrix on its
+packed rows.  Zero rows and zero columns change no rank, so
+``padded_stack`` pads matrices of mixed shapes into one stack:
+``block_ranks`` ranks its blocks in one ``ranks`` call, and ``stack_ranks``
+on fields other than F_2 goes through ``ranks`` in stacks of at most
+``STACK_ENTRIES`` entries.  Every
+elimination entry point rejects entries outside [0, q) with
+``EncodingOutOfRange``, by one max over the operand's uint64 view, since a
+gather would silently wrap a negative entry and packing would read any
+nonzero entry as 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 
 import numpy as np
 
@@ -84,9 +100,13 @@ from .errors import (
 
 MAX_FIELD_ORDER = 1 << 20
 _TABLE_LIMIT = 1 << 16
+_SUB_TABLE_LIMIT = 1 << 8  # odd-p orders whose q**2 differences are tabled
 # float types for matrix products, narrowest first, each with the power of
 # two below which it holds every integer exactly (its mantissa width)
 _EXACT_FLOATS = ((np.float32, 1 << 24), (np.float64, 1 << 53))
+# entries of one stack that stack_ranks hands to ranks (and of one chunk of
+# simulated trials): a few hundred kB of int64 per temporary
+STACK_ENTRIES = 1 << 15
 
 
 def _is_prime(n):
@@ -259,12 +279,13 @@ def _smallest_irreducible(p, r):
 # --- F_2 elimination on rows packed into Python ints ---
 
 def _gf2_pack(A):
-    """Rows of a 0/1 matrix as ints; column c is bit 8*ceil(cols/8) - 1 - c."""
+    """Rows of a 0/1 matrix, or of every matrix of a stack, as ints; column c
+    is bit 8*ceil(cols/8) - 1 - c."""
     if A.size == 0:
         return []
-    nb = (A.shape[1] + 7) // 8
+    nb = (A.shape[-1] + 7) // 8
     # packbits is several times faster on booleans than on int64
-    buf = np.packbits(A.astype(bool), axis=1).tobytes()
+    buf = np.packbits(A.astype(bool), axis=-1).tobytes()
     return [int.from_bytes(buf[i:i + nb], "big") for i in range(0, len(buf), nb)]
 
 
@@ -290,11 +311,10 @@ def _gf2_field_ranks(rows, fields):
     return [len(_gf2_pivots({(r >> s) & ((1 << w) - 1) for r in rows})) for s, w in fields]
 
 
-def _gf2_rref(A):
-    """(R, pivots) of a 0/1 int64 matrix, as GF.rref returns them."""
-    rows, cols = A.shape
-    nb = (cols + 7) // 8
-    table = _gf2_pivots(_gf2_pack(A))
+def _gf2_reduced(rows):
+    """Reduced echelon basis of the span of packed rows, {leading bit length:
+    row}: no row has a bit at another row's leading bit."""
+    table = _gf2_pivots(rows)
     # back-substitute from the rightmost pivot column, so each row is reduced
     # only by rows that are reduced already (and so touch no other pivot)
     done = {}
@@ -308,6 +328,14 @@ def _gf2_rref(A):
             m ^= 1 << (t - 1)
         done[b] = r
         mask |= 1 << (b - 1)
+    return done
+
+
+def _gf2_rref(A):
+    """(R, pivots) of a 0/1 int64 matrix, as GF.rref returns them."""
+    rows, cols = A.shape
+    nb = (cols + 7) // 8
+    done = _gf2_reduced(_gf2_pack(A))
     lead = sorted(done, reverse=True)
     R = np.zeros((rows, cols), dtype=np.int64)
     if lead:
@@ -315,6 +343,45 @@ def _gf2_rref(A):
         bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8))
         R[:len(lead)] = bits.reshape(len(lead), 8 * nb)[:, :cols]
     return R, tuple(8 * nb - b for b in lead)
+
+
+def _fermat_inv(a, p):
+    """a**(p - 2) mod p elementwise: 1 / a over F_p for a != 0 (0 for 0)."""
+    out = np.ones_like(a)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * a % p
+        e >>= 1
+        if e:
+            a = a * a % p
+    return out
+
+
+def _odd_permutation(perm):
+    """Whether the permutation perm of range(len(perm)) is odd."""
+    perm = list(perm)
+    swaps = 0
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], j
+            swaps += 1
+    return swaps % 2 == 1
+
+
+def padded_stack(mats, rows=None, cols=None):
+    """The matrices as one (len(mats) x rows x cols) stack, each padded with
+    zero rows and zero columns; rows and cols default to the largest.  A lone
+    matrix of that shape comes back as a view."""
+    rows = max((A.shape[0] for A in mats), default=0) if rows is None else rows
+    cols = max((A.shape[1] for A in mats), default=0) if cols is None else cols
+    if len(mats) == 1 and mats[0].shape == (rows, cols):
+        return mats[0][None]
+    S = np.zeros((len(mats), rows, cols), dtype=np.int64)
+    for block, A in zip(S, mats):
+        block[:A.shape[0], :A.shape[1]] = A
+    return S
 
 
 class GF:
@@ -470,11 +537,7 @@ class GF:
         if np.any(arr == 0):
             raise DivisionByZero("0 has no inverse")
         if self.r == 1:
-            if scalar:
-                return pow(int(arr), self.p - 2, self.p)
-            out = np.array([pow(int(v), self.p - 2, self.p) for v in arr.ravel()],
-                           dtype=np.int64).reshape(arr.shape)
-            return out
+            return pow(int(arr), self.p - 2, self.p) if scalar else _fermat_inv(arr, self.p)
         if self._ensure_tables():
             out = self._exp[self.q - 1 - self._log[arr]]
             return int(out) if scalar else out
@@ -564,19 +627,15 @@ class GF:
             A = A[None, :]
         if A.ndim != 2:
             raise DimensionMismatch(f"expected a matrix, got ndim={A.ndim}")
-        if A.size and (A.min() < 0 or A.max() >= self.q):
-            raise EncodingOutOfRange(f"encoded entries must lie in [0, {self.q})")
-        return A
+        return self._check(A)
 
     def matmul(self, A, B):
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
         if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
             raise DimensionMismatch(f"cannot multiply {A.shape} by {B.shape}")
-        for M in (A, B):
-            # as unsigned words a negative entry is past 2**63, so one max checks both ends
-            if M.size and M.view(np.uint64).max() >= self.q:
-                raise EncodingOutOfRange(f"encoded entries must lie in [0, {self.q})")
+        self._check(A)
+        self._check(B)
         if self.r == 1:
             return self._mod_p(self._dot(A, B))
         Ad = self._to_digits(A)
@@ -617,105 +676,202 @@ class GF:
             raise DimensionMismatch("elimination expects a matrix")
         return A
 
+    def _check(self, A):
+        """A itself, once every entry is known to lie in [0, q)."""
+        # as unsigned words a negative entry is past 2**63, so one max checks both ends
+        if A.size and A.view(np.uint64).max() >= self.q:
+            raise EncodingOutOfRange(f"encoded entries must lie in [0, {self.q})")
+        return A
+
     def _elimination_ops(self):
-        """(scale, elim, inv) for the q != 2 core, bound once per field:
-        scale(row, s) = s row, elim(T, fac, row) = T - fac (x) row, and
-        inv(a) the inverse of a nonzero int."""
+        """(div_rows, elim) for the q != 2 core, bound once per field, on
+        stacks: div_rows(P, v) is row b of P divided by v[b], and
+        elim(T, fac, P) sets T[b] to T[b] - fac[b] (x) P[b] for every b."""
         if self._ops is None:
             p, q = self.p, self.q
             if self.r == 1:
-                # entries lie below 2**20, so products stay below 2**40
-                self._ops = (lambda row, s: row * s % p,
-                             lambda T, fac, row: (T - fac[:, None] * row) % p,
-                             lambda a: pow(a, p - 2, p))
+                inv = (_fermat_inv(np.arange(p, dtype=np.int64), p).__getitem__
+                       if p <= _TABLE_LIMIT else lambda a: _fermat_inv(a, p))
+
+                def elim(T, fac, P):
+                    # entries lie below 2**20, so products stay below 2**40
+                    T -= fac[:, :, None] * P[:, None, :]
+                    T %= p
+
+                self._ops = (lambda P, v: P * inv(v)[:, None] % p, elim)
             elif self._ensure_tables():
                 exp, log = self._exp, self._log
-                sub = np.bitwise_xor if p == 2 else self._sub_digits
-                self._ops = (lambda row, s: exp[log[row] + log[s]],
-                             lambda T, fac, row: sub(T, exp[log[fac][:, None] + log[row]]),
-                             lambda a: int(exp[q - 1 - log[a]]))
+                # 1 / v = g**(q - 1 - log v): a log in [1, q - 1], so its sum
+                # with log[0] stays in the zero part of exp, any other in range
+                inv_log = q - 1 - log
+                if p == 2:
+                    def elim(T, fac, P):
+                        T ^= exp[log[fac][:, :, None] + log[P][:, None, :]]
+                else:
+                    # a - b read off a table of all q**2 differences when small
+                    table = (self._sub_digits(*np.divmod(np.arange(q * q), q))
+                             if q <= _SUB_TABLE_LIMIT else None)
+
+                    def elim(T, fac, P):
+                        X = exp[log[fac][:, :, None] + log[P][:, None, :]]
+                        T[...] = self._sub_digits(T, X) if table is None else table[T * q + X]
+
+                self._ops = (lambda P, v: exp[log[P] + inv_log[v][:, None]], elim)
             else:
-                self._ops = (self.mul,
-                             lambda T, fac, row: self.sub(T, self.mul(fac[:, None], row)),
-                             self.inv)
+                def elim(T, fac, P):
+                    T[...] = self.sub(T, self.mul(fac[:, :, None], P[:, None, :]))
+
+                self._ops = (lambda P, v: self.mul(P, self.inv(v)[:, None]), elim)
         return self._ops
 
-    def _eliminate(self, M, full):
-        """Row-reduce a copy of M over a field with q != 2.
+    def _eliminate(self, S, full):
+        """Row-reduce every matrix of the stack S (B x m x n, entries in
+        [0, q)) in place, over a field with q != 2.
 
-        full: clear each pivot column above the pivot too, so R is the rref;
-        otherwise below it only (forward elimination), all rank and det need.
-        Returns (R, pivots, pivot values before scaling, row swaps).
+        Column by column, each matrix pivots on its first unused row with a
+        nonzero entry in the column.  The pivot rows are divided by their
+        pivots, and one gathered product and one difference clear the column
+        across the whole stack, the pivot rows included; full (rref) then
+        writes the divided pivot rows back, so each matrix holds its rref up
+        to row order, while rank and det leave the used rows zero and so need
+        no record of them.  No row moves.  The loop ends once every matrix has
+        min(m, n) pivots, without clearing the last column unless full.
+
+        Returns one step (c, has, rows, values) per column c in which some
+        matrix pivots: has[b] tells whether matrix b does, rows[b] is its
+        pivot row and values[b] its pivot before the division.
         """
-        R = self._as_rows(M).copy()
-        if R.size and (R.min() < 0 or R.max() >= self.q):
-            raise EncodingOutOfRange(f"encoded entries must lie in [0, {self.q})")
-        scale, elim, inv = self._elimination_ops()
-        rows, cols = R.shape
-        pivots, values, swaps = [], [], 0
-        for c in range(cols):
-            rr = len(pivots)
-            if rr == rows:
+        B, m, n = S.shape
+        div_rows, elim = self._elimination_ops()
+        # rows indexed flat, row i of matrix b as b m + i: one-axis gathers
+        # are several times cheaper than two-axis ones on small stacks
+        flat_rows = S.reshape(B * m, n)
+        free = np.ones(B * m, dtype=bool) if full else None
+        first = np.arange(B) * m
+        steps = []
+        left = B * min(m, n)  # pivots still possible
+        for c in range(n):
+            if not left:
                 break
-            nz = R[rr:, c].nonzero()[0]
-            if nz.size == 0:
+            col = flat_rows[:, c]
+            cand = np.logical_and(col, free) if full else col != 0
+            rows = cand.reshape(B, m).argmax(1)
+            at = first + rows
+            has = cand[at]
+            k = np.count_nonzero(has)
+            if not k:
                 continue
-            if nz[0]:
-                pr = rr + int(nz[0])
-                R[[rr, pr]] = R[[pr, rr]]
-                swaps += 1
-            pv = int(R[rr, c])
-            if pv != 1:
-                R[rr, c:] = scale(R[rr, c:], inv(pv))
-            # rows at and below rr are zero left of c, so only columns c: change;
-            # after the swap the nonzero entries below the pivot are at nz[1:]
-            tgt = rr + nz[1:]
+            values = col[at]
+            steps.append((c, has, rows, values))
+            left -= k
+            if not (left or full):
+                break  # every matrix has all its pivots
+            if k < B:
+                at, values = at[has], values[has]
+            # whether any row but the pivots has a nonzero entry to clear
+            clear = np.count_nonzero(col) > k
+            if full or clear:
+                pivot_rows = div_rows(flat_rows.take(at, 0)[:, c:], values)
+            if clear:
+                P = pivot_rows
+                if k < B:
+                    # a matrix without a pivot here gets a zero row: no change
+                    P = np.zeros((B, n - c), dtype=np.int64)
+                    P[has] = pivot_rows
+                # P and every unused row are zero left of column c
+                elim(S[:, :, c:], col.reshape(B, m), P)
             if full:
-                tgt = np.concatenate([R[:rr, c].nonzero()[0], tgt])
-            if tgt.size:
-                R[tgt, c:] = elim(R[tgt, c:], R[tgt, c], R[rr, c:])
-            pivots.append(c)
-            values.append(pv)
-        return R, tuple(pivots), values, swaps
+                flat_rows[at, c:] = pivot_rows
+                free[at] = False
+            elif not clear:
+                flat_rows[at] = 0  # as the elimination leaves them
+        return steps
+
+    def ranks(self, stack):
+        """Rank of every matrix of a stack (B x m x n), as an int64 array.
+
+        Over F_2 the whole stack is packed at once and each matrix reduced
+        on its packed rows; every other field runs one elimination of the
+        stack.  Zero rows and zero columns, as padding, change no rank.
+        """
+        S = np.array(stack, dtype=np.int64)
+        if S.ndim != 3:
+            raise DimensionMismatch(f"expected a stack of matrices, got ndim={S.ndim}")
+        self._check(S)
+        B, m, _ = S.shape
+        out = np.zeros(B, dtype=np.int64)
+        if not S.size:
+            return out
+        if self.q == 2:
+            rows = _gf2_pack(S)
+            out[:] = [len(_gf2_pivots(rows[i:i + m])) for i in range(0, len(rows), m)]
+            return out
+        for _, has, _, _ in self._eliminate(S, full=False):
+            out += has
+        return out
 
     def rref(self, M):
         """Reduced row echelon form.  Returns (R, pivots)."""
+        A = self._check(self._as_rows(M))
         if self.q == 2:
-            return _gf2_rref(self._as_rows(M))
-        R, pivots, _, _ = self._eliminate(M, full=True)
-        return R, pivots
+            return _gf2_rref(A)
+        S = A[None].copy()
+        steps = self._eliminate(S, full=True)
+        R = np.zeros_like(A)
+        R[:len(steps)] = S[0, [int(rows[0]) for _, _, rows, _ in steps]]
+        return R, tuple(c for c, _, _, _ in steps)
 
     def rank(self, M):
+        A = self._check(self._as_rows(M))
         if self.q == 2:
-            return len(_gf2_pivots(_gf2_pack(self._as_rows(M))))
-        return len(self._eliminate(M, full=False)[1])
+            return len(_gf2_pivots(_gf2_pack(A)))
+        # in a stack of one, every step is a pivot of the one matrix
+        return len(self._eliminate(A[None].copy(), full=False))
 
     def stack_ranks(self, tops, bottoms, pairs):
         """rank([tops[i]; bottoms[j]]) for each (i, j) of pairs, lazily.
 
         Every matrix needs the same number of columns.  Over F_2 each one is
-        packed once, not once per pair, and a stack is the concatenation of
-        two lists of packed rows; every other field stacks and ranks.
+        packed and reduced once, not once per pair, and a stack is the
+        concatenation of two lists of packed rows: a reduced row meets few
+        pivots of a reduced matrix of a nearby span (a received word and its
+        codeword), where a dense row of the same span would meet about half
+        of them.  Every other field pads the tops, and the
+        bottoms, with zero rows to one height and ranks the pairs in stacks
+        of at most STACK_ENTRIES entries.
         """
-        tops = [self._as_rows(A) for A in tops]
-        bottoms = [self._as_rows(A) for A in bottoms]
+        tops = [self._check(self._as_rows(A)) for A in tops]
+        bottoms = [self._check(self._as_rows(A)) for A in bottoms]
         if len({A.shape[1] for A in tops + bottoms}) > 1:
             raise DimensionMismatch("stacked matrices need the same number of columns")
-        if self.q != 2:
-            return (self.rank(np.vstack([tops[i], bottoms[j]])) for i, j in pairs)
-        tops = [_gf2_pack(A) for A in tops]
-        bottoms = [_gf2_pack(A) for A in bottoms]
-        return (len(_gf2_pivots(tops[i] + bottoms[j])) for i, j in pairs)
+        if self.q == 2:
+            tops = [list(_gf2_reduced(_gf2_pack(A)).values()) for A in tops]
+            bottoms = [list(_gf2_reduced(_gf2_pack(A)).values()) for A in bottoms]
+            return (len(_gf2_pivots(tops[i] + bottoms[j])) for i, j in pairs)
+        return self._paired_ranks(padded_stack(tops), padded_stack(bottoms), iter(pairs))
+
+    def _paired_ranks(self, tops, bottoms, pairs):
+        entries = (tops.shape[1] + bottoms.shape[1]) * tops.shape[2]
+        size = max(1, STACK_ENTRIES // max(entries, 1))
+        while chunk := list(islice(pairs, size)):
+            i, j = np.array(chunk, dtype=np.int64).T
+            yield from self.ranks(np.concatenate([tops[i], bottoms[j]], axis=1)).tolist()
 
     def block_ranks(self, M, widths):
         """Ranks of the consecutive column blocks of M, of the given widths."""
         A = self._as_rows(M)
-        spans = _block_spans(widths, A.shape[1])
-        if self.q != 2:
-            return [self.rank(A[:, s:e]) for s, e in spans]
-        # pack every row once; a block is a shift and a mask of the packed row
-        top = 8 * ((A.shape[1] + 7) // 8)
-        return _gf2_field_ranks(_gf2_pack(A), [(top - e, e - s) for s, e in spans])
+        return self._block_ranks(A[None], _block_spans(widths, A.shape[1]))[0].tolist()
+
+    def _block_ranks(self, S, spans):
+        """Ranks of the column blocks (start, end) of each matrix of the stack
+        S, as a (len(S) x len(spans)) array: every block, padded with zero
+        columns to the widest, of every matrix in one stack."""
+        T, m, _ = S.shape
+        width = max((e - s for s, e in spans), default=0)
+        blocks = np.zeros((T, len(spans), m, width), dtype=np.int64)
+        for k, (s, e) in enumerate(spans):
+            blocks[:, k, :, :e - s] = S[:, :, s:e]
+        return self.ranks(blocks.reshape(T * len(spans), m, width)).reshape(T, len(spans))
 
     def det(self, M):
         A = np.asarray(M, dtype=np.int64)
@@ -724,21 +880,30 @@ class GF:
         n = A.shape[0]
         if self.q == 2:
             return int(self.rank(A) == n)
-        _, pivots, values, swaps = self._eliminate(A, full=False)
-        if len(pivots) < n:
+        steps = self._eliminate(self._check(A)[None].copy(), full=False)
+        if len(steps) < n:
             return 0
-        det = self.neg(1) if swaps % 2 else 1
-        for v in values:
-            det = self.mul(det, v)
+        # no row moved: row rows[k] holds pivot k, so the rows taken in pivot
+        # order form an upper triangular matrix, and det is its diagonal's
+        # product times the sign of that permutation of the rows
+        det = self.neg(1) if _odd_permutation([int(s[2][0]) for s in steps]) else 1
+        for _, _, _, values in steps:
+            det = self.mul(det, int(values[0]))
         return det
 
     def kernel(self, M):
         """Basis of the right null space {x : M x = 0}, rows in rref form."""
         A = self._as_rows(M)
-        n = A.shape[1]
         if A.shape[0] == 0:
+            return np.eye(A.shape[1], dtype=np.int64)
+        return self.kernel_of_rref(*self.rref(A))
+
+    def kernel_of_rref(self, R, piv):
+        """kernel(R) of a matrix R in rref with pivot columns piv, which
+        skips reducing R again (a Subspace basis is in rref already)."""
+        n = R.shape[1]
+        if not piv:
             return np.eye(n, dtype=np.int64)
-        R, piv = self.rref(A)
         free = np.ones(n, dtype=bool)
         free[list(piv)] = False
         free = np.flatnonzero(free)
@@ -790,14 +955,16 @@ class BlockRankFactor:
     """A right factor B, prepared once for the column-block ranks of rows B.
 
     ``factor(rows)`` returns (rank of rows, [rank of block i of rows B]) for
-    consecutive column blocks of B of the given widths.  The rows are trusted
-    to hold encodings in [0, q), and with ``independent=True`` to be linearly
-    independent, as a Subspace basis is, so they are not reduced first; B is
-    checked when the factor is built.
+    consecutive column blocks of B of the given widths, and
+    ``factor.many(row_sets, flags)`` a list of them.  With the flag
+    ``independent=True`` the rows are trusted to be linearly independent, as
+    a Subspace basis is, so their rank is their number; B is checked when the
+    factor is built.
     Over F_2 the product runs on Four-Russians tables, 32 bits per entry of
-    B (see the module docstring); every other field keeps B and runs
-    ``matmul`` and ``block_ranks`` on the independent rows or on an echelon
-    basis of them.
+    B (see the module docstring), on the independent rows or on an echelon
+    basis of them; every other field keeps B and runs one ``matmul`` of all
+    the row sets, padded with zero rows to one height, and one stacked rank
+    call over every column block of every row set.
     """
 
     def __init__(self, field, B, widths):
@@ -808,6 +975,7 @@ class BlockRankFactor:
         self.widths = list(widths)
         if field.q != 2:
             self._B = B
+            self._spans = spans
             return
         # column c of B is bit c of its row's int, so block (s, e) of a
         # product row is its bits s to e - 1
@@ -827,29 +995,49 @@ class BlockRankFactor:
             self._tables.append(table)
 
     def __call__(self, rows, independent=False):
+        return self.many([rows], [independent])[0]
+
+    def many(self, row_sets, independent):
+        """factor(rows, flag) for each row set and flag of independent, with
+        every row set packed at once and, off F_2, one product for all."""
         f = self.field
-        A = f._as_rows(rows)
-        if A.shape[1] != self.inner:
-            raise DimensionMismatch(f"cannot multiply {A.shape} by a factor of {self.inner} rows")
-        # the span of the rows decides every rank below, so any basis of it
-        # serves: the rows themselves when they are independent (a Subspace
-        # basis), otherwise an echelon set (no back-substitution), whose size
-        # is the rank of the rows
+        mats = [f._as_rows(rows) for rows in row_sets]
+        for A in mats:
+            if A.shape[1] != self.inner:
+                raise DimensionMismatch(
+                    f"cannot multiply {A.shape} by a factor of {self.inner} rows")
+        height = max((len(A) for A in mats), default=0)
+        # zero rows, as padding, change no rank
+        S = padded_stack(mats, height, self.inner)
+        # the span of the rows decides every rank below, so any spanning set
+        # serves: off F_2 the padded rows themselves, their rank computed
+        # unless they are independent (a Subspace basis); over F_2 the
+        # independent rows or an echelon set (no back-substitution), whose
+        # size is the rank of the rows
         if f.q != 2:
-            if not independent:
-                R, pivots, _, _ = f._eliminate(A, full=False)
-                A = R[:len(pivots)]
-            return len(A), f.block_ranks(f.matmul(A, self._B), self.widths)
-        echelon = _gf2_pack(A) if independent else _gf2_pivots(_gf2_pack(A)).values()
+            dims = np.array([len(A) for A in mats], dtype=np.int64)
+            dependent = [t for t, flag in enumerate(independent) if not flag]
+            if dependent:
+                dims[dependent] = f.ranks(S[dependent])
+            product = f.matmul(S.reshape(-1, self.inner), self._B)
+            ranks = f._block_ranks(product.reshape(len(mats), height, product.shape[1]),
+                                  self._spans)
+            return list(zip(dims.tolist(), ranks.tolist()))
+        packed = _gf2_pack(S)
         groups = len(self._tables)
-        product = []
-        for r in echelon:
-            acc = 0
-            # byte g of the row picks one entry of table g
-            for table, x in zip(self._tables, r.to_bytes(groups, "big")):
-                acc ^= table[x]
-            product.append(acc)
-        return len(echelon), _gf2_field_ranks(product, self._fields)
+        out = []
+        for t, flag in enumerate(independent):
+            rows = packed[t * height:(t + 1) * height]
+            echelon = [r for r in rows if r] if flag else _gf2_pivots(rows).values()
+            product = []
+            for r in echelon:
+                acc = 0
+                # byte g of the row picks one entry of table g
+                for table, x in zip(self._tables, r.to_bytes(groups, "big")):
+                    acc ^= table[x]
+                product.append(acc)
+            out.append((len(echelon), _gf2_field_ranks(product, self._fields)))
+        return out
 
 
 @lru_cache(maxsize=None)

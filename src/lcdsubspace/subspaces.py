@@ -99,7 +99,9 @@ class Subspace:
         as its key would double the memory held per subspace.
         """
         if self._dual is None:
-            self._dual = self.field.kernel(self.basis)
+            B = self.basis
+            # the basis is in rref: its pivots are the rows' leading entries
+            self._dual = self.field.kernel_of_rref(B, tuple((B != 0).argmax(1).tolist()))
         return Subspace(self.field, self.n, _rref=self._dual)
 
     def __and__(self, other):

@@ -5,6 +5,7 @@ import oracles
 from lcdsubspace.codes import is_lcd_subspace_code, params
 from lcdsubspace.constructions import (
     AlgebraBasis,
+    _check_product_identity,
     algebra_closure,
     build_block,
     bush_schemes,
@@ -168,6 +169,25 @@ def test_algebra_code_identity_recomputed(f3):
             prod = f3.matmul(N, M.T)
             expect = f3.mul(f3.mul(a, b), np.eye(3, dtype=np.int64))
             assert prod.tolist() == expect.tolist()
+
+
+def test_product_identity_witness_is_the_first_failing_pair(f3):
+    # N_i N_j^T = X_i X_j^T + a_i a_j I: with X_0 = 0 and X_1 X_1^T = 0 the
+    # first failing pair, i major, is (1, 2); j major it would be (2, 1)
+    t = 3
+    X1 = np.zeros((t, t), dtype=np.int64)
+    X1[0] = 1                                       # (1, 1, 1) . (1, 1, 1) = 0 mod 3
+    X2 = np.zeros((t, t), dtype=np.int64)
+    X2[0, 0] = 1
+    ordered = [(np.zeros((t, t), dtype=np.int64), 1), (X1, 2), (X2, 1)]
+    pairs = [(i, j) for i in range(3) for j in range(3)]
+    for pair_list, all_pairs in ((pairs, True), (pairs, False), ([(2, 0), (2, 1)], False)):
+        failing = [(i, j) for i, j in pair_list
+                   if f3.matmul(ordered[i][0], ordered[j][0].T).any()]
+        with pytest.raises(VerificationFailed) as info:
+            _check_product_identity(f3, t, ordered, pair_list, all_pairs)
+        assert info.value.witness == failing[0]
+    _check_product_identity(f3, t, ordered, [(0, 1), (2, 0), (1, 1)], False)
 
 
 def test_algebra_code_rejects_non_lcd(f2):

@@ -13,7 +13,7 @@ from lcdsubspace.errors import (
     LcdError,
     NotPrime,
 )
-from lcdsubspace.gf import GF, BlockRankFactor, field_from_order, field_new
+from lcdsubspace.gf import GF, BlockRankFactor, field_from_order, field_new, padded_stack
 
 
 def test_construction_validation():
@@ -232,15 +232,102 @@ def test_elimination_matches_oracle_at_the_boundaries(p, r):
             assert f.det(M) == oracles.det_leibniz(f, M)
 
 
-def test_elimination_rejects_encodings_outside_the_field(f3, f4, f9):
-    # a table gather would wrap -1 to the last entry; every field but GF(2)
-    # rejects it (GF(2) reads any nonzero entry as 1)
-    for f in (f3, f4, f9, field_new(2, 17)):
-        for bad in (-1, f.q):
+def test_elimination_rejects_encodings_outside_the_field(f2, f3, f4, f9):
+    # a table gather would wrap -1 to the last entry, and packing GF(2) rows
+    # would read any nonzero entry as 1
+    ok = np.eye(2, dtype=np.int64)
+    for f in (f2, f3, f4, f9, field_new(2, 17)):
+        for bad in sorted({-1, f.q, f.q + 1}):
             M = [[1, 0], [0, bad]]
-            for op in (f.rref, f.rank, f.det, f.kernel):
+            for op in (f.rref, f.rank, f.det, f.kernel,
+                       lambda M: f.ranks([M]), lambda M: f.block_ranks(M, [1, 1]),
+                       lambda M: f.stack_ranks([ok], [M], [(0, 0)]),
+                       lambda M: f.stack_ranks([M], [ok], [(0, 0)])):
                 with pytest.raises(EncodingOutOfRange):
                     op(M)
+
+
+# every table regime: GF(2)'s packed rows, prime and extension tables (odd
+# and even p, and a tabled difference for GF(9)), the largest tabled order
+# 2**16, and the untabled 2**17 and 1048573
+STACK_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 16), (2, 17), (1048573, 1)]
+
+
+def _stack_cases(f, rng):
+    """Lists of matrices: empty, zero, repeated-row and random ones of mixed
+    shapes."""
+    small = f.q > 1 << 16  # elimination without tables is slow
+
+    def rand(k, n):
+        return rng.integers(0, f.q, (k, n))
+
+    shapes = [(1, 1), (2, 3), (3, 2)] if small else \
+        [(1, 1), (1, 6), (2, 3), (3, 2), (3, 5), (4, 4), (5, 3), (6, 8)]
+    mats = [rand(k, n) for k, n in shapes]
+    mats.append(np.zeros((3, 4), dtype=np.int64))
+    R = rand(4, 5)
+    R[2] = R[0]                                     # a repeated row
+    R[3] = f.mul(R[1], int(rng.integers(1, f.q)))   # a multiple of another
+    mats.append(R)
+    yield mats
+    yield [np.zeros((0, 4), dtype=np.int64), rand(2, 4), np.zeros((3, 0), dtype=np.int64)]
+    if not small:
+        yield [rand(3, 4) for _ in range(9)]
+    yield []
+
+
+@pytest.mark.parametrize("p, r", STACK_FIELDS)
+def test_ranks_and_stacks_of_one_match_oracle(p, r):
+    f = field_new(p, r)
+    rng = np.random.default_rng(p * 31 + r)
+    for mats in _stack_cases(f, rng):
+        want = [oracles.rank(f, A.tolist()) for A in mats]
+        S = padded_stack(mats)
+        # zero rows and zero columns as padding change no rank
+        assert f.ranks(S).tolist() == want
+        if f.q <= 1 << 16:
+            assert f.ranks(padded_stack(mats, S.shape[1] + 2, S.shape[2] + 1)).tolist() == want
+        for A, w in zip(mats, want):
+            k, n = A.shape
+            if not k:
+                continue
+            R, piv = f.rref(A)
+            oR, opiv = oracles.rref(f, A.tolist())
+            assert (R.tolist(), piv) == (oR, opiv)
+            assert f.rank(A) == w
+            if k == n:
+                assert f.det(A) == oracles.det_leibniz(f, A.tolist())
+    # B = 0, m = 0 and n = 0 as bare shapes
+    for shape in ((0, 3, 4), (2, 0, 4), (2, 3, 0)):
+        assert f.ranks(np.zeros(shape, dtype=np.int64)).tolist() == [0] * shape[0]
+    with pytest.raises(DimensionMismatch):
+        f.ranks(np.zeros((2, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("p, r", [(3, 1), (3, 2), (2, 2)])
+def test_stacked_elimination_on_larger_stacks(p, r):
+    # many matrices in one stack, most pivoting in different columns from
+    # different rows, some rank deficient: each must match the oracle, and
+    # a stack of one of each must give the same rank
+    f = field_new(p, r)
+    rng = np.random.default_rng(7 * p + r)
+    mats = []
+    for _ in range(40):
+        k, n = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        A = rng.integers(0, f.q, (k, n))
+        A[rng.random((k, n)) < 0.4] = 0     # sparse: pivots move about
+        if k > 2:
+            A[-1] = A[0]
+        mats.append(A)
+    want = [oracles.rank(f, A.tolist()) for A in mats]
+    assert f.ranks(padded_stack(mats)).tolist() == want
+    assert [f.rank(A) for A in mats] == want
+    tops, bottoms = mats[:20], [A[:, :1] for A in mats[20:]]
+    tops = [np.hstack([A, np.zeros((len(A), 8 - A.shape[1]), dtype=np.int64)]) for A in tops]
+    bottoms = [np.hstack([A, rng.integers(0, f.q, (len(A), 7))]) for A in bottoms]
+    pairs = [(i, j) for i in range(20) for j in range(20)]
+    assert list(f.stack_ranks(tops, bottoms, pairs)) == [
+        oracles.rank(f, np.vstack([tops[i], bottoms[j]]).tolist()) for i, j in pairs]
 
 
 def test_kernel_pinned_and_oracle(f2, f3):

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from lcdsubspace.codes import SubspaceCode, decode_naive
-from lcdsubspace.errors import InvalidSpec, NotLCDCode
+from lcdsubspace import simulator
+from lcdsubspace.codes import (
+    DecodeOutcome,
+    SubspaceCode,
+    decode_naive,
+    decode_projection,
+    is_lcd_subspace_code,
+    projection_decoder,
+)
+from lcdsubspace.errors import InternalInconsistency, InvalidSpec, NotLCDCode
 from lcdsubspace.simulator import ChannelSpec, TrialStats, corrupt, run_experiment
 from lcdsubspace.subspaces import Subspace, distance, span
 
@@ -150,3 +158,95 @@ def test_erasures_and_errors_combined(f4):
     assert st.correct + st.failure + st.wrong == 250
     assert st.agreement == 250
     assert st.naive_seconds >= 0.0 and st.projection_seconds >= 0.0
+
+
+def _one_draw(word, spec, i):
+    """The received word of trial i drawn one trial at a time, as a reference:
+    coefficient matrices from the stream (rng_seed, i) until one has full
+    rank, their product with the basis, then the error rows."""
+    f = word.field
+    rng = np.random.default_rng((spec.rng_seed, i))
+    keep = word.dim - spec.erasure_count
+    rows = []
+    if keep > 0:
+        while True:
+            coeff = rng.integers(0, f.q, size=(keep, word.dim))
+            if f.rank(coeff) == keep:
+                break
+        rows.append(f.matmul(coeff, word.basis))
+    if spec.error_count > 0:
+        rows.append(rng.integers(0, f.q, size=(spec.error_count, word.n)))
+    return Subspace(f, word.n, np.vstack(rows) if rows else np.zeros((0, word.n)))
+
+
+def _replay(code, spec, trials):
+    """Tallies of a per-trial replay through corrupt, decode_naive and
+    decode_projection, with the codeword drawn as run_experiment draws it."""
+    correct = failure = wrong = 0
+    dsum = 0
+    for i in range(trials):
+        sent = int(np.random.default_rng((spec.rng_seed, i, 0)).integers(0, len(code)))
+        received = corrupt(code[sent], spec, i)
+        assert received == _one_draw(code[sent], spec, i)
+        a = decode_naive(code, received)
+        b = decode_projection(code, received)
+        assert a == b
+        dsum += a.distance
+        if a.status == "failure":
+            failure += 1
+        elif a.index == sent:
+            correct += 1
+        else:
+            wrong += 1
+    return correct, failure, wrong, dsum / trials
+
+
+def _chunk_codes(f2, f5, f9):
+    yield SubspaceCode([span(f2, 4, [[0, 0, 1, 0], [0, 0, 0, 1]]),
+                        span(f2, 4, [[1, 1, 1, 0], [0, 0, 0, 1]]),
+                        span(f2, 4, [[1, 1, 0, 1], [0, 0, 1, 0]])]), ChannelSpec(1, 1, 31)
+    yield SubspaceCode([span(f5, 2, [[1, 1]]), span(f5, 2, [[1, 0]])]), ChannelSpec(1, 1, 32)
+    # an LCD subspace code has one dimension: dim C_i + dim C_j^perp > n otherwise
+    code = SubspaceCode([span(f9, 5, [[1, 0, 2, 6, 7], [0, 1, 6, 5, 8]]),
+                         span(f9, 5, [[1, 0, 7, 4, 5], [0, 1, 3, 2, 6]]),
+                         span(f9, 5, [[1, 2, 3, 0, 5], [0, 0, 0, 1, 7]])])
+    assert bool(is_lcd_subspace_code(code))
+    yield code, ChannelSpec(1, 2, 33)
+
+
+def test_chunked_experiment_matches_per_trial_replay(f2, f5, f9, monkeypatch):
+    # every received word is drawn as corrupt() draws it and both decoders
+    # see it, whatever the chunking: one trial, one chunk, and many chunks
+    for code, spec in _chunk_codes(f2, f5, f9):
+        for trials in (1, 150):
+            want = _replay(code, spec, trials)
+            for entries in (simulator.STACK_ENTRIES, 1, 500):
+                monkeypatch.setattr(simulator, "STACK_ENTRIES", entries)
+                st = run_experiment(code, spec, trials)
+                assert (st.correct, st.failure, st.wrong) == want[:3]
+                assert st.mean_distance == pytest.approx(want[3])
+                assert st.agreement == trials
+            monkeypatch.undo()
+
+
+def test_disagreement_names_the_trial(f5, monkeypatch):
+    code = SubspaceCode([span(f5, 2, [[1, 1]]), span(f5, 2, [[1, 0]])])
+    decoder = projection_decoder(code)
+    honest = decoder.decode_many
+    calls = []
+
+    def skewed(words):
+        # the third chunk's second word (trial 2 k + 1 in chunks of k) is off by one
+        out = honest(words)
+        calls.append(len(words))
+        if len(calls) == 3:
+            o = out[1]
+            out[1] = DecodeOutcome(o.status, o.index, o.distance + 1)
+        return out
+
+    monkeypatch.setattr(decoder, "decode_many", skewed)
+    monkeypatch.setattr(simulator, "STACK_ENTRIES", 40)
+    with pytest.raises(InternalInconsistency, match=r"trial (\d+):") as info:
+        run_experiment(code, ChannelSpec(0, 1, 7), 50)
+    assert f"trial {2 * calls[0] + 1}:" in str(info.value)
+    assert calls[0] < 25
