@@ -30,7 +30,7 @@ from .errors import (
     RankDeficient,
 )
 from .gf import BlockRankFactor
-from .subspaces import Subspace, complement_coordinates, pairwise_lcd
+from .subspaces import Subspace, complement_coordinates, distance, pairwise_lcd
 
 PAIR_BUDGET = 10 ** 7
 
@@ -207,12 +207,20 @@ def _verdict(dists):
 
 
 def decode_naive(code, received):
-    """Minimum-distance decoding by direct subspace distances."""
-    return decode_naive_many(code, [received])[0]
+    """Minimum-distance decoding by direct subspace distances.
+
+    One word at a time, by the definition: raw rows are canonicalised into
+    a Subspace and each distance d(C_i, R) is taken on its own.  It is the
+    reference that decode_naive_many, its batched form, is tested against.
+    """
+    rows = _received_rows(code, received)
+    R = received if isinstance(received, Subspace) else Subspace(code.field, code.n, rows)
+    return _verdict([distance(w, R) for w in code])
 
 
 def decode_naive_many(code, words):
-    """decode_naive of each received word (a Subspace or generator rows).
+    """decode_naive of each received word (a Subspace or generator rows),
+    for many words at once.
 
     d(C_i, R) = 2 rank [C_i; R] - dim C_i - dim R, and dim R is the rank of
     R stacked under no rows, so one stack_ranks call ranks every stack of

@@ -351,7 +351,7 @@ def subspace_code_from_algebra(basis, alphas=None, *, include_zero_x=False,
         rnd = random.Random(seed)
         pair_list = [(rnd.randrange(size), rnd.randrange(size))
                      for _ in range(100)]
-    _check_product_identity(f, t, ordered, pair_list, all_pairs)
+    _check_product_identity(f, t, ordered, pair_list)
 
     distance_exhaustive = True
     try:
@@ -376,36 +376,34 @@ def subspace_code_from_algebra(basis, alphas=None, *, include_zero_x=False,
         tallies=tallies, source=source)
 
 
-def _check_product_identity(f, t, ordered, pair_list, all_pairs):
-    """N_i N_j^T = a_i a_j I_t for each (i, j) of pair_list, N_i = [X_i | a_i I]
-    being built once per codeword it needs; raises with the first failing
-    pair.
+def _check_product_identity(f, t, ordered, pair_list):
+    """N_i N_j^T = a_i a_j I_t for each (i, j) of pair_list, N_i = [X_i | a_i I];
+    raises with the first failing pair in pair_list order.
 
-    With all pairs (i major, j minor), each N_i takes one product with the
-    blocks N_j^T side by side, t x (size t) entries, rather than one per pair.
+    Each N_i is built once and takes one product with the blocks N_j^T of
+    its partners j side by side, t x (t * #partners) entries, rather than
+    one product per pair; with all pairs that is one product per codeword.
     """
     alphas = np.array([al for _, al in ordered], dtype=np.int64)
-    if all_pairs:
-        blocks = [build_block(f, X, al) for X, al in ordered]
-        right = np.hstack([N.T for N in blocks])
-        for i, N in enumerate(blocks):
-            got = f.matmul(N, right).reshape(t, len(blocks), t)
-            # block j must be a_i a_j on its diagonal and zero off it
-            diagonal = np.arange(t)
-            got[diagonal, :, diagonal] -= f.mul(alphas[i], alphas)
-            bad = np.flatnonzero(got.any(axis=(0, 2)))
-            if bad.size:
-                raise VerificationFailed(
-                    "product identity N_x N_y^T = a_x a_y I failed",
-                    witness=(i, int(bad[0])))
-        return
     blocks = {k: build_block(f, *ordered[k]) for pair in pair_list for k in pair}
+    partners = {}
     for i, j in pair_list:
-        got = f.matmul(blocks[i], blocks[j].T)
-        if not (got == f.mul(alphas[i], alphas[j]) * np.eye(t, dtype=np.int64)).all():
+        partners.setdefault(i, {})[j] = None
+    rights = {}
+    diagonal = np.arange(t)
+    failed = set()
+    for i, js in partners.items():
+        js = tuple(js)
+        if js not in rights:
+            rights[js] = np.hstack([blocks[j].T for j in js])
+        got = f.matmul(blocks[i], rights[js]).reshape(t, len(js), t)
+        # block j must be a_i a_j on its diagonal and zero off it
+        got[diagonal, :, diagonal] -= f.mul(alphas[i], alphas[list(js)])
+        failed.update((i, js[k]) for k in np.flatnonzero(got.any(axis=(0, 2))))
+    for pair in pair_list:
+        if pair in failed:
             raise VerificationFailed(
-                "product identity N_x N_y^T = a_x a_y I failed",
-                witness=(i, j))
+                "product identity N_x N_y^T = a_x a_y I failed", witness=pair)
 
 
 def _assert_scaling_invariance(f, t, rep, seed):

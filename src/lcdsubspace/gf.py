@@ -50,7 +50,7 @@ arbitrary width.  Rows are reduced into a pivot table keyed by leading bit
 and unpacks into the same int64 matrix and pivot tuple as every other
 field, and ``det`` is ``rank == n``.  ``stack_ranks`` ranks many stacks
 [A_i; B_j] of the same matrices, as the LCD check, the distance scans and
-naive decoding do, packing and reducing each matrix once: a stack is the
+batched naive decoding do, packing each matrix once: a stack is the
 concatenation of two lists of packed rows.
 
 Every other field runs one elimination core, ``_eliminate``, on a stack of
@@ -65,9 +65,12 @@ are bound once per field: on F_p the update is ``(T - fac (x) row) % p``
 log/exp tables a product is one gather, and a difference is an XOR when
 p = 2, a lookup in a table of all q**2 differences for odd p up to q = 2**8,
 and digitwise above; past 2**16 the public ``mul``, ``sub`` and ``inv`` do
-it.  ``rref`` clears above and below each pivot, while ``rank`` and ``det``
-(the pivot product times the sign of the pivot rows' permutation) clear
-below it only, and stop once every matrix has all its pivots.  Over F_2,
+it.  ``rref`` keeps each divided pivot row and marks its row used, so each
+column is cleared above and below its pivot; in ``rank`` and ``det`` (the
+pivot product times the sign of the pivot rows' permutation) the update
+zeroes the pivot rows, and they stop once every matrix has all its pivots.
+A stack of one skips the search per matrix: its pivot is its first nonzero
+entry in the column, in an unused row.  Over F_2,
 ``ranks`` packs the whole stack at once and reduces each matrix on its
 packed rows.  Zero rows and zero columns change no rank, so
 ``padded_stack`` pads matrices of mixed shapes into one stack:
@@ -311,10 +314,11 @@ def _gf2_field_ranks(rows, fields):
     return [len(_gf2_pivots({(r >> s) & ((1 << w) - 1) for r in rows})) for s, w in fields]
 
 
-def _gf2_reduced(rows):
-    """Reduced echelon basis of the span of packed rows, {leading bit length:
-    row}: no row has a bit at another row's leading bit."""
-    table = _gf2_pivots(rows)
+def _gf2_rref(A):
+    """(R, pivots) of a 0/1 int64 matrix, as GF.rref returns them."""
+    rows, cols = A.shape
+    nb = (cols + 7) // 8
+    table = _gf2_pivots(_gf2_pack(A))
     # back-substitute from the rightmost pivot column, so each row is reduced
     # only by rows that are reduced already (and so touch no other pivot)
     done = {}
@@ -328,14 +332,6 @@ def _gf2_reduced(rows):
             m ^= 1 << (t - 1)
         done[b] = r
         mask |= 1 << (b - 1)
-    return done
-
-
-def _gf2_rref(A):
-    """(R, pivots) of a 0/1 int64 matrix, as GF.rref returns them."""
-    rows, cols = A.shape
-    nb = (cols + 7) // 8
-    done = _gf2_reduced(_gf2_pack(A))
     lead = sorted(done, reverse=True)
     R = np.zeros((rows, cols), dtype=np.int64)
     if lead:
@@ -370,12 +366,16 @@ def _odd_permutation(perm):
     return swaps % 2 == 1
 
 
-def padded_stack(mats, rows=None, cols=None):
-    """The matrices as one (len(mats) x rows x cols) stack, each padded with
-    zero rows and zero columns; rows and cols default to the largest.  A lone
-    matrix of that shape comes back as a view."""
-    rows = max((A.shape[0] for A in mats), default=0) if rows is None else rows
-    cols = max((A.shape[1] for A in mats), default=0) if cols is None else cols
+# the pivot flags of a stack of one in a column where it pivots
+_LONE = np.ones(1, dtype=bool)
+_LONE.flags.writeable = False
+
+
+def padded_stack(mats):
+    """The matrices as one stack, each padded with zero rows and zero columns
+    to the largest height and width.  A lone matrix comes back as a view."""
+    rows = max((A.shape[0] for A in mats), default=0)
+    cols = max((A.shape[1] for A in mats), default=0)
     if len(mats) == 1 and mats[0].shape == (rows, cols):
         return mats[0][None]
     S = np.zeros((len(mats), rows, cols), dtype=np.int64)
@@ -731,11 +731,12 @@ class GF:
         Column by column, each matrix pivots on its first unused row with a
         nonzero entry in the column.  The pivot rows are divided by their
         pivots, and one gathered product and one difference clear the column
-        across the whole stack, the pivot rows included; full (rref) then
-        writes the divided pivot rows back, so each matrix holds its rref up
-        to row order, while rank and det leave the used rows zero and so need
-        no record of them.  No row moves.  The loop ends once every matrix has
-        min(m, n) pivots, without clearing the last column unless full.
+        across the whole stack, the pivot rows included, so rank and det
+        leave the used rows zero and need no record of them.  full (rref,
+        which passes a stack of one) writes the divided pivot row back and
+        marks it used, so the matrix ends in its rref up to row order.  No
+        row moves.  The loop ends once every matrix has min(m, n) pivots,
+        without clearing the last column unless full.
 
         Returns one step (c, has, rows, values) per column c in which some
         matrix pivots: has[b] tells whether matrix b does, rows[b] is its
@@ -746,32 +747,50 @@ class GF:
         # rows indexed flat, row i of matrix b as b m + i: one-axis gathers
         # are several times cheaper than two-axis ones on small stacks
         flat_rows = S.reshape(B * m, n)
-        free = np.ones(B * m, dtype=bool) if full else None
-        first = np.arange(B) * m
+        first = np.arange(B) * m if B > 1 else None
+        used = np.zeros(m, dtype=bool) if full else None
         steps = []
         left = B * min(m, n)  # pivots still possible
         for c in range(n):
             if not left:
                 break
             col = flat_rows[:, c]
-            cand = np.logical_and(col, free) if full else col != 0
-            rows = cand.reshape(B, m).argmax(1)
-            at = first + rows
-            has = cand[at]
-            k = np.count_nonzero(has)
-            if not k:
-                continue
-            values = col[at]
+            if B == 1:
+                # a lone matrix pivots on its first nonzero entry, in an
+                # unused row under full: no search per matrix, and a slice
+                # reaches the pivot row without a gather
+                nz = col.nonzero()[0]
+                r = next((i for i in nz.tolist() if not (full and used[i])), None)
+                if r is None:
+                    continue
+                at = slice(r, r + 1)
+                rows, has, k = (r,), _LONE, 1
+                values = col[at].copy()
+                unit = values[0] == 1
+                clear = nz.size > 1
+            else:
+                cand = col != 0
+                rows = cand.reshape(B, m).argmax(1)
+                at = first + rows
+                has = cand[at]
+                k = np.count_nonzero(has)
+                if not k:
+                    continue
+                values = col[at]
+                unit = False
+                # whether any row but the pivots has a nonzero entry to clear
+                clear = np.count_nonzero(col) > k
             steps.append((c, has, rows, values))
             left -= k
             if not (left or full):
                 break  # every matrix has all its pivots
             if k < B:
                 at, values = at[has], values[has]
-            # whether any row but the pivots has a nonzero entry to clear
-            clear = np.count_nonzero(col) > k
             if full or clear:
-                pivot_rows = div_rows(flat_rows.take(at, 0)[:, c:], values)
+                source = (flat_rows[at] if B == 1 else flat_rows.take(at, 0))[:, c:]
+                # a lone pivot of 1 divides nothing: a copy, which the update
+                # below cannot change, serves
+                pivot_rows = source.copy() if unit else div_rows(source, values)
             if clear:
                 P = pivot_rows
                 if k < B:
@@ -782,7 +801,7 @@ class GF:
                 elim(S[:, :, c:], col.reshape(B, m), P)
             if full:
                 flat_rows[at, c:] = pivot_rows
-                free[at] = False
+                used[at] = True
             elif not clear:
                 flat_rows[at] = 0  # as the elimination leaves them
         return steps
@@ -817,9 +836,14 @@ class GF:
             return _gf2_rref(A)
         S = A[None].copy()
         steps = self._eliminate(S, full=True)
-        R = np.zeros_like(A)
-        R[:len(steps)] = S[0, [int(rows[0]) for _, _, rows, _ in steps]]
-        return R, tuple(c for c, _, _, _ in steps)
+        rows = [step[2][0] for step in steps]
+        # the rows without a pivot end zero, so pivot rows already in order
+        # (the usual case) leave the matrix in rref as it stands
+        R = S[0]
+        if rows != list(range(len(rows))):
+            R = np.zeros(A.shape, dtype=np.int64)
+            R[:len(rows)] = S[0].take(rows, 0)
+        return R, tuple(step[0] for step in steps)
 
     def rank(self, M):
         A = self._check(self._as_rows(M))
@@ -832,11 +856,8 @@ class GF:
         """rank([tops[i]; bottoms[j]]) for each (i, j) of pairs, lazily.
 
         Every matrix needs the same number of columns.  Over F_2 each one is
-        packed and reduced once, not once per pair, and a stack is the
-        concatenation of two lists of packed rows: a reduced row meets few
-        pivots of a reduced matrix of a nearby span (a received word and its
-        codeword), where a dense row of the same span would meet about half
-        of them.  Every other field pads the tops, and the
+        packed once, not once per pair, and a stack is the concatenation of
+        two lists of packed rows.  Every other field pads the tops, and the
         bottoms, with zero rows to one height and ranks the pairs in stacks
         of at most STACK_ENTRIES entries.
         """
@@ -845,8 +866,8 @@ class GF:
         if len({A.shape[1] for A in tops + bottoms}) > 1:
             raise DimensionMismatch("stacked matrices need the same number of columns")
         if self.q == 2:
-            tops = [list(_gf2_reduced(_gf2_pack(A)).values()) for A in tops]
-            bottoms = [list(_gf2_reduced(_gf2_pack(A)).values()) for A in bottoms]
+            tops = [_gf2_pack(A) for A in tops]
+            bottoms = [_gf2_pack(A) for A in bottoms]
             return (len(_gf2_pivots(tops[i] + bottoms[j])) for i, j in pairs)
         return self._paired_ranks(padded_stack(tops), padded_stack(bottoms), iter(pairs))
 
@@ -1006,9 +1027,9 @@ class BlockRankFactor:
             if A.shape[1] != self.inner:
                 raise DimensionMismatch(
                     f"cannot multiply {A.shape} by a factor of {self.inner} rows")
-        height = max((len(A) for A in mats), default=0)
         # zero rows, as padding, change no rank
-        S = padded_stack(mats, height, self.inner)
+        S = padded_stack(mats)
+        height = S.shape[1]
         # the span of the rows decides every rank below, so any spanning set
         # serves: off F_2 the padded rows themselves, their rank computed
         # unless they are independent (a Subspace basis); over F_2 the

@@ -9,6 +9,7 @@ from lcdsubspace.codes import (
     SubspaceCode,
     classical_lcd_check,
     decode_naive,
+    decode_naive_many,
     decode_projection,
     is_lcd_subspace_code,
     params,
@@ -270,6 +271,31 @@ def test_subspace_and_its_raw_rows_decode_alike(f3, f9):
             out = dec.decode(R)
             assert out == dec.decode(raw) == decode_naive(code, R)
             assert out.distance == min(distance(R, w) for w in code)
+
+
+def test_many_word_decoders_match_one_word_decoders(f2, f3, f9):
+    # decode_naive_many ranks stacks [C_i; R_t] padded to one height, and
+    # decode_many ranks the blocks of one stacked product: each verdict must
+    # be decode_naive's, word by word, whatever the mix of word shapes
+    rng = np.random.default_rng(41)
+    for f in (f2, f3, f9):
+        n = 6
+        code = None
+        while code is None or not is_lcd_subspace_code(code):
+            code = SubspaceCode([Subspace(f, n, rng.integers(0, f.q, (int(rng.integers(1, 4)), n)))
+                                 for _ in range(3)])
+        dec = ProjectionDecoder(code)
+        words = [Subspace.zero(f, n), np.zeros((0, n), dtype=np.int64),
+                 np.zeros((2, n), dtype=np.int64), Subspace.full(f, n)]
+        for t in range(12):
+            rows = rng.integers(0, f.q, (int(rng.integers(1, n + 2)), n))
+            if t % 3 == 0:
+                rows = np.vstack([code[t % len(code)].basis, rows[:1], rows[:1]])
+            words.append(Subspace(f, n, rows) if t % 2 else rows)
+        want = [decode_naive(code, w) for w in words]
+        assert decode_naive_many(code, words) == want
+        assert dec.decode_many(words) == want
+        assert decode_naive_many(code, []) == dec.decode_many([]) == []
 
 
 def test_projection_on_zero_width_and_full_width_blocks(f2, f9):

@@ -181,13 +181,13 @@ def test_product_identity_witness_is_the_first_failing_pair(f3):
     X2[0, 0] = 1
     ordered = [(np.zeros((t, t), dtype=np.int64), 1), (X1, 2), (X2, 1)]
     pairs = [(i, j) for i in range(3) for j in range(3)]
-    for pair_list, all_pairs in ((pairs, True), (pairs, False), ([(2, 0), (2, 1)], False)):
+    for pair_list in (pairs, pairs[::-1], [(2, 0), (2, 1)], [(0, 0), (2, 1), (1, 2), (2, 1)]):
         failing = [(i, j) for i, j in pair_list
                    if f3.matmul(ordered[i][0], ordered[j][0].T).any()]
         with pytest.raises(VerificationFailed) as info:
-            _check_product_identity(f3, t, ordered, pair_list, all_pairs)
+            _check_product_identity(f3, t, ordered, pair_list)
         assert info.value.witness == failing[0]
-    _check_product_identity(f3, t, ordered, [(0, 1), (2, 0), (1, 1)], False)
+    _check_product_identity(f3, t, ordered, [(0, 1), (2, 0), (1, 1), (0, 1)])
 
 
 def test_algebra_code_rejects_non_lcd(f2):
