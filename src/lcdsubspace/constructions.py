@@ -53,7 +53,7 @@ from .errors import (
     ZeroAlpha,
 )
 from .drg import check_distance_regular, orbit_partition, scheme_from_drg
-from .gf import field_new
+from .gf import BlockRankFactor, field_new
 from .hadamard import UnbiasedSet, gramian_B, is_bush, partition_quotients_of_set
 from .linalg import as_int_matrix, int_matmul, kron, reduce_mod
 from .schemes import quotient_matrices, scheme_from_matrices
@@ -383,23 +383,37 @@ def _check_product_identity(f, t, ordered, pair_list):
     Each N_i is built once and takes one product with the blocks N_j^T of
     its partners j side by side, t x (t * #partners) entries, rather than
     one product per pair; with all pairs that is one product per codeword.
+    Over F_2 the product runs on the Four-Russians tables of a
+    BlockRankFactor of that right stack, one int per product row, and
+    every alpha is 1: product row k must have exactly the bits t p + k
+    set, one in each block p.
     """
     alphas = np.array([al for _, al in ordered], dtype=np.int64)
-    blocks = {k: build_block(f, *ordered[k]) for pair in pair_list for k in pair}
+    blocks = {k: build_block(f, *ordered[k])
+              for k in dict.fromkeys(k for pair in pair_list for k in pair)}
     partners = {}
     for i, j in pair_list:
         partners.setdefault(i, {})[j] = None
     rights = {}
     diagonal = np.arange(t)
+    mask = (1 << t) - 1
     failed = set()
     for i, js in partners.items():
         js = tuple(js)
         if js not in rights:
-            rights[js] = np.hstack([blocks[j].T for j in js])
-        got = f.matmul(blocks[i], rights[js]).reshape(t, len(js), t)
-        # block j must be a_i a_j on its diagonal and zero off it
-        got[diagonal, :, diagonal] -= f.mul(alphas[i], alphas[list(js)])
-        failed.update((i, js[k]) for k in np.flatnonzero(got.any(axis=(0, 2))))
+            right = np.hstack([blocks[j].T for j in js])
+            rights[js] = BlockRankFactor(f, right, [t] * len(js)) if f.q == 2 else right
+        if f.q == 2:
+            ones = sum(1 << (t * p) for p in range(len(js)))
+            for k, row in enumerate(rights[js].products(blocks[i])):
+                diff = row ^ (ones << k)
+                if diff:
+                    failed.update((i, j) for p, j in enumerate(js) if (diff >> (t * p)) & mask)
+        else:
+            got = f.matmul(blocks[i], rights[js]).reshape(t, len(js), t)
+            # block j must be a_i a_j on its diagonal and zero off it
+            got[diagonal, :, diagonal] -= f.mul(alphas[i], alphas[list(js)])
+            failed.update((i, js[k]) for k in np.flatnonzero(got.any(axis=(0, 2))))
     for pair in pair_list:
         if pair in failed:
             raise VerificationFailed(

@@ -22,7 +22,8 @@ A matrix product over F_p, and each per-digit product of an extension
 field, runs through float BLAS whenever every partial sum, at most
 inner_dim * (p - 1)**2, is an integer the float type holds exactly
 whatever the summation order: float32 below 2**24, float64 below 2**53.
-Past 2**53 it is an int64 product, which numpy computes without BLAS.  The
+Past 2**53 it is an int64 product, which numpy computes without BLAS.
+``linalg.exact_product`` makes that choice, for ``int_matmul`` too.  The
 result is reduced mod p (``& 1`` when p = 2), so every product is exact.
 ``matmul`` rejects entries outside [0, q) with ``EncodingOutOfRange``.
 
@@ -39,7 +40,12 @@ ceil(n / 8) bytes, XORs one table entry per byte into a packed product row,
 and takes each block's rank off one shift and one mask of each product row.
 Python ints, not uint64 arrays, hold the tables: a product row is then a
 few dozen XORs with no conversion, faster than numpy gathers both for the
-95 rows of a (192, 31, 4; 96) decode and for a handful of rows.  Every
+95 rows of a (192, 31, 4; 96) decode and for a handful of rows.
+``products(M)`` returns the packed product rows of M B themselves, from the
+same table loop.  The product identity check N_i N_j^T = I of a GF(2)
+``[X | I]`` code (``constructions``) prepares one factor over the blocks
+N_j^T side by side and compares each product row k of N_i with the int
+whose bits k, t + k, 2t + k, ... are set, one comparison per row.  Every
 other field keeps B and runs one ``matmul`` of all the row sets, stacked,
 and one ``ranks`` of every column block of every row set.
 
@@ -100,13 +106,11 @@ from .errors import (
     LcdError,
     NotPrime,
 )
+from .linalg import exact_product
 
 MAX_FIELD_ORDER = 1 << 20
 _TABLE_LIMIT = 1 << 16
 _SUB_TABLE_LIMIT = 1 << 8  # odd-p orders whose q**2 differences are tabled
-# float types for matrix products, narrowest first, each with the power of
-# two below which it holds every integer exactly (its mantissa width)
-_EXACT_FLOATS = ((np.float32, 1 << 24), (np.float64, 1 << 53))
 # entries of one stack that stack_ranks hands to ranks (and of one chunk of
 # simulated trials): a few hundred kB of int64 per temporary
 STACK_ENTRIES = 1 << 15
@@ -652,16 +656,8 @@ class GF:
         return self._from_digits(conv[:, :, :self.r])
 
     def _dot(self, A, B):
-        """Exact integer product of int64 matrices with entries in [0, p).
-
-        BLAS runs it in the narrowest float type that holds every partial
-        sum exactly; numpy's int64 product (no BLAS) is the fallback.
-        """
-        bound = A.shape[1] * (self.p - 1) ** 2
-        for dtype, exact in _EXACT_FLOATS:
-            if bound < exact:
-                return (A.astype(dtype) @ B.astype(dtype)).astype(np.int64)
-        return A @ B
+        """Exact integer product of int64 matrices with entries in [0, p)."""
+        return exact_product(A, B, A.shape[1] * (self.p - 1) ** 2)
 
     def _mod_p(self, C):
         # & 1 is several times faster than % 2 on int64 arrays
@@ -980,7 +976,8 @@ class BlockRankFactor:
     ``factor.many(row_sets, flags)`` a list of them.  With the flag
     ``independent=True`` the rows are trusted to be linearly independent, as
     a Subspace basis is, so their rank is their number; B is checked when the
-    factor is built.
+    factor is built.  Over F_2, ``factor.products(M)`` returns the rows of
+    M B, each packed into one int.
     Over F_2 the product runs on Four-Russians tables, 32 bits per entry of
     B (see the module docstring), on the independent rows or on an echelon
     basis of them; every other field keeps B and runs one ``matmul`` of all
@@ -1045,19 +1042,33 @@ class BlockRankFactor:
                                   self._spans)
             return list(zip(dims.tolist(), ranks.tolist()))
         packed = _gf2_pack(S)
-        groups = len(self._tables)
         out = []
         for t, flag in enumerate(independent):
             rows = packed[t * height:(t + 1) * height]
             echelon = [r for r in rows if r] if flag else _gf2_pivots(rows).values()
-            product = []
-            for r in echelon:
-                acc = 0
-                # byte g of the row picks one entry of table g
-                for table, x in zip(self._tables, r.to_bytes(groups, "big")):
-                    acc ^= table[x]
-                product.append(acc)
-            out.append((len(echelon), _gf2_field_ranks(product, self._fields)))
+            out.append((len(echelon), _gf2_field_ranks(self._m4rm(echelon), self._fields)))
+        return out
+
+    def products(self, M):
+        """Over F_2, each row of M B as one int, column c of B in bit c."""
+        if self.field.q != 2:
+            raise FieldMismatch("packed products are taken over F_2 only")
+        A = self.field.asmatrix(M)
+        if A.shape[1] != self.inner:
+            raise DimensionMismatch(
+                f"cannot multiply {A.shape} by a factor of {self.inner} rows")
+        return self._m4rm(_gf2_pack(A))
+
+    def _m4rm(self, rows):
+        """The product rows of rows packed as _gf2_pack packs them: byte g of
+        a row picks one entry of table g, and the entries are XORed."""
+        groups = len(self._tables)
+        out = []
+        for r in rows:
+            acc = 0
+            for table, x in zip(self._tables, r.to_bytes(groups, "big")):
+                acc ^= table[x]
+            out.append(acc)
         return out
 
 

@@ -34,9 +34,10 @@ class Subspace:
         else:
             if vectors is None:
                 vectors = np.zeros((0, self.n), dtype=np.int64)
-            # entries outside [0, q) raise here: they are not field elements,
-            # and elimination would make the canonical form depend on row order
-            V = field.asmatrix(vectors)
+            # entries outside [0, q) raise in rref, the one range check: they
+            # are not field elements, and elimination would make the
+            # canonical form depend on row order
+            V = field._as_rows(vectors)
             if V.shape[1] != self.n and V.size:
                 raise AmbientMismatch(f"vectors of length {V.shape[1]} in ambient {self.n}")
             if V.size == 0:

@@ -1,7 +1,11 @@
+import random
+from itertools import product
+
 import numpy as np
 import pytest
 
 import oracles
+from lcdsubspace import constructions
 from lcdsubspace.codes import is_lcd_subspace_code, params
 from lcdsubspace.constructions import (
     AlgebraBasis,
@@ -171,23 +175,129 @@ def test_algebra_code_identity_recomputed(f3):
             assert prod.tolist() == expect.tolist()
 
 
-def test_product_identity_witness_is_the_first_failing_pair(f3):
-    # N_i N_j^T = X_i X_j^T + a_i a_j I: with X_0 = 0 and X_1 X_1^T = 0 the
-    # first failing pair, i major, is (1, 2); j major it would be (2, 1)
-    t = 3
-    X1 = np.zeros((t, t), dtype=np.int64)
-    X1[0] = 1                                       # (1, 1, 1) . (1, 1, 1) = 0 mod 3
-    X2 = np.zeros((t, t), dtype=np.int64)
-    X2[0, 0] = 1
-    ordered = [(np.zeros((t, t), dtype=np.int64), 1), (X1, 2), (X2, 1)]
-    pairs = [(i, j) for i in range(3) for j in range(3)]
-    for pair_list in (pairs, pairs[::-1], [(2, 0), (2, 1)], [(0, 0), (2, 1), (1, 2), (2, 1)]):
-        failing = [(i, j) for i, j in pair_list
-                   if f3.matmul(ordered[i][0], ordered[j][0].T).any()]
-        with pytest.raises(VerificationFailed) as info:
-            _check_product_identity(f3, t, ordered, pair_list)
-        assert info.value.witness == failing[0]
-    _check_product_identity(f3, t, ordered, [(0, 1), (2, 0), (1, 1), (0, 1)])
+def _identity_failures(f, t, ordered, pair_list):
+    """The pairs of pair_list, each once and in order, whose N_i N_j^T is not
+    a_i a_j I, from f.matmul of the blocks."""
+    out = []
+    for i, j in pair_list:
+        (N, a), (M, b) = ((build_block(f, *ordered[k]), ordered[k][1]) for k in (i, j))
+        want = f.mul(f.mul(a, b), np.eye(t, dtype=np.int64))
+        if (f.matmul(N, M.T) != want).any() and (i, j) not in out:
+            out.append((i, j))
+    return out
+
+
+def _reported_failures(f, t, ordered, pair_list):
+    """The failing pairs as the check reports them: its witness, then the
+    witness of the pair list without it, and so on until it passes."""
+    out = []
+    while True:
+        try:
+            _check_product_identity(f, t, ordered, pair_list)
+        except VerificationFailed as e:
+            out.append(e.witness)
+            pair_list = [pair for pair in pair_list if pair != e.witness]
+        else:
+            return out
+
+
+def _pair_lists(size, seed):
+    pairs = [(i, j) for i in range(size) for j in range(size)]
+    rnd = random.Random(seed)
+    sampled = [(rnd.randrange(size), rnd.randrange(size)) for _ in range(3 * size)]
+    return [pairs, pairs[::-1], sampled, sampled[::-1], [(2, 0), (2, 1), (1, 1), (2, 1)]]
+
+
+def _self_orthogonal(f, t):
+    """X with X X^T = 0: one row, the first nonzero v with v . v = 0 on the
+    last min(t, 3) coordinates (zero when there is none, as for t = 1)."""
+    X = np.zeros((t, t), dtype=np.int64)
+    m = min(t, 3)
+    for v in product(range(f.q), repeat=m):
+        v = np.array(v, dtype=np.int64)
+        if v.any() and not f.matmul(v[None], v[:, None]).any():
+            X[0, t - m:] = v
+            break
+    return X
+
+
+IDENTITY_FIELDS = [(2, 1), (2, 2), (3, 1)]
+IDENTITY_TS = [1, 5, 8, 9, 13]
+
+
+def test_product_identity_witness_is_the_first_failing_pair():
+    # N_i N_j^T = X_i X_j^T + a_i a_j I.  X_1 = E_{t-1,t-1} fails with itself
+    # at entry (t - 1, t - 1) only, the top bit of a block; X_2 X_2^T = 0,
+    # but X_2 and X_1 fail together when t > 1.  Over F_2 the 2t columns of
+    # N_i fill whole and partial bytes of its packed rows, and blocks of 1
+    # to 13 bits start and end inside bytes and on byte boundaries of the
+    # packed product rows.
+    for (p, r), t in product(IDENTITY_FIELDS, IDENTITY_TS):
+        f = field_new(p, r)
+        rng = np.random.default_rng([p, r, t])
+        alpha = lambda: int(rng.integers(1, f.q))
+        X1 = np.zeros((t, t), dtype=np.int64)
+        X1[t - 1, t - 1] = 1
+        X3 = rng.integers(0, f.q, (t, t)) * (rng.random((t, t)) < 0.2)
+        ordered = [(np.zeros((t, t), dtype=np.int64), alpha()), (X1, alpha()),
+                   (_self_orthogonal(f, t), alpha()), (X3, alpha())]
+        for pair_list in _pair_lists(len(ordered), t):
+            failing = _identity_failures(f, t, ordered, pair_list)
+            assert ((1, 1) in failing) == ((1, 1) in pair_list)
+            # the first witness is failing[0], and so on down the list
+            assert _reported_failures(f, t, ordered, pair_list) == failing
+        _check_product_identity(f, t, ordered, [(0, 1), (2, 0), (0, 2), (2, 2), (0, 1)])
+
+
+@pytest.mark.parametrize("t", IDENTITY_TS)
+@pytest.mark.parametrize("p, r", IDENTITY_FIELDS)
+def test_product_identity_holds_on_orthogonal_blocks(p, r, t):
+    # X_i = c_i v^T with v . v = 0 gives X_i X_j^T = 0 for every pair, so
+    # every product row must be exactly the diagonal of a_i a_j
+    f = field_new(p, r)
+    rng = np.random.default_rng([t, p, r])
+    v = _self_orthogonal(f, t)[0]
+    ordered = [(f.mul(rng.integers(0, f.q, (t, 1)), v[None]), int(rng.integers(1, f.q)))
+               for _ in range(6)]
+    for pair_list in _pair_lists(len(ordered), t):
+        assert _identity_failures(f, t, ordered, pair_list) == []
+        _check_product_identity(f, t, ordered, pair_list)
+
+
+@pytest.mark.parametrize("t", IDENTITY_TS)
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 2)])
+def test_product_identity_agrees_with_matmul_on_random_codes(p, r, t):
+    # sparse X: E_{a,b} E_{c,d}^T is nonzero only when b = d, so some pairs
+    # pass and others fail, at entries all over the blocks
+    f = field_new(p, r)
+    rng = np.random.default_rng([r, t, p])
+    for _ in range(3):
+        ordered = []
+        for _ in range(7):
+            X = np.zeros((t, t), dtype=np.int64)
+            for _ in range(int(rng.integers(0, 3))):
+                X[rng.integers(t), rng.integers(t)] = rng.integers(1, f.q)
+            ordered.append((X, int(rng.integers(1, f.q))))
+        for pair_list in _pair_lists(len(ordered), t)[:3]:
+            want = _identity_failures(f, t, ordered, pair_list)
+            assert _reported_failures(f, t, ordered, pair_list) == want
+
+
+def test_product_identity_builds_each_block_once(f2, f3, monkeypatch):
+    built = []
+
+    def counting(field, X, alpha):
+        built.append(1)
+        return build_block(field, X, alpha)
+
+    monkeypatch.setattr(constructions, "build_block", counting)
+    t = 4
+    for f in (f2, f3):
+        ordered = [(np.zeros((t, t), dtype=np.int64), 1)] * 5
+        for pair_list in ([(0, 1), (1, 0), (1, 1), (0, 1), (3, 0)], _pair_lists(5, 0)[0]):
+            built.clear()
+            _check_product_identity(f, t, ordered, pair_list)
+            assert len(built) == len({k for pair in pair_list for k in pair})
 
 
 def test_algebra_code_rejects_non_lcd(f2):

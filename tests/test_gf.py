@@ -9,6 +9,7 @@ from lcdsubspace.errors import (
     DimensionMismatch,
     DivisionByZero,
     EncodingOutOfRange,
+    FieldMismatch,
     FieldTooLarge,
     LcdError,
     NotPrime,
@@ -534,6 +535,10 @@ def test_block_rank_factor_matches_dot_products(f2, inner):
             assert want == _block_ranks_of_product(
                 f2, rows, B, widths, lambda M: oracles.rank(f2, M))
             assert got[0] == oracles.rank(f2, rows.tolist())
+        # the packed product rows, column c in bit c, are the rows of rows B
+        packed = factor.products(rows)
+        assert [[(r >> c) & 1 for c in range(B.shape[1])] for r in packed] == \
+            f2.matmul(rows, B).tolist()
     if inner == 191:
         assert got[0] == 96     # the last case, the 97 rows
 
@@ -561,6 +566,14 @@ def test_block_rank_factor_validation(all_fields):
             BlockRankFactor(f, B - 1, [4])
         with pytest.raises(DimensionMismatch):
             BlockRankFactor(f, B, [4])(np.zeros((2, 4), dtype=np.int64))
+        if f.q == 2:
+            with pytest.raises(DimensionMismatch):
+                BlockRankFactor(f, B, [4]).products(np.zeros((2, 4), dtype=np.int64))
+            with pytest.raises(EncodingOutOfRange):
+                BlockRankFactor(f, B, [4]).products(np.full((2, 3), 2))
+        else:
+            with pytest.raises(FieldMismatch):
+                BlockRankFactor(f, B, [4]).products(np.zeros((2, 3), dtype=np.int64))
 
 
 def test_solve_and_inverse(f3, f9):
