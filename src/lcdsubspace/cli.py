@@ -272,12 +272,6 @@ def _classical_doc(rep, inputs):
     }
 
 
-def _parse_indices(indices):
-    if indices is None:
-        raise InvalidSpec("this construction needs --indices, e.g. --indices 1,2")
-    return indices
-
-
 def _cmd_construct(args):
     kind = args.kind
     common = dict(p=args.p, r=args.r, sweep_alpha=args.alpha_sweep,
@@ -286,8 +280,6 @@ def _cmd_construct(args):
     if kind == "thm42":
         scheme = _load_scheme(args.files)
         part = _resolve_partition(args.partition, scheme.size)
-        if args.index is None:
-            raise InvalidSpec("thm42 needs --index")
         rep = theorem_pipeline("thm42", p=args.p, r=args.r, scheme=scheme,
                                partition=part, index=args.index,
                                alpha=args.alpha)
@@ -297,14 +289,12 @@ def _cmd_construct(args):
         scheme = _load_scheme(args.files)
         part = _resolve_partition(args.partition, scheme.size)
         rep = theorem_pipeline(kind, scheme=scheme, partition=part,
-                               indices=_parse_indices(args.indices), **common)
+                               indices=args.indices, **common)
     elif kind == "cor45":
         graph = fileio.read_graph(args.files[0])
-        if args.group is None:
-            raise InvalidSpec("cor45 needs --group")
-        group = fileio.read_group(args.group)
+        group = None if args.group is None else fileio.read_group(args.group)
         rep = theorem_pipeline(kind, graph=graph, group=group,
-                               indices=_parse_indices(args.indices), **common)
+                               indices=args.indices, **common)
     elif kind in ("thm51", "thm52", "thm54", "thm55"):
         mats = _load_int_matrices(args.files)
         weight = args.weight if kind in ("thm52", "thm55") else None

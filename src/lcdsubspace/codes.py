@@ -30,7 +30,7 @@ from .errors import (
     RankDeficient,
 )
 from .gf import BlockRankFactor
-from .subspaces import Subspace, complement_coordinates, distance, pairwise_lcd
+from .subspaces import Subspace, complement_coordinates, distance
 
 PAIR_BUDGET = 10 ** 7
 
@@ -50,8 +50,9 @@ class SubspaceCode:
                 raise FieldMismatch("codewords over different fields")
             if w.n != first.n:
                 raise AmbientMismatch("codewords in different ambient spaces")
-        uniq = {w._key: w for w in words}
-        self.codewords = tuple(uniq[k] for k in sorted(uniq))
+        # the canonical order: by dimension, then by the bytes of the basis
+        self.codewords = tuple(sorted(dict.fromkeys(words),
+                                      key=lambda w: (w.dim, w.basis.tobytes())))
         self.field = first.field
         self.n = first.n
         self._lcd = None

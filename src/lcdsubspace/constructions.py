@@ -55,7 +55,7 @@ from .errors import (
 from .drg import check_distance_regular, orbit_partition, scheme_from_drg
 from .gf import BlockRankFactor, field_new
 from .hadamard import UnbiasedSet, gramian_B, is_bush, partition_quotients_of_set
-from .linalg import as_int_matrix, int_matmul, kron, reduce_mod
+from .linalg import as_int_matrix, int_matmul, kron, reduce_mod, square_root_or_none
 from .schemes import quotient_matrices, scheme_from_matrices
 from .subspaces import Subspace
 
@@ -86,50 +86,15 @@ class AlgebraBasis:
         return f"AlgebraBasis(q={self.field.q}, t={self.t}, dim={self.dim})"
 
 
-class _SpanTracker:
-    """Incremental row space membership over F_q via a maintained RREF."""
-
-    def __init__(self, field, width):
-        self.field = field
-        self.width = width
-        self.rows = np.zeros((0, width), dtype=np.int64)
-        self.pivots = []
-
-    def residue(self, v):
-        f = self.field
-        v = v.copy()
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if c:
-                v = f.sub(v, f.mul(np.int64(c), row))
-        return v
-
-    def add(self, v):
-        """True if v extended the span (v is then absorbed into the RREF)."""
-        f = self.field
-        v = self.residue(v)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
-        pc = int(nz[0])
-        v = f.mul(f.inv(np.int64(v[pc])), v)
-        if len(self.rows):
-            coef = self.rows[:, pc].copy()
-            if coef.any():
-                self.rows = f.sub(self.rows, f.mul(coef[:, None], v[None, :]))
-        self.rows = np.vstack([self.rows, v[None, :]])
-        self.pivots.append(pc)
-        order = np.argsort(self.pivots, kind="stable")
-        self.rows = self.rows[order]
-        self.pivots = [self.pivots[i] for i in order]
-        return True
-
-
 def algebra_closure(field, generators, cap=ALGEBRA_DIM_CAP):
     """Basis of the algebra generated by the given matrices (products of
     length >= 1), built by a worklist closure with exact span tests.
 
-    Zero generators are dropped; at least one generator must survive.
+    The flattened basis is kept as rref rows R with pivot columns piv, so a
+    matrix with flattened form v lies in the span iff v - v[piv] R is zero:
+    one ``matmul``.  A matrix outside it joins the basis, and R and piv
+    become the rank-sized part of ``rref([R; v])``.  Zero generators are
+    dropped; at least one generator must survive.
     """
     gens = [field.asmatrix(G) for G in generators]
     if not gens:
@@ -142,11 +107,22 @@ def algebra_closure(field, generators, cap=ALGEBRA_DIM_CAP):
     if not gens:
         raise InvalidSpec("all generators are zero")
 
-    tracker = _SpanTracker(field, t * t)
+    R = np.zeros((0, t * t), dtype=np.int64)
+    piv = ()
+
+    def extends(M):
+        nonlocal R, piv
+        v = M.reshape(1, -1)
+        if not field.sub(v, field.matmul(v[:, piv], R)).any():
+            return False
+        R, piv = field.rref(np.vstack([R, v]))
+        R = R[:len(piv)]
+        return True
+
     basis = []
     queue = []
     for G in gens:
-        if tracker.add(G.reshape(-1)):
+        if extends(G):
             basis.append(G)
             queue.append(G)
     while queue:
@@ -154,7 +130,7 @@ def algebra_closure(field, generators, cap=ALGEBRA_DIM_CAP):
         snapshot = list(basis)
         for other in snapshot:
             for prod in (field.matmul(new, other), field.matmul(other, new)):
-                if tracker.add(prod.reshape(-1)):
+                if extends(prod):
                     if len(basis) + 1 > cap:
                         raise DimensionBlowup(
                             f"algebra dimension exceeded the cap of {cap}")
@@ -317,8 +293,8 @@ def subspace_code_from_algebra(basis, alphas=None, *, include_zero_x=False,
         for al in alphas:
             pair_tally += 1
             S = Subspace(f, 2 * t, build_block(f, X, al))
-            if S._key not in reps:
-                reps[S._key] = (X, al)
+            if S not in reps:
+                reps[S] = (X, al)
                 words.append(S)
     tallies = {"x_alpha_pairs": pair_tally, "row_spaces": len(words)}
     if include_zero_x:
@@ -326,8 +302,8 @@ def subspace_code_from_algebra(basis, alphas=None, *, include_zero_x=False,
         for al in alphas:
             pair_tally += 1
             S = Subspace(f, 2 * t, build_block(f, zero, al))
-            if S._key not in reps:
-                reps[S._key] = (zero, al)
+            if S not in reps:
+                reps[S] = (zero, al)
                 words.append(S)
         tallies["x_alpha_pairs_with_zero"] = pair_tally
         tallies["row_spaces_with_zero"] = len(words)
@@ -341,7 +317,7 @@ def subspace_code_from_algebra(basis, alphas=None, *, include_zero_x=False,
         raise VerificationFailed(
             "emitted code is not an LCD subspace code", witness=check.witness)
 
-    ordered = [reps[w._key] for w in code]
+    ordered = [reps[w] for w in code]
     _assert_scaling_invariance(f, t, ordered[0], seed)
     size = len(code)
     all_pairs = size * size <= 100 * 100 and size <= 100
@@ -636,8 +612,21 @@ def bush_schemes(uset):
 # --- theorem pipelines ---
 
 
-PIPELINE_KINDS = ("thm42", "thm43", "cor45", "thm51", "thm52", "thm54",
-                  "thm55", "thm56", "thm58", "thm59")
+# the inputs each pipeline kind cannot run without
+PIPELINE_INPUTS = {
+    "thm42": ("scheme", "partition", "index"),
+    "thm43": ("scheme", "partition", "indices"),
+    "cor45": ("graph", "group", "indices"),
+    "thm51": ("matrices",),
+    "thm52": ("matrices",),
+    "thm54": ("matrices", "partition"),
+    "thm55": ("matrices", "partition"),
+    # the Bush and MURH kinds check their partition after the scheme is built
+    "thm56": ("matrices",),
+    "thm58": ("matrices",),
+    "thm59": ("matrices",),
+}
+PIPELINE_KINDS = tuple(PIPELINE_INPUTS)
 
 
 class _Hypotheses:
@@ -658,15 +647,6 @@ class _Hypotheses:
             raise HypothesisFailed(name, getattr(exc, "witness", None)) from exc
         self.items.append((name, True))
         return out
-
-
-def _integer_sqrt(v):
-    s = int(np.sqrt(v))
-    while s * s > v:
-        s -= 1
-    while (s + 1) * (s + 1) <= v:
-        s += 1
-    return s if s * s == v else None
 
 
 def _as_unbiased_set(hyp, matrices, kind, weight):
@@ -719,8 +699,14 @@ def theorem_pipeline(kind, *, p, r=1, scheme=None, partition=None, graph=None,
     """Dispatch one named construction; hypotheses are verified one by one
     and the first failure raises HypothesisFailed with that hypothesis name.
     Emitted reports always carry an independently verified code."""
-    if kind not in PIPELINE_KINDS:
+    if kind not in PIPELINE_INPUTS:
         raise InvalidSpec(f"unknown pipeline kind {kind!r}")
+    given = {"scheme": scheme, "partition": partition, "graph": graph,
+             "group": group, "matrices": matrices, "index": index,
+             "indices": indices}
+    missing = [name for name in PIPELINE_INPUTS[kind] if given[name] is None]
+    if missing:
+        raise InvalidSpec(f"{kind} needs {', '.join(missing)}")
     if kind == "thm42":
         return lcd_code_thm42(scheme, partition, index, p, r, alpha)
 
@@ -747,41 +733,33 @@ def theorem_pipeline(kind, *, p, r=1, scheme=None, partition=None, graph=None,
         t = part.t
         source["indices"] = used
         source["orbits"] = part.t
-    elif kind in ("thm51", "thm52"):
-        mkind = "hadamard" if kind == "thm51" else "weighing"
+    elif kind in ("thm51", "thm52", "thm54", "thm55"):
+        mkind = "hadamard" if kind in ("thm51", "thm54") else "weighing"
         uset = _as_unbiased_set(hyp, matrices, mkind, weight)
         base = uset.order if mkind == "hadamard" else uset.weight
-        s = _integer_sqrt(base)
+        s = square_root_or_none(base)
         label = "sqrt(order)" if mkind == "hadamard" else "sqrt(weight)"
         hyp.check(f"{label} is an integer", s is not None, witness=base)
         hyp.check(f"p divides {label}", s % p == 0, witness=(p, s))
-        generators = [reduce_mod(M.entries, field) for M in uset]
-        t = uset.order
+        if kind in ("thm51", "thm52"):
+            generators = [reduce_mod(M.entries, field) for M in uset]
+            t = uset.order
+        else:
+            hyp.check("partition cells have equal size", partition.equal_cells,
+                      witness=tuple(sorted(set(partition.cell_sizes))))
+            quots = hyp.attempt("partition is equitable for every matrix",
+                                lambda: partition_quotients_of_set(uset, partition),
+                                NotEquitable, UnequalCells, DimensionMismatch)
+            generators = [reduce_mod(M, field) for M in quots]
+            t = partition.t
         source["m"] = len(uset)
         source["order"] = uset.order
-        if mkind == "weighing":
+        if kind == "thm52":
             source["weight"] = uset.weight
-    elif kind in ("thm54", "thm55"):
-        mkind = "hadamard" if kind == "thm54" else "weighing"
-        uset = _as_unbiased_set(hyp, matrices, mkind, weight)
-        base = uset.order if mkind == "hadamard" else uset.weight
-        s = _integer_sqrt(base)
-        label = "sqrt(order)" if mkind == "hadamard" else "sqrt(weight)"
-        hyp.check(f"{label} is an integer", s is not None, witness=base)
-        hyp.check(f"p divides {label}", s % p == 0, witness=(p, s))
-        hyp.check("partition cells have equal size", partition.equal_cells,
-                  witness=tuple(sorted(set(partition.cell_sizes))))
-        quots = hyp.attempt("partition is equitable for every matrix",
-                            lambda: partition_quotients_of_set(uset, partition),
-                            NotEquitable, UnequalCells, DimensionMismatch)
-        generators = [reduce_mod(M, field) for M in quots]
-        t = partition.t
-        source["m"] = len(uset)
-        source["order"] = uset.order
     elif kind in ("thm56", "thm58", "thm59"):
         uset = _as_unbiased_set(hyp, matrices, "hadamard", None)
         hyp.check("at least two matrices", len(uset) >= 2, witness=len(uset))
-        s = _integer_sqrt(uset.order)
+        s = square_root_or_none(uset.order)
         hyp.check("order is 4n^2", s is not None and s % 2 == 0,
                   witness=uset.order)
         n = s // 2

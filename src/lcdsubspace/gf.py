@@ -116,17 +116,6 @@ _SUB_TABLE_LIMIT = 1 << 8  # odd-p orders whose q**2 differences are tabled
 STACK_ENTRIES = 1 << 15
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_factors(n):
     out = []
     d = 2
@@ -206,58 +195,11 @@ def _poly_gcd(a, b, p):
     return a
 
 
-def _gf2_mulmod(a, b, mod, deg):
-    """Carry-less product of bit-packed F_2 polynomials, reduced mod `mod`."""
-    res = 0
-    while a:
-        if a & 1:
-            res ^= b
-        a >>= 1
-        b <<= 1
-        if (b >> deg) & 1:
-            b ^= mod
-    return res
-
-
-def _gf2_powmod(a, e, mod, deg):
-    res = 1
-    while e:
-        if e & 1:
-            res = _gf2_mulmod(res, a, mod, deg)
-        a = _gf2_mulmod(a, a, mod, deg)
-        e >>= 1
-    return res
-
-
-def _gf2_gcd(a, b):
-    while b:
-        while a and a.bit_length() >= b.bit_length():
-            a ^= b << (a.bit_length() - b.bit_length())
-        a, b = b, a
-    return a
-
-
-def _is_irreducible_gf2(bits, r):
-    xq = _gf2_powmod(2, 1 << r, bits, r)
-    if xq != 2:
-        return False
-    for ell in _prime_factors(r):
-        h = _gf2_powmod(2, 1 << (r // ell), bits, r) ^ 2
-        if _gf2_gcd(bits, h) != 1:
-            return False
-    return True
-
-
 def _is_irreducible(poly, p):
     """Rabin's test for a monic polynomial over F_p."""
     r = len(poly) - 1
     if r == 1:
         return True
-    if p == 2:
-        bits = 0
-        for i, c in enumerate(poly):
-            bits |= (c & 1) << i
-        return _is_irreducible_gf2(bits, r)
     x = (0, 1)
     xq = _poly_powmod(x, p ** r, poly, p)
     if _poly_sub(xq, x, p):
@@ -399,7 +341,7 @@ class GF:
     def __init__(self, p, r=1):
         if r < 1 or int(r) != r:
             raise LcdError(f"extension degree must be a positive integer, got {r}")
-        if not _is_prime(p):
+        if not (p >= 2 and _prime_factors(p) == [p]):
             raise NotPrime(f"{p} is not prime")
         q = p ** r
         if q > MAX_FIELD_ORDER:
@@ -583,29 +525,15 @@ class GF:
         on.  So exp[log[a] + log[b]] = a b for all a, b, and
         exp[q - 1 - log[a]] = 1 / a for a != 0, with no mask and no modulo.
         """
-        p, r, q = self.p, self.r, self.q
-        if p == 2:
-            bits = sum(c << i for i, c in enumerate(self.modulus))
+        p, r, q, mod = self.p, self.r, self.q, self.modulus
 
-            def mul(a, b):
-                return _gf2_mulmod(a, b, bits, r)
-        else:
-            def mul(a, b):
-                return self.from_coeffs(
-                    _poly_mulmod(self.coeffs(a), self.coeffs(b), self.modulus, p))
-
-        def power(a, e):
-            result = 1
-            while e:
-                if e & 1:
-                    result = mul(result, a)
-                a = mul(a, a)
-                e >>= 1
-            return result
+        def mul(a, b):
+            return self.from_coeffs(_poly_mulmod(self.coeffs(a), self.coeffs(b), mod, p))
 
         order_factors = _prime_factors(q - 1)
         gen = next(g for g in range(1, q)
-                   if all(power(g, (q - 1) // ell) != 1 for ell in order_factors))
+                   if all(_poly_powmod(self.coeffs(g), (q - 1) // ell, mod, p) != (1,)
+                          for ell in order_factors))
         # doubling: exp[k:2k] = g^k exp[:k].  Multiplying by g^k is F_p-linear,
         # so it is one product of digit vectors with M, whose row i holds the
         # digits of x^i g^k

@@ -30,7 +30,7 @@ from .errors import (
     OrderTooLarge,
     UnequalCells,
 )
-from .linalg import as_int_matrix, int_matmul, kron
+from .linalg import as_int_matrix, int_matmul, kron, square_root_or_none
 from .schemes import quotient_matrices
 
 _SEARCH_BUDGET = 10 ** 8
@@ -136,15 +136,10 @@ def sylvester(k):
     return HadamardMatrix(H)
 
 
-def _square_root_or_none(v):
-    s = math.isqrt(v)
-    return s if s * s == v else None
-
-
 def is_regular(h):
     """All row sums and all column sums equal; the common value is +-sqrt(n)."""
     n = h.order
-    if _square_root_or_none(n) is None:
+    if square_root_or_none(n) is None:
         raise NotSquareOrder(f"regularity needs square order, got {n}")
     rows = h.entries.sum(axis=1)
     cols = h.entries.sum(axis=0)
@@ -158,7 +153,7 @@ def is_regular(h):
 def is_bush(h):
     """Diagonal blocks all-ones, off-diagonal blocks with zero line sums."""
     n = h.order
-    s = _square_root_or_none(n)
+    s = square_root_or_none(n)
     if s is None:
         raise NotSquareOrder(f"Bush structure needs square order, got {n}")
     if s % 2:
@@ -201,7 +196,7 @@ def are_unbiased(a, b):
         base = a.weight
     else:
         base = a.order
-    s = _square_root_or_none(base)
+    s = square_root_or_none(base)
     if s is None:
         return UnbiasedCheck(False, None, {
             "reason": f"{base} is not a perfect square so no integer sqrt exists"})
@@ -340,7 +335,7 @@ def search_unbiased_extension(seed, budget=_SEARCH_BUDGET, use_bound=True):
             return SearchOutcome(None, True, 0,
                                  f"size bound: at most {n // 2} mutually unbiased "
                                  f"matrices exist at order {n}")
-    s = _square_root_or_none(base)
+    s = square_root_or_none(base)
     if s is None:
         return SearchOutcome(None, True, 0,
                              f"{base} is not a perfect square, no unbiased pair exists")
@@ -417,7 +412,7 @@ def gramian_B(uset):
     if m < 2:
         raise InvalidSpec("need at least two matrices")
     order = uset.order
-    s = _square_root_or_none(order)
+    s = square_root_or_none(order)
     if s is None or s % 2:
         raise NotSquareOrder(f"order must be 4n^2, got {order}")
     n = s // 2

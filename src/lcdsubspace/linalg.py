@@ -15,6 +15,8 @@ integer the float type holds exactly, whatever the summation order.  Past
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, IntOverflow
@@ -23,6 +25,12 @@ _SAFE = 1 << 62
 # float types for integer products, narrowest first, each with the power of
 # two below which it holds every integer exactly (its mantissa width)
 _EXACT_FLOATS = ((np.float32, 1 << 24), (np.float64, 1 << 53))
+
+
+def square_root_or_none(v):
+    """The integer square root of v when v is a perfect square, else None."""
+    s = math.isqrt(v)
+    return s if s * s == v else None
 
 
 def as_int_matrix(M):

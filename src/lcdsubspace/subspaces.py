@@ -24,7 +24,7 @@ from .gf import GF
 class Subspace:
     """An immutable subspace of F_q^n held as an rref basis matrix."""
 
-    __slots__ = ("field", "n", "basis", "_key", "_dual")
+    __slots__ = ("field", "n", "basis", "_hash", "_dual")
 
     def __init__(self, field, n, vectors=None, *, _rref=None):
         self.field = field
@@ -47,7 +47,8 @@ class Subspace:
         B = np.ascontiguousarray(B, dtype=np.int64)
         B.setflags(write=False)
         self.basis = B
-        self._key = (field.p, field.r, self.n, B.shape[0], B.tobytes())
+        # only the hash is kept: a key of the basis bytes would be a second copy
+        self._hash = hash((field.p, field.r, self.n, B.shape[0], B.tobytes()))
         self._dual = None
 
     # --- constructors ---
@@ -96,8 +97,8 @@ class Subspace:
     def dual(self):
         """Orthogonal complement under the standard dot product.
 
-        Its basis is computed once and kept; the Subspace around it is not,
-        as its key would double the memory held per subspace.
+        Its basis is computed once and kept; each call wraps it in a new
+        Subspace.
         """
         if self._dual is None:
             B = self.basis
@@ -112,10 +113,11 @@ class Subspace:
     # --- dunder plumbing ---
 
     def __eq__(self, other):
-        return isinstance(other, Subspace) and self._key == other._key
+        return (isinstance(other, Subspace) and self._hash == other._hash
+                and self.field == other.field and np.array_equal(self.basis, other.basis))
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"Subspace(q={self.field.q}, n={self.n}, dim={self.dim})"

@@ -50,6 +50,35 @@ def ext_mul(field, a, b):
     return val
 
 
+def poly_rem(a, b, p):
+    """Remainder of a modulo the monic polynomial b, by long division."""
+    a = list(a)
+    db = len(b) - 1
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k]
+        if c:
+            for t in range(db + 1):
+                a[k - db + t] = (a[k - db + t] - c * b[t]) % p
+    return tuple(a[:db])
+
+
+def is_irreducible(poly, p):
+    """Whether a monic polynomial of degree r over F_p has no monic factor of
+    degree 1 to r // 2, by trial division by every one of them.  A factor
+    x - a of degree 1 is a root a (the remainder is the value at a), and the
+    root 0 is a zero constant term."""
+    if not poly[0]:
+        return False
+    if any(sum(c * a ** i for i, c in enumerate(poly)) % p == 0 for a in range(1, p)):
+        return False
+    r = len(poly) - 1
+    for d in range(2, r // 2 + 1):
+        for tail in product(range(p), repeat=d):
+            if not any(poly_rem(poly, tail + (1,), p)):
+                return False
+    return True
+
+
 def ext_inv(field, a):
     """Inverse by exhaustive search over the field."""
     for b in range(1, field.q):

@@ -187,6 +187,18 @@ def test_construct_cor45(tmp_path, capsys):
     assert doc["params"]["n"] == 8 and doc["params"]["size"] == 1
 
 
+def test_construct_without_a_needed_option_is_exit_1(tmp_path, capsys):
+    g = tmp_path / "c4.txt"
+    g.write_text("1 2\n2 3\n3 4\n4 1\n")
+    for argv, missing in ((("thm42", *k44_files(tmp_path)), "index"),
+                          (("cor45", str(g), "--indices", "1"), "group")):
+        rc, out, err = run(capsys, "construct", *argv, "--p", "2")
+        assert rc == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "InvalidSpec"
+        assert doc["message"] == f"{argv[0]} needs {missing}"
+
+
 def test_construct_bad_partition_is_exit_2(capsys):
     a, b = (str(BUNDLED / name) for name in ("bush16_a.txt", "bush16_b.txt"))
     rc, out, err = run(capsys, "construct", "thm59", a, b, "--p", "2",

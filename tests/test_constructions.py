@@ -8,6 +8,7 @@ import oracles
 from lcdsubspace import constructions
 from lcdsubspace.codes import is_lcd_subspace_code, params
 from lcdsubspace.constructions import (
+    ALGEBRA_DIM_CAP,
     AlgebraBasis,
     _check_product_identity,
     algebra_closure,
@@ -30,7 +31,7 @@ from lcdsubspace.errors import (
     VerificationFailed,
     ZeroAlpha,
 )
-from lcdsubspace.gf import field_new
+from lcdsubspace.gf import GF, field_new
 from lcdsubspace.hadamard import (
     HadamardMatrix,
     UnbiasedSet,
@@ -74,6 +75,89 @@ def test_closure_rejections(f2):
         algebra_closure(f2, [np.zeros((2, 2), dtype=np.int64)])
     with pytest.raises(DimensionBlowup):
         algebra_closure(f2, [swap_matrix()], cap=1)
+
+
+def _oracle_closure(f, gens, cap):
+    """The closure's worklist, with span membership by oracles.rank: returns
+    the basis and None, or the basis so far and the product past the cap."""
+    basis, flat, queue = [], [], []
+
+    def extends(M):
+        row = M.reshape(-1).tolist()
+        # rows as many as columns span everything, with no rank to take
+        if len(flat) == len(row) or oracles.rank(f, flat + [row]) == len(flat):
+            return False
+        flat.append(row)
+        return True
+
+    for G in gens:
+        if G.any() and extends(G):
+            basis.append(G)
+            queue.append(G)
+    while queue:
+        new = queue.pop(0)
+        for other in list(basis):
+            for prod in (f.matmul(new, other), f.matmul(other, new)):
+                if extends(prod):
+                    if len(basis) >= cap:
+                        return basis, prod
+                    basis.append(prod)
+                    queue.append(prod)
+    return basis, None
+
+
+def _closure_generators(f, seed):
+    """One to three seeded t x t generators, t = 2 or 3, some sparse (so
+    some algebras are small) and some zero."""
+    rng = np.random.default_rng((seed, f.q))
+    t = 2 + seed % 2
+    gens = []
+    for _ in range(1 + seed % 3):
+        G = rng.integers(0, f.q, size=(t, t))
+        gens.append(G * (rng.random((t, t)) < (0.2, 0.35, 1.0)[seed % 3]))
+    return gens
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_closure_matches_oracle_in_order(p, r):
+    # a fresh field, whose matmul records every product of two t x t
+    # matrices: the closure must take the oracle's products in its order,
+    # and stop at the same one when it passes the cap
+    f = GF(p, r)
+    products = []
+    matmul = f.matmul
+
+    def recording(A, B):
+        C = matmul(A, B)
+        if A.shape == B.shape == (len(A), len(A)):
+            products.append(C.tolist())
+        return C
+
+    def taken(closure, *args):
+        products.clear()
+        out = closure(f, *args)
+        return out, list(products)
+
+    f.matmul = recording
+    capped = 0
+    for seed in range(8):
+        gens = _closure_generators(f, seed)
+        if not any(G.any() for G in gens):
+            continue
+        (want, _), want_products = taken(_oracle_closure, gens, ALGEBRA_DIM_CAP)
+        got, got_products = taken(algebra_closure, gens)
+        assert [B.tolist() for B in got.basis] == [B.tolist() for B in want]
+        assert got_products == want_products
+        for cap in range(1, len(want)):
+            (_, past), want_products = taken(_oracle_closure, gens, cap)
+            if past is None:
+                continue  # every element past the cap is a generator, never checked
+            assert past.tolist() in want_products[-2:]
+            with pytest.raises(DimensionBlowup):
+                taken(algebra_closure, gens, cap)
+            assert products == want_products
+            capped += 1
+    assert capped > 0
 
 
 # --- block builder ---
@@ -486,6 +570,29 @@ def test_pipeline_thm59(thm59_report):
     assert rep.source["generator_classes"] == [3, 4, 5, 6, 7]
     assert all(ok for _, ok in rep.hypotheses)
     assert bool(is_lcd_subspace_code(rep.code))
+
+
+@pytest.mark.parametrize("kind, given, missing", [
+    ("thm42", ("scheme", "partition"), "index"),
+    ("thm42", ("partition", "index"), "scheme"),
+    ("thm43", ("partition", "indices"), "scheme"),
+    ("thm43", ("scheme", "indices"), "partition"),
+    ("thm43", ("scheme", "partition"), "indices"),
+    ("thm51", (), "matrices"),
+    ("thm54", ("matrices",), "partition"),
+    ("thm59", (), "matrices"),
+    ("cor45", ("group", "indices"), "graph"),
+    ("cor45", ("graph", "indices"), "group"),
+])
+def test_pipeline_missing_input_is_invalid_spec(kind, given, missing, k44_scheme,
+                                                order4_pair, c4):
+    from lcdsubspace.drg import PermutationGroup
+
+    inputs = {"scheme": k44_scheme, "partition": EquitablePartition.singletons(8),
+              "index": 1, "indices": (1,), "matrices": list(order4_pair.matrices),
+              "graph": c4, "group": PermutationGroup(4, [(0, 1, 2, 3)])}
+    with pytest.raises(InvalidSpec, match=f"^{kind} needs {missing}$"):
+        theorem_pipeline(kind, p=2, **{name: inputs[name] for name in given})
 
 
 def test_pipeline_unknown_kind():

@@ -35,11 +35,28 @@ def test_field_new_is_cached():
     assert field_new(3, 2) is field_new(3, 2)
 
 
+def test_not_prime_orders_are_rejected():
+    for p in (0, 1, 4, 1048575):
+        with pytest.raises(NotPrime):
+            GF(p)
+    for p in (2, 3, 1048573):
+        assert GF(p).q == p
+
+
 def test_pinned_moduli():
     # lexicographically smallest monic irreducible, constant term first
     assert field_new(2, 2).modulus == (1, 1, 1)
     assert field_new(3, 2).modulus == (1, 0, 1)
     assert field_new(2, 3).modulus == (1, 0, 1, 1)
+
+
+@pytest.mark.parametrize("p, r", [(2, r) for r in range(2, 21)] + [(3, 2), (3, 5), (5, 3)])
+def test_modulus_is_the_first_irreducible_candidate(p, r):
+    # the documented order: coefficient tuples (c_0, ..., c_{r-1}) of the
+    # monic x^r + ... compared lexicographically, constant term first
+    first = next(tail + (1,) for tail in product(range(p), repeat=r)
+                 if oracles.is_irreducible(tail + (1,), p))
+    assert field_new(p, r).modulus == first
 
 
 def test_pinned_small_products(f3, f4):
@@ -102,7 +119,7 @@ def test_division_and_pow(all_fields):
 
 def test_tables_are_powers_of_the_smallest_primitive_element():
     # rebuilt here by one independent oracle product per power
-    for p, r in ((2, 8), (3, 5)):
+    for p, r in ((2, 4), (2, 8), (2, 12), (3, 5)):
         f = GF(p, r)
         q = f.q
 
