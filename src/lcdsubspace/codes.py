@@ -9,7 +9,16 @@ received generators onto each codeword's complement:
                 C_i^perp) - dim R
 
 which agrees with the naive decoder everywhere, received subspace by received
-subspace, not just in expectation.
+subspace, not just in expectation.  Both decoders write the distance as
+d(C_i, R) = dim C_i + 2 e_i - dim R, with e_i the rank of block i of R Q
+(projection) or rank [C_i; R] - dim C_i (naive): the rank-metric view of
+Silva, Kschischang and Koetter (IEEE T-IT 2008).
+
+A decode returns only the minimum distance and whether one codeword alone
+attains it, so over F_2 both batched decoders count each e_i only as far
+as that verdict needs (_bounded_verdict): a codeword's elimination stops
+once its distance is known to exceed the best found so far.  decode_naive
+stays the unbounded reference, and off F_2 every rank is exact.
 """
 
 from __future__ import annotations
@@ -201,10 +210,48 @@ def _received_rows(code, received):
 
 def _verdict(dists):
     dmin = min(dists)
-    hits = [i for i, d in enumerate(dists) if d == dmin]
-    if len(hits) == 1:
-        return DecodeOutcome("decoded", hits[0], dmin)
+    if dists.count(dmin) == 1:
+        return DecodeOutcome("decoded", dists.index(dmin), dmin)
     return DecodeOutcome("failure", None, dmin)
+
+
+def _bounded_verdict(dim, dims, rank):
+    """_verdict of the distances d_i = dims[i] + 2 e_i - dim, with each e_i
+    taken only as far as the verdict needs it, from the capped rank
+    rank(i, cap) = min(e_i, cap), which goes on with block i's own scan.
+
+    Pass 1 asks every block at the cap 2, then 4, 8, ... until some block
+    comes in below the cap: those blocks' distances are exact, and the
+    least of them is the best so far.  Pass 2 asks each block that reached
+    the cap again, at the cap (best - dims[i] + dim) // 2 + 1, unless it has
+    reached that one too: a block that reaches it is farther than best, and
+    one that stays below it is exact.  So every block at the minimum
+    distance ends exact, and every other one has a lower bound above it,
+    which leaves the minimum and its ties, and so the verdict, as the exact
+    distances give them.  When every dims[i] is the same, as in an LCD code,
+    a block that reached the cap has e_i above every exact one, so pass 2
+    has nothing to do; it serves codes of mixed dimensions.
+    """
+    blocks = range(len(dims))
+    cap = 2
+    found = [rank(i, cap) for i in blocks]
+    while min(found) == cap:
+        cap *= 2
+        found = [rank(i, cap) for i in blocks]
+    # exact below the cap, lower bounds at it
+    dists = [k + 2 * e - dim for k, e in zip(dims, found)]
+    if cap not in found:
+        return _verdict(dists)
+    best = min([d for d, e in zip(dists, found) if e < cap])
+    for i, e in enumerate(found):
+        # a lower bound above best needs no more rows
+        if e == cap and dists[i] <= best:
+            limit = (best - dims[i] + dim) // 2 + 1
+            e = rank(i, limit)
+            dists[i] = dims[i] + 2 * e - dim
+            if e < limit and dists[i] < best:
+                best = dists[i]
+    return _verdict(dists)
 
 
 def decode_naive(code, received):
@@ -223,13 +270,21 @@ def decode_naive_many(code, words):
     """decode_naive of each received word (a Subspace or generator rows),
     for many words at once.
 
-    d(C_i, R) = 2 rank [C_i; R] - dim C_i - dim R, and dim R is the rank of
-    R stacked under no rows, so one stack_ranks call ranks every stack of
-    every word.  The distances depend on the span of R alone, so raw rows
-    need no canonical form first.
+    d(C_i, R) = 2 rank [C_i; R] - dim C_i - dim R, which depends on the span
+    of R alone, so raw rows need no canonical form first.  Over F_2 the
+    verdict is bounded: each codeword basis is packed into a pivot table
+    once per call, each word reduced once to an echelon set of its own, and
+    e_i = rank [C_i; R] - dim C_i counted, row by row of that set into a
+    copy of C_i's table, only as far as _bounded_verdict asks.  Every other
+    field ranks every stack exactly: dim R is the rank of R stacked under no
+    rows, so one stack_ranks call ranks every stack of every word.
     """
     rows = [_received_rows(code, w) for w in words]
     bases = [w.basis for w in code]
+    if code.field.q == 2:
+        dims = [len(B) for B in bases]
+        return [_bounded_verdict(dim, dims, rank)
+                for dim, rank in code.field.capped_stack_ranks(bases, rows)]
     tops = bases + [np.zeros((0, code.n), dtype=np.int64)]
     pairs = [(i, t) for t in range(len(rows)) for i in range(len(tops))]
     ranks = list(code.field.stack_ranks(tops, rows, pairs))
@@ -245,12 +300,15 @@ class ProjectionDecoder:
 
     For codeword C_i with complement coordinates Q_i and W_i (see
     subspaces.complement_coordinates) the projector is P_i = Q_i W_i, and
-    W_i has full row rank, so rank(R P_i) = rank(R Q_i).  The Q_i are
-    stacked once into Q = [Q_1 | ... | Q_N] (n x sum(n - dim C_i)) and
-    prepared as a gf.BlockRankFactor (over F_2, its Four-Russians tables),
-    and each received word costs one product R Q and one rank per column
-    block; decode_many takes, off F_2, one product (R_1; ...; R_T) Q for
-    all its words and ranks every block of every word in one stack.
+    W_i has full row rank, so rank(R P_i) = rank(R Q_i) = e_i and
+    d(C_i, R) = dim C_i + 2 e_i - dim R.  The Q_i are stacked once into
+    Q = [Q_1 | ... | Q_N] (n x sum(n - dim C_i)) and prepared as a
+    gf.BlockRankFactor (over F_2, its Four-Russians tables), and each
+    received word costs one product R Q and the ranks of its column blocks.
+    Over F_2 those ranks are capped: each block's echelon scan runs only as
+    far as _bounded_verdict needs it to settle the minimum distance and its
+    ties.  Off F_2, decode_many takes one product (R_1; ...; R_T) Q for all
+    its words and ranks every block of every word exactly, in one stack.
 
     rank(R Q_i) is the dimension of the image of span(R) under x -> x Q_i,
     so it depends only on the span of the rows: any spanning set gives the
@@ -276,13 +334,18 @@ class ProjectionDecoder:
 
     def decode_many(self, words):
         """decode() of each received word (a Subspace or generator rows), with
-        one factor call for all: off F_2 one product (R_1; ...; R_T) Q and one
+        one factor call for all: over F_2 capped block ranks and a bounded
+        verdict per word, off F_2 one product (R_1; ...; R_T) Q and one
         stacked rank call over every column block of every word."""
         rows = [_received_rows(self.code, w) for w in words]
         # a Subspace's basis is in rref already, so the factor skips reducing it
-        results = self._factor.many(rows, [isinstance(w, Subspace) for w in words])
-        return [_verdict([w.dim + 2 * rank - dim for w, rank in zip(self.code, ranks)])
-                for dim, ranks in results]
+        flags = [isinstance(w, Subspace) for w in words]
+        dims = [w.dim for w in self.code]
+        if self.code.field.q == 2:
+            return [_bounded_verdict(dim, dims, rank)
+                    for dim, rank in self._factor.capped(rows, flags)]
+        return [_verdict([k + 2 * rank - dim for k, rank in zip(dims, ranks)])
+                for dim, ranks in self._factor.many(rows, flags)]
 
 
 def projection_decoder(code):

@@ -121,21 +121,23 @@ def algebra_closure(field, generators, cap=ALGEBRA_DIM_CAP):
 
     basis = []
     queue = []
+
+    def join(M):
+        if len(basis) + 1 > cap:
+            raise DimensionBlowup(f"algebra dimension exceeded the cap of {cap}")
+        basis.append(M)
+        queue.append(M)
+
     for G in gens:
         if extends(G):
-            basis.append(G)
-            queue.append(G)
+            join(G)
     while queue:
         new = queue.pop(0)
         snapshot = list(basis)
         for other in snapshot:
             for prod in (field.matmul(new, other), field.matmul(other, new)):
                 if extends(prod):
-                    if len(basis) + 1 > cap:
-                        raise DimensionBlowup(
-                            f"algebra dimension exceeded the cap of {cap}")
-                    basis.append(prod)
-                    queue.append(prod)
+                    join(prod)
     return AlgebraBasis(field, t, basis)
 
 

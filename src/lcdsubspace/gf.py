@@ -38,6 +38,12 @@ subsets (the Four-Russians method, M4RM: Albrecht, Bard and Hart, ACM TOMS
 2010).  A call reduces the rows to an echelon set, reads each as
 ceil(n / 8) bytes, XORs one table entry per byte into a packed product row,
 and takes each block's rank off one shift and one mask of each product row.
+``capped`` returns, instead of the ranks, a capped rank rank(i, cap) =
+min(rank of block i, cap) per row set: block i's rows are shifted and
+masked lazily, one product row at a time, and reduced into an echelon table
+of the block's own until cap of them add a pivot, and a later call with a
+higher cap goes on from there.  A decoder that needs a block's rank only up
+to a bound (``codes``) so never reads the rest of that block.
 Python ints, not uint64 arrays, hold the tables: a product row is then a
 few dozen XORs with no conversion, faster than numpy gathers both for the
 95 rows of a (192, 31, 4; 96) decode and for a handful of rows.
@@ -55,9 +61,17 @@ arbitrary width.  Rows are reduced into a pivot table keyed by leading bit
 (the bit length of the row): ``rank`` stops there, ``rref`` back-substitutes
 and unpacks into the same int64 matrix and pivot tuple as every other
 field, and ``det`` is ``rank == n``.  ``stack_ranks`` ranks many stacks
-[A_i; B_j] of the same matrices, as the LCD check, the distance scans and
-batched naive decoding do, packing each matrix once: a stack is the
-concatenation of two lists of packed rows.
+[A_i; B_j] of the same matrices, as the LCD check and the distance scans
+do, packing each matrix once: a stack is the concatenation of two lists of
+packed rows.  ``capped_stack_ranks(tops, bottoms)`` is its capped form for
+batched naive decoding: each top becomes an echelon table once, each
+bottom an echelon set once, and rank(i, cap) =
+min(rank [tops[i]; B] - rank tops[i], cap) reduces B's rows into a copy of
+top i's table until cap of them add a pivot, again going on from where the
+last call stopped.  Both capped forms run one capped scan,
+``_gf2_capped_ranks``; it keeps its count of missing pivots to itself,
+since at each pivot that count cost the uncapped reduction of ``rank`` and
+``stack_ranks`` about a tenth of its time.
 
 Every other field runs one elimination core, ``_eliminate``, on a stack of
 matrices (B x m x n): ``rank``, ``rref`` and ``det`` pass a stack of one,
@@ -252,12 +266,46 @@ def _gf2_pivots(rows):
     return table
 
 
-def _gf2_field_ranks(rows, fields):
-    """Rank of each bit field of the packed rows, a field being a (shift,
-    width) pair: row r contributes (r >> shift) & (2**width - 1).  Equal
-    values are reduced once, which pays where the rank is far below the
-    number of rows, as in the blocks of a projection decode."""
-    return [len(_gf2_pivots({(r >> s) & ((1 << w) - 1) for r in rows})) for s, w in fields]
+def _gf2_capped_ranks(tables, rows, fields):
+    """The capped rank rank(i, cap) = min(e_i, cap), where e_i is the number
+    of pivots that the bit fields (r >> shift) & mask of the packed rows r,
+    with (shift, mask) = fields[i], add to the echelon table tables[i].
+
+    Block i reduces its rows, as _gf2_pivots does, into a copy of its table,
+    taking each row's field only when it comes to it, and stops once cap
+    new pivots are in.  It keeps its place in rows, so a later call with a
+    higher cap goes on from there and never restarts the block.
+    """
+    tables = [dict(t) for t in tables]
+    found = [0] * len(tables)     # pivots added to each table so far
+    read = [0] * len(tables)      # rows of each block reduced so far
+
+    def rank(i, cap):
+        need = cap - found[i]
+        if need > 0:
+            table = tables[i]
+            shift, mask = fields[i]
+            for k in range(read[i], len(rows)):
+                r = (rows[k] >> shift) & mask
+                while r:
+                    b = r.bit_length()
+                    p = table.get(b)
+                    if p is None:
+                        table[b] = r
+                        need -= 1
+                        if not need:
+                            found[i] = cap
+                            read[i] = k + 1
+                            return cap
+                        break
+                    r ^= p
+            # every row read: the count is exact, and below the cap
+            found[i] = cap - need
+            read[i] = len(rows)
+            return cap - need
+        return cap
+
+    return rank
 
 
 def _gf2_rref(A):
@@ -341,11 +389,19 @@ class GF:
     def __init__(self, p, r=1):
         if r < 1 or int(r) != r:
             raise LcdError(f"extension degree must be a positive integer, got {r}")
-        if not (p >= 2 and _prime_factors(p) == [p]):
+        if not p >= 2:
             raise NotPrime(f"{p} is not prime")
+        # a p past the largest order is rejected before trial division,
+        # which would take O(sqrt p) steps
+        if p > MAX_FIELD_ORDER:
+            raise FieldTooLarge(f"order {p}**{r} exceeds {MAX_FIELD_ORDER}")
+        if _prime_factors(p) != [p]:
+            raise NotPrime(f"{p} is not prime")
+        # with p >= 2, an r of the largest order's bit length is too large,
+        # and p ** r is never computed for a huge r
+        if r >= MAX_FIELD_ORDER.bit_length() or p ** r > MAX_FIELD_ORDER:
+            raise FieldTooLarge(f"order {p}**{r} exceeds {MAX_FIELD_ORDER}")
         q = p ** r
-        if q > MAX_FIELD_ORDER:
-            raise FieldTooLarge(f"order {q} exceeds {MAX_FIELD_ORDER}")
         self.p = int(p)
         self.r = int(r)
         self.q = int(q)
@@ -795,6 +851,33 @@ class GF:
             return (len(_gf2_pivots(tops[i] + bottoms[j])) for i, j in pairs)
         return self._paired_ranks(padded_stack(tops), padded_stack(bottoms), iter(pairs))
 
+    def capped_stack_ranks(self, tops, bottoms):
+        """Over F_2, for each matrix B of bottoms, (rank B, rank) where
+        rank(i, cap) = min(rank [tops[i]; B] - rank tops[i], cap).
+
+        Each top is packed into an echelon table once, and each B reduced
+        once to an echelon set of its own.  rank(i, cap) reduces B's
+        echelon rows into a copy of top i's table until cap of them add a
+        pivot; a later call with a higher cap goes on from there.
+        """
+        if self.q != 2:
+            raise FieldMismatch("capped ranks are taken over F_2 only")
+        tops = [self._check(self._as_rows(A)) for A in tops]
+        bottoms = [self._as_rows(A) for A in bottoms]
+        if len({A.shape[1] for A in tops + bottoms}) > 1:
+            raise DimensionMismatch("stacked matrices need the same number of columns")
+        tables = [_gf2_pivots(_gf2_pack(A)) for A in tops]
+        whole = [(0, -1)] * len(tables)     # (r >> 0) & -1 is r itself
+        # every bottom packed at once, padded with zero rows to one height
+        S = self._check(padded_stack(bottoms))
+        height = S.shape[1]
+        packed = _gf2_pack(S)
+        out = []
+        for t in range(len(bottoms)):
+            rows = list(_gf2_pivots(packed[t * height:(t + 1) * height]).values())
+            out.append((len(rows), _gf2_capped_ranks(tables, rows, whole)))
+        return out
+
     def _paired_ranks(self, tops, bottoms, pairs):
         entries = (tops.shape[1] + bottoms.shape[1]) * tops.shape[2]
         size = max(1, STACK_ENTRIES // max(entries, 1))
@@ -905,7 +988,10 @@ class BlockRankFactor:
     ``independent=True`` the rows are trusted to be linearly independent, as
     a Subspace basis is, so their rank is their number; B is checked when the
     factor is built.  Over F_2, ``factor.products(M)`` returns the rows of
-    M B, each packed into one int.
+    M B, each packed into one int, and ``factor.capped(row_sets, flags)``
+    returns (rank of rows, rank) per row set, rank(i, cap) being
+    min(rank of block i of rows B, cap), scanned lazily and resumed on each
+    call; the ranks of ``factor(rows)`` and ``many`` stay exact.
     Over F_2 the product runs on Four-Russians tables, 32 bits per entry of
     B (see the module docstring), on the independent rows or on an echelon
     basis of them; every other field keeps B and runs one ``matmul`` of all
@@ -924,8 +1010,8 @@ class BlockRankFactor:
             self._spans = spans
             return
         # column c of B is bit c of its row's int, so block (s, e) of a
-        # product row is its bits s to e - 1
-        self._fields = [(s, e - s) for s, e in spans]
+        # product row is its bits s to e - 1: (row >> s) & mask
+        self._fields = [(s, (1 << (e - s)) - 1) for s, e in spans]
         rows = [int.from_bytes(r.tobytes(), "little")
                 for r in np.packbits(B.astype(bool), axis=1, bitorder="little")]
         rows += [0] * (-len(rows) % 8)
@@ -947,35 +1033,61 @@ class BlockRankFactor:
         """factor(rows, flag) for each row set and flag of independent, with
         every row set packed at once and, off F_2, one product for all."""
         f = self.field
-        mats = [f._as_rows(rows) for rows in row_sets]
-        for A in mats:
-            if A.shape[1] != self.inner:
-                raise DimensionMismatch(
-                    f"cannot multiply {A.shape} by a factor of {self.inner} rows")
+        if f.q == 2:
+            # a block's rank is at most its width, so that cap makes it exact
+            return [(dim, [rank(i, w) for i, w in enumerate(self.widths)])
+                    for dim, rank in self.capped(row_sets, independent)]
+        mats = self._rows(row_sets)
         # zero rows, as padding, change no rank
         S = padded_stack(mats)
+        # the span of the rows decides every rank below, so the padded rows
+        # themselves serve, their rank computed unless they are independent
+        # (a Subspace basis)
+        dims = np.array([len(A) for A in mats], dtype=np.int64)
+        dependent = [t for t, flag in enumerate(independent) if not flag]
+        if dependent:
+            dims[dependent] = f.ranks(S[dependent])
+        product = f.matmul(S.reshape(-1, self.inner), self._B)
+        ranks = f._block_ranks(product.reshape(len(S), S.shape[1], product.shape[1]),
+                               self._spans)
+        return list(zip(dims.tolist(), ranks.tolist()))
+
+    def capped(self, row_sets, independent):
+        """Over F_2, for each row set and flag of independent, (rank of
+        rows, rank) where rank(i, cap) = min(rank of block i of rows B, cap).
+
+        The rows are packed at once, and each row set taken as it is when
+        independent or else reduced to an echelon set (no back-substitution),
+        whose size is the rank of the rows: the span decides every block
+        rank, so any spanning set serves.  Its product rows come off the
+        Four-Russians tables, and rank(i, cap) reads block i of them lazily,
+        one product row at a time, into an echelon table of its own until
+        cap of them add a pivot: a block stopped after two rows never
+        touches the others, and a later call with a higher cap goes on from
+        there.
+        """
+        if self.field.q != 2:
+            raise FieldMismatch("capped block ranks are taken over F_2 only")
+        S = padded_stack(self._rows(row_sets))
         height = S.shape[1]
-        # the span of the rows decides every rank below, so any spanning set
-        # serves: off F_2 the padded rows themselves, their rank computed
-        # unless they are independent (a Subspace basis); over F_2 the
-        # independent rows or an echelon set (no back-substitution), whose
-        # size is the rank of the rows
-        if f.q != 2:
-            dims = np.array([len(A) for A in mats], dtype=np.int64)
-            dependent = [t for t, flag in enumerate(independent) if not flag]
-            if dependent:
-                dims[dependent] = f.ranks(S[dependent])
-            product = f.matmul(S.reshape(-1, self.inner), self._B)
-            ranks = f._block_ranks(product.reshape(len(mats), height, product.shape[1]),
-                                  self._spans)
-            return list(zip(dims.tolist(), ranks.tolist()))
         packed = _gf2_pack(S)
         out = []
         for t, flag in enumerate(independent):
             rows = packed[t * height:(t + 1) * height]
             echelon = [r for r in rows if r] if flag else _gf2_pivots(rows).values()
-            out.append((len(echelon), _gf2_field_ranks(self._m4rm(echelon), self._fields)))
+            out.append((len(echelon), _gf2_capped_ranks(
+                [{}] * len(self._fields), self._m4rm(echelon), self._fields)))
         return out
+
+    def _rows(self, row_sets):
+        """The row sets as matrices, each checked to have as many columns as
+        B has rows."""
+        mats = [self.field._as_rows(rows) for rows in row_sets]
+        for A in mats:
+            if A.shape[1] != self.inner:
+                raise DimensionMismatch(
+                    f"cannot multiply {A.shape} by a factor of {self.inner} rows")
+        return mats
 
     def products(self, M):
         """Over F_2, each row of M B as one int, column c of B in bit c."""

@@ -13,6 +13,7 @@ from lcdsubspace.codes import (
     decode_projection,
     is_lcd_subspace_code,
     params,
+    projection_decoder,
     sampled_min_distance,
 )
 from lcdsubspace.errors import (
@@ -25,6 +26,7 @@ from lcdsubspace.errors import (
     PairBudgetExceeded,
     RankDeficient,
 )
+from lcdsubspace.simulator import ChannelSpec, corrupt
 from lcdsubspace.subspaces import Subspace, distance, dual, intersect, span
 
 
@@ -350,3 +352,123 @@ def test_classical_check_is_the_gram_determinant(f3):
     gram_det = f3.det(f3.matmul(f3.asmatrix(G), f3.asmatrix(G).T))
     assert classical_lcd_check(f3, G) == (gram_det != 0)
     assert gram_det == 2
+
+
+# --- bounded verdicts over F_2 ---
+
+
+def _batched_verdicts_match_naive(code, words):
+    """Both batched decoders, and decode(), give decode_naive's verdict on
+    every word; returns the verdicts.  A code that is not LCD (a code of
+    mixed dimensions never is) has no projection decoder."""
+    want = [decode_naive(code, w) for w in words]
+    assert decode_naive_many(code, words) == want
+    if is_lcd_subspace_code(code):
+        dec = ProjectionDecoder(code)
+        assert dec.decode_many(words) == want
+        assert [dec.decode(w) for w in words] == want
+    return want
+
+
+def _mixed_code(f, n, dims, rng):
+    """A seeded code of random codewords of the given distinct dimensions."""
+    words = []
+    for k in dims:
+        w = Subspace(f, n, rng.integers(0, f.q, (k, n)))
+        while w.dim != k:
+            w = Subspace(f, n, rng.integers(0, f.q, (k, n)))
+        words.append(w)
+    return SubspaceCode(words)
+
+
+def _tied(code, R):
+    """How many codewords are at the minimum distance from R."""
+    dists = [distance(w, R) for w in code]
+    return dists.count(min(dists))
+
+
+def test_bounded_verdicts_keep_ties(f2):
+    # a constant-dimension code with many codewords in a small space, so
+    # that many words are at the minimum distance from two or more
+    # codewords: the bounded scans must finish every tied block exactly
+    rng = np.random.default_rng(61)
+    code = _isotropic_lcd_code(f2, 12, 4, 8, rng)
+    assert len(code) == 8 and is_lcd_subspace_code(code)
+    words = []
+    for t in range(60):
+        k = int(rng.integers(0, 9))
+        rows = rng.integers(0, 2, (k, 12))
+        if t % 3 == 0:
+            # part of one codeword plus part of another
+            rows = np.vstack([code[t % 8].basis[:2], code[(t + 1) % 8].basis[2:], rows[:1]])
+        words.append(Subspace(f2, 12, rows) if t % 2 else rows)
+    out = _batched_verdicts_match_naive(code, words)
+    ties = [_tied(code, w if isinstance(w, Subspace) else Subspace(f2, 12, w)) for w in words]
+    assert sum(o.status == "failure" for o in out) >= 10
+    assert all((o.status == "failure") == (k > 1) for o, k in zip(out, ties))
+    assert max(ties) >= 3
+
+
+def test_bounded_verdicts_on_mixed_dimensions(f2):
+    # the cap of block i depends on dim C_i, and with mixed dimensions the
+    # distances of two codewords can differ in parity; such a code is never
+    # LCD, so only decode_naive_many takes it
+    rng = np.random.default_rng(67)
+    statuses = set()
+    for n, dims in ((6, (1, 2, 3, 4)), (9, (1, 3, 4, 6, 8)), (16, (2, 5, 7, 11, 13))):
+        code = _mixed_code(f2, n, dims, rng)
+        words = [rng.integers(0, 2, (int(rng.integers(0, n + 2)), n)) for _ in range(30)]
+        words += [np.vstack([w.basis[:w.dim - 1], rng.integers(0, 2, (1, n))]) for w in code]
+        words += [w.basis for w in code]
+        out = _batched_verdicts_match_naive(code, words)
+        statuses |= {o.status for o in out}
+        # every codeword wins some word: each dimension's cap is exercised
+        assert {o.index for o in out} >= set(range(len(code)))
+    assert statuses == {"decoded", "failure"}
+
+
+def test_bounded_verdicts_on_the_zero_and_the_full_space(f2):
+    # dim R = 0: d = dim C_i; R = F_2^n: d = n - dim C_i
+    rng = np.random.default_rng(71)
+    for code in (_mixed_code(f2, 7, (1, 2, 4, 6), rng),
+                 _isotropic_lcd_code(f2, 12, 4, 6, rng)):
+        n = code.n
+        words = [Subspace.zero(f2, n), np.zeros((0, n), dtype=np.int64),
+                 np.zeros((3, n), dtype=np.int64), Subspace.full(f2, n),
+                 np.eye(n, dtype=np.int64), np.vstack([np.eye(n, dtype=np.int64)] * 2)]
+        out = _batched_verdicts_match_naive(code, words)
+        small, large = min(code.dims), max(code.dims)
+        assert all(o.distance == small for o in out[:3])
+        assert all(o.distance == n - large for o in out[3:])
+
+
+def test_bounded_verdicts_far_from_every_codeword(f2):
+    # random words of dimension 40 in F_2^130 are far from every codeword of
+    # dimension 40, so every e_i is large and pass 1 raises its cap from 2
+    # to at least 16 before any block comes in below it
+    rng = np.random.default_rng(73)
+    code = _isotropic_lcd_code(f2, 130, 40, 4, rng)
+    words = [rng.integers(0, 2, (40, 130)) for _ in range(4)]
+    out = _batched_verdicts_match_naive(code, words)
+    for o, w in zip(out, words):
+        e = (o.distance - 40 + Subspace(f2, 130, w).dim) // 2
+        assert e >= 8
+
+
+@pytest.mark.parametrize("erasures, errors", [(3, 2), (0, 3)])
+def test_bounded_verdicts_beyond_the_unique_radius_of_thm59(thm59_report, erasures, errors):
+    # the (192, 31, 4; 96) code decodes one erasure or one error uniquely;
+    # these words are past that radius, where ties and near misses happen
+    code = thm59_report.code
+    spec = ChannelSpec(erasures, errors, rng_seed=97)
+    rng = np.random.default_rng(97)
+    words = []
+    for t in range(6):
+        R = corrupt(code[int(rng.integers(0, len(code)))], spec, t)
+        # raw rows, shuffled with one repeated, reach the echelon reductions
+        words.append(R if t % 2 else np.vstack([R.basis, R.basis[:1]])[rng.permutation(R.dim + 1)])
+    want = [decode_naive(code, w) for w in words]
+    assert decode_naive_many(code, words) == want
+    assert projection_decoder(code).decode_many(words) == want
+    # the nearest codeword is past the unique decoding radius of 1
+    assert all(o.distance > 1 for o in want)

@@ -14,6 +14,7 @@ from lcdsubspace.errors import (
     LcdError,
     NotPrime,
 )
+from lcdsubspace import gf
 from lcdsubspace.gf import GF, BlockRankFactor, field_from_order, field_new, padded_stack
 
 
@@ -29,6 +30,24 @@ def test_construction_validation():
     assert field_from_order(9).q == 9
     with pytest.raises(NotPrime):
         field_from_order(12)
+
+
+def test_oversized_fields_are_rejected_before_factoring(monkeypatch):
+    # trial division of a prime near 10**14 takes seconds, so a p past the
+    # largest order must be rejected before the factoriser is called
+    def refuse(n):
+        raise AssertionError(f"{n} was factored")
+
+    monkeypatch.setattr(gf, "_prime_factors", refuse)
+    for p, r in ((10 ** 14 + 31, 1), (10 ** 12 + 39, 2), ((1 << 20) + 7, 1)):
+        with pytest.raises(FieldTooLarge):
+            GF(p, r)
+    monkeypatch.undo()
+    # a small p is factored first, and a huge r then never raised to
+    with pytest.raises(FieldTooLarge):
+        GF(2, 10 ** 9)
+    with pytest.raises(NotPrime):
+        GF(4, 11)
 
 
 def test_field_new_is_cached():
@@ -558,6 +577,39 @@ def test_block_rank_factor_matches_dot_products(f2, inner):
             f2.matmul(rows, B).tolist()
     if inner == 191:
         assert got[0] == 96     # the last case, the 97 rows
+
+
+def test_capped_ranks_are_min_of_exact_rank_and_cap(f2, f3):
+    # each block's scan is resumed, never restarted, so any sequence of caps,
+    # rising or falling, must give min(exact rank, cap) every time
+    rng = np.random.default_rng(17)
+    widths = [0, 3, 9, 64, 65, 20]
+    B = rng.integers(0, 2, (70, sum(widths)))
+    factor = BlockRankFactor(f2, B, widths)
+    tops = [rng.integers(0, 2, (int(rng.integers(0, 40)), 70)) for _ in range(4)]
+    tops.append(np.vstack([tops[0], tops[0][:3]]))      # dependent rows
+    rows = [np.zeros((0, 70), dtype=np.int64), rng.integers(0, 2, (5, 70)),
+            rng.integers(0, 2, (30, 70)), np.eye(70, dtype=np.int64)]
+    rows.append(np.vstack([rows[2], rows[2][:4]]))
+    capped = factor.capped(rows, [False] * len(rows))
+    stacked = f2.capped_stack_ranks(tops, rows)
+    for A, (dim, rank), (dim2, rank2) in zip(rows, capped, stacked):
+        assert dim == dim2 == oracles.gf2_rank(A.tolist())
+        block = _block_ranks_of_product(f2, A, B, widths, oracles.gf2_rank)
+        joint = [oracles.gf2_rank(np.vstack([T, A]).tolist()) - oracles.gf2_rank(T.tolist())
+                 for T in tops]
+        for cap in [1, 2, 1, 4, 3, 8, 16, 0, 32, 64, 70, 5]:
+            assert [rank(i, cap) for i in range(len(widths))] == [min(e, cap) for e in block]
+            assert [rank2(i, cap) for i in range(len(tops))] == [min(e, cap) for e in joint]
+    assert f2.capped_stack_ranks(tops, []) == []
+    with pytest.raises(DimensionMismatch):
+        f2.capped_stack_ranks(tops, [np.zeros((1, 69), dtype=np.int64)])
+    # off F_2 the ranks stay exact, and there is no capped form
+    B = np.zeros((3, 4), dtype=np.int64)
+    with pytest.raises(FieldMismatch):
+        BlockRankFactor(f3, B, [4]).capped([np.zeros((2, 3), dtype=np.int64)], [False])
+    with pytest.raises(FieldMismatch):
+        f3.capped_stack_ranks([B], [B])
 
 
 def test_block_rank_factor_on_other_fields(f3, f4, f9):
