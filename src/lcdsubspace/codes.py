@@ -19,6 +19,10 @@ attains it, so over F_2 both batched decoders count each e_i only as far
 as that verdict needs (_bounded_verdict): a codeword's elimination stops
 once its distance is known to exceed the best found so far.  decode_naive
 stays the unbounded reference, and off F_2 every rank is exact.
+
+Whether a code is LCD (is_lcd_subspace_code), and whether a classical
+generator matrix is (classical_lcd_check), is read from the one LCD routine,
+subspaces.dual_meets.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .errors import (
     RankDeficient,
 )
 from .gf import BlockRankFactor
-from .subspaces import Subspace, complement_coordinates, distance
+from .subspaces import Subspace, complement_coordinates, distance, dual_meets, is_lcd
 
 PAIR_BUDGET = 10 ** 7
 
@@ -158,25 +162,19 @@ class LcdCodeCheck:
 
 
 def is_lcd_subspace_code(code):
-    """Direct defining check over all ordered pairs, including i = j.
+    """Direct defining check over all ordered pairs, including i = j: the
+    dimensions dim(C_i n C_j^perp) of subspaces.dual_meets.
 
     Witness is the first (lowest-index) violating ordered pair.  The result
     is cached on the code object.
     """
     if code._lcd is not None:
         return code._lcd
-    bases = [w.basis for w in code]
-    duals = [w.dual().basis for w in code]
     pairs, stacked = tee(product(range(len(code)), repeat=2))
-    ranks = code.field.stack_ranks(bases, duals, stacked)
-    result = LcdCodeCheck(True, None)
-    for (i, j), rank in zip(pairs, ranks):
-        # dim(C_i n C_j^perp) = dim C_i + dim C_j^perp - dim(C_i + C_j^perp)
-        if len(bases[i]) + len(duals[j]) != rank:
-            result = LcdCodeCheck(False, (i, j))
-            break
-    code._lcd = result
-    return result
+    meets = dual_meets(code.codewords, stacked)
+    witness = next((pair for pair, meet in zip(pairs, meets) if meet), None)
+    code._lcd = LcdCodeCheck(witness is None, witness)
+    return code._lcd
 
 
 @dataclass(frozen=True)
@@ -361,7 +359,8 @@ def decode_projection(code, received):
 
 
 def classical_lcd_check(field, G):
-    """True iff the row space of G is LCD, via det(G G^T) != 0.
+    """True iff the row space of G is LCD, by is_lcd: its verdict is the Gram
+    determinant of the row space's rref basis, nonzero iff det(G G^T) is.
 
     G must have full row rank (RankDeficient otherwise), so the verdict is
     about the code, not about a redundant generator presentation.
@@ -369,5 +368,4 @@ def classical_lcd_check(field, G):
     G = field.asmatrix(G)
     if field.rank(G) != G.shape[0]:
         raise RankDeficient(f"rank {field.rank(G)} < {G.shape[0]} rows")
-    gram = field.matmul(G, G.T)
-    return field.det(gram) != 0
+    return is_lcd(Subspace(field, G.shape[1], G)).ok

@@ -411,20 +411,41 @@ def _assert_scaling_invariance(f, t, rep, seed):
         raise InternalInconsistency("scalar scaling changed a row space")
 
 
-# --- Gramian 3-class scheme ---
+# --- schemes verified by product identities: Gramian 3-class, Bush-type ---
+
+
+def _verified_scheme(mats, table, labels):
+    """scheme_from_matrices(mats), once each product identity
+    mats[i] mats[j] = sum_k c_k mats[k] of table {(i, j): {k: c_k}} holds
+    exactly over the integers; then its intersection tensor must agree with
+    the table on those rows.  labels % (i, j) names an identity."""
+    for (i, j), coeffs in table.items():
+        lhs = int_matmul(mats[i], mats[j])
+        rhs = sum((c * mats[k] for k, c in coeffs.items()), np.zeros_like(lhs))
+        if not (lhs == rhs).all():
+            bad = np.argwhere(lhs != rhs)[0]
+            raise IdentityFails(
+                f"product identity {labels % (i, j)} fails at {tuple(bad)}",
+                witness=(i, j, tuple(int(v) for v in bad)))
+    scheme = scheme_from_matrices(mats)
+    for (i, j), coeffs in table.items():
+        want = [coeffs.get(k, 0) for k in range(len(mats))]
+        if list(scheme.tensor[i, j, :]) != want:
+            raise InternalInconsistency(
+                f"tensor row p_({i},{j})^. disagrees with the {labels % (i, j)} identity")
+    return scheme
 
 
 def _murh_coefficient_table(n, m):
     h = n // 2
     return {
-        ("B1", "B1"): (1, 1, [(2 * n * n + n) * m, (n * n + 3 * h) * (m - 1),
-                              (n * n + h) * (m - 1), (n * n + n) * m]),
-        ("B2", "B2"): (2, 2, [(2 * n * n - n) * m, (n * n - h) * (m - 1),
-                              (n * n - 3 * h) * (m - 1), (n * n - n) * m]),
-        ("B1", "B2"): (1, 2, [0, (n * n - h) * (m - 1),
-                              (n * n + h) * (m - 1), n * n * m]),
-        ("B1", "B3"): (1, 3, [0, 2 * n * n + n - 1, 2 * n * n + n, 0]),
-        ("B2", "B3"): (2, 3, [0, 2 * n * n - n, 2 * n * n - n - 1, 0]),
+        (1, 1): {0: (2 * n * n + n) * m, 1: (n * n + 3 * h) * (m - 1),
+                 2: (n * n + h) * (m - 1), 3: (n * n + n) * m},
+        (2, 2): {0: (2 * n * n - n) * m, 1: (n * n - h) * (m - 1),
+                 2: (n * n - 3 * h) * (m - 1), 3: (n * n - n) * m},
+        (1, 2): {1: (n * n - h) * (m - 1), 2: (n * n + h) * (m - 1), 3: n * n * m},
+        (1, 3): {1: 2 * n * n + n - 1, 2: 2 * n * n + n},
+        (2, 3): {1: 2 * n * n - n, 2: 2 * n * n - n - 1},
     }
 
 
@@ -439,40 +460,8 @@ def murh_scheme(B1, B2, B3, n, m):
     for name, B in (("B1", B1), ("B2", B2), ("B3", B3)):
         if B.shape != (N, N):
             raise DimensionMismatch(f"{name} has shape {B.shape}, expected {(N, N)}")
-    ident = np.eye(N, dtype=np.int64)
-    mats = [ident, B1, B2, B3]
-    table = _murh_coefficient_table(n, m)
-    for (na, nb), (i, j, coeffs) in table.items():
-        lhs = int_matmul(mats[i], mats[j])
-        rhs = sum(c * mats[k] for k, c in enumerate(coeffs) if c)
-        rhs = rhs if isinstance(rhs, np.ndarray) else np.zeros((N, N), dtype=np.int64)
-        if not (lhs == rhs).all():
-            bad = np.argwhere(lhs != rhs)[0]
-            raise IdentityFails(f"product identity {na}*{nb} fails at {tuple(bad)}",
-                                witness=(na, nb, tuple(int(v) for v in bad)))
-    scheme = scheme_from_matrices(mats)
-    for (na, nb), (i, j, coeffs) in table.items():
-        if list(scheme.tensor[i, j, :]) != coeffs:
-            raise InternalInconsistency(
-                f"tensor row p_({i},{j})^. disagrees with the {na}*{nb} identity")
-    return scheme
-
-
-# --- Bush-type 5-class and 8-class schemes ---
-
-
-def _check_identities(mats, table, labels):
-    for (i, j), coeffs in table.items():
-        lhs = int_matmul(mats[i], mats[j])
-        rhs = np.zeros_like(lhs)
-        for k, c in coeffs.items():
-            if c:
-                rhs = rhs + c * mats[k]
-        if not (lhs == rhs).all():
-            bad = np.argwhere(lhs != rhs)[0]
-            raise IdentityFails(
-                f"product identity {labels % (i, j)} fails at {tuple(bad)}",
-                witness=(i, j, tuple(int(v) for v in bad)))
+    mats = [np.eye(N, dtype=np.int64), B1, B2, B3]
+    return _verified_scheme(mats, _murh_coefficient_table(n, m), "B%d*B%d")
 
 
 def _bush5_coefficients(n, m):
@@ -581,13 +570,7 @@ def bush_schemes(uset):
                             witness=tuple(int(v) for v in bad))
     A5 = B2
     five = [A0, A1, A2, A3, A4, A5]
-    _check_identities(five, _bush5_coefficients(n, m), "A%d*A%d")
-    scheme5 = scheme_from_matrices(five)
-    for (i, j), coeffs in _bush5_coefficients(n, m).items():
-        want = [coeffs.get(k, 0) for k in range(6)]
-        if list(scheme5.tensor[i, j, :]) != want:
-            raise InternalInconsistency(
-                f"5-class tensor row ({i},{j}) disagrees with the identity list")
+    scheme5 = _verified_scheme(five, _bush5_coefficients(n, m), "A%d*A%d")
 
     Z = np.zeros((N, N), dtype=np.int64)
     tilde = [
@@ -601,13 +584,7 @@ def bush_schemes(uset):
         np.block([[A5, A4], [A4, A5]]),
         np.block([[Z, A0], [A0, Z]]),
     ]
-    _check_identities(tilde, _bush8_coefficients(n, m), "tildeA%d*tildeA%d")
-    scheme8 = scheme_from_matrices(tilde)
-    for (i, j), coeffs in _bush8_coefficients(n, m).items():
-        want = [coeffs.get(k, 0) for k in range(9)]
-        if list(scheme8.tensor[i, j, :]) != want:
-            raise InternalInconsistency(
-                f"8-class tensor row ({i},{j}) disagrees with the identity list")
+    scheme8 = _verified_scheme(tilde, _bush8_coefficients(n, m), "tildeA%d*tildeA%d")
     return BushSchemes(scheme5, scheme8, n, m)
 
 
@@ -756,7 +733,7 @@ def theorem_pipeline(kind, *, p, r=1, scheme=None, partition=None, graph=None,
             t = partition.t
         source["m"] = len(uset)
         source["order"] = uset.order
-        if kind == "thm52":
+        if mkind == "weighing":
             source["weight"] = uset.weight
     elif kind in ("thm56", "thm58", "thm59"):
         uset = _as_unbiased_set(hyp, matrices, "hadamard", None)

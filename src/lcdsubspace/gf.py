@@ -1123,6 +1123,10 @@ def field_from_order(q):
     q = int(q)
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
+    # compared before trial division, which would take O(sqrt q) steps; so a
+    # q past the largest order is too large even when not a prime power
+    if q > MAX_FIELD_ORDER:
+        raise FieldTooLarge(f"order {q} exceeds {MAX_FIELD_ORDER}")
     p = min(_prime_factors(q))
     r = 0
     m = q

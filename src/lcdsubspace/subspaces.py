@@ -4,11 +4,18 @@ Vectors are rows; a subspace is identified by the reduced row echelon form of
 any spanning set, so equality and hashing are structural.  The bilinear form
 throughout is the standard dot product u . v = sum_i u_i v_i, and the dual
 U^perp is taken with respect to it.
+
+Every LCD test reads dim(U_i n U_j^perp) from one routine, dual_meets, which
+ranks the stacks [U_i; U_j^perp]: is_lcd, pairwise_lcd and
+complement_coordinates here, is_lcd_subspace_code and classical_lcd_check in
+codes.  The Gram determinants of is_lcd and pairwise_lcd are an independent
+second path; the meet U & W is the public intersect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import tee
 
 import numpy as np
 
@@ -157,19 +164,33 @@ class LcdCheck:
         return self.ok
 
 
+def dual_meets(spaces, pairs):
+    """dim(U_i n U_j^perp) for each (i, j) of pairs, lazily, for subspaces of
+    one ambient space: dim U_i + dim U_j^perp - rank [U_i; U_j^perp], from one
+    stack_ranks call.
+
+    The one LCD test: U is LCD iff (U, U) gives 0, and a set of subspaces is
+    an LCD subspace code iff every ordered pair, i = j included, does.
+    """
+    bases = [U.basis for U in spaces]
+    duals = [U.dual().basis for U in spaces]
+    pairs, stacked = tee(pairs)
+    ranks = spaces[0].field.stack_ranks(bases, duals, stacked)
+    return (len(bases[i]) + len(duals[j]) - r for (i, j), r in zip(pairs, ranks))
+
+
 def is_lcd(U):
     """True iff U meets U^perp trivially.
 
     Computed two independent ways (det of the Gram matrix of the basis, and
-    the dimension of U n U^perp); a disagreement would be a bug and raises.
+    the dimension of U n U^perp from dual_meets); a disagreement would be a
+    bug and raises.
     """
     f = U.field
-    gram = f.matmul(U.basis, U.basis.T)
-    d = f.det(gram)
-    radical = (U & U.dual()).dim
+    d = f.det(f.matmul(U.basis, U.basis.T))
+    radical = next(dual_meets([U], [(0, 0)]))
     ok_det = d != 0
-    ok_dim = radical == 0
-    if ok_det != ok_dim:
+    if ok_det != (radical == 0):
         raise InternalInconsistency(
             f"Gram det {d} vs radical dim {radical}", witness=(d, radical))
     return LcdCheck(ok_det, d, radical)
@@ -193,7 +214,7 @@ class PairwiseLcdCheck:
 
 def pairwise_lcd(U, W):
     W = U._check_mate(W)
-    ok = (U & W.dual()).dim == 0 and (W & U.dual()).dim == 0
+    ok = not any(dual_meets([U, W], [(0, 1), (1, 0)]))
     det_ns = None
     if U.dim == W.dim:
         f = U.field
@@ -209,14 +230,11 @@ def complement_coordinates(U):
 
     Exists iff U is LCD (the ambient space splits as U + U^perp).
     """
-    f = U.field
-    n = U.n
-    W = U.dual().basis
-    S = np.vstack([U.basis, W])
-    rank = f.rank(S)
-    if rank != n:
-        raise NotLCD(f"subspace meets its dual in dimension {n - rank}")
-    return f.inv_matrix(S)[:, U.dim:], W
+    radical = next(dual_meets([U], [(0, 0)]))
+    if radical:
+        raise NotLCD(f"subspace meets its dual in dimension {radical}")
+    W = U._dual     # the basis of U^perp, kept by the dual_meets call
+    return U.field.inv_matrix(np.vstack([U.basis, W]))[:, U.dim:], W
 
 
 def projector_complement(U):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,22 @@ def test_decode_code_that_is_not_json_is_exit_1(tmp_path, capsys):
     doc = json.loads(err)
     assert doc["error"] == "FileFormatError"
     assert set(doc) == {"error", "message", "witness"}
+
+
+def test_decode_received_over_a_huge_field_is_exit_1_at_once(tmp_path, capsys, f5):
+    # the modulus is prime; trial division of it took seconds before the
+    # order was compared with the largest field first
+    code = SubspaceCode([span(f5, 2, [[1, 1]]), span(f5, 2, [[1, 0]])])
+    code_path = tmp_path / "code.json"
+    fileio.write_json(code_path, fileio.code_to_doc(code))
+    recv = tmp_path / "recv.txt"
+    recv.write_text("fq 1 2 100000000000031\n1 3\n")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "decode", "--code", str(code_path), "--received", str(recv))
+    assert time.perf_counter() - start < 0.5
+    assert rc == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "FieldTooLarge" and set(doc) == {"error", "message", "witness"}
 
 
 def test_screen(tmp_path, capsys):

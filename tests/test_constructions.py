@@ -520,6 +520,14 @@ def test_pipeline_thm52_weighing(order4_pair):
     assert rep.lcd_verified
 
 
+def test_pipeline_thm55_records_the_weight(order4_pair):
+    mats = [m.entries for m in order4_pair.matrices]
+    rep = theorem_pipeline("thm55", p=2, matrices=mats, weight=4,
+                           partition=EquitablePartition.singletons(4))
+    assert rep.lcd_verified and rep.params.n == 8
+    assert rep.source["weight"] == 4
+
+
 def test_pipeline_thm54_partitions(order4_pair):
     mats = list(order4_pair.matrices)
     rep = theorem_pipeline("thm54", p=2, matrices=mats,

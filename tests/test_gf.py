@@ -42,6 +42,10 @@ def test_oversized_fields_are_rejected_before_factoring(monkeypatch):
     for p, r in ((10 ** 14 + 31, 1), (10 ** 12 + 39, 2), ((1 << 20) + 7, 1)):
         with pytest.raises(FieldTooLarge):
             GF(p, r)
+    # an order past the largest is too large, prime power or not
+    for q in (10 ** 14 + 31, 3 << 20, (1 << 20) + 1):
+        with pytest.raises(FieldTooLarge):
+            field_from_order(q)
     monkeypatch.undo()
     # a small p is factored first, and a huge r then never raised to
     with pytest.raises(FieldTooLarge):

@@ -145,19 +145,27 @@ def test_pinned_lcd_checks(f2, f3):
     assert is_lcd(span(f3, 2, [[1, 1]]))
     chk = is_lcd(span(f3, 2, [[1, 1]]))
     assert chk.gram_det != 0 and chk.radical_dim == 0
+    # a self-dual plane is its own radical
+    chk = is_lcd(span(f2, 4, [[1, 1, 0, 0], [0, 0, 1, 1]]))
+    assert chk.gram_det == 0 and chk.radical_dim == 2
 
 
 def test_is_lcd_matches_definition_randomized(all_fields):
     rng = random.Random(23)
+    radicals = set()
     for f in all_fields:
         for _ in range(30):
             n = rng.randrange(1, 5)
             U = rand_subspace(rng, f, n, rng.randrange(0, n + 1))
-            expect = intersect(U, dual(U)).dim == 0
-            assert bool(is_lcd(U)) == expect
+            radical = intersect(U, dual(U)).dim
+            chk = is_lcd(U)
+            assert bool(chk) == (radical == 0)
+            assert chk.radical_dim == radical
+            radicals.add(radical)
+    assert max(radicals) > 0    # nonzero radical dimensions were checked too
 
 
-def test_pairwise_lcd(f3):
+def test_pairwise_lcd(f3, all_fields):
     U = span(f3, 2, [[1, 1]])
     W = span(f3, 2, [[1, 0]])
     chk = pairwise_lcd(U, W)
@@ -165,6 +173,27 @@ def test_pairwise_lcd(f3):
     # W equals the dual of <(0,1)>, so the pair below must fail
     bad = pairwise_lcd(span(f3, 2, [[0, 1]]), span(f3, 2, [[1, 0]]))
     assert not bad.ok
+
+    rng = random.Random(37)
+    seen = set()
+    for f in all_fields:
+        for _ in range(40):
+            n = rng.randrange(1, 5)
+            U = rand_subspace(rng, f, n, rng.randrange(0, n + 1))
+            W = rand_subspace(rng, f, n, rng.randrange(0, n + 1))
+            expect = intersect(U, dual(W)).dim == 0 and intersect(W, dual(U)).dim == 0
+            chk = pairwise_lcd(U, W)
+            assert chk.ok == expect
+            if U.dim != W.dim:
+                # U n W^perp = 0 needs dim U <= dim W, and W n U^perp = 0 the reverse
+                assert not chk.ok and chk.det_nonsingular is None
+            elif chk.det_nonsingular:
+                assert chk.ok
+            seen.add((f.q, chk.ok, U.dim == W.dim))
+    # on every field both verdicts, and pairs of unequal dimensions
+    for f in all_fields:
+        assert {(f.q, True, True), (f.q, False, False)} <= seen, f
+    assert any(not ok and equal for _, ok, equal in seen)
 
 
 def test_projector_pinned_values(f3):
@@ -177,7 +206,7 @@ def test_projector_pinned_values(f3):
 
 
 def test_projector_requires_lcd(f2):
-    with pytest.raises(NotLCD):
+    with pytest.raises(NotLCD, match="dimension 1"):
         projector_complement(span(f2, 2, [[1, 1]]))
 
 
