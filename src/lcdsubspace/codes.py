@@ -15,10 +15,12 @@ d(C_i, R) = dim C_i + 2 e_i - dim R, with e_i the rank of block i of R Q
 Silva, Kschischang and Koetter (IEEE T-IT 2008).
 
 A decode returns only the minimum distance and whether one codeword alone
-attains it, so over F_2 both batched decoders count each e_i only as far
-as that verdict needs (_bounded_verdict): a codeword's elimination stops
-once its distance is known to exceed the best found so far.  decode_naive
-stays the unbounded reference, and off F_2 every rank is exact.
+attains it, so both batched decoders take their verdict from one driver,
+_bounded_verdict, on every field: it asks each e_i only as far as the
+verdict needs, through a capped rank min(e_i, cap).  Over F_2 a codeword's
+elimination so stops once its distance is known to exceed the best found
+so far; every other field computes each e_i exactly and caps it.
+decode_naive stays the unbounded reference.
 
 Whether a code is LCD (is_lcd_subspace_code), and whether a classical
 generator matrix is (classical_lcd_check), is read from the one LCD routine,
@@ -228,7 +230,8 @@ def _bounded_verdict(dim, dims, rank):
     which leaves the minimum and its ties, and so the verdict, as the exact
     distances give them.  When every dims[i] is the same, as in an LCD code,
     a block that reached the cap has e_i above every exact one, so pass 2
-    has nothing to do; it serves codes of mixed dimensions.
+    has nothing to do; it serves codes of mixed dimensions.  The driver
+    needs no more of rank than that, so exact ranks, capped, serve too.
     """
     blocks = range(len(dims))
     cap = 2
@@ -269,28 +272,18 @@ def decode_naive_many(code, words):
     for many words at once.
 
     d(C_i, R) = 2 rank [C_i; R] - dim C_i - dim R, which depends on the span
-    of R alone, so raw rows need no canonical form first.  Over F_2 the
-    verdict is bounded: each codeword basis is packed into a pivot table
-    once per call, each word reduced once to an echelon set of its own, and
-    e_i = rank [C_i; R] - dim C_i counted, row by row of that set into a
-    copy of C_i's table, only as far as _bounded_verdict asks.  Every other
-    field ranks every stack exactly: dim R is the rank of R stacked under no
-    rows, so one stack_ranks call ranks every stack of every word.
+    of R alone, so raw rows need no canonical form first.  The capped ranks
+    min(e_i, cap), e_i = rank [C_i; R] - dim C_i, of GF.capped_stack_ranks
+    feed _bounded_verdict: over F_2 each codeword basis is packed into a
+    pivot table once per call, each word reduced once to an echelon set of
+    its own, and e_i counted, row by row of that set into a copy of C_i's
+    table, only as far as the verdict asks.
     """
     rows = [_received_rows(code, w) for w in words]
     bases = [w.basis for w in code]
-    if code.field.q == 2:
-        dims = [len(B) for B in bases]
-        return [_bounded_verdict(dim, dims, rank)
-                for dim, rank in code.field.capped_stack_ranks(bases, rows)]
-    tops = bases + [np.zeros((0, code.n), dtype=np.int64)]
-    pairs = [(i, t) for t in range(len(rows)) for i in range(len(tops))]
-    ranks = list(code.field.stack_ranks(tops, rows, pairs))
-    out = []
-    for t in range(len(rows)):
-        *joint, dim = ranks[t * len(tops):(t + 1) * len(tops)]
-        out.append(_verdict([2 * r - len(B) - dim for r, B in zip(joint, bases)]))
-    return out
+    dims = [len(B) for B in bases]
+    return [_bounded_verdict(dim, dims, rank)
+            for dim, rank in code.field.capped_stack_ranks(bases, rows)]
 
 
 class ProjectionDecoder:
@@ -302,11 +295,12 @@ class ProjectionDecoder:
     d(C_i, R) = dim C_i + 2 e_i - dim R.  The Q_i are stacked once into
     Q = [Q_1 | ... | Q_N] (n x sum(n - dim C_i)) and prepared as a
     gf.BlockRankFactor (over F_2, its Four-Russians tables), and each
-    received word costs one product R Q and the ranks of its column blocks.
-    Over F_2 those ranks are capped: each block's echelon scan runs only as
-    far as _bounded_verdict needs it to settle the minimum distance and its
-    ties.  Off F_2, decode_many takes one product (R_1; ...; R_T) Q for all
-    its words and ranks every block of every word exactly, in one stack.
+    received word costs one product R Q and the capped ranks of its column
+    blocks, asked for by _bounded_verdict.  Over F_2 each block's echelon
+    scan so runs only as far as the verdict needs it to settle the minimum
+    distance and its ties; off F_2, decode_many takes one product
+    (R_1; ...; R_T) Q for all its words and ranks every block of every word
+    exactly, in one stack.
 
     rank(R Q_i) is the dimension of the image of span(R) under x -> x Q_i,
     so it depends only on the span of the rows: any spanning set gives the
@@ -332,18 +326,13 @@ class ProjectionDecoder:
 
     def decode_many(self, words):
         """decode() of each received word (a Subspace or generator rows), with
-        one factor call for all: over F_2 capped block ranks and a bounded
-        verdict per word, off F_2 one product (R_1; ...; R_T) Q and one
-        stacked rank call over every column block of every word."""
+        one factor call for all and a bounded verdict per word."""
         rows = [_received_rows(self.code, w) for w in words]
         # a Subspace's basis is in rref already, so the factor skips reducing it
         flags = [isinstance(w, Subspace) for w in words]
         dims = [w.dim for w in self.code]
-        if self.code.field.q == 2:
-            return [_bounded_verdict(dim, dims, rank)
-                    for dim, rank in self._factor.capped(rows, flags)]
-        return [_verdict([k + 2 * rank - dim for k, rank in zip(dims, ranks)])
-                for dim, ranks in self._factor.many(rows, flags)]
+        return [_bounded_verdict(dim, dims, rank)
+                for dim, rank in self._factor.capped(rows, flags)]
 
 
 def projection_decoder(code):

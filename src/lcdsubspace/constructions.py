@@ -750,14 +750,8 @@ def theorem_pipeline(kind, *, p, r=1, scheme=None, partition=None, graph=None,
             gen_indices = [1, 2]
             divisor, divisor_name = n // 2, "n/2"
         else:
-            def _all_bush():
-                for pos, H in enumerate(uset):
-                    if not is_bush(H):
-                        raise NotBushType(f"matrix {pos} is not Bush-type",
-                                          witness=pos)
-
-            hyp.attempt("all matrices are Bush-type", _all_bush, NotBushType)
-            pair = bush_schemes(uset)
+            pair = hyp.attempt("all matrices are Bush-type",
+                               lambda: bush_schemes(uset), NotBushType)
             if kind == "thm58":
                 sch = pair.five_class
                 gen_indices = [2, 3, 4, 5]

@@ -19,10 +19,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import Disconnected, FileFormatError
 from .gf import field_from_order, field_new
 from .linalg import as_int_matrix
 from .schemes import EquitablePartition
@@ -61,6 +62,8 @@ def parse_matrix_text(text):
         modulus = int(head[3]) if len(head) == 4 else None
     except ValueError:
         raise FileFormatError(f"non-integer header fields in {lines[0]!r}")
+    if min(rows, cols) < 0:
+        raise FileFormatError(f"negative matrix size in {lines[0]!r}")
     if kind == "fq" and modulus is None:
         raise FileFormatError("kind fq requires a modulus in the header")
     if len(lines) - 1 != rows:
@@ -74,7 +77,10 @@ def parse_matrix_text(text):
         if len(row) != cols:
             raise FileFormatError(f"expected {cols} columns, row has {len(row)}")
         data.append(row)
-    M = np.array(data, dtype=np.int64).reshape(rows, cols)
+    try:
+        M = np.array(data, dtype=np.int64).reshape(rows, cols)
+    except (OverflowError, ValueError):
+        raise FileFormatError("matrix entries and sizes must fit in 64-bit integers")
     if kind == "pm1" and not ((M == 1) | (M == -1)).all():
         raise FileFormatError("pm1 entries must be +-1")
     if kind == "zpm1" and not ((M >= -1) & (M <= 1)).all():
@@ -186,6 +192,11 @@ def parse_graph_text(text):
             raise FileFormatError("vertices are 1-based")
         edges.append((u, v))
         top = max(top, u + 1, v + 1)
+    # a connected graph, as Graph requires, on top vertices has at least
+    # top - 1 edges: known before the top x top matrix is allocated
+    if top > len(edges) + 1:
+        raise Disconnected(f"{top} vertices need at least {top - 1} edges, "
+                           f"the list has {len(edges)}", witness=(top, len(edges)))
     A = np.zeros((top, top), dtype=np.int64)
     for u, v in edges:
         A[u, v] = A[v, u] = 1
@@ -211,18 +222,29 @@ def code_from_doc(doc):
     from .codes import SubspaceCode
 
     try:
-        p, r = int(doc["field"]["p"]), int(doc["field"]["r"])
-        n = int(doc["ambient"]) if "ambient" in doc else int(doc["params"]["n"])
-        words = doc["codewords"]
-    except (KeyError, TypeError, ValueError):
+        p, r = doc["field"]["p"], doc["field"]["r"]
+        n = doc["ambient"] if "ambient" in doc else doc["params"]["n"]
+        words = list(doc["codewords"])
+    except (KeyError, TypeError):
         raise FileFormatError("code document needs field{p,r}, ambient, codewords")
+    # bool is an int to Python, and int() would round 2.9 and read "2"
+    if {type(p), type(r), type(n)} != {int}:
+        raise FileFormatError(
+            f"field p, r and ambient must be integers, got {p!r}, {r!r}, {n!r}")
     f = field_new(p, r)
     subs = []
     for rows in words:
         try:
+            kinds = set(map(type, chain.from_iterable(rows)))
             M = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        except OverflowError:
+            raise FileFormatError("codeword entries must fit in 64-bit integers")
         except (TypeError, ValueError):
             raise FileFormatError(f"codeword rows must be {n} integers each")
+        # the conversion rounds 1.5 and reads "1" and True as 1
+        if any(k is bool or not issubclass(k, (int, np.integer)) for k in kinds):
+            raise FileFormatError(f"codeword entries must be integers, got "
+                                  f"{', '.join(sorted(k.__name__ for k in kinds))}")
         subs.append(Subspace(f, n, M))
     return SubspaceCode(subs)
 

@@ -29,21 +29,19 @@ result is reduced mod p (``& 1`` when p = 2), so every product is exact.
 
 A right factor B multiplied by many row sets, as the projection decoder
 multiplies every received word by the same complement coordinates, is
-prepared once as a ``BlockRankFactor`` with the widths of its column blocks;
-a call returns the rank of the rows and the rank of each column block of
-rows B, and ``many`` does so for many row sets at once.  Over F_2, when the
-factor is built, each row of B is packed into one Python int, column c in
-bit c, and every 8 rows of B get one 256-entry table of the XORs of their
-subsets (the Four-Russians method, M4RM: Albrecht, Bard and Hart, ACM TOMS
-2010).  A call reduces the rows to an echelon set, reads each as
-ceil(n / 8) bytes, XORs one table entry per byte into a packed product row,
-and takes each block's rank off one shift and one mask of each product row.
-``capped`` returns, instead of the ranks, a capped rank rank(i, cap) =
-min(rank of block i, cap) per row set: block i's rows are shifted and
-masked lazily, one product row at a time, and reduced into an echelon table
-of the block's own until cap of them add a pivot, and a later call with a
-higher cap goes on from there.  A decoder that needs a block's rank only up
-to a bound (``codes``) so never reads the rest of that block.
+prepared once as a ``BlockRankFactor`` with the widths of its column blocks.
+``capped`` returns, per row set, the rank of the rows and a capped rank
+rank(i, cap) = min(rank of block i of rows B, cap), on every field.  Over
+F_2, when the factor is built, each row of B is packed into one Python int,
+column c in bit c, and every 8 rows of B get one 256-entry table of the XORs
+of their subsets (the Four-Russians method, M4RM: Albrecht, Bard and Hart,
+ACM TOMS 2010).  A call reduces the rows to an echelon set, reads each as
+ceil(n / 8) bytes and XORs one table entry per byte into a packed product
+row.  Block i's rows are shifted and masked lazily, one product row at a
+time, and reduced into an echelon table of the block's own until cap of
+them add a pivot, and a later call with a higher cap goes on from there.  A
+decoder that needs a block's rank only up to a bound (``codes``) so never
+reads the rest of that block.
 Python ints, not uint64 arrays, hold the tables: a product row is then a
 few dozen XORs with no conversion, faster than numpy gathers both for the
 95 rows of a (192, 31, 4; 96) decode and for a handful of rows.
@@ -53,7 +51,8 @@ same table loop.  The product identity check N_i N_j^T = I of a GF(2)
 N_j^T side by side and compares each product row k of N_i with the int
 whose bits k, t + k, 2t + k, ... are set, one comparison per row.  Every
 other field keeps B and runs one ``matmul`` of all the row sets, stacked,
-and one ``ranks`` of every column block of every row set.
+and one ``ranks`` of every column block of every row set; its capped rank
+is the least of the exact rank and the cap.
 
 Elimination over F_2 (chosen by ``q == 2`` alone) packs each row into one
 Python int, column 0 in the highest bit, so adding two rows is one XOR of
@@ -64,14 +63,15 @@ field, and ``det`` is ``rank == n``.  ``stack_ranks`` ranks many stacks
 [A_i; B_j] of the same matrices, as the LCD check and the distance scans
 do, packing each matrix once: a stack is the concatenation of two lists of
 packed rows.  ``capped_stack_ranks(tops, bottoms)`` is its capped form for
-batched naive decoding: each top becomes an echelon table once, each
-bottom an echelon set once, and rank(i, cap) =
-min(rank [tops[i]; B] - rank tops[i], cap) reduces B's rows into a copy of
-top i's table until cap of them add a pivot, again going on from where the
-last call stopped.  Both capped forms run one capped scan,
-``_gf2_capped_ranks``; it keeps its count of missing pivots to itself,
-since at each pivot that count cost the uncapped reduction of ``rank`` and
-``stack_ranks`` about a tenth of its time.
+batched naive decoding, rank(i, cap) = min(rank [tops[i]; B] - rank tops[i],
+cap) on every field.  Over F_2 each top becomes an echelon table once, each
+bottom an echelon set once, and rank(i, cap) reduces B's rows into a copy
+of top i's table until cap of them add a pivot, again going on from where
+the last call stopped; every other field ranks every stack exactly, in one
+pass, and caps the ranks it has.  Both GF(2) capped forms run one capped
+scan, ``_gf2_capped_ranks``; it keeps its count of missing pivots to
+itself, since at each pivot that count cost the uncapped reduction of
+``rank`` and ``stack_ranks`` about a tenth of its time.
 
 Every other field runs one elimination core, ``_eliminate``, on a stack of
 matrices (B x m x n): ``rank``, ``rref`` and ``det`` pass a stack of one,
@@ -94,13 +94,12 @@ entry in the column, in an unused row.  Over F_2,
 ``ranks`` packs the whole stack at once and reduces each matrix on its
 packed rows.  Zero rows and zero columns change no rank, so
 ``padded_stack`` pads matrices of mixed shapes into one stack:
-``block_ranks`` ranks its blocks in one ``ranks`` call, and ``stack_ranks``
-on fields other than F_2 goes through ``ranks`` in stacks of at most
-``STACK_ENTRIES`` entries.  Every
-elimination entry point rejects entries outside [0, q) with
-``EncodingOutOfRange``, by one max over the operand's uint64 view, since a
-gather would silently wrap a negative entry and packing would read any
-nonzero entry as 1.
+``BlockRankFactor`` ranks its column blocks in one ``ranks`` call, and
+``stack_ranks`` on fields other than F_2 goes through ``ranks`` in stacks
+of at most ``STACK_ENTRIES`` entries.  Every elimination entry point
+rejects entries outside [0, q) with ``EncodingOutOfRange``, by one max over
+the operand's uint64 view, since a gather would silently wrap a negative
+entry and packing would read any nonzero entry as 1.
 """
 
 from __future__ import annotations
@@ -308,6 +307,11 @@ def _gf2_capped_ranks(tables, rows, fields):
     return rank
 
 
+def _exact_capped(ranks):
+    """The capped rank rank(i, cap) = min(ranks[i], cap) of exact ranks."""
+    return lambda i, cap: min(ranks[i], cap)
+
+
 def _gf2_rref(A):
     """(R, pivots) of a 0/1 int64 matrix, as GF.rref returns them."""
     rows, cols = A.shape
@@ -444,9 +448,6 @@ class GF:
         if not 0 <= val < self.q:
             raise EncodingOutOfRange(f"encoded value {val} outside [0, {self.q})")
         return FieldElement(self, val)
-
-    def elements(self):
-        return [FieldElement(self, v) for v in range(self.q)]
 
     def coeffs(self, val):
         """Polynomial coordinates (c_0, ..., c_{r-1}) of an encoded value."""
@@ -852,28 +853,43 @@ class GF:
         return self._paired_ranks(padded_stack(tops), padded_stack(bottoms), iter(pairs))
 
     def capped_stack_ranks(self, tops, bottoms):
-        """Over F_2, for each matrix B of bottoms, (rank B, rank) where
+        """For each matrix B of bottoms, (rank B, rank) where
         rank(i, cap) = min(rank [tops[i]; B] - rank tops[i], cap).
 
-        Each top is packed into an echelon table once, and each B reduced
-        once to an echelon set of its own.  rank(i, cap) reduces B's
+        Over F_2 each top is packed into an echelon table once, and each B
+        reduced once to an echelon set of its own.  rank(i, cap) reduces B's
         echelon rows into a copy of top i's table until cap of them add a
-        pivot; a later call with a higher cap goes on from there.
+        pivot; a later call with a higher cap goes on from there.  Every
+        other field ranks every stack exactly, in one pass.
         """
-        if self.q != 2:
-            raise FieldMismatch("capped ranks are taken over F_2 only")
         tops = [self._check(self._as_rows(A)) for A in tops]
         bottoms = [self._as_rows(A) for A in bottoms]
         if len({A.shape[1] for A in tops + bottoms}) > 1:
             raise DimensionMismatch("stacked matrices need the same number of columns")
-        tables = [_gf2_pivots(_gf2_pack(A)) for A in tops]
-        whole = [(0, -1)] * len(tables)     # (r >> 0) & -1 is r itself
-        # every bottom packed at once, padded with zero rows to one height
+        if not bottoms:
+            return []
+        # every bottom checked at once, padded with zero rows to one height
         S = self._check(padded_stack(bottoms))
+        T, k = len(bottoms), len(tops)
+        if self.q != 2:
+            # a matrix of no rows over each B and under each top: their
+            # stacks have rank B and rank tops[i]
+            pairs = [(i, T) for i in range(k)]
+            pairs += [(i, t) for t in range(T) for i in range(k + 1)]
+            ranks = list(self._paired_ranks(padded_stack(tops + [S[0, :0]]),
+                                            np.concatenate([S, np.zeros_like(S[:1])]),
+                                            iter(pairs)))
+            out = []
+            for at in range(k, len(ranks), k + 1):
+                joint = [r - b for r, b in zip(ranks[at:at + k], ranks[:k])]
+                out.append((ranks[at + k], _exact_capped(joint)))
+            return out
+        tables = [_gf2_pivots(_gf2_pack(A)) for A in tops]
+        whole = [(0, -1)] * k     # (r >> 0) & -1 is r itself
         height = S.shape[1]
         packed = _gf2_pack(S)
         out = []
-        for t in range(len(bottoms)):
+        for t in range(T):
             rows = list(_gf2_pivots(packed[t * height:(t + 1) * height]).values())
             out.append((len(rows), _gf2_capped_ranks(tables, rows, whole)))
         return out
@@ -884,22 +900,6 @@ class GF:
         while chunk := list(islice(pairs, size)):
             i, j = np.array(chunk, dtype=np.int64).T
             yield from self.ranks(np.concatenate([tops[i], bottoms[j]], axis=1)).tolist()
-
-    def block_ranks(self, M, widths):
-        """Ranks of the consecutive column blocks of M, of the given widths."""
-        A = self._as_rows(M)
-        return self._block_ranks(A[None], _block_spans(widths, A.shape[1]))[0].tolist()
-
-    def _block_ranks(self, S, spans):
-        """Ranks of the column blocks (start, end) of each matrix of the stack
-        S, as a (len(S) x len(spans)) array: every block, padded with zero
-        columns to the widest, of every matrix in one stack."""
-        T, m, _ = S.shape
-        width = max((e - s for s, e in spans), default=0)
-        blocks = np.zeros((T, len(spans), m, width), dtype=np.int64)
-        for k, (s, e) in enumerate(spans):
-            blocks[:, k, :, :e - s] = S[:, :, s:e]
-        return self.ranks(blocks.reshape(T * len(spans), m, width)).reshape(T, len(spans))
 
     def det(self, M):
         A = np.asarray(M, dtype=np.int64)
@@ -982,21 +982,13 @@ def _block_spans(widths, cols):
 class BlockRankFactor:
     """A right factor B, prepared once for the column-block ranks of rows B.
 
-    ``factor(rows)`` returns (rank of rows, [rank of block i of rows B]) for
-    consecutive column blocks of B of the given widths, and
-    ``factor.many(row_sets, flags)`` a list of them.  With the flag
-    ``independent=True`` the rows are trusted to be linearly independent, as
-    a Subspace basis is, so their rank is their number; B is checked when the
-    factor is built.  Over F_2, ``factor.products(M)`` returns the rows of
-    M B, each packed into one int, and ``factor.capped(row_sets, flags)``
-    returns (rank of rows, rank) per row set, rank(i, cap) being
-    min(rank of block i of rows B, cap), scanned lazily and resumed on each
-    call; the ranks of ``factor(rows)`` and ``many`` stay exact.
-    Over F_2 the product runs on Four-Russians tables, 32 bits per entry of
-    B (see the module docstring), on the independent rows or on an echelon
-    basis of them; every other field keeps B and runs one ``matmul`` of all
-    the row sets, padded with zero rows to one height, and one stacked rank
-    call over every column block of every row set.
+    ``factor.capped(row_sets, flags)`` returns, for each row set, (rank of
+    rows, rank) with rank(i, cap) = min(rank of block i of rows B, cap),
+    for consecutive column blocks of B of the given widths; B is checked
+    when the factor is built.  Over F_2 the product runs on Four-Russians
+    tables (see the module docstring) and each block is scanned lazily and
+    resumed on each call, and ``factor.products(M)`` returns the rows of
+    M B, each packed into one int.  Every other field keeps B.
     """
 
     def __init__(self, field, B, widths):
@@ -1004,7 +996,6 @@ class BlockRankFactor:
         spans = _block_spans(widths, B.shape[1])
         self.field = field
         self.inner = B.shape[0]
-        self.widths = list(widths)
         if field.q != 2:
             self._B = B
             self._spans = spans
@@ -1026,50 +1017,44 @@ class BlockRankFactor:
                 table += [t ^ row for t in table]
             self._tables.append(table)
 
-    def __call__(self, rows, independent=False):
-        return self.many([rows], [independent])[0]
-
-    def many(self, row_sets, independent):
-        """factor(rows, flag) for each row set and flag of independent, with
-        every row set packed at once and, off F_2, one product for all."""
-        f = self.field
-        if f.q == 2:
-            # a block's rank is at most its width, so that cap makes it exact
-            return [(dim, [rank(i, w) for i, w in enumerate(self.widths)])
-                    for dim, rank in self.capped(row_sets, independent)]
-        mats = self._rows(row_sets)
-        # zero rows, as padding, change no rank
-        S = padded_stack(mats)
-        # the span of the rows decides every rank below, so the padded rows
-        # themselves serve, their rank computed unless they are independent
-        # (a Subspace basis)
-        dims = np.array([len(A) for A in mats], dtype=np.int64)
-        dependent = [t for t, flag in enumerate(independent) if not flag]
-        if dependent:
-            dims[dependent] = f.ranks(S[dependent])
-        product = f.matmul(S.reshape(-1, self.inner), self._B)
-        ranks = f._block_ranks(product.reshape(len(S), S.shape[1], product.shape[1]),
-                               self._spans)
-        return list(zip(dims.tolist(), ranks.tolist()))
-
     def capped(self, row_sets, independent):
-        """Over F_2, for each row set and flag of independent, (rank of
-        rows, rank) where rank(i, cap) = min(rank of block i of rows B, cap).
+        """For each row set and flag of independent, (rank of rows, rank)
+        where rank(i, cap) = min(rank of block i of rows B, cap).
 
-        The rows are packed at once, and each row set taken as it is when
-        independent or else reduced to an echelon set (no back-substitution),
-        whose size is the rank of the rows: the span decides every block
-        rank, so any spanning set serves.  Its product rows come off the
-        Four-Russians tables, and rank(i, cap) reads block i of them lazily,
-        one product row at a time, into an echelon table of its own until
-        cap of them add a pivot: a block stopped after two rows never
+        A row set flagged independent, as a Subspace basis is, is trusted
+        to be so: its rank is its number of rows.  The span decides every
+        block rank, so any spanning set serves.  The row sets are padded
+        with zero rows to one height and checked at once.  Over F_2 they
+        are packed at once, and each taken as it is when independent or
+        else reduced to an echelon set (no back-substitution), whose size
+        is the rank of the rows.  Its product rows come off the
+        Four-Russians tables, and rank(i, cap) reads block i of them
+        lazily, one product row at a time, into an echelon table of its own
+        until cap of them add a pivot: a block stopped after two rows never
         touches the others, and a later call with a higher cap goes on from
-        there.
+        there.  Every other field runs one matmul of all the row sets and
+        one stacked rank call over every column block of every row set.
         """
-        if self.field.q != 2:
-            raise FieldMismatch("capped block ranks are taken over F_2 only")
-        S = padded_stack(self._rows(row_sets))
-        height = S.shape[1]
+        f = self.field
+        mats = self._rows(row_sets)
+        S = f._check(padded_stack(mats))
+        T, height, _ = S.shape
+        if f.q != 2:
+            dims = np.array([len(A) for A in mats], dtype=np.int64)
+            dependent = [t for t, flag in enumerate(independent) if not flag]
+            if dependent:
+                dims[dependent] = f.ranks(S[dependent])
+            P = f.matmul(S.reshape(T * height, self.inner), self._B)
+            P = P.reshape(T, height, self._B.shape[1])
+            # every block, padded with zero columns to the widest, in one stack
+            spans = self._spans
+            width = max((e - s for s, e in spans), default=0)
+            blocks = np.zeros((T, len(spans), height, width), dtype=np.int64)
+            for k, (s, e) in enumerate(spans):
+                blocks[:, k, :, :e - s] = P[:, :, s:e]
+            ranks = f.ranks(blocks.reshape(T * len(spans), height, width))
+            ranks = ranks.reshape(T, len(spans))
+            return [(dim, _exact_capped(r)) for dim, r in zip(dims.tolist(), ranks.tolist())]
         packed = _gf2_pack(S)
         out = []
         for t, flag in enumerate(independent):

@@ -50,10 +50,6 @@ class AssociationScheme:
     def __repr__(self):
         return f"AssociationScheme(|X|={self.size}, d={self.classes})"
 
-    @classmethod
-    def from_matrices(cls, mats):
-        return scheme_from_matrices(mats)
-
 
 def scheme_from_matrices(mats):
     """Verify the scheme axioms and return the scheme with its tensor.

@@ -273,6 +273,38 @@ def test_decode_code_that_is_not_json_is_exit_1(tmp_path, capsys):
     assert set(doc) == {"error", "message", "witness"}
 
 
+def test_oversized_and_non_integer_input_values_are_exit_1(tmp_path, capsys):
+    # each once ended in an OverflowError or ValueError traceback, or was
+    # read as a rounded integer
+    good = {"field": {"p": 2, "r": 1}, "ambient": 2, "codewords": [[[1, 0]], [[0, 1]]]}
+    recv = tmp_path / "recv.txt"
+    fileio.write_matrix(recv, np.array([[1, 0]]), "fq", modulus=2)
+    big = tmp_path / "big.txt"
+    big.write_text("pm1 1 2\n1 99999999999999999999\n")
+    edges = tmp_path / "edges.txt"
+    edges.write_text("1 99999999999999999999\n")
+    runs = []
+    for n, doc in enumerate([{**good, "codewords": [[[2 ** 70, 0]], [[0, 1]]]},
+                             {**good, "codewords": [[[1.5, 0]], [[0, 1]]]},
+                             {**good, "field": {"p": 2.9, "r": 1}}]):
+        code = tmp_path / f"code{n}.json"
+        code.write_text(json.dumps(doc))
+        runs.append(("decode", "--code", str(code), "--received", str(recv)))
+        runs.append(("simulate", "--code", str(code), "--trials", "2"))
+    code = tmp_path / "good.json"
+    code.write_text(json.dumps(good))
+    runs += [("verify", "hadamard", str(big)),
+             ("decode", "--code", str(code), "--received", str(big)),
+             ("verify", "drg", str(edges)),
+             ("construct", "cor45", str(edges), "--p", "2", "--indices", "1")]
+    for argv in runs:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == "", argv
+        doc = json.loads(err)
+        assert set(doc) == {"error", "message", "witness"} and "Traceback" not in err
+        assert doc["error"] in ("FileFormatError", "Disconnected"), (argv, doc)
+
+
 def test_decode_received_over_a_huge_field_is_exit_1_at_once(tmp_path, capsys, f5):
     # the modulus is prime; trial division of it took seconds before the
     # order was compared with the largest field first

@@ -197,15 +197,19 @@ def test_decoders_agree_randomized(f2, f3, f4):
 
 
 def _isotropic_lcd_code(f, n, k, size, rng):
-    """size codewords <[I_k | Y_i H]> of GF(2)^n, columns shuffled alike.
-    H's rows e_2t + e_2t+1 are orthogonal to each other and to themselves,
-    so every Gram block G_i G_j^T is I_k and the code is LCD."""
-    m = (n - k) // 2
+    """size codewords <[I_k | Y_i H]> of F_q^n, columns shuffled alike.
+    H's rows, the all-ones vectors on p consecutive coordinates
+    (e_2t + e_2t+1 over GF(2)), are orthogonal to each other and, as p = 0
+    in F_q, to themselves, so every Gram block G_i G_j^T is I_k and the
+    code is LCD."""
+    m = (n - k) // f.p
     H = np.zeros((m, n - k), dtype=np.int64)
-    H[np.arange(m), 2 * np.arange(m)] = H[np.arange(m), 2 * np.arange(m) + 1] = 1
+    for j in range(f.p):
+        H[np.arange(m), f.p * np.arange(m) + j] = 1
     perm = rng.permutation(n)
     eye = np.eye(k, dtype=np.int64)
-    gens = [np.hstack([eye, rng.integers(0, 2, (k, m)) @ H % 2])[:, perm] for _ in range(size)]
+    gens = [np.hstack([eye, f.matmul(rng.integers(0, f.q, (k, m)), H)])[:, perm]
+            for _ in range(size)]
     return SubspaceCode([Subspace(f, n, G) for G in gens])
 
 
@@ -354,7 +358,7 @@ def test_classical_check_is_the_gram_determinant(f3):
     assert gram_det == 2
 
 
-# --- bounded verdicts over F_2 ---
+# --- bounded verdicts, on GF(2) and on fields that cap exact ranks ---
 
 
 def _batched_verdicts_match_naive(code, words):
@@ -387,72 +391,77 @@ def _tied(code, R):
     return dists.count(min(dists))
 
 
-def test_bounded_verdicts_keep_ties(f2):
+def test_bounded_verdicts_keep_ties(f2, f3, f4, f9):
     # a constant-dimension code with many codewords in a small space, so
     # that many words are at the minimum distance from two or more
     # codewords: the bounded scans must finish every tied block exactly
-    rng = np.random.default_rng(61)
-    code = _isotropic_lcd_code(f2, 12, 4, 8, rng)
-    assert len(code) == 8 and is_lcd_subspace_code(code)
-    words = []
-    for t in range(60):
-        k = int(rng.integers(0, 9))
-        rows = rng.integers(0, 2, (k, 12))
-        if t % 3 == 0:
-            # part of one codeword plus part of another
-            rows = np.vstack([code[t % 8].basis[:2], code[(t + 1) % 8].basis[2:], rows[:1]])
-        words.append(Subspace(f2, 12, rows) if t % 2 else rows)
-    out = _batched_verdicts_match_naive(code, words)
-    ties = [_tied(code, w if isinstance(w, Subspace) else Subspace(f2, 12, w)) for w in words]
-    assert sum(o.status == "failure" for o in out) >= 10
-    assert all((o.status == "failure") == (k > 1) for o, k in zip(out, ties))
-    assert max(ties) >= 3
+    for f in (f2, f3, f4, f9):
+        rng = np.random.default_rng(61)
+        code = _isotropic_lcd_code(f, 12, 4, 8, rng)
+        assert len(code) == 8 and is_lcd_subspace_code(code)
+        words = []
+        for t in range(60):
+            k = int(rng.integers(0, 9))
+            rows = rng.integers(0, f.q, (k, 12))
+            if t % 3 == 0:
+                # part of one codeword plus part of another
+                rows = np.vstack([code[t % 8].basis[:2], code[(t + 1) % 8].basis[2:], rows[:1]])
+            words.append(Subspace(f, 12, rows) if t % 2 else rows)
+        out = _batched_verdicts_match_naive(code, words)
+        ties = [_tied(code, w if isinstance(w, Subspace) else Subspace(f, 12, w)) for w in words]
+        assert sum(o.status == "failure" for o in out) >= 10
+        assert all((o.status == "failure") == (k > 1) for o, k in zip(out, ties))
+        assert max(ties) >= 3
 
 
-def test_bounded_verdicts_on_mixed_dimensions(f2):
+def test_bounded_verdicts_on_mixed_dimensions(f2, f3, f4, f9):
     # the cap of block i depends on dim C_i, and with mixed dimensions the
     # distances of two codewords can differ in parity; such a code is never
     # LCD, so only decode_naive_many takes it
-    rng = np.random.default_rng(67)
-    statuses = set()
-    for n, dims in ((6, (1, 2, 3, 4)), (9, (1, 3, 4, 6, 8)), (16, (2, 5, 7, 11, 13))):
-        code = _mixed_code(f2, n, dims, rng)
-        words = [rng.integers(0, 2, (int(rng.integers(0, n + 2)), n)) for _ in range(30)]
-        words += [np.vstack([w.basis[:w.dim - 1], rng.integers(0, 2, (1, n))]) for w in code]
-        words += [w.basis for w in code]
-        out = _batched_verdicts_match_naive(code, words)
-        statuses |= {o.status for o in out}
-        # every codeword wins some word: each dimension's cap is exercised
-        assert {o.index for o in out} >= set(range(len(code)))
-    assert statuses == {"decoded", "failure"}
+    for f in (f2, f3, f4, f9):
+        rng = np.random.default_rng(67)
+        statuses = set()
+        for n, dims in ((6, (1, 2, 3, 4)), (9, (1, 3, 4, 6, 8)), (16, (2, 5, 7, 11, 13))):
+            code = _mixed_code(f, n, dims, rng)
+            words = [rng.integers(0, f.q, (int(rng.integers(0, n + 2)), n)) for _ in range(30)]
+            words += [np.vstack([w.basis[:w.dim - 1], rng.integers(0, f.q, (1, n))])
+                      for w in code]
+            words += [w.basis for w in code]
+            out = _batched_verdicts_match_naive(code, words)
+            statuses |= {o.status for o in out}
+            # every codeword wins some word: each dimension's cap is exercised
+            assert {o.index for o in out} >= set(range(len(code)))
+        assert statuses == {"decoded", "failure"}
 
 
-def test_bounded_verdicts_on_the_zero_and_the_full_space(f2):
-    # dim R = 0: d = dim C_i; R = F_2^n: d = n - dim C_i
-    rng = np.random.default_rng(71)
-    for code in (_mixed_code(f2, 7, (1, 2, 4, 6), rng),
-                 _isotropic_lcd_code(f2, 12, 4, 6, rng)):
-        n = code.n
-        words = [Subspace.zero(f2, n), np.zeros((0, n), dtype=np.int64),
-                 np.zeros((3, n), dtype=np.int64), Subspace.full(f2, n),
-                 np.eye(n, dtype=np.int64), np.vstack([np.eye(n, dtype=np.int64)] * 2)]
-        out = _batched_verdicts_match_naive(code, words)
-        small, large = min(code.dims), max(code.dims)
-        assert all(o.distance == small for o in out[:3])
-        assert all(o.distance == n - large for o in out[3:])
+def test_bounded_verdicts_on_the_zero_and_the_full_space(f2, f3, f4, f9):
+    # dim R = 0: d = dim C_i; R = F_q^n: d = n - dim C_i
+    for f in (f2, f3, f4, f9):
+        rng = np.random.default_rng(71)
+        for code in (_mixed_code(f, 7, (1, 2, 4, 6), rng),
+                     _isotropic_lcd_code(f, 12, 4, 6, rng)):
+            n = code.n
+            words = [Subspace.zero(f, n), np.zeros((0, n), dtype=np.int64),
+                     np.zeros((3, n), dtype=np.int64), Subspace.full(f, n),
+                     np.eye(n, dtype=np.int64), np.vstack([np.eye(n, dtype=np.int64)] * 2)]
+            out = _batched_verdicts_match_naive(code, words)
+            small, large = min(code.dims), max(code.dims)
+            assert all(o.distance == small for o in out[:3])
+            assert all(o.distance == n - large for o in out[3:])
 
 
-def test_bounded_verdicts_far_from_every_codeword(f2):
-    # random words of dimension 40 in F_2^130 are far from every codeword of
+def test_bounded_verdicts_far_from_every_codeword(f2, f3, f4, f9):
+    # random words of dimension 40 in F_q^130 are far from every codeword of
     # dimension 40, so every e_i is large and pass 1 raises its cap from 2
     # to at least 16 before any block comes in below it
-    rng = np.random.default_rng(73)
-    code = _isotropic_lcd_code(f2, 130, 40, 4, rng)
-    words = [rng.integers(0, 2, (40, 130)) for _ in range(4)]
-    out = _batched_verdicts_match_naive(code, words)
-    for o, w in zip(out, words):
-        e = (o.distance - 40 + Subspace(f2, 130, w).dim) // 2
-        assert e >= 8
+    for f in (f2, f3, f4, f9):
+        rng = np.random.default_rng(73)
+        code = _isotropic_lcd_code(f, 130, 40, 4, rng)
+        words = [rng.integers(0, f.q, (40, 130)) for _ in range(4)]
+        out = _batched_verdicts_match_naive(code, words)
+        for o, w in zip(out, words):
+            e = (o.distance - 40 + Subspace(f, 130, w).dim) // 2
+            assert e >= 8
 
 
 @pytest.mark.parametrize("erasures, errors", [(3, 2), (0, 3)])

@@ -6,7 +6,7 @@ import pytest
 
 from lcdsubspace import fileio
 from lcdsubspace.codes import SubspaceCode
-from lcdsubspace.errors import EncodingOutOfRange, FileFormatError
+from lcdsubspace.errors import Disconnected, EncodingOutOfRange, FileFormatError
 from lcdsubspace.subspaces import span
 
 
@@ -37,6 +37,14 @@ def test_matrix_kinds_and_validation():
         fileio.parse_matrix_text("fq 1 2 4\n0 4\n")
     data = fileio.parse_matrix_text("# comment\nzpm1 2 2\n0 1\n-1 0\n")
     assert data.matrix.tolist() == [[0, 1], [-1, 0]]
+    # entries and sizes past int64 are format errors, not OverflowError
+    for text in ("int 1 2\n1 99999999999999999999\n", "int 1 1\n-9223372036854775809\n",
+                 "int 0 99999999999999999999\n", "int 0 -1\n", "int -1 2\n"):
+        with pytest.raises(FileFormatError):
+            fileio.parse_matrix_text(text)
+    assert fileio.parse_matrix_text("int 1 1\n9223372036854775807\n").matrix.tolist() == \
+        [[2 ** 63 - 1]]
+    assert fileio.parse_matrix_text("int 0 3\n").matrix.shape == (0, 3)
 
 
 def test_matrix_over_field(f3):
@@ -81,6 +89,23 @@ def test_graph_edge_list_and_dense():
         fileio.parse_graph_text("0 1\n")  # vertices are 1-based
 
 
+def test_graph_edge_list_too_short_to_connect_fails_before_allocating(monkeypatch):
+    # a connected graph on top vertices has at least top - 1 edges; a dense
+    # 100000 x 100000 matrix would take 80 GB, so any large np.zeros fails
+    zeros = np.zeros
+
+    def small_zeros(shape, *args, **kwargs):
+        assert np.prod(shape, dtype=object) <= 10 ** 6, f"asked to allocate {shape}"
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", small_zeros)
+    for text in ("1 99999999999999999999\n", "1 100000\n", "1 2\n3 4\n"):
+        with pytest.raises(Disconnected):
+            fileio.parse_graph_text(text)
+    # a path has exactly top - 1 edges
+    assert fileio.parse_graph_text("1 2\n2 3\n3 4\n").diameter == 3
+
+
 def test_code_json_roundtrip(tmp_path, f4):
     code = SubspaceCode([
         span(f4, 4, [[1, 0, 2, 0], [0, 1, 0, 3]]),
@@ -107,6 +132,20 @@ def test_code_doc_validation(tmp_path):
         fileio.code_from_doc({**good, "codewords": [[[1, 0]], [[2, 1]]]})
     with pytest.raises(FileFormatError):  # ragged rows
         fileio.code_from_doc({**good, "codewords": [[[1, 0], [1]]]})
+    # past int64, or not integers: int() and numpy would round 1.5 and 2.9
+    # and read "1" and true as 1
+    for bad in ([[[2 ** 70, 0]]], [[[-2 ** 63 - 1, 0]]], [[[1.5, 0]]], [[["1", 0]]],
+                [[[True, 0]]], [[[1, 0]], [[None, 1]]], [5], [[5]], 5):
+        with pytest.raises(FileFormatError):
+            fileio.code_from_doc({**good, "codewords": bad})
+    for field, ambient in (({"p": 2.9, "r": 1}, 2), ({"p": 2, "r": "1"}, 2),
+                           ({"p": 2, "r": True}, 2), ({"p": 2, "r": 1}, 4.7),
+                           ({"p": 2, "r": 1}, "2")):
+        with pytest.raises(FileFormatError):
+            fileio.code_from_doc({**good, "field": field, "ambient": ambient})
+    # a codeword with no rows is the zero space
+    code = fileio.code_from_doc({**good, "codewords": [[[1, 0]], []]})
+    assert sorted(w.dim for w in code) == [0, 1]
     path = tmp_path / "bad.json"
     path.write_text("{bad")
     with pytest.raises(FileFormatError):

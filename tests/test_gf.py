@@ -280,10 +280,12 @@ def test_elimination_rejects_encodings_outside_the_field(f2, f3, f4, f9):
     for f in (f2, f3, f4, f9, field_new(2, 17)):
         for bad in sorted({-1, f.q, f.q + 1}):
             M = [[1, 0], [0, bad]]
-            for op in (f.rref, f.rank, f.det, f.kernel,
-                       lambda M: f.ranks([M]), lambda M: f.block_ranks(M, [1, 1]),
+            for op in (f.rref, f.rank, f.det, f.kernel, lambda M: f.ranks([M]),
+                       lambda M: BlockRankFactor(f, ok, [1, 1]).capped([M], [False]),
                        lambda M: f.stack_ranks([ok], [M], [(0, 0)]),
-                       lambda M: f.stack_ranks([M], [ok], [(0, 0)])):
+                       lambda M: f.stack_ranks([M], [ok], [(0, 0)]),
+                       lambda M: f.capped_stack_ranks([ok], [M]),
+                       lambda M: f.capped_stack_ranks([M], [ok])):
                 with pytest.raises(EncodingOutOfRange):
                     op(M)
 
@@ -482,11 +484,20 @@ def test_matmul_matches_exact_dot_products(f2, f9):
     assert f2.matmul(A, B).tolist() == want
 
 
+def _factor_ranks(factor, rows, widths, independent=False):
+    """(rank of rows, [rank of block i of rows B]) from factor.capped, each
+    block asked at a cap above its width, so exactly."""
+    [(dim, rank)] = factor.capped([rows], [independent])
+    return dim, [rank(i, w + 1) for i, w in enumerate(widths)]
+
+
 def test_block_ranks_match_oracle(all_fields):
+    # with B the identity, the column blocks of rows B are those of the rows
     rng = random.Random(31)
     for f in all_fields:
         for widths in ([], [0], [3], [0, 3, 0], [1, 7, 8, 9, 0, 2], [65, 0, 64]):
             n = sum(widths)
+            factor = BlockRankFactor(f, np.eye(n, dtype=np.int64), widths)
             for k in (0, 1, 4, 12):
                 M = np.array([[rng.randrange(f.q) for _ in range(n)] for _ in range(k)],
                              dtype=np.int64).reshape(k, n)
@@ -494,11 +505,11 @@ def test_block_ranks_match_oracle(all_fields):
                 for w in widths:
                     want.append(oracles.rank(f, M[:, start:start + w].tolist()))
                     start += w
-                assert f.block_ranks(M, widths) == want
+                assert _factor_ranks(factor, M, widths) == (oracles.rank(f, M.tolist()), want)
         with pytest.raises(DimensionMismatch):
-            f.block_ranks(np.zeros((2, 4), dtype=np.int64), [1, 2])
+            BlockRankFactor(f, np.eye(4, dtype=np.int64), [1, 2])
         with pytest.raises(DimensionMismatch):
-            f.block_ranks(np.zeros((2, 4), dtype=np.int64), [5, -1])
+            BlockRankFactor(f, np.eye(4, dtype=np.int64), [5, -1])
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 130])
@@ -568,7 +579,7 @@ def test_block_rank_factor_matches_dot_products(f2, inner):
         cases.append(np.vstack([full, full[0] ^ full[1]]))
     for rows in cases:
         want = _block_ranks_of_product(f2, rows, B, widths, oracles.gf2_rank)
-        got = factor(rows)
+        got = _factor_ranks(factor, rows, widths)
         assert got == (oracles.gf2_rank(rows.tolist()), want)
         if inner <= 9 and len(rows) <= 12:
             # the xor-basis oracle agrees with the generic one
@@ -583,37 +594,42 @@ def test_block_rank_factor_matches_dot_products(f2, inner):
         assert got[0] == 96     # the last case, the 97 rows
 
 
-def test_capped_ranks_are_min_of_exact_rank_and_cap(f2, f3):
-    # each block's scan is resumed, never restarted, so any sequence of caps,
-    # rising or falling, must give min(exact rank, cap) every time
+def test_capped_ranks_are_min_of_exact_rank_and_cap(f2, f3, f4, f9):
+    # over GF(2) each block's scan is resumed, never restarted, and every
+    # other field caps exact ranks, so any sequence of caps, rising or
+    # falling, must give min(exact rank, cap) every time
+    for f in (f2, f3, f4, f9):
+        _check_capped_ranks(f)
+
+
+def _check_capped_ranks(f):
+    q = f.q
+    n = 70 if q == 2 else 12    # elimination off GF(2) is slower
+    rank_of = oracles.gf2_rank if q == 2 else lambda M: oracles.rank(f, M)
     rng = np.random.default_rng(17)
-    widths = [0, 3, 9, 64, 65, 20]
-    B = rng.integers(0, 2, (70, sum(widths)))
-    factor = BlockRankFactor(f2, B, widths)
-    tops = [rng.integers(0, 2, (int(rng.integers(0, 40)), 70)) for _ in range(4)]
+    widths = [0, 3, 9, 64, 65, 20] if q == 2 else [0, 3, 1, 5, 0, 4]
+    B = rng.integers(0, q, (n, sum(widths)))
+    factor = BlockRankFactor(f, B, widths)
+    tops = [rng.integers(0, q, (int(rng.integers(0, n // 2)), n)) for _ in range(4)]
     tops.append(np.vstack([tops[0], tops[0][:3]]))      # dependent rows
-    rows = [np.zeros((0, 70), dtype=np.int64), rng.integers(0, 2, (5, 70)),
-            rng.integers(0, 2, (30, 70)), np.eye(70, dtype=np.int64)]
+    rows = [np.zeros((0, n), dtype=np.int64), rng.integers(0, q, (5, n)),
+            rng.integers(0, q, (n // 2, n)), np.eye(n, dtype=np.int64)]
     rows.append(np.vstack([rows[2], rows[2][:4]]))
     capped = factor.capped(rows, [False] * len(rows))
-    stacked = f2.capped_stack_ranks(tops, rows)
+    stacked = f.capped_stack_ranks(tops, rows)
     for A, (dim, rank), (dim2, rank2) in zip(rows, capped, stacked):
-        assert dim == dim2 == oracles.gf2_rank(A.tolist())
-        block = _block_ranks_of_product(f2, A, B, widths, oracles.gf2_rank)
-        joint = [oracles.gf2_rank(np.vstack([T, A]).tolist()) - oracles.gf2_rank(T.tolist())
-                 for T in tops]
+        assert dim == dim2 == rank_of(A.tolist())
+        block = _block_ranks_of_product(f, A, B, widths, rank_of)
+        joint = [rank_of(np.vstack([T, A]).tolist()) - rank_of(T.tolist()) for T in tops]
         for cap in [1, 2, 1, 4, 3, 8, 16, 0, 32, 64, 70, 5]:
             assert [rank(i, cap) for i in range(len(widths))] == [min(e, cap) for e in block]
             assert [rank2(i, cap) for i in range(len(tops))] == [min(e, cap) for e in joint]
-    assert f2.capped_stack_ranks(tops, []) == []
+    # no tops: only rank B
+    assert [dim for dim, _ in f.capped_stack_ranks([], rows)] == \
+        [rank_of(A.tolist()) for A in rows]
+    assert f.capped_stack_ranks(tops, []) == []
     with pytest.raises(DimensionMismatch):
-        f2.capped_stack_ranks(tops, [np.zeros((1, 69), dtype=np.int64)])
-    # off F_2 the ranks stay exact, and there is no capped form
-    B = np.zeros((3, 4), dtype=np.int64)
-    with pytest.raises(FieldMismatch):
-        BlockRankFactor(f3, B, [4]).capped([np.zeros((2, 3), dtype=np.int64)], [False])
-    with pytest.raises(FieldMismatch):
-        f3.capped_stack_ranks([B], [B])
+        f.capped_stack_ranks(tops, [np.zeros((1, n - 1), dtype=np.int64)])
 
 
 def test_block_rank_factor_on_other_fields(f3, f4, f9):
@@ -627,7 +643,7 @@ def test_block_rank_factor_on_other_fields(f3, f4, f9):
             rows = np.vstack([rows, rows[:2]])
             want = _block_ranks_of_product(f, rows, B, widths,
                                            lambda M: oracles.rank(f, M))
-            assert factor(rows) == (oracles.rank(f, rows.tolist()), want)
+            assert _factor_ranks(factor, rows, widths) == (oracles.rank(f, rows.tolist()), want)
 
 
 def test_block_rank_factor_validation(all_fields):
@@ -638,7 +654,7 @@ def test_block_rank_factor_validation(all_fields):
         with pytest.raises(EncodingOutOfRange):
             BlockRankFactor(f, B - 1, [4])
         with pytest.raises(DimensionMismatch):
-            BlockRankFactor(f, B, [4])(np.zeros((2, 4), dtype=np.int64))
+            BlockRankFactor(f, B, [4]).capped([np.zeros((2, 4), dtype=np.int64)], [False])
         if f.q == 2:
             with pytest.raises(DimensionMismatch):
                 BlockRankFactor(f, B, [4]).products(np.zeros((2, 4), dtype=np.int64))
