@@ -154,7 +154,12 @@ def _distances(code, pairs):
 
 @dataclass(frozen=True)
 class LcdCodeCheck:
-    """ok iff C_i n C_j^perp = 0 for every ordered pair (i, j)."""
+    """ok iff C_i n C_j^perp = 0 for every ordered pair (i, j).
+
+    The s^2 ordered pairs of s codewords take s(s + 1)/2 stacked ranks
+    [C_a; C_b^perp], a <= b: since (C_a + C_b^perp)^perp = C_a^perp n C_b,
+    one rank settles both (a, b) and (b, a) (subspaces.dual_meets).
+    """
 
     ok: bool
     witness: tuple | None
@@ -167,8 +172,12 @@ def is_lcd_subspace_code(code):
     """Direct defining check over all ordered pairs, including i = j: the
     dimensions dim(C_i n C_j^perp) of subspaces.dual_meets.
 
-    Witness is the first (lowest-index) violating ordered pair.  The result
-    is cached on the code object.
+    The ordered pairs are walked in lexicographic order, so the ranks
+    [C_a; C_b^perp] are taken for the pairs a <= b only, in lexicographic
+    order, s(s + 1)/2 of them for s codewords: (b, a) is read off the rank
+    of (a, b) taken before it, through (C_a + C_b^perp)^perp =
+    C_a^perp n C_b.  Witness is the first (lowest-index) violating ordered
+    pair, where the walk stops.  The result is cached on the code object.
     """
     if code._lcd is not None:
         return code._lcd

@@ -8,10 +8,11 @@ use 1-based indices; everything in memory is 0-based.
 JSON documents are written by ``dumps`` as ``json.dumps(doc, sort_keys=True,
 indent=2)`` would write them with every ndarray replaced by its ``tolist()``,
 byte for byte.  ``dumps`` writes 2-D integer arrays, such as the codeword
-bases of a code document, itself: one joined string per row, spliced into the
-text ``json.dumps`` writes for the rest of the document.  json's indenting
-encoder is pure Python, and the 571,392 basis entries of the (192, 31, 4; 96)
-code would otherwise pass through it one by one.
+bases of a code document, itself: numpy lays out every entry of an array in
+one byte buffer, decoded once, and the result is spliced into the text
+``json.dumps`` writes for the rest of the document.  json's indenting encoder
+is pure Python, and the 571,392 basis entries of the (192, 31, 4; 96) code
+would otherwise pass through it, or through ``str``, one by one.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ def format_matrix_text(matrix, kind, modulus=None, comment=None):
     if comment:
         lines.append(f"# {comment}")
     lines.append(head)
-    for row in M:
-        lines.append(" ".join(str(int(v)) for v in row))
+    for row in M.tolist():
+        lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -268,10 +269,11 @@ def dumps(doc):
     """JSON text of doc with sorted keys, indent 2 and a final newline.
 
     json.dumps writes the document with a placeholder string in place of
-    each 2-D integer array (other arrays become lists), and the arrays are
-    spliced in after.  A placeholder is a run of '@' and the array's index.
-    The run is lengthened until a quote followed by it occurs in the text
-    once per placeholder, so that no string of the document can pass for one.
+    each 2-D integer array (other arrays become lists), and _matrix_text
+    writes each array, spliced in after.  A placeholder is a run of '@' and
+    the array's index.  The run is lengthened until a quote followed by it
+    occurs in the text once per placeholder, so that no string of the
+    document can pass for one.
     """
     mark, matrices = "@", []
 
@@ -295,11 +297,50 @@ def dumps(doc):
         # the spaces that begin it
         line = text[text.rfind("\n", 0, m.start()) + 1:m.start()]
         pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        rows = [_list_text(list(map(str, row)), pad + "  ")
-                for row in matrices[int(m.group(1))].tolist()]
-        return _list_text(rows, pad)
+        return _matrix_text(matrices[int(m.group(1))], pad)
 
     return re.sub(f'"{mark}(\\d+)"', splice, text) + "\n"
+
+
+def _matrix_text(A, pad):
+    """A 2-D integer array laid out as json.dumps(indent=2) lays out its
+    list on a line that begins with pad.
+
+    Each entry fills a fixed-width slot of bytes: its separator ("[" opening
+    a row, "," after an entry, then the newline and indent), a sign byte and
+    one byte per decimal digit of the widest entry, taken by repeated divmod
+    by 10 of the magnitudes.  A mask drops the unused sign bytes and leading
+    zeros, the kept bytes are decoded at once, and the rows are cut from that
+    text and closed.
+    """
+    rows, cols = A.shape
+    if A.size == 0:
+        return _list_text(["[]"] * rows, pad)
+    # magnitudes in uint64, for every integer dtype: a negative entry a wraps
+    # to 2**64 - |a| and its negation to |a|, int64 min included.  Nothing
+    # below mixes uint64 with a signed type, which numpy 1.x would promote
+    # to float64
+    mag = A.astype(np.uint64)
+    neg = A < 0
+    np.negative(mag, out=mag, where=neg)
+    width = len(str(int(mag.max())))
+    sep = ("," + pad + "    ").encode("ascii")
+    slot = sep + b"-" + bytes(width)
+    slots = np.frombuffer(bytearray(slot * A.size), dtype=np.uint8).reshape(rows, cols, -1)
+    slots[:, 0, 0] = ord("[")
+    keep = np.ones(slots.shape, dtype=bool)
+    keep[:, :, len(sep)] = neg
+    ten = np.uint64(10)
+    for at in range(slots.shape[2] - 1, len(sep), -1):
+        # a digit is kept when it or a higher one is nonzero
+        keep[:, :, at] = mag != 0
+        mag, slots[:, :, at] = np.divmod(mag, ten)
+    keep[:, :, -1] = True
+    slots[:, :, len(sep) + 1:] += ord("0")
+    text = slots[keep].tobytes().decode("ascii")
+    ends = np.cumsum(keep.reshape(rows, -1).sum(1)).tolist()
+    close = pad + "  ]"
+    return _list_text([text[a:b] + close for a, b in zip([0] + ends, ends)], pad)
 
 
 def _list_text(items, pad):

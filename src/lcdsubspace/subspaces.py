@@ -6,10 +6,12 @@ throughout is the standard dot product u . v = sum_i u_i v_i, and the dual
 U^perp is taken with respect to it.
 
 Every LCD test reads dim(U_i n U_j^perp) from one routine, dual_meets, which
-ranks the stacks [U_i; U_j^perp]: is_lcd, pairwise_lcd and
-complement_coordinates here, is_lcd_subspace_code and classical_lcd_check in
-codes.  The Gram determinants of is_lcd and pairwise_lcd are an independent
-second path; the meet U & W is the public intersect.
+ranks the stacks [U_a; U_b^perp], a <= b, and answers both (a, b) and (b, a)
+from each, since (U_a + U_b^perp)^perp = U_a^perp n U_b: is_lcd,
+pairwise_lcd and complement_coordinates here, is_lcd_subspace_code and
+classical_lcd_check in codes.  The Gram determinants of is_lcd and
+pairwise_lcd are an independent second path; the meet U & W is the public
+intersect.
 """
 
 from __future__ import annotations
@@ -166,17 +168,44 @@ class LcdCheck:
 
 def dual_meets(spaces, pairs):
     """dim(U_i n U_j^perp) for each (i, j) of pairs, lazily, for subspaces of
-    one ambient space: dim U_i + dim U_j^perp - rank [U_i; U_j^perp], from one
-    stack_ranks call.
+    one ambient space F^n.
+
+    Both ordered pairs of {a, b}, a <= b, are read off one stacked rank
+    r = rank [U_a; U_b^perp] = dim(U_a + U_b^perp): (a, b) gives
+    dim U_a + dim U_b^perp - r, and since (U_a + U_b^perp)^perp =
+    U_a^perp n U_b, (b, a) gives n - r.  So the one stack_ranks call is asked
+    for each (a, b), a <= b, once, in the order its first ordered pair comes
+    in pairs: all s^2 ordered pairs of s subspaces take s(s + 1)/2 ranks.
 
     The one LCD test: U is LCD iff (U, U) gives 0, and a set of subspaces is
     an LCD subspace code iff every ordered pair, i = j included, does.
     """
     bases = [U.basis for U in spaces]
     duals = [U.dual().basis for U in spaces]
-    pairs, stacked = tee(pairs)
-    ranks = spaces[0].field.stack_ranks(bases, duals, stacked)
-    return (len(bases[i]) + len(duals[j]) - r for (i, j), r in zip(pairs, ranks))
+    n = spaces[0].n
+    pairs, wanted = tee(pairs)
+    asked = set()
+
+    def upper():
+        for i, j in wanted:
+            pair = (min(i, j), max(i, j))
+            if pair not in asked:
+                asked.add(pair)
+                yield pair
+
+    ranks = spaces[0].field.stack_ranks(bases, duals, upper())
+
+    def meets():
+        # a pair (a, b) missing here is the next one upper() gave
+        known = {}
+        for i, j in pairs:
+            pair = (min(i, j), max(i, j))
+            if pair not in known:
+                known[pair] = next(ranks)
+            r = known[pair]
+            yield len(bases[i]) + len(duals[j]) - r if i <= j else n - r
+
+    return meets()
 
 
 def is_lcd(U):

@@ -4,7 +4,7 @@ import pytest
 import oracles
 from lcdsubspace.constructions import bush_schemes, theorem_pipeline
 from lcdsubspace.drg import Graph, scheme_from_drg
-from lcdsubspace.gf import field_new
+from lcdsubspace.gf import GF, field_new
 from lcdsubspace.hadamard import UnbiasedSet, bush_unbiased_pair_16
 
 
@@ -41,6 +41,24 @@ def f9():
 @pytest.fixture(scope="session")
 def all_fields(f2, f3, f4, f8, f9):
     return (f2, f3, f4, f8, f9)
+
+
+@pytest.fixture
+def stack_rank_asks(monkeypatch):
+    """The pairs every GF.stack_ranks call draws from its pairs argument,
+    in the order drawn."""
+    asks = []
+    real = GF.stack_ranks
+
+    def spy(self, tops, bottoms, pairs):
+        def record():
+            for pair in pairs:
+                asks.append(pair)
+                yield pair
+        return real(self, tops, bottoms, record())
+
+    monkeypatch.setattr(GF, "stack_ranks", spy)
+    return asks
 
 
 @pytest.fixture(scope="session")

@@ -142,6 +142,51 @@ def test_lcd_witness_matches_direct_stacked_ranks(f2, f3, f9):
     assert len(witnesses - {None, (0, 0)}) >= 4
 
 
+def test_lcd_check_takes_one_rank_per_unordered_pair(f2, f3, f9, stack_rank_asks):
+    # an LCD code of s codewords: s(s + 1)/2 ranks, the pairs a <= b in
+    # lexicographic order, each once
+    rng = np.random.default_rng(41)
+    for f, n, k, s in ((f2, 12, 4, 6), (f3, 12, 4, 4), (f9, 10, 3, 3)):
+        code = _isotropic_lcd_code(f, n, k, s, rng)
+        assert len(code) == s
+        stack_rank_asks.clear()
+        assert is_lcd_subspace_code(code)
+        assert stack_rank_asks == [(a, b) for a in range(s) for b in range(a, s)]
+
+
+def test_lcd_witness_at_a_mirror_pair(f2, f3, stack_rank_asks):
+    # dim(C_j n C_i^perp) >= dim C_j - dim C_i, so with codewords of unequal
+    # dimension (ordered by dimension) the first violating pair is (j, i),
+    # j > i, while (i, j) is clean: the witness is read off the rank taken
+    # for (i, j)
+    cases = (
+        (f2, 3, [[[1, 0, 0]], [[1, 0, 0], [0, 1, 0]]]),
+        (f2, 3, [[[1, 0, 0]], [[1, 1, 1]], [[1, 0, 0], [0, 1, 0]]]),
+        (f2, 5, [[[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], [[1, 0, 1, 1, 0], [0, 1, 1, 0, 0]],
+                 [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]]),
+        (f3, 4, [[[1, 1, 0, 0]], [[1, 0, 1, 0]], [[1, 0, 0, 0], [0, 0, 0, 1]]]),
+        (f3, 4, [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 1, 0], [0, 1, 0, 1]],
+                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]]),
+    )
+    for f, n, words in cases:
+        code = SubspaceCode([span(f, n, rows) for rows in words])
+        assert len(code) == len(words)
+        want = _first_meeting_pair(code)
+        j, i = want
+        assert j > i and intersect(code[i], dual(code[j])).dim == 0
+        stack_rank_asks.clear()
+        check = is_lcd_subspace_code(code)
+        assert (check.ok, check.witness) == (False, want)
+        upper = [(a, b) for a in range(len(code)) for b in range(a, len(code))]
+        before = [pair for pair in upper if pair < want]
+        # no rank is taken for the witness itself; over GF(2) none past it
+        # either, other fields draw pairs in chunks
+        assert stack_rank_asks == upper[:len(stack_rank_asks)]
+        assert stack_rank_asks[:len(before)] == before
+        if f.q == 2:
+            assert stack_rank_asks == before
+
+
 def test_decode_pinned_failures(f3):
     tied = SubspaceCode([line(f3, [1, 0]), line(f3, [0, 1])])
     out = decode_naive(tied, line(f3, [1, 1]))

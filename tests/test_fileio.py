@@ -206,3 +206,34 @@ def test_dumps_writes_arrays_as_json_writes_their_lists():
     assert fileio.dumps(doc) == json.dumps(_to_lists(doc), sort_keys=True, indent=2) + "\n"
     with pytest.raises(TypeError):
         fileio.dumps({"s": {1, 2}})
+
+
+def test_dumps_writes_edge_case_arrays():
+    rng = np.random.default_rng(707)
+    # every digit count from 1 to 19 in both signs, int64 min and max
+    edges = [0, 2 ** 63 - 1, -2 ** 63]
+    for k in range(1, 20):
+        edges += [10 ** (k - 1), min(10 ** k - 1, 2 ** 63 - 1)]
+        edges += [-10 ** (k - 1), -min(10 ** k - 1, 2 ** 63 - 1)]
+    arrays = [np.array([edges], dtype=np.int64), np.array(edges, dtype=np.int64)[:, None]]
+    # tall and wide, with entries of every width in every row
+    wide = rng.choice(edges, size=(40, 192))
+    arrays += [wide, wide[::-1, ::3], (wide % 2).astype(np.uint8)]
+    # uint64 entries at and past 2**63, up to 20 digits
+    arrays.append(np.array([[2 ** 63, 2 ** 64 - 1, 10 ** 19, 0, 1],
+                            [9, 10, 2 ** 63 - 1, 2 ** 63 + 1, 12345]], dtype=np.uint64))
+    # every integer dtype at its extremes and around zero
+    for dtype in (np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64):
+        info = np.iinfo(dtype)
+        values = [info.min, info.max, 0, 1, info.max // 3] + ([-1] if info.min else [])
+        arrays.append(rng.choice(np.array(values, dtype=dtype), size=(3, 4)))
+    for A in arrays:
+        for doc in (A, {"a": A}, [[{"codewords": [A, A]}], 0]):
+            assert fileio.dumps(doc) == json.dumps(_to_lists(doc), sort_keys=True, indent=2) + "\n"
+    # no rows or no columns, at several depths of nesting
+    for shape in ((0, 0), (0, 5), (3, 0), (1, 0)):
+        doc = np.zeros(shape, dtype=np.int64)
+        for depth in range(4):
+            assert fileio.dumps(doc) == json.dumps(_to_lists(doc), sort_keys=True, indent=2) + "\n"
+            doc = {"x": [doc, np.ones((1, 2), dtype=np.int32)], "y": doc}

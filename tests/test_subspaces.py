@@ -14,6 +14,7 @@ from lcdsubspace.subspaces import (
     Subspace,
     distance,
     dual,
+    dual_meets,
     intersect,
     is_lcd,
     pairwise_lcd,
@@ -163,6 +164,39 @@ def test_is_lcd_matches_definition_randomized(all_fields):
             assert chk.radical_dim == radical
             radicals.add(radical)
     assert max(radicals) > 0    # nonzero radical dimensions were checked too
+
+
+def test_dual_meets_matches_direct_intersections(all_fields, stack_rank_asks):
+    # pairs in any order, mirrors before their pair and repeats included:
+    # one rank per unordered pair, in the order the pairs first come
+    rng = random.Random(47)
+    for f in all_fields:
+        for _ in range(8):
+            n = rng.randrange(1, 6)
+            spaces = [rand_subspace(rng, f, n, rng.randrange(0, n + 1))
+                      for _ in range(rng.randrange(1, 5))]
+            pairs = [(rng.randrange(len(spaces)), rng.randrange(len(spaces)))
+                     for _ in range(12)]
+            stack_rank_asks.clear()
+            assert list(dual_meets(spaces, pairs)) == [
+                intersect(spaces[i], dual(spaces[j])).dim for i, j in pairs]
+            assert stack_rank_asks == list(dict.fromkeys(
+                (min(i, j), max(i, j)) for i, j in pairs))
+
+
+def test_lcd_tests_of_one_or_two_subspaces_take_one_rank(all_fields, stack_rank_asks):
+    # pairwise_lcd reads (W, U) off the rank of (U, W)
+    rng = random.Random(53)
+    for f in all_fields:
+        for _ in range(6):
+            U = rand_subspace(rng, f, 4, rng.randrange(0, 5))
+            W = rand_subspace(rng, f, 4, rng.randrange(0, 5))
+            stack_rank_asks.clear()
+            pairwise_lcd(U, W)
+            assert stack_rank_asks == [(0, 1)]
+            stack_rank_asks.clear()
+            is_lcd(U)
+            assert stack_rank_asks == [(0, 0)]
 
 
 def test_pairwise_lcd(f3, all_fields):
