@@ -145,11 +145,11 @@ def sampled_min_distance(code, samples=10 ** 4, seed=0):
 
 def _distances(code, pairs):
     """Subspace distances 2 dim(C_i + C_j) - dim C_i - dim C_j for (i, j)
-    in pairs, lazily."""
-    bases = [w.basis for w in code]
+    in pairs, lazily; over F_2 from the codewords' own echelon tables."""
+    words = code.codewords
     pairs, stacked = tee(pairs)
-    ranks = code.field.stack_ranks(bases, bases, stacked)
-    return (2 * r - len(bases[i]) - len(bases[j]) for (i, j), r in zip(pairs, ranks))
+    ranks = code.field.stack_ranks(words, words, stacked)
+    return (2 * r - words[i].dim - words[j].dim for (i, j), r in zip(pairs, ranks))
 
 
 @dataclass(frozen=True)
@@ -268,8 +268,11 @@ def decode_naive(code, received):
     """Minimum-distance decoding by direct subspace distances.
 
     One word at a time, by the definition: raw rows are canonicalised into
-    a Subspace and each distance d(C_i, R) is taken on its own.  It is the
-    reference that decode_naive_many, its batched form, is tested against.
+    a Subspace and each distance d(C_i, R) is taken on its own, exactly.
+    It is the reference that decode_naive_many, its batched form, is tested
+    against.  Over F_2 each distance reduces R's packed rows into a copy of
+    C_i's echelon table (subspaces.distance); each codeword builds its table
+    on first use and keeps it, and R builds its own once per word.
     """
     rows = _received_rows(code, received)
     R = received if isinstance(received, Subspace) else Subspace(code.field, code.n, rows)
@@ -283,16 +286,16 @@ def decode_naive_many(code, words):
     d(C_i, R) = 2 rank [C_i; R] - dim C_i - dim R, which depends on the span
     of R alone, so raw rows need no canonical form first.  The capped ranks
     min(e_i, cap), e_i = rank [C_i; R] - dim C_i, of GF.capped_stack_ranks
-    feed _bounded_verdict: over F_2 each codeword basis is packed into a
-    pivot table once per call, each word reduced once to an echelon set of
-    its own, and e_i counted, row by row of that set into a copy of C_i's
-    table, only as far as the verdict asks.
+    feed _bounded_verdict: over F_2 each codeword's echelon table is the one
+    its Subspace keeps from its first use, so no codeword is packed again
+    on later calls; each word is reduced once to an echelon set of its own,
+    and e_i counted, row by row of that set into a copy of C_i's table, only
+    as far as the verdict asks.
     """
     rows = [_received_rows(code, w) for w in words]
-    bases = [w.basis for w in code]
-    dims = [len(B) for B in bases]
+    dims = [w.dim for w in code]
     return [_bounded_verdict(dim, dims, rank)
-            for dim, rank in code.field.capped_stack_ranks(bases, rows)]
+            for dim, rank in code.field.capped_stack_ranks(code.codewords, rows)]
 
 
 class ProjectionDecoder:

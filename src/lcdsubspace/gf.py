@@ -59,19 +59,26 @@ Python int, column 0 in the highest bit, so adding two rows is one XOR of
 arbitrary width.  Rows are reduced into a pivot table keyed by leading bit
 (the bit length of the row): ``rank`` stops there, ``rref`` back-substitutes
 and unpacks into the same int64 matrix and pivot tuple as every other
-field, and ``det`` is ``rank == n``.  ``stack_ranks`` ranks many stacks
-[A_i; B_j] of the same matrices, as the LCD check and the distance scans
-do, packing each matrix once: a stack is the concatenation of two lists of
-packed rows.  ``capped_stack_ranks(tops, bottoms)`` is its capped form for
-batched naive decoding, rank(i, cap) = min(rank [tops[i]; B] - rank tops[i],
-cap) on every field.  Over F_2 each top becomes an echelon table once, each
-bottom an echelon set once, and rank(i, cap) reduces B's rows into a copy
-of top i's table until cap of them add a pivot, again going on from where
-the last call stopped; every other field ranks every stack exactly, in one
-pass, and caps the ranks it has.  Both GF(2) capped forms run one capped
-scan, ``_gf2_capped_ranks``; it keeps its count of missing pivots to
-itself, since at each pivot that count cost the uncapped reduction of
-``rank`` and ``stack_ranks`` about a tenth of its time.
+field, and ``det`` is ``rank == n``.  A ``Subspace`` of F_2^n keeps its
+basis packed, as the echelon table ``_gf2_pivots`` builds, once its
+``echelon()`` is first called (never when it is made): its rref rows have
+distinct leading bits, so that is one ``_gf2_pack`` and no elimination.
+``_gf2_pivots`` can start from a copy of such a table, so the rank of a
+stack [U; W] of subspaces packs neither basis again and reinserts none of
+U's rows.  ``stack_ranks`` ranks many stacks [A_i; B_j] of the same
+matrices or Subspaces, as the LCD check and the distance scans do: each
+operand becomes one echelon table, a Subspace's own or a matrix's reduced
+packed rows, and a pair reduces B_j's rows into a copy of A_i's.
+``capped_stack_ranks(tops, bottoms)`` is its capped form for batched naive
+decoding, rank(i, cap) = min(rank [tops[i]; B] - rank tops[i], cap) on
+every field.  Over F_2 each top is an echelon table as above, each bottom
+an echelon set once, and rank(i, cap) reduces B's rows into a copy of top
+i's table until cap of them add a pivot, going on from where the last call
+stopped; every other field ranks every stack exactly, in one pass, and
+caps the ranks it has.  Both GF(2) capped forms run one capped scan,
+``_gf2_capped_ranks``; it keeps its count of missing pivots to itself,
+since at each pivot that count cost the uncapped reduction of ``rank`` and
+``stack_ranks`` about a tenth of its time.
 
 Every other field runs one elimination core, ``_eliminate``, on a stack of
 matrices (B x m x n): ``rank``, ``rref`` and ``det`` pass a stack of one,
@@ -251,9 +258,13 @@ def _gf2_pack(A):
     return [int.from_bytes(buf[i:i + nb], "big") for i in range(0, len(buf), nb)]
 
 
-def _gf2_pivots(rows):
-    """Echelon basis of the span of packed rows: {leading bit length: row}."""
-    table = {}
+def _gf2_pivots(rows, table=None):
+    """Echelon basis of the span of packed rows: {leading bit length: row}.
+
+    Given an echelon table to start from, the rows are reduced into a copy
+    of it, so the result spans both; the table itself is left as it is.
+    """
+    table = dict(table) if table else {}
     for r in rows:
         while r:
             b = r.bit_length()
@@ -263,6 +274,20 @@ def _gf2_pivots(rows):
                 break
             r ^= p
     return table
+
+
+def _gf2_echelon(B):
+    """The table _gf2_pivots builds from the rows of B, a matrix in row
+    echelon form: its rows' leading columns differ, so one pack and no
+    elimination."""
+    return {r.bit_length(): r for r in _gf2_pack(B)}
+
+
+def _gf2_tables(operands, mats):
+    """The echelon table of each operand's rows: a Subspace keeps its own,
+    built on first use; a matrix's rows, mats[i], are reduced here."""
+    return [A.echelon() if hasattr(A, "echelon") else _gf2_pivots(_gf2_pack(M))
+            for A, M in zip(operands, mats)]
 
 
 def _gf2_capped_ranks(tables, rows, fields):
@@ -833,38 +858,48 @@ class GF:
         # in a stack of one, every step is a pivot of the one matrix
         return len(self._eliminate(A[None].copy(), full=False))
 
+    def _operands(self, mats):
+        """Each of mats as a matrix checked to lie in [0, q): a Subspace (any
+        operand with an ``echelon`` method) gives its rref basis, checked
+        when the Subspace was made."""
+        return [A.basis if hasattr(A, "echelon") else self._check(self._as_rows(A))
+                for A in mats]
+
     def stack_ranks(self, tops, bottoms, pairs):
         """rank([tops[i]; bottoms[j]]) for each (i, j) of pairs, lazily.
 
-        Every matrix needs the same number of columns.  Over F_2 each one is
-        packed once, not once per pair, and a stack is the concatenation of
-        two lists of packed rows.  Every other field pads the tops, and the
-        bottoms, with zero rows to one height and ranks the pairs in stacks
-        of at most STACK_ENTRIES entries.
+        Each top and bottom is a matrix or a Subspace, and all need the same
+        number of columns.  Over F_2 each one becomes an echelon table once,
+        not once per pair: a Subspace's own table, kept from its first use,
+        or the reduced packed rows of a matrix.  The rank of a pair reduces
+        the bottom's table rows into a copy of the top's table.  Every other
+        field pads the tops, and the bottoms, with zero rows to one height
+        and ranks the pairs in stacks of at most STACK_ENTRIES entries.
         """
-        tops = [self._check(self._as_rows(A)) for A in tops]
-        bottoms = [self._check(self._as_rows(A)) for A in bottoms]
-        if len({A.shape[1] for A in tops + bottoms}) > 1:
+        top_mats = self._operands(tops)
+        bottom_mats = self._operands(bottoms)
+        if len({A.shape[1] for A in top_mats + bottom_mats}) > 1:
             raise DimensionMismatch("stacked matrices need the same number of columns")
         if self.q == 2:
-            tops = [_gf2_pack(A) for A in tops]
-            bottoms = [_gf2_pack(A) for A in bottoms]
-            return (len(_gf2_pivots(tops[i] + bottoms[j])) for i, j in pairs)
-        return self._paired_ranks(padded_stack(tops), padded_stack(bottoms), iter(pairs))
+            tables = _gf2_tables(tops, top_mats)
+            rows = [t.values() for t in _gf2_tables(bottoms, bottom_mats)]
+            return (len(_gf2_pivots(rows[j], tables[i])) for i, j in pairs)
+        return self._paired_ranks(padded_stack(top_mats), padded_stack(bottom_mats), iter(pairs))
 
     def capped_stack_ranks(self, tops, bottoms):
         """For each matrix B of bottoms, (rank B, rank) where
         rank(i, cap) = min(rank [tops[i]; B] - rank tops[i], cap).
 
-        Over F_2 each top is packed into an echelon table once, and each B
+        Each top is a matrix or a Subspace.  Over F_2 each top is an echelon
+        table once, a Subspace's own kept from its first use, and each B
         reduced once to an echelon set of its own.  rank(i, cap) reduces B's
         echelon rows into a copy of top i's table until cap of them add a
         pivot; a later call with a higher cap goes on from there.  Every
         other field ranks every stack exactly, in one pass.
         """
-        tops = [self._check(self._as_rows(A)) for A in tops]
+        top_mats = self._operands(tops)
         bottoms = [self._as_rows(A) for A in bottoms]
-        if len({A.shape[1] for A in tops + bottoms}) > 1:
+        if len({A.shape[1] for A in top_mats + bottoms}) > 1:
             raise DimensionMismatch("stacked matrices need the same number of columns")
         if not bottoms:
             return []
@@ -876,7 +911,7 @@ class GF:
             # stacks have rank B and rank tops[i]
             pairs = [(i, T) for i in range(k)]
             pairs += [(i, t) for t in range(T) for i in range(k + 1)]
-            ranks = list(self._paired_ranks(padded_stack(tops + [S[0, :0]]),
+            ranks = list(self._paired_ranks(padded_stack(top_mats + [S[0, :0]]),
                                             np.concatenate([S, np.zeros_like(S[:1])]),
                                             iter(pairs)))
             out = []
@@ -884,7 +919,7 @@ class GF:
                 joint = [r - b for r, b in zip(ranks[at:at + k], ranks[:k])]
                 out.append((ranks[at + k], _exact_capped(joint)))
             return out
-        tables = [_gf2_pivots(_gf2_pack(A)) for A in tops]
+        tables = _gf2_tables(tops, top_mats)
         whole = [(0, -1)] * k     # (r >> 0) & -1 is r itself
         height = S.shape[1]
         packed = _gf2_pack(S)

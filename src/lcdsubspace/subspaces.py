@@ -27,13 +27,21 @@ from .errors import (
     InternalInconsistency,
     NotLCD,
 )
-from .gf import GF
+from .gf import _gf2_echelon, _gf2_pivots
 
 
 class Subspace:
-    """An immutable subspace of F_q^n held as an rref basis matrix."""
+    """An immutable subspace of F_q^n held as an rref basis matrix.
 
-    __slots__ = ("field", "n", "basis", "_hash", "_dual")
+    Over F_2 the basis is also kept packed, as the echelon table that
+    gf._gf2_pivots builds ({leading bit length: row packed into an int}),
+    but only from the first call of echelon() on: nothing is packed when a
+    Subspace is made.  Every F_2 rank of a stack of subspaces [U; W] starts
+    from a copy of U's table and reduces W's packed rows into it.  The dual,
+    once computed, is kept as a Subspace too, and with it its own table.
+    """
+
+    __slots__ = ("field", "n", "basis", "_hash", "_dual", "_echelon")
 
     def __init__(self, field, n, vectors=None, *, _rref=None):
         self.field = field
@@ -59,6 +67,7 @@ class Subspace:
         # only the hash is kept: a key of the basis bytes would be a second copy
         self._hash = hash((field.p, field.r, self.n, B.shape[0], B.tobytes()))
         self._dual = None
+        self._echelon = None
 
     # --- constructors ---
 
@@ -87,6 +96,15 @@ class Subspace:
             raise AmbientMismatch(f"vector of length {w.shape[1]} in ambient {self.n}")
         return self.field.rank(np.vstack([self.basis, w])) == self.dim
 
+    def echelon(self):
+        """Over F_2, the basis as an echelon table {leading bit length:
+        packed row}, equal to gf._gf2_pivots of its packed rows.  The rows
+        of an rref basis have distinct leading columns, so it is one pack
+        and no elimination, done on the first call and kept."""
+        if self._echelon is None:
+            self._echelon = _gf2_echelon(self.basis)
+        return self._echelon
+
     def _check_mate(self, other):
         if not isinstance(other, Subspace):
             raise TypeError(f"expected Subspace, got {type(other).__name__}")
@@ -106,14 +124,15 @@ class Subspace:
     def dual(self):
         """Orthogonal complement under the standard dot product.
 
-        Its basis is computed once and kept; each call wraps it in a new
-        Subspace.
+        It is computed once and kept, so every call returns the same
+        Subspace, and with it the echelon table it builds on first use.
         """
         if self._dual is None:
             B = self.basis
             # the basis is in rref: its pivots are the rows' leading entries
-            self._dual = self.field.kernel_of_rref(B, tuple((B != 0).argmax(1).tolist()))
-        return Subspace(self.field, self.n, _rref=self._dual)
+            self._dual = Subspace(self.field, self.n, _rref=self.field.kernel_of_rref(
+                B, tuple((B != 0).argmax(1).tolist())))
+        return self._dual
 
     def __and__(self, other):
         other = self._check_mate(other)
@@ -149,9 +168,18 @@ def dual(U):
 
 
 def distance(U, W):
-    """Subspace distance dim(U+W) - dim(U n W) = 2 dim(U+W) - dim U - dim W."""
+    """Subspace distance dim(U+W) - dim(U n W) = 2 dim(U+W) - dim U - dim W.
+
+    Over F_2, dim(U+W) is the size of W's echelon table reduced into a copy
+    of U's: both tables are the ones the two Subspaces keep from their first
+    use, so neither basis is packed again.
+    """
     W = U._check_mate(W)
-    return 2 * U.field.rank(np.vstack([U.basis, W.basis])) - U.dim - W.dim
+    if U.field.q == 2:
+        joint = len(_gf2_pivots(W.echelon().values(), U.echelon()))
+    else:
+        joint = U.field.rank(np.vstack([U.basis, W.basis]))
+    return 2 * joint - U.dim - W.dim
 
 
 @dataclass(frozen=True)
@@ -180,8 +208,7 @@ def dual_meets(spaces, pairs):
     The one LCD test: U is LCD iff (U, U) gives 0, and a set of subspaces is
     an LCD subspace code iff every ordered pair, i = j included, does.
     """
-    bases = [U.basis for U in spaces]
-    duals = [U.dual().basis for U in spaces]
+    duals = [U.dual() for U in spaces]
     n = spaces[0].n
     pairs, wanted = tee(pairs)
     asked = set()
@@ -193,7 +220,7 @@ def dual_meets(spaces, pairs):
                 asked.add(pair)
                 yield pair
 
-    ranks = spaces[0].field.stack_ranks(bases, duals, upper())
+    ranks = spaces[0].field.stack_ranks(spaces, duals, upper())
 
     def meets():
         # a pair (a, b) missing here is the next one upper() gave
@@ -203,7 +230,7 @@ def dual_meets(spaces, pairs):
             if pair not in known:
                 known[pair] = next(ranks)
             r = known[pair]
-            yield len(bases[i]) + len(duals[j]) - r if i <= j else n - r
+            yield spaces[i].dim + duals[j].dim - r if i <= j else n - r
 
     return meets()
 
@@ -262,7 +289,7 @@ def complement_coordinates(U):
     radical = next(dual_meets([U], [(0, 0)]))
     if radical:
         raise NotLCD(f"subspace meets its dual in dimension {radical}")
-    W = U._dual     # the basis of U^perp, kept by the dual_meets call
+    W = U.dual().basis     # kept by the dual_meets call
     return U.field.inv_matrix(np.vstack([U.basis, W]))[:, U.dim:], W
 
 

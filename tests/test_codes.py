@@ -349,6 +349,47 @@ def test_many_word_decoders_match_one_word_decoders(f2, f3, f9):
         assert decode_naive_many(code, []) == dec.decode_many([]) == []
 
 
+def test_gf2_naive_verdicts_match_oracle_distances(f2):
+    # each distance by the xor-basis oracle, the verdict by its definition;
+    # decode_naive and decode_naive_many read the codewords' echelon tables,
+    # which the first call builds and later calls reuse, so each decoder
+    # runs twice on raw rows and on Subspaces
+    rng = np.random.default_rng(1503)
+    n = 70
+    code = _mixed_code(f2, n, (3, 3, 5, 8, 13, 21), rng)
+    assert [w.dim for w in code] == [3, 3, 5, 8, 13, 21]
+
+    def oracle_verdict(rows):
+        def rank(mats):
+            return oracles.gf2_rank([row for M in mats for row in np.asarray(M).tolist()])
+        dists = [2 * rank([w.basis, rows]) - w.dim - rank([rows]) for w in code]
+        best = min(dists)
+        if dists.count(best) == 1:
+            return ("decoded", dists.index(best), best)
+        return ("failure", None, best)
+
+    words = [np.zeros((0, n), dtype=np.int64), np.eye(n, dtype=np.int64)]
+    for t in range(24):
+        w = code[t % len(code)]
+        rows = rng.integers(0, 2, (int(rng.integers(1, 6)), n))
+        if t % 3 == 0:
+            rows = np.vstack([w.basis[1:], rows[:1]])
+        elif t % 3 == 1:
+            rows = np.vstack([w.basis, rows[:1], rows[:1]])
+        words.append(rows)
+    want = [oracle_verdict(rows) for rows in words]
+    # the two dimension-3 codewords tie on the zero word
+    assert want[0][0] == "failure"
+    assert {v[0] for v in want} == {"decoded", "failure"}
+    spaces = [Subspace(f2, n, rows) for rows in words]
+    for received in (words, spaces, words, spaces):
+        got = [decode_naive(code, R) for R in received]
+        assert [(o.status, o.index, o.distance) for o in got] == want
+        got = decode_naive_many(code, received)
+        assert [(o.status, o.index, o.distance) for o in got] == want
+    assert all(w._echelon is not None for w in code)
+
+
 def test_projection_on_zero_width_and_full_width_blocks(f2, f9):
     # {F_q^n} has a zero-width block of complement coordinates, {0} a
     # full-width one; d(F_q^n, R) = n - dim R and d(0, R) = dim R

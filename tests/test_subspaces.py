@@ -10,6 +10,7 @@ from lcdsubspace.errors import (
     FieldMismatch,
     NotLCD,
 )
+from lcdsubspace.gf import _gf2_pack, _gf2_pivots
 from lcdsubspace.subspaces import (
     Subspace,
     distance,
@@ -139,6 +140,62 @@ def test_distance_is_a_metric(f2, f4):
                     assert U == W
                 for T in subs:
                     assert d <= distance(U, T) + distance(T, W)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 192])
+def test_echelon_table_is_the_pivot_table_of_the_packed_basis(f2, n):
+    # the table is built from the rref basis with no elimination; it must
+    # be what eliminating the packed basis gives, on every kind of space
+    rng = random.Random(1500 + n)
+    spaces = [Subspace.zero(f2, n), Subspace.full(f2, n)]
+    spaces += [rand_subspace(rng, f2, n, rng.randrange(0, n + 2)) for _ in range(6)]
+    spaces += [U.dual() for U in spaces]
+    for U in spaces:
+        assert U._echelon is None
+        table = U.echelon()
+        assert table == _gf2_pivots(_gf2_pack(U.basis))
+        assert len(table) == U.dim
+        assert U.echelon() is table
+    # a dual is computed once, so its table is kept with it
+    assert spaces[2].dual() is spaces[2].dual()
+    assert {U.dim for U in spaces} >= {0, n}
+
+
+def test_gf2_distance_matches_the_rank_formula(f2):
+    # d(U, W) = 2 rank [U; W] - rank U - rank W, each rank by the xor-basis
+    # oracle, on random pairs, U = W, U inside W and the zero space
+    rng = random.Random(1501)
+
+    def rank(*spaces):
+        return oracles.gf2_rank([row for U in spaces for row in U.basis.tolist()])
+
+    for n in (1, 7, 8, 9, 65, 192):
+        U = rand_subspace(rng, f2, n, rng.randrange(0, n + 1))
+        W = rand_subspace(rng, f2, n, rng.randrange(0, n + 1))
+        inside = U + rand_subspace(rng, f2, n, rng.randrange(1, 4))
+        spaces = [Subspace.zero(f2, n), Subspace.full(f2, n), U, W, inside, U.dual()]
+        for A in spaces:
+            for B in spaces:
+                assert distance(A, B) == 2 * rank(A, B) - rank(A) - rank(B)
+        assert distance(U, U) == 0
+        assert distance(U, inside) == inside.dim - U.dim
+        assert distance(Subspace.zero(f2, n), U) == U.dim
+        if n <= 9:
+            assert distance(U, W) == oracles.subspace_distance(
+                f2, n, U.basis.tolist(), W.basis.tolist())
+
+
+def test_echelon_table_leaves_equality_and_hash_alone(f2):
+    rng = random.Random(1502)
+    rows = [[rng.randrange(2) for _ in range(70)] for _ in range(12)]
+    U = Subspace(f2, 70, rows)
+    W = Subspace(f2, 70, rows[::-1])
+    U.echelon()
+    assert U._echelon is not None and W._echelon is None
+    assert U == W and W == U
+    assert hash(U) == hash(W)
+    assert len({U, W}) == 1
+    assert W._echelon is None
 
 
 def test_pinned_lcd_checks(f2, f3):
