@@ -19,8 +19,15 @@ attains it, so both batched decoders take their verdict from one driver,
 _bounded_verdict, on every field: it asks each e_i only as far as the
 verdict needs, through a capped rank min(e_i, cap).  Over F_2 a codeword's
 elimination so stops once its distance is known to exceed the best found
-so far; every other field computes each e_i exactly and caps it.
-decode_naive stays the unbounded reference.
+so far; every other field computes each e_i exactly, and the verdict reads
+those exact ranks in one pass.  decode_naive stays the unbounded reference.
+
+The minimum distance of params (and of sampled_min_distance) comes from the
+same idea: one scan over the pairs, d(C_i, C_j) = dim C_i + 2 e - dim C_j
+with e = rank [C_i; C_j] - dim C_i, where each pair's rank is capped at the
+least e that cannot beat the best distance so far (GF.capped_pair_ranks).
+Over F_2 a pair's reduction so stops after a few rows once a close pair is
+known; every other field ranks the pairs exactly, in stacks, and caps them.
 
 Whether a code is LCD (is_lcd_subspace_code), and whether a classical
 generator matrix is (classical_lcd_check), is read from the one LCD routine,
@@ -111,6 +118,9 @@ class CodeParams:
 def params(code, *, pair_budget=PAIR_BUDGET, allow_degenerate=False):
     """Exhaustive parameter computation.
 
+    d is the least distance over all s(s - 1)/2 pairs, from _min_distance's
+    one bounded scan: every pair is visited, but each pair's rank only up
+    to the cap where it could no longer beat the best distance found so far.
     Raises DegenerateCode for size-1 codes unless allow_degenerate, in which
     case d is reported as None.  Raises PairBudgetExceeded when the exhaustive
     pair scan would be too large; see sampled_min_distance for the honest
@@ -124,7 +134,7 @@ def params(code, *, pair_budget=PAIR_BUDGET, allow_degenerate=False):
         npairs = s * (s - 1) // 2
         if npairs > pair_budget:
             raise PairBudgetExceeded(f"{npairs} pairs exceed budget {pair_budget}")
-        d = min(_distances(code, combinations(range(s), 2)))
+        d = _min_distance(code, combinations(range(s), 2))
     dims = code.dims
     return CodeParams(code.n, s, d, dims, code.field.q, len(dims) == 1)
 
@@ -140,16 +150,31 @@ def sampled_min_distance(code, samples=10 ** 4, seed=0):
         i = rng.randrange(s)
         j = rng.randrange(s - 1)
         pairs.append((i, j + (j >= i)))
-    return min(_distances(code, pairs), default=None)
+    return _min_distance(code, pairs)
 
 
-def _distances(code, pairs):
-    """Subspace distances 2 dim(C_i + C_j) - dim C_i - dim C_j for (i, j)
-    in pairs, lazily; over F_2 from the codewords' own echelon tables."""
+def _min_distance(code, pairs):
+    """The least distance d(C_i, C_j) over (i, j) in pairs, None for none,
+    by one bounded scan: every pair is visited, each only as far as it can
+    still beat the best so far.
+
+    d(C_i, C_j) = dim C_i + 2 e - dim C_j with e = rank [C_i; C_j] - dim C_i,
+    so the pair beats best iff e < (best - dim C_i + dim C_j + 1) // 2, the
+    cap its capped rank (GF.capped_pair_ranks) is asked at; a pair whose
+    cap is 0 or less is not asked.  The first pair is asked at a cap above
+    dim C_j, which e never reaches, so it is exact.
+    """
     words = code.codewords
-    pairs, stacked = tee(pairs)
-    ranks = code.field.stack_ranks(words, words, stacked)
-    return (2 * r - words[i].dim - words[j].dim for (i, j), r in zip(pairs, ranks))
+    best = None
+    pairs, asked = tee(pairs)
+    for (i, j), rank in zip(pairs, code.field.capped_pair_ranks(words, asked)):
+        di, dj = words[i].dim, words[j].dim
+        cap = dj + 1 if best is None else (best - di + dj + 1) // 2
+        if cap > 0:
+            e = rank(0, cap)
+            if e < cap:
+                best = di + 2 * e - dj
+    return best
 
 
 @dataclass(frozen=True)
@@ -241,7 +266,15 @@ def _bounded_verdict(dim, dims, rank):
     a block that reached the cap has e_i above every exact one, so pass 2
     has nothing to do; it serves codes of mixed dimensions.  The driver
     needs no more of rank than that, so exact ranks, capped, serve too.
+
+    A capped rank that carries its exact ranks, as gf._exact_capped's does
+    (its attribute exact), settles the verdict in one pass, with no ask:
+    each of its answers is the least of that e_i and the cap, so the
+    passes above would end with the same distances.
     """
+    exact = getattr(rank, "exact", None)
+    if exact is not None:
+        return _verdict([k + 2 * e - dim for k, e in zip(dims, exact)])
     blocks = range(len(dims))
     cap = 2
     found = [rank(i, cap) for i in blocks]

@@ -307,11 +307,14 @@ def _matrix_text(A, pad):
     list on a line that begins with pad.
 
     Each entry fills a fixed-width slot of bytes: its separator ("[" opening
-    a row, "," after an entry, then the newline and indent), a sign byte and
-    one byte per decimal digit of the widest entry, taken by repeated divmod
-    by 10 of the magnitudes.  A mask drops the unused sign bytes and leading
-    zeros, the kept bytes are decoded at once, and the rows are cut from that
-    text and closed.
+    a row, "," after an entry, then the newline and indent), a sign byte if
+    some entry is negative, and one byte per decimal digit of the widest
+    entry, taken by repeated divmod by 10 of the magnitudes.  When every
+    slot is full, as when each entry is a single digit 0-9, the slots are
+    decoded as they stand and the rows are cut at equal steps.  Otherwise a
+    mask drops the unused sign bytes and leading zeros, the kept bytes are
+    decoded at once, and the rows are cut at the mask's row counts.  Each
+    row is then closed.
     """
     rows, cols = A.shape
     if A.size == 0:
@@ -322,23 +325,33 @@ def _matrix_text(A, pad):
     # to float64
     mag = A.astype(np.uint64)
     neg = A < 0
-    np.negative(mag, out=mag, where=neg)
+    signed = bool(neg.any())
+    if signed:
+        np.negative(mag, out=mag, where=neg)
     width = len(str(int(mag.max())))
     sep = ("," + pad + "    ").encode("ascii")
-    slot = sep + b"-" + bytes(width)
+    slot = sep + b"-" * signed + bytes(width)
     slots = np.frombuffer(bytearray(slot * A.size), dtype=np.uint8).reshape(rows, cols, -1)
     slots[:, 0, 0] = ord("[")
-    keep = np.ones(slots.shape, dtype=bool)
-    keep[:, :, len(sep)] = neg
+    # a full slot has no byte to drop, and then there is no mask
+    keep = np.ones(slots.shape, dtype=bool) if signed or width > 1 else None
     ten = np.uint64(10)
-    for at in range(slots.shape[2] - 1, len(sep), -1):
-        # a digit is kept when it or a higher one is nonzero
-        keep[:, :, at] = mag != 0
+    for at in range(len(slot) - 1, len(slot) - 1 - width, -1):
+        if keep is not None:
+            # a digit is kept when it or a higher one is nonzero
+            keep[:, :, at] = mag != 0
         mag, slots[:, :, at] = np.divmod(mag, ten)
-    keep[:, :, -1] = True
-    slots[:, :, len(sep) + 1:] += ord("0")
-    text = slots[keep].tobytes().decode("ascii")
-    ends = np.cumsum(keep.reshape(rows, -1).sum(1)).tolist()
+    slots[:, :, len(slot) - width:] += ord("0")
+    if keep is None:
+        text = slots.tobytes().decode("ascii")
+        step = cols * len(slot)
+        ends = list(range(step, len(text) + 1, step))
+    else:
+        if signed:
+            keep[:, :, len(sep)] = neg
+        keep[:, :, -1] = True
+        text = slots[keep].tobytes().decode("ascii")
+        ends = np.cumsum(keep.reshape(rows, -1).sum(1)).tolist()
     close = pad + "  ]"
     return _list_text([text[a:b] + close for a, b in zip([0] + ends, ends)], pad)
 

@@ -52,7 +52,8 @@ N_j^T side by side and compares each product row k of N_i with the int
 whose bits k, t + k, 2t + k, ... are set, one comparison per row.  Every
 other field keeps B and runs one ``matmul`` of all the row sets, stacked,
 and one ``ranks`` of every column block of every row set; its capped rank
-is the least of the exact rank and the cap.
+is the least of the exact rank and the cap, and carries the exact ranks
+(``_exact_capped``), so a verdict can read them whole.
 
 Elimination over F_2 (chosen by ``q == 2`` alone) packs each row into one
 Python int, column 0 in the highest bit, so adding two rows is one XOR of
@@ -75,7 +76,10 @@ every field.  Over F_2 each top is an echelon table as above, each bottom
 an echelon set once, and rank(i, cap) reduces B's rows into a copy of top
 i's table until cap of them add a pivot, going on from where the last call
 stopped; every other field ranks every stack exactly, in one pass, and
-caps the ranks it has.  Both GF(2) capped forms run one capped scan,
+caps the ranks it has.  ``capped_pair_ranks(spaces, pairs)`` is the capped
+form for the minimum-distance scan, one capped rank per pair of Subspaces
+[U_i; U_j], from U_i's kept table and U_j's kept rows over F_2 and from
+``stack_ranks`` elsewhere.  Every GF(2) capped form runs one capped scan,
 ``_gf2_capped_ranks``; it keeps its count of missing pivots to itself,
 since at each pivot that count cost the uncapped reduction of ``rank`` and
 ``stack_ranks`` about a tenth of its time.
@@ -113,7 +117,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice, product
+from itertools import accumulate, islice, product, tee
 
 import numpy as np
 
@@ -333,8 +337,16 @@ def _gf2_capped_ranks(tables, rows, fields):
 
 
 def _exact_capped(ranks):
-    """The capped rank rank(i, cap) = min(ranks[i], cap) of exact ranks."""
-    return lambda i, cap: min(ranks[i], cap)
+    """The capped rank rank(i, cap) = min(ranks[i], cap) of exact ranks.
+
+    It keeps the ranks themselves as its attribute exact, so a caller that
+    can use them whole (codes._bounded_verdict) asks no cap at all.
+    """
+    def rank(i, cap):
+        return min(ranks[i], cap)
+
+    rank.exact = ranks
+    return rank
 
 
 def _gf2_rref(A):
@@ -928,6 +940,25 @@ class GF:
             rows = list(_gf2_pivots(packed[t * height:(t + 1) * height]).values())
             out.append((len(rows), _gf2_capped_ranks(tables, rows, whole)))
         return out
+
+    def capped_pair_ranks(self, spaces, pairs):
+        """For each (i, j) of pairs, lazily, a capped rank rank(0, cap) =
+        min(e, cap) of e = rank [spaces[i]; spaces[j]] - dim spaces[i], for
+        Subspaces of one ambient space.
+
+        Over F_2 it is _gf2_capped_ranks over a copy of U_i's kept echelon
+        table and U_j's kept echelon rows, so the reduction stops at the
+        cap.  Every other field ranks the pairs exactly, in the stacks of
+        stack_ranks, and caps them.
+        """
+        if self.q == 2:
+            whole = [(0, -1)]
+            return (_gf2_capped_ranks([spaces[i].echelon()],
+                                      list(spaces[j].echelon().values()), whole)
+                    for i, j in pairs)
+        pairs, stacked = tee(pairs)
+        return (_exact_capped([r - spaces[i].dim])
+                for (i, _), r in zip(pairs, self.stack_ranks(spaces, spaces, stacked)))
 
     def _paired_ranks(self, tops, bottoms, pairs):
         entries = (tops.shape[1] + bottoms.shape[1]) * tops.shape[2]

@@ -284,13 +284,19 @@ def complement_coordinates(U):
     of [U; W]^-1, so v Q holds the coordinates on W of the projection of v
     onto U^perp along U.
 
-    Exists iff U is LCD (the ambient space splits as U + U^perp).
+    Exists iff U is LCD (the ambient space splits as U + U^perp).  Q is the
+    one solution of U Q = 0 and W Q = I, so it is W^T G^-1 with G = W W^T:
+    U W^T = 0, and the Gram matrix G is invertible iff W, and so U, is LCD.
+    G is symmetric, so Q^T = G^-1 W, the right block of rref [G | W]: one
+    elimination of n - dim U rows, where [U; W]^-1 takes n.
     """
     radical = next(dual_meets([U], [(0, 0)]))
     if radical:
         raise NotLCD(f"subspace meets its dual in dimension {radical}")
+    f = U.field
     W = U.dual().basis     # kept by the dual_meets call
-    return U.field.inv_matrix(np.vstack([U.basis, W]))[:, U.dim:], W
+    R, _ = f.rref(np.hstack([f.matmul(W, W.T), W]))
+    return R[:, len(W):].T, W
 
 
 def projector_complement(U):

@@ -61,6 +61,21 @@ def stack_rank_asks(monkeypatch):
     return asks
 
 
+@pytest.fixture
+def capped_pair_asks(monkeypatch):
+    """The pairs of every GF.capped_pair_ranks call, one list per call."""
+    asks = []
+    real = GF.capped_pair_ranks
+
+    def spy(self, spaces, pairs):
+        pairs = list(pairs)
+        asks.append(pairs)
+        return real(self, spaces, pairs)
+
+    monkeypatch.setattr(GF, "capped_pair_ranks", spy)
+    return asks
+
+
 @pytest.fixture(scope="session")
 def petersen():
     return Graph(np.array(oracles.petersen_adjacency(), dtype=np.int64))

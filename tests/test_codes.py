@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import oracles
 from lcdsubspace.codes import (
     ProjectionDecoder,
     SubspaceCode,
+    _bounded_verdict,
+    _verdict,
     classical_lcd_check,
     decode_naive,
     decode_naive_many,
@@ -26,6 +29,7 @@ from lcdsubspace.errors import (
     PairBudgetExceeded,
     RankDeficient,
 )
+from lcdsubspace.gf import _exact_capped
 from lcdsubspace.simulator import ChannelSpec, corrupt
 from lcdsubspace.subspaces import Subspace, distance, dual, intersect, span
 
@@ -83,6 +87,79 @@ def test_sampled_distance_bounds_exact(f3):
     exact = params(code).d
     assert sampled_min_distance(code, samples=50, seed=1) >= exact
     assert sampled_min_distance(code, samples=2000, seed=1) == exact
+
+
+# --- the bounded minimum-distance scan ---
+
+
+def _pair_distances(code):
+    """d(C_i, C_j) of every pair i < j, each from subspaces.distance."""
+    return {(i, j): distance(code[i], code[j])
+            for i, j in combinations(range(len(code)), 2)}
+
+
+def _scan_codes(f, rng):
+    """Seeded codes for the minimum-distance scan: two-word codes, codes of
+    mixed dimensions, crowded codes with tied pairs, and codes whose only
+    closest pair is the last one scanned, (s - 2, s - 1)."""
+    def word(n, k):
+        return Subspace(f, n, rng.integers(0, f.q, (k, n)))
+
+    codes = []
+    for n in (4, 7, 12):
+        codes += [SubspaceCode([word(n, k), word(n, k2)])
+                  for k, k2 in ((1, 1), (2, 3), (n // 2, n // 2), (0, n))]
+        codes += [SubspaceCode([word(n, int(rng.integers(0, n + 1))) for _ in range(6)])
+                  for _ in range(3)]
+        codes.append(SubspaceCode([word(n, 2) for _ in range(12)]))
+    # a far code plus one word near its last word, until that pair is last
+    # in the canonical order and alone at the minimum
+    found = 0
+    while found < 4:
+        n, k = 10, int(rng.integers(2, 5))
+        words = [word(n, k) for _ in range(4)]
+        near = np.vstack([words[-1].basis[:k - 1], rng.integers(0, f.q, (1, n))])
+        code = SubspaceCode(words + [Subspace(f, n, near)])
+        dists = _pair_distances(code)
+        best = min(dists.values())
+        if [p for p, d in dists.items() if d == best] == [(len(code) - 2, len(code) - 1)]:
+            codes.append(code)
+            found += 1
+    return codes
+
+
+def test_min_distance_scan_matches_every_pair(f2, f3, f4, f9, capped_pair_asks):
+    # params must visit every pair, and its capped ranks must still give the
+    # least distance: with mixed dimensions the caps differ from pair to
+    # pair, and a closest pair found last or tied must be exact
+    for f in (f2, f3, f4, f9):
+        rng = np.random.default_rng(83)
+        shapes = set()
+        for code in _scan_codes(f, rng):
+            dists = _pair_distances(code)
+            best = min(dists.values())
+            capped_pair_asks.clear()
+            assert params(code).d == best
+            assert capped_pair_asks == [list(combinations(range(len(code)), 2))]
+            ties = sum(d == best for d in dists.values())
+            shapes |= {("two words", len(code) == 2), ("mixed", len(code.dims) > 1),
+                       ("tied", ties > 1),
+                       ("last", ties == 1 and dists[len(code) - 2, len(code) - 1] == best)}
+        assert {("two words", True), ("mixed", True), ("tied", True), ("last", True)} <= shapes
+
+
+def test_sampled_min_distance_is_the_least_over_its_pairs(f2, f3, f4, f9, capped_pair_asks):
+    for f in (f2, f3, f4, f9):
+        rng = np.random.default_rng(89)
+        for code in _scan_codes(f, rng)[::3]:
+            for samples, seed in ((1, 0), (7, 3), (40, 5)):
+                capped_pair_asks.clear()
+                got = sampled_min_distance(code, samples=samples, seed=seed)
+                [pairs] = capped_pair_asks
+                assert len(pairs) == samples
+                assert all(i != j for i, j in pairs)
+                assert got == min(distance(code[i], code[j]) for i, j in pairs)
+        assert sampled_min_distance(code, samples=0) is None
 
 
 def test_lcd_code_membership_pinned(f3):
@@ -445,6 +522,21 @@ def test_classical_check_is_the_gram_determinant(f3):
 
 
 # --- bounded verdicts, on GF(2) and on fields that cap exact ranks ---
+
+
+def test_bounded_verdict_with_and_without_exact_ranks():
+    # off GF(2) the decoders hand _bounded_verdict exact ranks, which it reads
+    # in one pass; its capped passes, which GF(2) takes, must give the same
+    # verdict from the same ranks, asked only through the cap
+    rng = random.Random(79)
+    for _ in range(3000):
+        s, dim = rng.randrange(1, 8), rng.randrange(0, 10)
+        dims = [rng.randrange(0, 10) for _ in range(s)]
+        # rank [C_i; R] lies between max(dim C_i, dim R) and dim C_i + dim R
+        e = [rng.randrange(max(0, dim - k), dim + 1) for k in dims]
+        want = _verdict([k + 2 * x - dim for k, x in zip(dims, e)])
+        assert _bounded_verdict(dim, dims, _exact_capped(e)) == want
+        assert _bounded_verdict(dim, dims, lambda i, cap: min(e[i], cap)) == want
 
 
 def _batched_verdicts_match_naive(code, words):

@@ -237,3 +237,26 @@ def test_dumps_writes_edge_case_arrays():
         for depth in range(4):
             assert fileio.dumps(doc) == json.dumps(_to_lists(doc), sort_keys=True, indent=2) + "\n"
             doc = {"x": [doc, np.ones((1, 2), dtype=np.int32)], "y": doc}
+
+
+def test_dumps_one_digit_arrays_and_their_neighbours():
+    # nonnegative one-digit entries fill every slot, and are written with no
+    # mask; a single -1 brings back the sign byte and a single 10 a second
+    # digit, and with them the mask
+    rng = np.random.default_rng(808)
+    digits = rng.integers(0, 10, (7, 192))
+    arrays = [np.zeros((3, 5), dtype=np.int64), np.ones((4, 192), dtype=np.int64), digits,
+              np.arange(10)[None], np.arange(10)[:, None], np.array([[0]]), np.array([[9]])]
+    for value, at in ((-1, (0, 0)), (-1, (6, 191)), (10, (3, 17)), (10, (0, 0))):
+        A = digits.copy()
+        A[at] = value
+        arrays.append(A)
+    for dtype in (np.int8, np.uint8, np.uint64):
+        arrays += [digits.astype(dtype), np.ones((2, 3), dtype=dtype)]
+        if np.iinfo(dtype).min:
+            arrays.append(np.array([[0, -1, 9]], dtype=dtype))
+        arrays.append(np.array([[10, 0], [1, 2]], dtype=dtype))
+    arrays += [np.zeros(shape, dtype=np.int64) for shape in ((0, 4), (3, 0), (0, 0))]
+    for A in arrays:
+        for doc in (A, {"codewords": [A, A[::-1]], "n": 1}):
+            assert fileio.dumps(doc) == json.dumps(_to_lists(doc), sort_keys=True, indent=2) + "\n"

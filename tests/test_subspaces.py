@@ -13,6 +13,7 @@ from lcdsubspace.errors import (
 from lcdsubspace.gf import _gf2_pack, _gf2_pivots
 from lcdsubspace.subspaces import (
     Subspace,
+    complement_coordinates,
     distance,
     dual,
     dual_meets,
@@ -323,6 +324,26 @@ def test_projector_properties_randomized(all_fields):
             lhs = intersect(R, U).dim
             rhs = R.dim - (f.rank(f.matmul(R.basis, P)) if R.dim else 0)
             assert lhs == rhs
+
+
+def test_complement_coordinates_are_the_last_columns_of_the_inverse(f2, f3, f4, f9):
+    # Q = W^T (W W^T)^-1 must be the last n - dim U columns of [U; W]^-1, on
+    # LCD subspaces of every dimension from 0 to n
+    rng = np.random.default_rng(37)
+    for f in (f2, f3, f4, f9):
+        dims = set()
+        for n in (1, 3, 6, 9, 65):
+            spaces = [Subspace(f, n, rng.integers(0, f.q, (int(rng.integers(0, n + 1)), n)))
+                      for _ in range(12)]
+            for U in spaces + [Subspace.zero(f, n), Subspace.full(f, n)]:
+                if not is_lcd(U):
+                    continue
+                Q, W = complement_coordinates(U)
+                assert W.tolist() == dual(U).basis.tolist()
+                want = f.inv_matrix(np.vstack([U.basis, W]))[:, U.dim:]
+                assert Q.shape == want.shape and Q.tolist() == want.tolist()
+                dims.add((n, U.dim))
+        assert len(dims) >= 20, f
 
 
 def test_mixed_operand_validation(f2, f3):
