@@ -260,6 +260,19 @@ def test_decode_and_simulate(tmp_path, capsys, f5):
     assert "naive_seconds" in doc["informational"]
 
 
+def test_simulate_negative_seed_is_exit_1(tmp_path, capsys, f5):
+    # once ended in numpy's ValueError traceback
+    code = SubspaceCode([span(f5, 2, [[1, 1]]), span(f5, 2, [[1, 0]])])
+    code_path = tmp_path / "code.json"
+    fileio.write_json(code_path, fileio.code_to_doc(code))
+    rc, out, err = run(capsys, "simulate", "--code", str(code_path),
+                       "--trials", "3", "--seed", "-1")
+    assert rc == 1 and out == ""
+    doc = json.loads(err)
+    assert set(doc) == {"error", "message", "witness"}
+    assert doc["error"] == "InvalidSpec" and "rng_seed" in doc["message"]
+
+
 def test_decode_code_that_is_not_json_is_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{bad")

@@ -32,6 +32,10 @@ def test_channel_spec_validation():
         ChannelSpec(0, -2)
     spec = ChannelSpec(1, 2, 9)
     assert (spec.erasure_count, spec.error_count, spec.rng_seed) == (1, 2, 9)
+    for seed in (-1, -2 ** 64, True, False, 1.0, "3", None, np.int64(3)):
+        with pytest.raises(InvalidSpec, match="rng_seed"):
+            ChannelSpec(0, 0, seed)
+    assert ChannelSpec(0, 0, 2 ** 100 + 7).rng_seed == 2 ** 100 + 7
 
 
 def test_noiseless_channel_returns_codeword(word_f2):
@@ -57,6 +61,11 @@ def test_corrupt_validation(word_f2):
         corrupt(word_f2, ChannelSpec(3, 0), 0)  # erasures exceed dim 2
     with pytest.raises(InvalidSpec):
         corrupt(word_f2, ChannelSpec(0, 5), 0)  # errors exceed ambient 4
+    for t in (-1, -2 ** 32):
+        with pytest.raises(InvalidSpec, match="trial_index"):
+            corrupt(word_f2, ChannelSpec(0, 1), t)
+    with pytest.raises(InvalidSpec, match="non-negative"):
+        simulator._streams([(3, 0), (3, -1)])
 
 
 def test_corrupt_frozen_fixtures(word_f2):
@@ -158,6 +167,48 @@ def test_erasures_and_errors_combined(f4):
     assert st.correct + st.failure + st.wrong == 250
     assert st.agreement == 250
     assert st.naive_seconds >= 0.0 and st.projection_seconds >= 0.0
+
+
+_SEEDS = (0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 100 + 7)
+_TRIALS = (0, 1, 199, 2 ** 32 - 1, 2 ** 32)
+
+
+def _draws(rng):
+    return (rng.integers(0, 2 ** 63, size=3).tolist(), rng.integers(0, 9, size=5).tolist(),
+            rng.random(2).tolist())
+
+
+def test_streams_are_default_rng_streams():
+    # entropy of 2 to 7 words, those past 4 through the extra mixing loop, all
+    # seeded in one pass as a chunk's are, and one at a time as corrupt's are
+    entropies = [(s, i, *tail) for tail in ((), (0,)) for s in _SEEDS for i in _TRIALS]
+    assert {len(simulator._entropy_words(e)) for e in entropies} == {2, 3, 4, 5, 6, 7}
+    for e, got in zip(entropies, simulator._streams(entropies)):
+        want = np.random.default_rng(e)
+        assert got.bit_generator.state == want.bit_generator.state, e
+        assert _draws(got) == _draws(want), e
+    for e in entropies[::7]:
+        got, = simulator._streams([e])
+        assert got.bit_generator.state == np.random.default_rng(e).bit_generator.state
+
+
+def test_codeword_index_and_channel_share_a_stream_for_short_seeds():
+    # SeedSequence zero-pads entropy up to its pool of 4 words, so while
+    # (rng_seed, i) takes at most 3 words, (rng_seed, i, 0) seeds the stream
+    # of (rng_seed, i): the codeword index is drawn from a copy of the
+    # channel's stream.  Pinned so that changing it is deliberate: it would
+    # change every seeded tally
+    for s in _SEEDS[:5]:
+        for i in _TRIALS[:4]:
+            a = np.random.default_rng((s, i, 0))
+            b = np.random.default_rng((s, i))
+            assert a.bit_generator.state == b.bit_generator.state
+            assert _draws(a) == _draws(b)
+    s, i = 2 ** 100 + 7, 3  # five words and six: two streams
+    assert (np.random.default_rng((s, i, 0)).bit_generator.state
+            != np.random.default_rng((s, i)).bit_generator.state)
+    pick, channel = simulator._streams([(7, 5, 0), (7, 5)])
+    assert pick.bit_generator.state == channel.bit_generator.state
 
 
 def _one_draw(word, spec, i):
