@@ -69,7 +69,10 @@ stack [U; W] of subspaces packs neither basis again and reinserts none of
 U's rows.  ``stack_ranks`` ranks many stacks [A_i; B_j] of the same
 matrices or Subspaces, as the LCD check and the distance scans do: each
 operand becomes one echelon table, a Subspace's own or a matrix's reduced
-packed rows, and a pair reduces B_j's rows into a copy of A_i's.
+packed rows, and a pair reduces B_j's rows into a copy of A_i's.  An
+operand given as a function is called when the first pair that needs it
+comes up (other fields call it at once), so the LCD routine takes a dual
+over F_2 only when a pair needs it.
 ``capped_stack_ranks(tops, bottoms)`` is its capped form for batched naive
 decoding, rank(i, cap) = min(rank [tops[i]; B] - rank tops[i], cap) on
 every field.  Over F_2 each top is an echelon table as above, each bottom
@@ -880,23 +883,45 @@ class GF:
     def stack_ranks(self, tops, bottoms, pairs):
         """rank([tops[i]; bottoms[j]]) for each (i, j) of pairs, lazily.
 
-        Each top and bottom is a matrix or a Subspace, and all need the same
-        number of columns.  Over F_2 each one becomes an echelon table once,
-        not once per pair: a Subspace's own table, kept from its first use,
-        or the reduced packed rows of a matrix.  The rank of a pair reduces
-        the bottom's table rows into a copy of the top's table.  Every other
-        field pads the tops, and the bottoms, with zero rows to one height
-        and ranks the pairs in stacks of at most STACK_ENTRIES entries.
+        Each top and bottom is a matrix or a Subspace, or a function of no
+        arguments that gives one, and all need the same number of columns.
+        Over F_2 each one becomes an echelon table once, not once per pair:
+        a Subspace's own table, kept from its first use, or the reduced
+        packed rows of a matrix.  A matrix or Subspace is checked and made a
+        table now, a function's operand when the first pair that needs it
+        comes up, so a caller that stops early never calls the rest.  The
+        rank of a pair reduces the bottom's table rows into a copy of the
+        top's table.  Every other field calls the functions now, pads the
+        tops, and the bottoms, with zero rows to one height and ranks the
+        pairs in stacks of at most STACK_ENTRIES entries.
         """
-        top_mats = self._operands(tops)
-        bottom_mats = self._operands(bottoms)
-        if len({A.shape[1] for A in top_mats + bottom_mats}) > 1:
-            raise DimensionMismatch("stacked matrices need the same number of columns")
-        if self.q == 2:
-            tables = _gf2_tables(tops, top_mats)
-            rows = [t.values() for t in _gf2_tables(bottoms, bottom_mats)]
-            return (len(_gf2_pivots(rows[j], tables[i])) for i, j in pairs)
-        return self._paired_ranks(padded_stack(top_mats), padded_stack(bottom_mats), iter(pairs))
+        if self.q != 2:
+            top_mats = self._operands([A() if callable(A) else A for A in tops])
+            bottom_mats = self._operands([B() if callable(B) else B for B in bottoms])
+            if len({A.shape[1] for A in top_mats + bottom_mats}) > 1:
+                raise DimensionMismatch("stacked matrices need the same number of columns")
+            return self._paired_ranks(padded_stack(top_mats), padded_stack(bottom_mats),
+                                      iter(pairs))
+        widths = set()
+
+        def table(A):
+            A = A() if callable(A) else A
+            mats = self._operands([A])
+            widths.add(mats[0].shape[1])
+            if len(widths) > 1:
+                raise DimensionMismatch("stacked matrices need the same number of columns")
+            return _gf2_tables([A], mats)[0]
+
+        top_tables = [A if callable(A) else table(A) for A in tops]
+        bottom_tables = [B if callable(B) else table(B) for B in bottoms]
+
+        def made(tables, i):
+            if callable(tables[i]):
+                tables[i] = table(tables[i])
+            return tables[i]
+
+        return (len(_gf2_pivots(made(bottom_tables, j).values(), made(top_tables, i)))
+                for i, j in pairs)
 
     def capped_stack_ranks(self, tops, bottoms):
         """For each matrix B of bottoms, (rank B, rank) where

@@ -205,10 +205,14 @@ def dual_meets(spaces, pairs):
     for each (a, b), a <= b, once, in the order its first ordered pair comes
     in pairs: all s^2 ordered pairs of s subspaces take s(s + 1)/2 ranks.
 
+    stack_ranks is handed each U_b.dual uncalled, so over F_2 a dual is
+    taken only when the first pair that needs it is ranked, and a caller
+    that stops at an early pair does not pay for the rest; other fields
+    take every dual at once.
+
     The one LCD test: U is LCD iff (U, U) gives 0, and a set of subspaces is
     an LCD subspace code iff every ordered pair, i = j included, does.
     """
-    duals = [U.dual() for U in spaces]
     n = spaces[0].n
     pairs, wanted = tee(pairs)
     asked = set()
@@ -220,7 +224,7 @@ def dual_meets(spaces, pairs):
                 asked.add(pair)
                 yield pair
 
-    ranks = spaces[0].field.stack_ranks(spaces, duals, upper())
+    ranks = spaces[0].field.stack_ranks(spaces, [U.dual for U in spaces], upper())
 
     def meets():
         # a pair (a, b) missing here is the next one upper() gave
@@ -230,7 +234,7 @@ def dual_meets(spaces, pairs):
             if pair not in known:
                 known[pair] = next(ranks)
             r = known[pair]
-            yield spaces[i].dim + duals[j].dim - r if i <= j else n - r
+            yield spaces[i].dim + n - spaces[j].dim - r if i <= j else n - r
 
     return meets()
 

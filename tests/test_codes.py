@@ -19,6 +19,7 @@ from lcdsubspace.codes import (
     projection_decoder,
     sampled_min_distance,
 )
+from lcdsubspace.constructions import theorem_pipeline
 from lcdsubspace.errors import (
     AmbientMismatch,
     DegenerateCode,
@@ -31,7 +32,7 @@ from lcdsubspace.errors import (
 )
 from lcdsubspace.gf import _exact_capped
 from lcdsubspace.simulator import ChannelSpec, corrupt
-from lcdsubspace.subspaces import Subspace, distance, dual, intersect, span
+from lcdsubspace.subspaces import Subspace, complement_coordinates, distance, dual, intersect, span
 
 
 def line(field, v):
@@ -659,3 +660,57 @@ def test_bounded_verdicts_beyond_the_unique_radius_of_thm59(thm59_report, erasur
     assert projection_decoder(code).decode_many(words) == want
     # the nearest codeword is past the unique decoding radius of 1
     assert all(o.distance > 1 for o in want)
+
+
+def test_syndrome_control_matches_naive_decoding_on_codes_not_lcd(f2, f3, f4, f9):
+    # codewords of mixed dimension, so most codes are not LCD: the syndrome
+    # control needs no LCD check, and decodes as the unbounded reference does
+    rng = np.random.default_rng(61)
+    not_lcd = 0
+    for f in (f2, f3, f4, f9):
+        for _ in range(12):
+            n = int(rng.integers(2, 6))
+            words = []
+            while len(words) < 3:
+                W = Subspace(f, n, rng.integers(0, f.q, (int(rng.integers(1, n)), n)))
+                if W.dim and W not in words:
+                    words.append(W)
+            code = SubspaceCode(words)
+            not_lcd += not is_lcd_subspace_code(code)
+            for _ in range(4):
+                rows = rng.integers(0, f.q, (int(rng.integers(0, n + 1)), n))
+                want = decode_naive(code, rows)
+                got = oracles.syndrome_decode(code, rows)
+                assert got == (want.status, want.index, want.distance)
+    assert not_lcd >= 40
+
+
+def test_projection_coordinates_span_the_syndrome_columns(f2, f4, f5, f9, thm59_report,
+                                                         order4_pair):
+    # Q_i = W_i^T G_i^-1: rank [Q_i | W_i^T] = n - dim C_i on every codeword
+    # of the codes whose tallies or documents are pinned, and the projection
+    # decoder is the syndrome control on them
+    codes = [thm59_report.code,
+             *(theorem_pipeline("thm51", p=2, r=r, matrices=list(order4_pair.matrices)).code
+               for r in (2, 3)),
+             SubspaceCode([span(f2, 4, [[0, 0, 1, 0], [0, 0, 0, 1]]),
+                           span(f2, 4, [[1, 1, 1, 0], [0, 0, 0, 1]]),
+                           span(f2, 4, [[1, 1, 0, 1], [0, 0, 1, 0]])]),
+             SubspaceCode([line(f5, [1, 1]), line(f5, [1, 0])]),
+             SubspaceCode([span(f4, 4, [[1, 0, 2, 0], [0, 1, 0, 3]]),
+                           span(f4, 4, [[1, 0, 0, 0], [0, 1, 1, 1]])]),
+             SubspaceCode([span(f9, 5, [[1, 0, 2, 6, 7], [0, 1, 6, 5, 8]]),
+                           span(f9, 5, [[1, 0, 7, 4, 5], [0, 1, 3, 2, 6]]),
+                           span(f9, 5, [[1, 2, 3, 0, 5], [0, 0, 0, 1, 7]])])]
+    rng = np.random.default_rng(67)
+    for code in codes:
+        f, n = code.field, code.n
+        for w in code:
+            Q, W = complement_coordinates(w)
+            assert f.rank(np.hstack([Q, W.T])) == n - w.dim == f.rank(Q)
+        if n < 10:
+            for _ in range(20):
+                rows = rng.integers(0, f.q, (int(rng.integers(0, n + 1)), n))
+                want = decode_projection(code, rows)
+                got = oracles.syndrome_decode(code, rows)
+                assert got == (want.status, want.index, want.distance)

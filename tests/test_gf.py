@@ -528,8 +528,25 @@ def test_stack_ranks_match_oracle(f2, f3, f9, n):
         assert list(f.stack_ranks(bottoms, tops, [(j, i) for i, j in pairs])) == want
         # lazily: an endless pair iterator yields its first rank
         assert next(f.stack_ranks(tops, bottoms, repeat((3, 3)))) == want[15]
+        # an operand given as a function is called once: over GF(2) when a
+        # pair that needs it comes up to be ranked, elsewhere at once
+        asked = []
+
+        def given(side, ops):
+            return [lambda k=k: asked.append((side, k)) or ops[k] for k in range(len(ops))]
+
+        ranks = f.stack_ranks(given("top", tops), given("bottom", bottoms), pairs[5:])
+        if f.q != 2:
+            assert len(asked) == 8
+        assert next(ranks) == want[5]
+        if f.q == 2:
+            assert sorted(asked) == [("bottom", 1), ("top", 1)]
+        assert list(ranks) == want[6:]
+        assert sorted(asked) == sorted((side, k) for side in ("top", "bottom") for k in range(4))
         with pytest.raises(DimensionMismatch):
             f.stack_ranks(tops, [np.zeros((1, n + 1), dtype=np.int64)], [(0, 0)])
+        with pytest.raises(DimensionMismatch):
+            next(f.stack_ranks(tops, [lambda: np.zeros((1, n + 1), dtype=np.int64)], [(0, 0)]))
 
 
 def test_matmul_rejects_encodings_outside_the_field(f2, f3, f9):

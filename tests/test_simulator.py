@@ -65,7 +65,7 @@ def test_corrupt_validation(word_f2):
         with pytest.raises(InvalidSpec, match="trial_index"):
             corrupt(word_f2, ChannelSpec(0, 1), t)
     with pytest.raises(InvalidSpec, match="non-negative"):
-        simulator._streams([(3, 0), (3, -1)])
+        simulator._streams([(3, 0), (3, -1)], 1)
 
 
 def test_corrupt_frozen_fixtures(word_f2):
@@ -173,9 +173,11 @@ _SEEDS = (0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 100 + 7)
 _TRIALS = (0, 1, 199, 2 ** 32 - 1, 2 ** 32)
 
 
-def _draws(rng):
-    return (rng.integers(0, 2 ** 63, size=3).tolist(), rng.integers(0, 9, size=5).tolist(),
-            rng.random(2).tolist())
+def _outputs(rng, words):
+    """The 32-bit outputs of the next `words` raw words of a numpy
+    Generator's PCG64, the low half of each word first."""
+    raw = rng.bit_generator.random_raw(words)
+    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel().tolist()
 
 
 def test_streams_are_default_rng_streams():
@@ -183,13 +185,49 @@ def test_streams_are_default_rng_streams():
     # seeded in one pass as a chunk's are, and one at a time as corrupt's are
     entropies = [(s, i, *tail) for tail in ((), (0,)) for s in _SEEDS for i in _TRIALS]
     assert {len(simulator._entropy_words(e)) for e in entropies} == {2, 3, 4, 5, 6, 7}
-    for e, got in zip(entropies, simulator._streams(entropies)):
+    words = simulator._streams(entropies, 3)
+    # a stream asked past its first words asks its PCG64 again, in whole words
+    asked = words.row[::2]
+    words._fill(asked, np.full(len(asked), 11))
+    for t, e in enumerate(entropies):
+        r = words.row[t]
         want = np.random.default_rng(e)
-        assert got.bit_generator.state == want.bit_generator.state, e
-        assert _draws(got) == _draws(want), e
+        assert words.have[r] == (12 if r in asked else 6)
+        assert words.u32[r, :words.have[r]].tolist() == _outputs(want, words.have[r] // 2), e
+        assert words.gens[r].state == want.bit_generator.state, e
+    # equal hashed states are one stream
+    states = {str(np.random.default_rng(e).bit_generator.state) for e in entropies}
+    assert len(words.gens) == len(states)
     for e in entropies[::7]:
-        got, = simulator._streams([e])
-        assert got.bit_generator.state == np.random.default_rng(e).bit_generator.state
+        one = simulator._streams([e], 2)
+        assert one.u32[0].tolist() == _outputs(np.random.default_rng(e), 2), e
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 9, 2 ** 20, 2 ** 31 + 1, 3 * 2 ** 30])
+def test_bounded_draws_are_generator_integers(q):
+    # consecutive calls with odd counts and scalar draws: a call that ends
+    # on the low half of a raw word leaves its high half to the next call.
+    # (s, i, 0) and (s, i) share a stream for these seeds, so most rows have
+    # two consumers, each at its own cursor
+    entropies = [(s, i, *tail) for s in _SEEDS[:4] for i in _TRIALS[:3] for tail in ((), (0,))]
+    words = simulator._streams(entropies, 1)
+    gens = [np.random.default_rng(e) for e in entropies]
+    cursors = np.zeros(len(entropies), dtype=np.int64)
+    skipped = 0
+    for count in (1, 3, None, 5, 1, 7, None, 2, 9):
+        got, after = words.take(words.row, cursors, count or 1, q)
+        if count is None:
+            want = [[int(g.integers(0, q))] for g in gens]
+        else:
+            want = [g.integers(0, q, size=count).tolist() for g in gens]
+        assert got.tolist() == want
+        skipped += int((after - cursors).sum()) - (got.size if q > 1 else 0)
+        cursors = after
+    # (2^32 - q) mod q of the 2^32 outputs are skipped: none for a power of
+    # two, about 1 in 2 for 2^31 + 1 and 1 in 4 for 3 2^30
+    assert (skipped > 0) == (q > 2 ** 30)
+    if q == 1:
+        assert not cursors.any()
 
 
 def test_codeword_index_and_channel_share_a_stream_for_short_seeds():
@@ -203,12 +241,13 @@ def test_codeword_index_and_channel_share_a_stream_for_short_seeds():
             a = np.random.default_rng((s, i, 0))
             b = np.random.default_rng((s, i))
             assert a.bit_generator.state == b.bit_generator.state
-            assert _draws(a) == _draws(b)
+            assert _outputs(a, 4) == _outputs(b, 4)
     s, i = 2 ** 100 + 7, 3  # five words and six: two streams
     assert (np.random.default_rng((s, i, 0)).bit_generator.state
             != np.random.default_rng((s, i)).bit_generator.state)
-    pick, channel = simulator._streams([(7, 5, 0), (7, 5)])
-    assert pick.bit_generator.state == channel.bit_generator.state
+    # _streams gives them one row of outputs, which each reads from the first
+    assert simulator._streams([(7, 5, 0), (7, 5)], 1).row.tolist() == [0, 0]
+    assert simulator._streams([(s, i, 0), (s, i)], 1).row.tolist() == [0, 1]
 
 
 def _one_draw(word, spec, i):
@@ -253,16 +292,28 @@ def _replay(code, spec, trials):
 
 
 def _chunk_codes(f2, f5, f9):
-    yield SubspaceCode([span(f2, 4, [[0, 0, 1, 0], [0, 0, 0, 1]]),
-                        span(f2, 4, [[1, 1, 1, 0], [0, 0, 0, 1]]),
-                        span(f2, 4, [[1, 1, 0, 1], [0, 0, 1, 0]])]), ChannelSpec(1, 1, 31)
-    yield SubspaceCode([span(f5, 2, [[1, 1]]), span(f5, 2, [[1, 0]])]), ChannelSpec(1, 1, 32)
+    readme = SubspaceCode([span(f2, 4, [[0, 0, 1, 0], [0, 0, 0, 1]]),
+                           span(f2, 4, [[1, 1, 1, 0], [0, 0, 0, 1]]),
+                           span(f2, 4, [[1, 1, 0, 1], [0, 0, 1, 0]])])
+    yield readme, ChannelSpec(1, 1, 31)
+    f5_code = SubspaceCode([span(f5, 2, [[1, 1]]), span(f5, 2, [[1, 0]])])
+    yield f5_code, ChannelSpec(1, 1, 32)
     # an LCD subspace code has one dimension: dim C_i + dim C_j^perp > n otherwise
-    code = SubspaceCode([span(f9, 5, [[1, 0, 2, 6, 7], [0, 1, 6, 5, 8]]),
-                         span(f9, 5, [[1, 0, 7, 4, 5], [0, 1, 3, 2, 6]]),
-                         span(f9, 5, [[1, 2, 3, 0, 5], [0, 0, 0, 1, 7]])])
+    f9_words = [span(f9, 5, [[1, 0, 2, 6, 7], [0, 1, 6, 5, 8]]),
+                span(f9, 5, [[1, 0, 7, 4, 5], [0, 1, 3, 2, 6]]),
+                span(f9, 5, [[1, 2, 3, 0, 5], [0, 0, 0, 1, 7]])]
+    code = SubspaceCode(f9_words)
     assert bool(is_lcd_subspace_code(code))
     yield code, ChannelSpec(1, 2, 33)
+    # every dimension erased, on a seed whose codeword index and channel
+    # streams differ (five entropy words and four); no errors; no noise
+    yield readme, ChannelSpec(2, 1, 2 ** 64 + 34)
+    yield code, ChannelSpec(1, 0, 35)
+    yield f5_code, ChannelSpec(0, 0, 36)
+    # one codeword: the codeword index reads no output of its stream
+    one = SubspaceCode(f9_words[:1])
+    assert bool(is_lcd_subspace_code(one))
+    yield one, ChannelSpec(1, 1, 37)
 
 
 def test_chunked_experiment_matches_per_trial_replay(f2, f5, f9, monkeypatch):

@@ -242,6 +242,20 @@ def test_dual_meets_matches_direct_intersections(all_fields, stack_rank_asks):
                 (min(i, j), max(i, j)) for i, j in pairs))
 
 
+def test_dual_meets_takes_each_dual_when_a_pair_first_needs_it(all_fields):
+    # span(e1, e2) meets span(e1)^perp = span(e2, e3), so an LCD check stops
+    # at (0, 1): over F_2 no pair of the last two spaces has been ranked, and
+    # their duals are not taken (other fields take every dual at once)
+    e = np.eye(3, dtype=np.int64)
+    for f in all_fields:
+        spaces = [span(f, 3, e[:2]), span(f, 3, e[:1]), span(f, 3, e[1:2]), span(f, 3, e[2:])]
+        pairs = [(i, j) for i in range(4) for j in range(4)]
+        meets = dual_meets(spaces, pairs)
+        assert [next(meets), next(meets)] == [0, 1]
+        assert [U._dual is not None for U in spaces] == [True, True] + [f.q != 2] * 2
+        assert list(meets) == [intersect(spaces[i], dual(spaces[j])).dim for i, j in pairs[2:]]
+
+
 def test_lcd_tests_of_one_or_two_subspaces_take_one_rank(all_fields, stack_rank_asks):
     # pairwise_lcd reads (W, U) off the rank of (U, W)
     rng = random.Random(53)
