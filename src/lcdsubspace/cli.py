@@ -19,19 +19,15 @@ from .codes import decode_naive, decode_projection
 from .constructions import (
     ENUMERATION_CAP,
     PIPELINE_KINDS,
+    PIPELINES,
     SAMPLE_SIZE,
+    ClassicalCodeReport,
     theorem_pipeline,
 )
 from .drg import check_distance_regular, intersection_array, scheme_from_drg
 from .errors import BudgetExhausted, InvalidSpec, LcdError
 from .gf import field_new
-from .hadamard import (
-    HadamardMatrix,
-    UnbiasedSet,
-    WeighingMatrix,
-    search_unbiased_extension,
-    sylvester,
-)
+from .hadamard import UnbiasedSet, search_unbiased_extension, sylvester, validate
 from .schemes import (
     EquitablePartition,
     divisibility_screen,
@@ -119,22 +115,15 @@ def _cmd_verify(args):
     files = args.files
     if not files:
         raise InvalidSpec("verify needs at least one file")
-    if args.what == "hadamard":
-        mats = [HadamardMatrix(M) for M in _load_int_matrices(files)]
-        doc = {"ok": True, "kind": "hadamard", "order": mats[0].order,
-               "files": files}
+    if args.what in ("hadamard", "weighing"):
+        mats = [validate(M, args.what, args.weight) for M in _load_int_matrices(files)]
+        doc = {"ok": True, "kind": args.what, "order": mats[0].order}
+        if args.what == "weighing":
+            doc["weight"] = mats[0].weight
+        doc["files"] = files
         if len(mats) > 1:
-            uset = UnbiasedSet(mats, "hadamard")
             doc["pairwise_unbiased"] = True
-            doc["m"] = len(uset)
-    elif args.what == "weighing":
-        mats = [WeighingMatrix(M, args.weight) for M in _load_int_matrices(files)]
-        doc = {"ok": True, "kind": "weighing", "order": mats[0].order,
-               "weight": mats[0].weight, "files": files}
-        if len(mats) > 1:
-            uset = UnbiasedSet(mats, "weighing", mats[0].weight)
-            doc["pairwise_unbiased"] = True
-            doc["m"] = len(uset)
+            doc["m"] = len(UnbiasedSet(mats, args.what))
     elif args.what == "scheme":
         scheme = _load_scheme(files)
         doc = {"ok": True, "kind": "scheme", "size": scheme.size,
@@ -272,51 +261,29 @@ def _classical_doc(rep, inputs):
     }
 
 
+# the files of construct are read as the one input of its kind they stand for
+_FILE_INPUTS = {"scheme": _load_scheme, "graph": lambda files: fileio.read_graph(files[0]),
+                "matrices": _load_int_matrices}
+
+
 def _cmd_construct(args):
-    kind = args.kind
-    common = dict(p=args.p, r=args.r, sweep_alpha=args.alpha_sweep,
-                  include_zero_x=args.include_zero_x, cap=args.cap,
-                  sample=args.sample, seed=args.seed)
-    if kind == "thm42":
-        scheme = _load_scheme(args.files)
-        part = _resolve_partition(args.partition, scheme.size)
-        rep = theorem_pipeline("thm42", p=args.p, r=args.r, scheme=scheme,
-                               partition=part, index=args.index,
-                               alpha=args.alpha)
-        _emit(_classical_doc(rep, args.files), args.out)
-        return 0
-    if kind == "thm43":
-        scheme = _load_scheme(args.files)
-        part = _resolve_partition(args.partition, scheme.size)
-        rep = theorem_pipeline(kind, scheme=scheme, partition=part,
-                               indices=args.indices, **common)
-    elif kind == "cor45":
-        graph = fileio.read_graph(args.files[0])
-        group = None if args.group is None else fileio.read_group(args.group)
-        rep = theorem_pipeline(kind, graph=graph, group=group,
-                               indices=args.indices, **common)
-    elif kind in ("thm51", "thm52", "thm54", "thm55"):
-        mats = _load_int_matrices(args.files)
-        weight = args.weight if kind in ("thm52", "thm55") else None
-        if kind in ("thm51", "thm52"):
-            if args.partition is not None:
-                raise InvalidSpec(f"{kind} takes no partition")
-            rep = theorem_pipeline(kind, matrices=mats, weight=weight, **common)
-        else:
-            part = _resolve_partition(args.partition, mats[0].shape[0])
-            rep = theorem_pipeline(kind, matrices=mats, weight=weight,
-                                   partition=part, **common)
-    elif kind in ("thm56", "thm58", "thm59"):
-        mats = _load_int_matrices(args.files)
-        order = mats[0].shape[0]
-        size = order * (len(mats) + 1)
-        if kind == "thm59":
-            size *= 2
-        part = _resolve_partition(args.partition, size)
-        rep = theorem_pipeline(kind, matrices=mats, partition=part, **common)
-    else:  # pragma: no cover
-        raise InvalidSpec(kind)
-    _emit(_construction_doc(rep, args.files), args.out)
+    row = PIPELINES[args.kind]
+    name = next(name for name in row.needs if name in _FILE_INPUTS)
+    inputs = {name: _FILE_INPUTS[name](args.files)}
+    # an option the kind does not read goes through as given, for
+    # theorem_pipeline to reject
+    group, partition = args.group, args.partition
+    if group is not None and row.reads("group"):
+        group = fileio.read_group(group)
+    if row.points is not None:
+        partition = _resolve_partition(partition, row.points(inputs))
+    rep = theorem_pipeline(
+        args.kind, p=args.p, r=args.r, partition=partition, group=group,
+        weight=args.weight, indices=args.indices, index=args.index, alpha=args.alpha,
+        sweep_alpha=args.alpha_sweep, include_zero_x=args.include_zero_x,
+        cap=args.cap, sample=args.sample, seed=args.seed, **inputs)
+    doc = _classical_doc if isinstance(rep, ClassicalCodeReport) else _construction_doc
+    _emit(doc(rep, args.files), args.out)
     return 0
 
 

@@ -228,13 +228,14 @@ class DecodeOutcome:
 
 def _received_rows(code, received):
     """Generator rows of a received word, checked against the code: the
-    field of a Subspace, the ambient length, and encodings in [0, q)."""
+    field of a Subspace and the ambient length.  Raw rows are range-checked
+    once, where the decoders' ranks or rref take them."""
     if isinstance(received, Subspace):
         if received.field != code.field:
             raise FieldMismatch("received word over a different field")
         rows = received.basis
     else:
-        rows = code.field.asmatrix(received)
+        rows = code.field._as_rows(received)
         if rows.size == 0:
             rows = rows.reshape(0, code.n)
     if rows.shape[1] != code.n:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as _cartesian
 
 import numpy as np
@@ -591,23 +592,6 @@ def bush_schemes(uset):
 # --- theorem pipelines ---
 
 
-# the inputs each pipeline kind cannot run without
-PIPELINE_INPUTS = {
-    "thm42": ("scheme", "partition", "index"),
-    "thm43": ("scheme", "partition", "indices"),
-    "cor45": ("graph", "group", "indices"),
-    "thm51": ("matrices",),
-    "thm52": ("matrices",),
-    "thm54": ("matrices", "partition"),
-    "thm55": ("matrices", "partition"),
-    # the Bush and MURH kinds check their partition after the scheme is built
-    "thm56": ("matrices",),
-    "thm58": ("matrices",),
-    "thm59": ("matrices",),
-}
-PIPELINE_KINDS = tuple(PIPELINE_INPUTS)
-
-
 class _Hypotheses:
     def __init__(self):
         self.items = []
@@ -641,7 +625,14 @@ def _as_unbiased_set(hyp, matrices, kind, weight):
                        DimensionMismatch)
 
 
-def _scheme_generators(hyp, field, scheme, partition, indices, p):
+# Generator steps: step(hyp, field, given, source) checks the kind's
+# hypotheses on its inputs `given`, adds to the informational `source`, and
+# returns the generators of the algebra its code is built from.
+
+
+def _scheme_step(hyp, field, given, source):
+    """thm43: the quotients mod p of the given classes of a scheme."""
+    scheme, partition, indices = given["scheme"], given["partition"], given["indices"]
     if not indices:
         raise InvalidSpec("need at least one class index")
     indices = sorted(set(int(i) for i in indices))
@@ -660,14 +651,144 @@ def _scheme_generators(hyp, field, scheme, partition, indices, p):
     bad = None
     for i in indices:
         for j in indices:
-            rem = np.flatnonzero(scheme.tensor[i, j, :] % p)
+            rem = np.flatnonzero(scheme.tensor[i, j, :] % field.p)
             if rem.size:
                 bad = (i, j, int(rem[0]), int(scheme.tensor[i, j, rem[0]]))
                 break
         if bad:
             break
     hyp.check("p divides every p_(i,j)^k for i, j in I", bad is None, witness=bad)
-    return [reduce_mod(quot.quotients[i], field) for i in indices], indices
+    source["indices"] = indices
+    return [reduce_mod(quot.quotients[i], field) for i in indices]
+
+
+def _cor45_step(hyp, field, given, source):
+    """The scheme step on the distance scheme of a distance-regular graph,
+    partitioned into the orbits of a group of automorphisms."""
+    graph = given["graph"]
+    part = hyp.attempt("group generators are graph automorphisms",
+                       lambda: orbit_partition(given["group"], graph),
+                       NotAnAutomorphism)
+    drg_check = check_distance_regular(graph)
+    hyp.check("graph is distance-regular", drg_check.ok,
+              witness=drg_check.witness)
+    met = scheme_from_drg(graph)
+    hyp.check("orbits have equal length", part.equal_cells,
+              witness=tuple(sorted(set(part.cell_sizes))))
+    generators = _scheme_step(hyp, field, {**given, "scheme": met, "partition": part}, source)
+    source["orbits"] = part.t
+    return generators
+
+
+def _unbiased_step(mkind, hyp, field, given, source):
+    """thm51-55: the matrices of a Hadamard or weighing unbiased set, or with
+    a partition their quotients."""
+    uset = _as_unbiased_set(hyp, given["matrices"], mkind, given["weight"])
+    base = uset.order if mkind == "hadamard" else uset.weight
+    s = square_root_or_none(base)
+    label = "sqrt(order)" if mkind == "hadamard" else "sqrt(weight)"
+    hyp.check(f"{label} is an integer", s is not None, witness=base)
+    hyp.check(f"p divides {label}", s % field.p == 0, witness=(field.p, s))
+    partition = given["partition"]
+    if partition is None:
+        generators = [reduce_mod(M.entries, field) for M in uset]
+    else:
+        hyp.check("partition cells have equal size", partition.equal_cells,
+                  witness=tuple(sorted(set(partition.cell_sizes))))
+        quots = hyp.attempt("partition is equitable for every matrix",
+                            lambda: partition_quotients_of_set(uset, partition),
+                            NotEquitable, UnequalCells, DimensionMismatch)
+        generators = [reduce_mod(M, field) for M in quots]
+    source["m"] = len(uset)
+    source["order"] = uset.order
+    if mkind == "weighing":
+        source["weight"] = uset.weight
+    return generators
+
+
+def _derived_step(scheme_name, classes, divisor, hyp, field, given, source):
+    """thm56/58/59: the quotients of the given classes of a scheme derived
+    from a Hadamard unbiased set of order 4n^2, "murh" (the 3-class Gramian
+    scheme) or a BushSchemes attribute; p must divide the divisor, n or n/2."""
+    uset = _as_unbiased_set(hyp, given["matrices"], "hadamard", None)
+    hyp.check("at least two matrices", len(uset) >= 2, witness=len(uset))
+    s = square_root_or_none(uset.order)
+    hyp.check("order is 4n^2", s is not None and s % 2 == 0,
+              witness=uset.order)
+    n = s // 2
+    hyp.check("n is even", n % 2 == 0, witness=n)
+    if scheme_name == "murh":
+        B1, B2, B3 = hyp.attempt("all matrices are regular",
+                                 lambda: gramian_B(uset), NotRegular)
+        sch = murh_scheme(B1, B2, B3, n, len(uset))
+    else:
+        sch = getattr(hyp.attempt("all matrices are Bush-type",
+                                  lambda: bush_schemes(uset), NotBushType),
+                      scheme_name)
+    value = n // 2 if divisor == "n/2" else n
+    hyp.check(f"p divides {divisor}", value > 0 and value % field.p == 0,
+              witness=(field.p, value))
+    partition = given["partition"]
+    if partition is None:
+        raise InvalidSpec("this pipeline needs an equitable partition "
+                          "of the derived scheme")
+    if partition.size != sch.size:
+        raise DimensionMismatch(
+            f"partition on {partition.size} points vs scheme on {sch.size}")
+    hyp.check("partition cells have equal size", partition.equal_cells,
+              witness=tuple(sorted(set(partition.cell_sizes))))
+    quot = hyp.attempt("partition is equitable for every relation",
+                       lambda: quotient_matrices(partition, sch),
+                       NotEquitable)
+    source.update({"m": len(uset), "order": uset.order, "n": n,
+                   "generator_classes": list(classes)})
+    return [reduce_mod(quot.quotients[i], field) for i in classes]
+
+
+def _blocks(given):
+    """Points of a scheme derived from m matrices of order v: (m + 1) v."""
+    return len(given["matrices"][0]) * (len(given["matrices"]) + 1)
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """One construction kind: the inputs it needs and those it may also
+    take; points(inputs), the number of points a partition of it must cover,
+    from inputs as they are read from files (a scheme, or a list of integer
+    matrices), or None when it takes no partition; and its generator step
+    (None for thm42, which builds a classical code with lcd_code_thm42)."""
+
+    needs: tuple
+    takes: tuple = ()
+    points: object = None
+    step: object = None
+
+    def reads(self, name):
+        return name in self.needs or name in self.takes
+
+
+_HADAMARD_SET = partial(_unbiased_step, "hadamard")
+_WEIGHING_SET = partial(_unbiased_step, "weighing")
+PIPELINES = {
+    "thm42": Pipeline(("scheme", "partition", "index"), points=lambda g: g["scheme"].size),
+    "thm43": Pipeline(("scheme", "partition", "indices"), (), lambda g: g["scheme"].size,
+                      _scheme_step),
+    "cor45": Pipeline(("graph", "group", "indices"), step=_cor45_step),
+    "thm51": Pipeline(("matrices",), step=_HADAMARD_SET),
+    "thm52": Pipeline(("matrices",), ("weight",), step=_WEIGHING_SET),
+    "thm54": Pipeline(("matrices", "partition"), (), lambda g: len(g["matrices"][0]),
+                      _HADAMARD_SET),
+    "thm55": Pipeline(("matrices", "partition"), ("weight",), lambda g: len(g["matrices"][0]),
+                      _WEIGHING_SET),
+    # the derived-scheme kinds check their partition once the scheme is built
+    "thm56": Pipeline(("matrices",), ("partition",), _blocks,
+                      partial(_derived_step, "murh", (1, 2), "n/2")),
+    "thm58": Pipeline(("matrices",), ("partition",), _blocks,
+                      partial(_derived_step, "five_class", (2, 3, 4, 5), "n/2")),
+    "thm59": Pipeline(("matrices",), ("partition",), lambda g: 2 * _blocks(g),
+                      partial(_derived_step, "eight_class", (3, 4, 5, 6, 7), "n")),
+}
+PIPELINE_KINDS = tuple(PIPELINES)
 
 
 def theorem_pipeline(kind, *, p, r=1, scheme=None, partition=None, graph=None,
@@ -675,111 +796,36 @@ def theorem_pipeline(kind, *, p, r=1, scheme=None, partition=None, graph=None,
                      index=None, alpha=1, sweep_alpha=False,
                      include_zero_x=False, cap=ENUMERATION_CAP,
                      sample=SAMPLE_SIZE, seed=0, pair_budget=PAIR_BUDGET):
-    """Dispatch one named construction; hypotheses are verified one by one
-    and the first failure raises HypothesisFailed with that hypothesis name.
-    Emitted reports always carry an independently verified code."""
-    if kind not in PIPELINE_INPUTS:
+    """Run one named construction from its row of PIPELINES.
+
+    A structural input (scheme, partition, graph, group, matrices, weight,
+    index, indices) the kind needs but is not given, or is given but the
+    kind does not read, raises InvalidSpec.  Hypotheses are then verified
+    one by one and the first failure raises HypothesisFailed with that
+    hypothesis name.  Every kind but thm42 closes its generators into an
+    algebra and builds the subspace code of that algebra (alpha is read by
+    thm42 alone, the remaining options by the others).  Emitted reports
+    always carry an independently verified code.
+    """
+    row = PIPELINES.get(kind)
+    if row is None:
         raise InvalidSpec(f"unknown pipeline kind {kind!r}")
     given = {"scheme": scheme, "partition": partition, "graph": graph,
-             "group": group, "matrices": matrices, "index": index,
-             "indices": indices}
-    missing = [name for name in PIPELINE_INPUTS[kind] if given[name] is None]
+             "group": group, "matrices": matrices, "weight": weight,
+             "index": index, "indices": indices}
+    missing = [name for name in row.needs if given[name] is None]
     if missing:
         raise InvalidSpec(f"{kind} needs {', '.join(missing)}")
-    if kind == "thm42":
+    for name, value in given.items():
+        if value is not None and not row.reads(name):
+            raise InvalidSpec(f"{kind} takes no {name}")
+    if row.step is None:
         return lcd_code_thm42(scheme, partition, index, p, r, alpha)
 
     hyp = _Hypotheses()
     field = field_new(p, r)
     source = {"kind": kind, "p": int(p), "r": int(r)}
-
-    if kind == "thm43":
-        generators, used = _scheme_generators(hyp, field, scheme, partition,
-                                              indices, p)
-        t = partition.t
-        source["indices"] = used
-    elif kind == "cor45":
-        part = hyp.attempt("group generators are graph automorphisms",
-                           lambda: orbit_partition(group, graph),
-                           NotAnAutomorphism)
-        drg_check = check_distance_regular(graph)
-        hyp.check("graph is distance-regular", drg_check.ok,
-                  witness=drg_check.witness)
-        met = scheme_from_drg(graph)
-        hyp.check("orbits have equal length", part.equal_cells,
-                  witness=tuple(sorted(set(part.cell_sizes))))
-        generators, used = _scheme_generators(hyp, field, met, part, indices, p)
-        t = part.t
-        source["indices"] = used
-        source["orbits"] = part.t
-    elif kind in ("thm51", "thm52", "thm54", "thm55"):
-        mkind = "hadamard" if kind in ("thm51", "thm54") else "weighing"
-        uset = _as_unbiased_set(hyp, matrices, mkind, weight)
-        base = uset.order if mkind == "hadamard" else uset.weight
-        s = square_root_or_none(base)
-        label = "sqrt(order)" if mkind == "hadamard" else "sqrt(weight)"
-        hyp.check(f"{label} is an integer", s is not None, witness=base)
-        hyp.check(f"p divides {label}", s % p == 0, witness=(p, s))
-        if kind in ("thm51", "thm52"):
-            generators = [reduce_mod(M.entries, field) for M in uset]
-            t = uset.order
-        else:
-            hyp.check("partition cells have equal size", partition.equal_cells,
-                      witness=tuple(sorted(set(partition.cell_sizes))))
-            quots = hyp.attempt("partition is equitable for every matrix",
-                                lambda: partition_quotients_of_set(uset, partition),
-                                NotEquitable, UnequalCells, DimensionMismatch)
-            generators = [reduce_mod(M, field) for M in quots]
-            t = partition.t
-        source["m"] = len(uset)
-        source["order"] = uset.order
-        if mkind == "weighing":
-            source["weight"] = uset.weight
-    elif kind in ("thm56", "thm58", "thm59"):
-        uset = _as_unbiased_set(hyp, matrices, "hadamard", None)
-        hyp.check("at least two matrices", len(uset) >= 2, witness=len(uset))
-        s = square_root_or_none(uset.order)
-        hyp.check("order is 4n^2", s is not None and s % 2 == 0,
-                  witness=uset.order)
-        n = s // 2
-        hyp.check("n is even", n % 2 == 0, witness=n)
-        if kind == "thm56":
-            B1, B2, B3 = hyp.attempt("all matrices are regular",
-                                     lambda: gramian_B(uset), NotRegular)
-            sch = murh_scheme(B1, B2, B3, n, len(uset))
-            gen_indices = [1, 2]
-            divisor, divisor_name = n // 2, "n/2"
-        else:
-            pair = hyp.attempt("all matrices are Bush-type",
-                               lambda: bush_schemes(uset), NotBushType)
-            if kind == "thm58":
-                sch = pair.five_class
-                gen_indices = [2, 3, 4, 5]
-                divisor, divisor_name = n // 2, "n/2"
-            else:
-                sch = pair.eight_class
-                gen_indices = [3, 4, 5, 6, 7]
-                divisor, divisor_name = n, "n"
-        hyp.check(f"p divides {divisor_name}",
-                  divisor > 0 and divisor % p == 0, witness=(p, divisor))
-        if partition is None:
-            raise InvalidSpec("this pipeline needs an equitable partition "
-                              "of the derived scheme")
-        if partition.size != sch.size:
-            raise DimensionMismatch(
-                f"partition on {partition.size} points vs scheme on {sch.size}")
-        hyp.check("partition cells have equal size", partition.equal_cells,
-                  witness=tuple(sorted(set(partition.cell_sizes))))
-        quot = hyp.attempt("partition is equitable for every relation",
-                           lambda: quotient_matrices(partition, sch),
-                           NotEquitable)
-        generators = [reduce_mod(quot.quotients[i], field) for i in gen_indices]
-        t = partition.t
-        source.update({"m": len(uset), "order": uset.order, "n": n,
-                       "generator_classes": gen_indices})
-    else:  # pragma: no cover
-        raise InvalidSpec(kind)
-
+    generators = row.step(hyp, field, given, source)
     nonzero = [G for G in generators if G.any()]
     hyp.check("generators are nonzero mod p", len(nonzero) > 0,
               witness=len(generators))

@@ -11,7 +11,11 @@ import lcdsubspace
 from lcdsubspace import fileio
 from lcdsubspace.cli import main
 from lcdsubspace.codes import SubspaceCode
+from lcdsubspace.constructions import PIPELINE_KINDS, theorem_pipeline
+from lcdsubspace.drg import PermutationGroup
+from lcdsubspace.errors import HypothesisFailed
 from lcdsubspace.hadamard import sylvester
+from lcdsubspace.schemes import EquitablePartition
 from lcdsubspace.subspaces import span
 
 import oracles
@@ -188,16 +192,91 @@ def test_construct_cor45(tmp_path, capsys):
     assert doc["params"]["n"] == 8 and doc["params"]["size"] == 1
 
 
+def _parity_case(kind, tmp_path, request):
+    """(files, options) of `construct kind` and the theorem_pipeline inputs
+    (r included) they stand for, from the session fixtures written to files."""
+    fixture = request.getfixturevalue
+    if kind in ("thm42", "thm43"):
+        scheme = fixture("k44_scheme")
+        files = []
+        for i, A in enumerate(scheme.mats[1:], 1):
+            fileio.write_matrix(tmp_path / f"a{i}.txt", A, "int")
+            files.append(str(tmp_path / f"a{i}.txt"))
+        inputs = {"scheme": scheme, "partition": EquitablePartition.singletons(scheme.size)}
+        if kind == "thm42":
+            return files, ["--index", "1"], {**inputs, "index": 1}
+        return files, ["--r", "2", "--indices", "1"], {**inputs, "r": 2, "indices": [1]}
+    if kind == "cor45":
+        c4 = fixture("c4")
+        fileio.write_matrix(tmp_path / "c4.txt", c4.adjacency, "int")
+        (tmp_path / "ident.txt").write_text("1 2 3 4\n")
+        return ([str(tmp_path / "c4.txt")],
+                ["--group", str(tmp_path / "ident.txt"), "--indices", "1"],
+                {"graph": c4, "group": PermutationGroup(4, [(0, 1, 2, 3)]), "indices": [1]})
+    if kind in ("thm51", "thm52", "thm54", "thm55"):
+        weighing = kind in ("thm52", "thm55")
+        mats = [H.entries for H in fixture("order4_pair")]
+        files = []
+        for i, M in enumerate(mats):
+            fileio.write_matrix(tmp_path / f"h{i}.txt", M, "zpm1" if weighing else "pm1")
+            files.append(str(tmp_path / f"h{i}.txt"))
+        options, inputs = [], {"matrices": mats}
+        if weighing:
+            options, inputs["weight"] = ["--weight", "4"], 4
+        if kind in ("thm54", "thm55"):
+            inputs["partition"] = EquitablePartition.singletons(4)
+        return files, options, inputs
+    # the Bush pair: 16 x 3 points, doubled for the 8-class scheme of thm59
+    files = [str(BUNDLED / name) for name in ("bush16_a.txt", "bush16_b.txt")]
+    points = 96 if kind == "thm59" else 48
+    return files, [], {"matrices": list(fixture("bush_pair")),
+                       "partition": EquitablePartition.singletons(points)}
+
+
+@pytest.mark.parametrize("kind", PIPELINE_KINDS)
+def test_construct_matches_theorem_pipeline(kind, tmp_path, capsys, request):
+    # the CLI loads each kind's files and sizes its default partition itself;
+    # it must reach the same report, or the same failed hypothesis
+    files, options, inputs = _parity_case(kind, tmp_path, request)
+    rc, out, err = run(capsys, "construct", kind, *files, "--p", "2", *options)
+    try:
+        rep = theorem_pipeline(kind, p=2, **inputs)
+    except HypothesisFailed as exc:
+        assert rc == 1 and out == ""
+        doc = json.loads(err)
+        assert (doc["error"], doc["message"]) == ("HypothesisFailed", str(exc))
+        return
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert doc["theorem"] == rep.kind == kind
+    assert [(h["name"], h["ok"]) for h in doc["hypotheses"]] == list(rep.hypotheses)
+    if kind == "thm42":
+        assert (doc["t"], doc["alpha"], doc["generator"]) == (rep.t, rep.alpha,
+                                                              rep.generator.tolist())
+        return
+    prm = rep.params
+    assert doc["params"] == {"n": prm.n, "size": prm.size, "d": prm.d,
+                             "K": list(prm.dims), "q": prm.q}
+
+
 def test_construct_without_a_needed_option_is_exit_1(tmp_path, capsys):
+    # and with an option the kind neither needs nor takes
     g = tmp_path / "c4.txt"
     g.write_text("1 2\n2 3\n3 4\n4 1\n")
-    for argv, missing in ((("thm42", *k44_files(tmp_path)), "index"),
-                          (("cor45", str(g), "--indices", "1"), "group")):
+    grp = tmp_path / "g.txt"
+    grp.write_text("1 2 3 4\n")
+    bush = [str(BUNDLED / name) for name in ("bush16_a.txt", "bush16_b.txt")]
+    for argv, message in (
+            (("thm42", *k44_files(tmp_path)), "thm42 needs index"),
+            (("cor45", str(g), "--indices", "1"), "cor45 needs group"),
+            (("cor45", str(g), "--group", str(grp), "--indices", "1",
+              "--partition", "blocks:2"), "cor45 takes no partition"),
+            (("thm59", *bush, "--group", str(grp)), "thm59 takes no group")):
         rc, out, err = run(capsys, "construct", *argv, "--p", "2")
         assert rc == 1 and out == ""
         doc = json.loads(err)
         assert doc["error"] == "InvalidSpec"
-        assert doc["message"] == f"{argv[0]} needs {missing}"
+        assert doc["message"] == message
 
 
 def test_construct_bad_partition_is_exit_2(capsys):

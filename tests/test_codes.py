@@ -374,7 +374,9 @@ def test_decoders_reject_received_words_that_do_not_fit(f2, f3):
                ([[0, 1]], AmbientMismatch), (Subspace.full(f, 4), AmbientMismatch),
                (Subspace.full(other, 3), FieldMismatch)]
         for received, error in bad:
-            for decode in (dec.decode, lambda R: decode_naive(code, R)):
+            for decode in (dec.decode, lambda R: decode_naive(code, R),
+                           lambda R: decode_naive_many(code, [R]),
+                           lambda R: dec.decode_many([R])):
                 with pytest.raises(error):
                     decode(received)
 

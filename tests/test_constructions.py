@@ -9,6 +9,7 @@ from lcdsubspace import constructions
 from lcdsubspace.codes import is_lcd_subspace_code, params
 from lcdsubspace.constructions import (
     ALGEBRA_DIM_CAP,
+    PIPELINES,
     AlgebraBasis,
     _check_product_identity,
     algebra_closure,
@@ -596,13 +597,29 @@ def test_pipeline_thm59(thm59_report):
 ])
 def test_pipeline_missing_input_is_invalid_spec(kind, given, missing, k44_scheme,
                                                 order4_pair, c4):
-    from lcdsubspace.drg import PermutationGroup
-
-    inputs = {"scheme": k44_scheme, "partition": EquitablePartition.singletons(8),
-              "index": 1, "indices": (1,), "matrices": list(order4_pair.matrices),
-              "graph": c4, "group": PermutationGroup(4, [(0, 1, 2, 3)])}
+    inputs = _structural_inputs(k44_scheme, order4_pair, c4)
     with pytest.raises(InvalidSpec, match=f"^{kind} needs {missing}$"):
         theorem_pipeline(kind, p=2, **{name: inputs[name] for name in given})
+
+
+@pytest.mark.parametrize("kind, stray", [
+    ("thm51", "graph"), ("thm59", "group"), ("cor45", "matrices"),
+    ("thm42", "indices"), ("thm43", "weight"), ("thm52", "partition"),
+])
+def test_pipeline_stray_input_is_invalid_spec(kind, stray, k44_scheme, order4_pair, c4):
+    # every input the kind needs, and one it neither needs nor takes
+    inputs = _structural_inputs(k44_scheme, order4_pair, c4)
+    given = PIPELINES[kind].needs + (stray,)
+    with pytest.raises(InvalidSpec, match=f"^{kind} takes no {stray}$"):
+        theorem_pipeline(kind, p=2, **{name: inputs[name] for name in given})
+
+
+def _structural_inputs(k44_scheme, order4_pair, c4):
+    from lcdsubspace.drg import PermutationGroup
+
+    return {"scheme": k44_scheme, "partition": EquitablePartition.singletons(8),
+            "index": 1, "indices": (1,), "matrices": list(order4_pair.matrices),
+            "weight": 4, "graph": c4, "group": PermutationGroup(4, [(0, 1, 2, 3)])}
 
 
 def test_pipeline_unknown_kind():
