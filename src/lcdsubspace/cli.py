@@ -76,6 +76,13 @@ def _load_scheme(paths):
     return scheme_from_matrices(mats)
 
 
+def _load_graph(paths):
+    """The graph of an edge-list file; a graph is read from exactly one."""
+    if len(paths) != 1:
+        raise InvalidSpec(f"a graph is read from one file, got {len(paths)}")
+    return fileio.read_graph(paths[0])
+
+
 def _partition_arg(text):
     """argparse type of --partition: a 'blocks:SIZE' value needs an integer."""
     if text.startswith("blocks:"):
@@ -130,7 +137,7 @@ def _cmd_verify(args):
                "classes": scheme.classes,
                "valencies": [int(v) for v in scheme.valencies]}
     elif args.what == "drg":
-        graph = fileio.read_graph(files[0])
+        graph = _load_graph(files)
         check = check_distance_regular(graph)
         if not check.ok:
             _emit({"ok": False, "kind": "drg", "witness": check.witness})
@@ -262,8 +269,7 @@ def _classical_doc(rep, inputs):
 
 
 # the files of construct are read as the one input of its kind they stand for
-_FILE_INPUTS = {"scheme": _load_scheme, "graph": lambda files: fileio.read_graph(files[0]),
-                "matrices": _load_int_matrices}
+_FILE_INPUTS = {"scheme": _load_scheme, "graph": _load_graph, "matrices": _load_int_matrices}
 
 
 def _cmd_construct(args):

@@ -66,17 +66,18 @@ basis packed, as the echelon table ``_gf2_pivots`` builds, once its
 distinct leading bits, so that is one ``_gf2_pack`` and no elimination.
 ``_gf2_pivots`` can start from a copy of such a table, so the rank of a
 stack [U; W] of subspaces packs neither basis again and reinserts none of
-U's rows.  ``stack_ranks`` ranks many stacks [A_i; B_j] of the same
-matrices or Subspaces, as the LCD check and the distance scans do: each
-operand becomes one echelon table, a Subspace's own or a matrix's reduced
-packed rows, and a pair reduces B_j's rows into a copy of A_i's.  An
-operand given as a function is called when the first pair that needs it
-comes up (other fields call it at once), so the LCD routine takes a dual
-over F_2 only when a pair needs it.
+U's rows.  ``stack_ranks`` ranks many stacks [U_i; W_j] of Subspaces of
+one ambient space, as the LCD check and ``subspaces.distance`` do: a pair
+reduces W_j's kept echelon rows into a copy of U_i's kept table.  Over
+F_2 each bottom W_j is indexed when the first pair that needs it comes up
+(other fields index them all at once), so the LCD routine, which hands
+over its duals as a sequence that takes each dual when indexed, takes a
+dual over F_2 only when a pair needs it.
 ``capped_stack_ranks(tops, bottoms)`` is its capped form for batched naive
-decoding, rank(i, cap) = min(rank [tops[i]; B] - rank tops[i], cap) on
-every field.  Over F_2 each top is an echelon table as above, each bottom
-an echelon set once, and rank(i, cap) reduces B's rows into a copy of top
+decoding, with Subspace tops (the codewords) and raw received rows B as
+bottoms, rank(i, cap) = min(rank [tops[i]; B] - dim tops[i], cap) on every
+field.  Over F_2 each top is its kept echelon table, each bottom an
+echelon set once, and rank(i, cap) reduces B's rows into a copy of top
 i's table until cap of them add a pivot, going on from where the last call
 stopped; every other field ranks every stack exactly, in one pass, and
 caps the ranks it has.  ``capped_pair_ranks(spaces, pairs)`` is the capped
@@ -118,9 +119,8 @@ entry and packing would read any nonzero entry as 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice, product, tee
+from itertools import accumulate, islice, product, starmap, tee
 
 import numpy as np
 
@@ -288,13 +288,6 @@ def _gf2_echelon(B):
     echelon form: its rows' leading columns differ, so one pack and no
     elimination."""
     return {r.bit_length(): r for r in _gf2_pack(B)}
-
-
-def _gf2_tables(operands, mats):
-    """The echelon table of each operand's rows: a Subspace keeps its own,
-    built on first use; a matrix's rows, mats[i], are reduced here."""
-    return [A.echelon() if hasattr(A, "echelon") else _gf2_pivots(_gf2_pack(M))
-            for A, M in zip(operands, mats)]
 
 
 def _gf2_capped_ranks(tables, rows, fields):
@@ -482,12 +475,6 @@ class GF:
 
     def __hash__(self):
         return hash((GF, self.p, self.r))
-
-    def element(self, val):
-        val = int(val)
-        if not 0 <= val < self.q:
-            raise EncodingOutOfRange(f"encoded value {val} outside [0, {self.q})")
-        return FieldElement(self, val)
 
     def coeffs(self, val):
         """Polynomial coordinates (c_0, ..., c_{r-1}) of an encoded value."""
@@ -873,95 +860,71 @@ class GF:
         # in a stack of one, every step is a pivot of the one matrix
         return len(self._eliminate(A[None].copy(), full=False))
 
-    def _operands(self, mats):
-        """Each of mats as a matrix checked to lie in [0, q): a Subspace (any
-        operand with an ``echelon`` method) gives its rref basis, checked
-        when the Subspace was made."""
-        return [A.basis if hasattr(A, "echelon") else self._check(self._as_rows(A))
-                for A in mats]
-
     def stack_ranks(self, tops, bottoms, pairs):
-        """rank([tops[i]; bottoms[j]]) for each (i, j) of pairs, lazily.
+        """rank([tops[i]; bottoms[j]]) for each (i, j) of pairs, lazily, for
+        Subspaces of one ambient space; bottoms may be any sequence.
 
-        Each top and bottom is a matrix or a Subspace, or a function of no
-        arguments that gives one, and all need the same number of columns.
-        Over F_2 each one becomes an echelon table once, not once per pair:
-        a Subspace's own table, kept from its first use, or the reduced
-        packed rows of a matrix.  A matrix or Subspace is checked and made a
-        table now, a function's operand when the first pair that needs it
-        comes up, so a caller that stops early never calls the rest.  The
-        rank of a pair reduces the bottom's table rows into a copy of the
-        top's table.  Every other field calls the functions now, pads the
-        tops, and the bottoms, with zero rows to one height and ranks the
-        pairs in stacks of at most STACK_ENTRIES entries.
+        Over F_2 each bottom is indexed at most once, when the first pair
+        that needs it comes up, so a caller that stops early never takes the
+        rest; a pair reduces the bottom's kept echelon rows into a copy of
+        the top's kept table.  Every other field takes every bottom at once,
+        pads the bases of the tops, and of the bottoms, with zero rows to one
+        height and ranks the pairs in stacks of at most STACK_ENTRIES
+        entries.
         """
         if self.q != 2:
-            top_mats = self._operands([A() if callable(A) else A for A in tops])
-            bottom_mats = self._operands([B() if callable(B) else B for B in bottoms])
-            if len({A.shape[1] for A in top_mats + bottom_mats}) > 1:
-                raise DimensionMismatch("stacked matrices need the same number of columns")
-            return self._paired_ranks(padded_stack(top_mats), padded_stack(bottom_mats),
-                                      iter(pairs))
-        widths = set()
+            bottoms = list(bottoms)
+            if len({U.n for U in [*tops, *bottoms]}) > 1:
+                raise DimensionMismatch("stacked subspaces need one ambient space")
+            return self._paired_ranks(padded_stack([U.basis for U in tops]),
+                                      padded_stack([W.basis for W in bottoms]), iter(pairs))
+        taken = {}
 
-        def table(A):
-            A = A() if callable(A) else A
-            mats = self._operands([A])
-            widths.add(mats[0].shape[1])
-            if len(widths) > 1:
-                raise DimensionMismatch("stacked matrices need the same number of columns")
-            return _gf2_tables([A], mats)[0]
+        def rank(i, j):
+            U, W = tops[i], taken.get(j)
+            if W is None:
+                W = taken[j] = bottoms[j]
+            if W.n != U.n:
+                raise DimensionMismatch("stacked subspaces need one ambient space")
+            return len(_gf2_pivots(W.echelon().values(), U.echelon()))
 
-        top_tables = [A if callable(A) else table(A) for A in tops]
-        bottom_tables = [B if callable(B) else table(B) for B in bottoms]
-
-        def made(tables, i):
-            if callable(tables[i]):
-                tables[i] = table(tables[i])
-            return tables[i]
-
-        return (len(_gf2_pivots(made(bottom_tables, j).values(), made(top_tables, i)))
-                for i, j in pairs)
+        return starmap(rank, pairs)
 
     def capped_stack_ranks(self, tops, bottoms):
         """For each matrix B of bottoms, (rank B, rank) where
-        rank(i, cap) = min(rank [tops[i]; B] - rank tops[i], cap).
+        rank(i, cap) = min(rank [tops[i]; B] - dim tops[i], cap), for
+        Subspace tops.
 
-        Each top is a matrix or a Subspace.  Over F_2 each top is an echelon
-        table once, a Subspace's own kept from its first use, and each B
-        reduced once to an echelon set of its own.  rank(i, cap) reduces B's
-        echelon rows into a copy of top i's table until cap of them add a
-        pivot; a later call with a higher cap goes on from there.  Every
-        other field ranks every stack exactly, in one pass.
+        Over F_2 each top's table is the one its Subspace keeps from its
+        first use, and each B is reduced once to an echelon set of its own.
+        rank(i, cap) reduces B's echelon rows into a copy of top i's table
+        until cap of them add a pivot; a later call with a higher cap goes
+        on from there.  Every other field ranks every stack [tops[i]; B],
+        and B alone, exactly, in one pass.
         """
-        top_mats = self._operands(tops)
         bottoms = [self._as_rows(A) for A in bottoms]
-        if len({A.shape[1] for A in top_mats + bottoms}) > 1:
+        if len({U.n for U in tops} | {A.shape[1] for A in bottoms}) > 1:
             raise DimensionMismatch("stacked matrices need the same number of columns")
         if not bottoms:
             return []
         # every bottom checked at once, padded with zero rows to one height
         S = self._check(padded_stack(bottoms))
-        T, k = len(bottoms), len(tops)
+        k = len(tops)
         if self.q != 2:
-            # a matrix of no rows over each B and under each top: their
-            # stacks have rank B and rank tops[i]
-            pairs = [(i, T) for i in range(k)]
-            pairs += [(i, t) for t in range(T) for i in range(k + 1)]
-            ranks = list(self._paired_ranks(padded_stack(top_mats + [S[0, :0]]),
-                                            np.concatenate([S, np.zeros_like(S[:1])]),
-                                            iter(pairs)))
-            out = []
-            for at in range(k, len(ranks), k + 1):
-                joint = [r - b for r, b in zip(ranks[at:at + k], ranks[:k])]
-                out.append((ranks[at + k], _exact_capped(joint)))
-            return out
-        tables = _gf2_tables(tops, top_mats)
+            # a top of no rows under each B: that stack has rank B
+            pairs = [(i, t) for t in range(len(bottoms)) for i in range(k + 1)]
+            ranks = list(self._paired_ranks(padded_stack([U.basis for U in tops] + [S[0, :0]]),
+                                            S, iter(pairs)))
+            dims = [U.dim for U in tops]
+            return [(ranks[at + k],
+                     _exact_capped([r - d for r, d in zip(ranks[at:at + k], dims)]))
+                    for at in range(0, len(ranks), k + 1)]
+        tables = [U.echelon() for U in tops]
         whole = [(0, -1)] * k     # (r >> 0) & -1 is r itself
         height = S.shape[1]
         packed = _gf2_pack(S)
         out = []
-        for t in range(T):
+        for t in range(len(bottoms)):
             rows = list(_gf2_pivots(packed[t * height:(t + 1) * height]).values())
             out.append((len(rows), _gf2_capped_ranks(tables, rows, whole)))
         return out
@@ -1212,57 +1175,3 @@ def field_from_order(q):
     if m != 1:
         raise NotPrime(f"{q} is not a prime power")
     return field_new(p, r)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single field element: (field, encoded value) with operator sugar."""
-
-    field: GF
-    val: int
-
-    def __post_init__(self):
-        if not 0 <= self.val < self.field.q:
-            raise EncodingOutOfRange(f"encoded value {self.val} outside [0, {self.field.q})")
-
-    @property
-    def coeffs(self):
-        return self.field.coeffs(self.val)
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.add(self.val, other.val))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.sub(self.val, other.val))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.mul(self.val, other.val))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.div(self.val, other.val))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.val))
-
-    def __pow__(self, e):
-        return FieldElement(self.field, self.field.pow(self.val, e))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __str__(self):
-        return str(self.val)

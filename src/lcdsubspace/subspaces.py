@@ -16,6 +16,7 @@ intersect.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import tee
 
@@ -27,7 +28,7 @@ from .errors import (
     InternalInconsistency,
     NotLCD,
 )
-from .gf import _gf2_echelon, _gf2_pivots
+from .gf import _gf2_echelon
 
 
 class Subspace:
@@ -170,16 +171,12 @@ def dual(U):
 def distance(U, W):
     """Subspace distance dim(U+W) - dim(U n W) = 2 dim(U+W) - dim U - dim W.
 
-    Over F_2, dim(U+W) is the size of W's echelon table reduced into a copy
-    of U's: both tables are the ones the two Subspaces keep from their first
-    use, so neither basis is packed again.
+    dim(U+W) is the one stacked rank [U; W] of GF.stack_ranks: over F_2,
+    W's kept echelon rows reduced into a copy of U's kept table, so neither
+    basis is packed again.
     """
     W = U._check_mate(W)
-    if U.field.q == 2:
-        joint = len(_gf2_pivots(W.echelon().values(), U.echelon()))
-    else:
-        joint = U.field.rank(np.vstack([U.basis, W.basis]))
-    return 2 * joint - U.dim - W.dim
+    return 2 * next(U.field.stack_ranks([U], [W], [(0, 0)])) - U.dim - W.dim
 
 
 @dataclass(frozen=True)
@@ -194,6 +191,19 @@ class LcdCheck:
         return self.ok
 
 
+class _Duals(Sequence):
+    """The duals of a list of subspaces, each taken when it is indexed."""
+
+    def __init__(self, spaces):
+        self.spaces = spaces
+
+    def __len__(self):
+        return len(self.spaces)
+
+    def __getitem__(self, j):
+        return self.spaces[j].dual()
+
+
 def dual_meets(spaces, pairs):
     """dim(U_i n U_j^perp) for each (i, j) of pairs, lazily, for subspaces of
     one ambient space F^n.
@@ -205,10 +215,10 @@ def dual_meets(spaces, pairs):
     for each (a, b), a <= b, once, in the order its first ordered pair comes
     in pairs: all s^2 ordered pairs of s subspaces take s(s + 1)/2 ranks.
 
-    stack_ranks is handed each U_b.dual uncalled, so over F_2 a dual is
-    taken only when the first pair that needs it is ranked, and a caller
-    that stops at an early pair does not pay for the rest; other fields
-    take every dual at once.
+    stack_ranks is handed the duals as a sequence that takes U_b^perp when
+    it is indexed, so over F_2 a dual is taken only when the first pair
+    that needs it is ranked, and a caller that stops at an early pair does
+    not pay for the rest; other fields take every dual at once.
 
     The one LCD test: U is LCD iff (U, U) gives 0, and a set of subspaces is
     an LCD subspace code iff every ordered pair, i = j included, does.
@@ -224,7 +234,7 @@ def dual_meets(spaces, pairs):
                 asked.add(pair)
                 yield pair
 
-    ranks = spaces[0].field.stack_ranks(spaces, [U.dual for U in spaces], upper())
+    ranks = spaces[0].field.stack_ranks(spaces, _Duals(spaces), upper())
 
     def meets():
         # a pair (a, b) missing here is the next one upper() gave

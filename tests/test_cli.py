@@ -279,6 +279,25 @@ def test_construct_without_a_needed_option_is_exit_1(tmp_path, capsys):
         assert doc["message"] == message
 
 
+def test_graph_commands_read_exactly_one_file(tmp_path, capsys):
+    # a second file, even a missing one, is not silently ignored
+    g = tmp_path / "c4.txt"
+    g.write_text("1 2\n2 3\n3 4\n4 1\n")
+    grp = tmp_path / "ident.txt"
+    grp.write_text("1 2 3 4\n")
+    missing = str(tmp_path / "nonexistent.txt")
+    for argv in (("construct", "cor45", str(g), missing, "--group", str(grp),
+                  "--indices", "1", "--p", "2"),
+                 ("verify", "drg", str(g), missing),
+                 ("verify", "drg", str(g), str(g))):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "InvalidSpec"
+        assert doc["message"] == "a graph is read from one file, got 2"
+        assert "witness" in doc
+
+
 def test_construct_bad_partition_is_exit_2(capsys):
     a, b = (str(BUNDLED / name) for name in ("bush16_a.txt", "bush16_b.txt"))
     rc, out, err = run(capsys, "construct", "thm59", a, b, "--p", "2",

@@ -126,9 +126,9 @@ def test_pinned_distance(f3):
     assert distance(span(f3, 2, [[1, 0]]), span(f3, 2, [[1, 1]])) == 2
 
 
-def test_distance_is_a_metric(f2, f4):
+def test_distance_is_a_metric(all_fields):
     rng = random.Random(17)
-    for f in (f2, f4):
+    for f in all_fields:
         subs = [rand_subspace(rng, f, 3, rng.randrange(0, 4)) for _ in range(8)]
         for U in subs:
             assert distance(U, U) == 0
