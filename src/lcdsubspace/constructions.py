@@ -684,10 +684,9 @@ def _unbiased_step(mkind, hyp, field, given, source):
     """thm51-55: the matrices of a Hadamard or weighing unbiased set, or with
     a partition their quotients."""
     uset = _as_unbiased_set(hyp, given["matrices"], mkind, given["weight"])
-    base = uset.order if mkind == "hadamard" else uset.weight
-    s = square_root_or_none(base)
+    s = square_root_or_none(uset.weight)
     label = "sqrt(order)" if mkind == "hadamard" else "sqrt(weight)"
-    hyp.check(f"{label} is an integer", s is not None, witness=base)
+    hyp.check(f"{label} is an integer", s is not None, witness=uset.weight)
     hyp.check(f"p divides {label}", s % field.p == 0, witness=(field.p, s))
     partition = given["partition"]
     if partition is None:

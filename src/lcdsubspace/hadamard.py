@@ -1,18 +1,26 @@
 """Hadamard and weighing matrices: validation, unbiased pairs, small search.
 
-Everything is exact integer arithmetic.  A pair is unbiased when the product
-A B^T is sqrt(n) (resp sqrt(k)) times another valid matrix of the same kind;
-the quotient is returned as a witness.  The search for an extension of an
-unbiased set backtracks over candidate rows in a fixed order so results are
-reproducible, counts every candidate it touches against a node budget, and
-distinguishes "budget ran out" from "search space exhausted".
+A weighing matrix W(n, k) has order n, entries in {-1, 0, 1} and
+W W^T = W^T W = k I; k is its weight.  A Hadamard matrix of order n is a
+W(n, n): ``HadamardMatrix`` subclasses ``WeighingMatrix``, narrowing the
+alphabet to +-1, and its weight is its order (so is an ``UnbiasedSet``'s
+weight when its kind is "hadamard").  Everything is exact integer arithmetic.
+A pair is unbiased when A B^T is sqrt(k) times a matrix of the same type;
+the quotient is returned as a witness.
+
+One backtracker, over the candidate rows of ``_weighing_rows`` in a fixed
+order, enumerates the Hadamard matrices of small order and searches for an
+extension of an unbiased set, so results are reproducible.  It counts every
+candidate row it tries against a node budget, and the search distinguishes
+"budget ran out" from "search space exhausted".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -37,82 +45,63 @@ _SEARCH_BUDGET = 10 ** 8
 _ENUM_CAP = 4          # orders with a cached full enumeration
 _ROW_CAP = 16          # largest order for backtracking candidates
 _WEIGHING_CAND_CAP = 1 << 22
-
-
-class HadamardMatrix:
-    """Order-n matrix with entries +-1 and H H^T = n I (checked)."""
-
-    __slots__ = ("order", "entries")
-
-    def __init__(self, entries):
-        M = as_int_matrix(entries)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise DimensionMismatch(f"expected square matrix, got {M.shape}")
-        if not ((M == 1) | (M == -1)).all():
-            bad = np.argwhere((M != 1) & (M != -1))[0]
-            raise BadAlphabet(f"entry at {tuple(bad)} is not +-1",
-                              witness=tuple(int(v) for v in bad))
-        n = M.shape[0]
-        for G in (int_matmul(M, M.T), int_matmul(M.T, M)):
-            if not (G == n * np.eye(n, dtype=np.int64)).all():
-                bad = np.argwhere(G != n * np.eye(n, dtype=np.int64))[0]
-                raise GramFailure(f"Gram condition fails at {tuple(bad)}",
-                                  witness=tuple(int(v) for v in bad))
-        M = M.copy()
-        M.setflags(write=False)
-        self.order = n
-        self.entries = M
-
-    def __eq__(self, other):
-        return (isinstance(other, HadamardMatrix)
-                and self.entries.tobytes() == other.entries.tobytes())
-
-    def __hash__(self):
-        return hash((self.order, self.entries.tobytes()))
-
-    def __repr__(self):
-        return f"HadamardMatrix(order={self.order})"
+_GRAM_CAP = 4096       # most candidate rows whose Gram matrix is kept
 
 
 class WeighingMatrix:
-    """Order-n matrix over {-1,0,1} with W W^T = k I and weight-k rows."""
+    """A W(n, k): order n, entries in {-1,0,1}, W W^T = W^T W = k I (checked).
+
+    The weight k defaults to the number of nonzero entries in the first row.
+    """
 
     __slots__ = ("order", "weight", "entries")
+    _alphabet = (-1, 0, 1)
 
     def __init__(self, entries, weight=None):
         M = as_int_matrix(entries)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise DimensionMismatch(f"expected square matrix, got {M.shape}")
-        if not ((M == 1) | (M == -1) | (M == 0)).all():
-            bad = np.argwhere((M != 1) & (M != -1) & (M != 0))[0]
-            raise BadAlphabet(f"entry at {tuple(bad)} is not in {{-1,0,1}}",
-                              witness=tuple(int(v) for v in bad))
+        if M.shape[0] != M.shape[1] or M.size == 0:
+            raise DimensionMismatch(f"expected a nonempty square matrix, got {M.shape}")
+        bad = ~np.isin(M, self._alphabet)
+        if bad.any():
+            at = tuple(int(v) for v in np.argwhere(bad)[0])
+            raise BadAlphabet(f"entry at {at} is not one of {self._alphabet}",
+                              witness=at)
         n = M.shape[0]
-        k = int((M[0] != 0).sum()) if weight is None else int(weight)
+        k = int(np.count_nonzero(M[0]) if weight is None else weight)
+        # the Gram diagonal is the nonzero count of each row and column
         for G in (int_matmul(M, M.T), int_matmul(M.T, M)):
-            if not (G == k * np.eye(n, dtype=np.int64)).all():
-                bad = np.argwhere(G != k * np.eye(n, dtype=np.int64))[0]
-                raise GramFailure(
-                    f"weighing Gram condition fails at {tuple(bad)} for weight {k}",
-                    witness=tuple(int(v) for v in bad))
-        # Gram diagonal equals the per-row nonzero count, so rows now have
-        # weight k; columns follow from the transpose check.
-        self.order = n
-        self.weight = k
+            bad = G != k * np.eye(n, dtype=np.int64)
+            if bad.any():
+                at = tuple(int(v) for v in np.argwhere(bad)[0])
+                raise GramFailure(f"Gram condition fails at {at} for weight {k}",
+                                  witness=at)
+        if k == 0:
+            raise InvalidSpec("the zero matrix has weight 0; a weight must be positive")
         M = M.copy()
         M.setflags(write=False)
+        self.order = n
+        self.weight = k
         self.entries = M
 
     def __eq__(self, other):
-        return (isinstance(other, WeighingMatrix)
-                and self.weight == other.weight
+        return (type(other) is type(self) and self.weight == other.weight
                 and self.entries.tobytes() == other.entries.tobytes())
 
     def __hash__(self):
         return hash((self.order, self.weight, self.entries.tobytes()))
 
     def __repr__(self):
-        return f"WeighingMatrix(order={self.order}, weight={self.weight})"
+        return f"{type(self).__name__}(order={self.order}, weight={self.weight})"
+
+
+class HadamardMatrix(WeighingMatrix):
+    """A W(n, n): order n, entries +-1 and H H^T = n I (checked)."""
+
+    __slots__ = ()
+    _alphabet = (-1, 1)
+
+    def __init__(self, entries):
+        super().__init__(entries)
 
 
 def validate(matrix, kind, weight=None):
@@ -183,64 +172,56 @@ class UnbiasedCheck:
 
 
 def are_unbiased(a, b):
-    """Check A B^T = sqrt(base) * (matrix of the same kind); quotient witness.
+    """Check A B^T = sqrt(k) * (matrix of the same type); quotient witness.
 
-    Non-square base cannot support unbiasedness; reported as a false result
-    with an explanatory witness rather than an error.
+    A weight k that is not a perfect square cannot support unbiasedness;
+    reported as a false result with an explanatory witness, not an error.
     """
-    if type(a) is not type(b) or a.order != b.order:
-        raise DimensionMismatch("matrices must share kind and order")
-    if isinstance(a, WeighingMatrix):
-        if a.weight != b.weight:
-            raise DimensionMismatch("weighing matrices must share weight")
-        base = a.weight
-    else:
-        base = a.order
-    s = square_root_or_none(base)
+    if type(a) is not type(b) or (a.order, a.weight) != (b.order, b.weight):
+        raise DimensionMismatch("matrices must share type, order and weight")
+    s = square_root_or_none(a.weight)
     if s is None:
         return UnbiasedCheck(False, None, {
-            "reason": f"{base} is not a perfect square so no integer sqrt exists"})
+            "reason": f"{a.weight} is not a perfect square so no integer sqrt exists"})
     D = int_matmul(a.entries, b.entries.T)
-    if isinstance(a, HadamardMatrix):
-        bad = np.abs(D) != s
-    else:
-        bad = (D != 0) & (np.abs(D) != s)
+    bad = ~np.isin(D, s * np.array(a._alphabet))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         return UnbiasedCheck(False, None, {
             "entry": (int(i), int(j)), "value": int(D[i, j]), "expected": s})
-    Q = D // s
-    if isinstance(a, HadamardMatrix):
-        quotient = HadamardMatrix(Q)
-    else:
-        quotient = WeighingMatrix(Q, a.weight)
-    return UnbiasedCheck(True, quotient, None)
+    return UnbiasedCheck(True, type(a)(D // s), None)
+
+
+_KINDS = {"hadamard": HadamardMatrix, "weighing": WeighingMatrix}
 
 
 class UnbiasedSet:
-    """Pairwise unbiased Hadamard or weighing matrices of one order."""
+    """Pairwise unbiased, pairwise distinct matrices of one kind and order.
+
+    Each member is validated from its entries as the set's kind unless it
+    already has that type (and the given weight, if any).
+    """
 
     __slots__ = ("kind", "matrices", "order", "weight")
 
     def __init__(self, matrices, kind="hadamard", weight=None):
-        typed = []
-        for M in matrices:
-            if isinstance(M, (HadamardMatrix, WeighingMatrix)):
-                typed.append(M)
-            else:
-                typed.append(validate(M, kind, weight))
+        if kind not in _KINDS:
+            raise InvalidSpec(f"unknown kind {kind!r}")
+        typed = [M if type(M) is _KINDS[kind] and weight in (None, M.weight)
+                 else validate(getattr(M, "entries", M), kind, weight)
+                 for M in matrices]
         if not typed:
             raise InvalidSpec("an unbiased set needs at least one matrix")
         self.kind = kind
         self.matrices = tuple(typed)
         self.order = typed[0].order
-        self.weight = typed[0].weight if kind == "weighing" else None
-        for i in range(len(typed)):
-            for j in range(i + 1, len(typed)):
-                check = are_unbiased(typed[i], typed[j])
-                if not check.ok:
-                    raise NotUnbiased(f"matrices {i} and {j} are not unbiased",
-                                      witness={"pair": (i, j), **(check.witness or {})})
+        self.weight = typed[0].weight
+        for i, j in combinations(range(len(typed)), 2):
+            # at weight 1 a matrix is unbiased with itself
+            check = are_unbiased(typed[i], typed[j])
+            if typed[i] == typed[j] or not check.ok:
+                raise NotUnbiased(f"matrices {i} and {j} are equal or not unbiased",
+                                  witness={"pair": (i, j), **(check.witness or {})})
 
     def __len__(self):
         return len(self.matrices)
@@ -256,55 +237,64 @@ class UnbiasedSet:
         return f"UnbiasedSet({self.kind}, m={len(self)}, order={self.order}{w})"
 
 
-_ALL_HADAMARD_CACHE = {}
+def _weighing_rows(n, k):
+    """All weight-k rows over {-1,0,1}: supports in combination order, then
+    signs by bit pattern (0 bit -> +1).  With k = n, every +-1 row."""
+    total = math.comb(n, k) << k
+    if total > _WEIGHING_CAND_CAP:
+        raise OrderTooLarge(
+            f"{total} candidate rows exceed the cap of {_WEIGHING_CAND_CAP}")
+    shifts = np.arange(k - 1, -1, -1, dtype=np.int32)
+    signs = 1 - 2 * ((np.arange(1 << k, dtype=np.int32)[:, None] >> shifts) & 1)
+    out = np.zeros((total, n), dtype=np.int64)
+    for at, support in enumerate(combinations(range(n), k)):
+        out[at << k:(at + 1) << k, list(support)] = signs
+    return out
 
 
+def _orthogonal_sets(rows, n, budget, nodes):
+    """Yield every set of n pairwise orthogonal rows as an increasing index
+    list, in lexicographic order.
+
+    nodes[0] counts the candidate rows tried; one more than the budget raises
+    BudgetExhausted.  Every row order of a set is then also pairwise
+    orthogonal, so increasing index lists cover all matrices up to row order.
+    """
+    gram = int_matmul(rows, rows.T) if len(rows) <= _GRAM_CAP else None
+
+    def orthogonal(c, p):
+        return (gram[c, p] if gram is not None else int(rows[c] @ rows[p])) == 0
+
+    def extend(chosen):
+        if len(chosen) == n:
+            yield chosen
+            return
+        for c in range(chosen[-1] + 1 if chosen else 0, len(rows)):
+            nodes[0] += 1
+            if nodes[0] > budget:
+                raise BudgetExhausted("node budget exhausted",
+                                      witness={"nodes": nodes[0] - 1})
+            if all(orthogonal(c, p) for p in chosen):
+                yield from extend(chosen + [c])
+
+    return extend([])
+
+
+@cache
 def all_hadamard(order):
-    """Every Hadamard matrix of the given order (cached); order <= 4 only."""
+    """Every Hadamard matrix of the given order (cached); order <= 4 only.
+
+    The row orders of each set of orthogonal +-1 rows, in lexicographic
+    order of their candidate indices.
+    """
     if order > _ENUM_CAP:
         raise OrderTooLarge(f"full enumeration capped at order {_ENUM_CAP}")
     if order < 1:
         raise InvalidSpec("order must be positive")
-    if order in _ALL_HADAMARD_CACHE:
-        return _ALL_HADAMARD_CACHE[order]
-    rows = _pm_rows(order)
-    gram = int_matmul(rows, rows.T)
-    found = []
-
-    def extend(chosen):
-        if len(chosen) == order:
-            found.append(HadamardMatrix(rows[chosen]))
-            return
-        for c in range(rows.shape[0]):
-            if all(gram[c, prev] == 0 for prev in chosen):
-                extend(chosen + [c])
-
-    extend([])
-    _ALL_HADAMARD_CACHE[order] = tuple(found)
-    return _ALL_HADAMARD_CACHE[order]
-
-
-def _pm_rows(n):
-    """All +-1 rows of length n, ordered by the bit pattern (0 bit -> +1)."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (masks[:, None] >> shifts[None, :]) & 1
-    return (1 - 2 * bits).astype(np.int64)
-
-
-def _weighing_rows(n, k):
-    """All weight-k rows over {-1,0,1}: supports in combination order, then signs."""
-    total = math.comb(n, k) * (1 << k)
-    if total > _WEIGHING_CAND_CAP:
-        raise OrderTooLarge(
-            f"{total} candidate rows exceed the cap of {_WEIGHING_CAND_CAP}")
-    signs = _pm_rows(k)
-    out = np.zeros((total, n), dtype=np.int64)
-    at = 0
-    for support in combinations(range(n), k):
-        out[at:at + signs.shape[0], support] = signs
-        at += signs.shape[0]
-    return out
+    rows = _weighing_rows(order, order)
+    sets = _orthogonal_sets(rows, order, math.inf, [0])
+    return tuple(HadamardMatrix(rows[list(p)])
+                 for p in sorted(q for s in sets for q in permutations(s)))
 
 
 @dataclass(frozen=True)
@@ -318,84 +308,43 @@ class SearchOutcome:
 
 
 def search_unbiased_extension(seed, budget=_SEARCH_BUDGET, use_bound=True):
-    """Find one matrix unbiased with every member of the seed set.
+    """Find one matrix, not in the seed set, unbiased with every member.
 
-    Deterministic: candidate rows in fixed order, rows chosen with strictly
-    increasing candidate index (any valid matrix has a row-sorted
-    representative, so exhausting sorted choices is a completeness proof).
-    Raises BudgetExhausted when the node budget runs out; a completed scan
-    returns a proven-exhausted outcome instead.
+    Deterministic: the candidate rows are the weight-k rows whose products
+    with every seed member lie in sqrt(k) times the alphabet, in
+    ``_weighing_rows`` order, and the first set of n orthogonal ones is taken
+    in the first row order that is not a seed member.  The rows of any
+    extension form such a set, so exhausting the sets is a completeness
+    proof.  Raises BudgetExhausted when the node budget runs out; a completed
+    scan returns a proven-exhausted outcome instead.
     """
     if budget <= 0:
         raise BudgetExhausted("budget 0 allows no work", witness={"nodes": 0})
-    n = seed.order
-    base = n if seed.kind == "hadamard" else seed.weight
+    n, k = seed.order, seed.weight
     if use_bound and seed.kind == "hadamard" and n % 2 == 0:
         if len(seed) + 1 > n // 2:
             return SearchOutcome(None, True, 0,
                                  f"size bound: at most {n // 2} mutually unbiased "
                                  f"matrices exist at order {n}")
-    s = square_root_or_none(base)
+    s = square_root_or_none(k)
     if s is None:
         return SearchOutcome(None, True, 0,
-                             f"{base} is not a perfect square, no unbiased pair exists")
-
-    nodes = 0
-    if seed.kind == "hadamard" and n <= _ENUM_CAP:
-        for M in all_hadamard(n):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExhausted("node budget exhausted",
-                                      witness={"nodes": nodes - 1})
-            if all(are_unbiased(M, S).ok for S in seed):
-                return SearchOutcome(seed.extended(M), False, nodes)
-        return SearchOutcome(None, True, nodes, "enumeration completed")
-
+                             f"{k} is not a perfect square, no unbiased pair exists")
     if n > _ROW_CAP:
         raise OrderTooLarge(f"backtracking search capped at order {_ROW_CAP}")
-    if seed.kind == "hadamard":
-        cand = _pm_rows(n)
-    else:
-        cand = _weighing_rows(n, seed.weight)
+    cand = _weighing_rows(n, k)
     for S in seed:
-        D = int_matmul(cand, S.entries.T)
-        if seed.kind == "hadamard":
-            keep = (np.abs(D) == s).all(axis=1)
-        else:
-            keep = ((D == 0) | (np.abs(D) == s)).all(axis=1)
-        cand = cand[keep]
-    K = cand.shape[0]
-    gram = int_matmul(cand, cand.T) if 0 < K <= 4096 else None
-
-    counter = {"nodes": 0}
-
-    def orthogonal(c, chosen):
-        if gram is not None:
-            return all(gram[c, p] == 0 for p in chosen)
-        return all(int(cand[c] @ cand[p]) == 0 for p in chosen)
-
-    def extend(chosen):
-        start = chosen[-1] + 1 if chosen else 0
-        for c in range(start, K):
-            counter["nodes"] += 1
-            if counter["nodes"] > budget:
-                raise BudgetExhausted("node budget exhausted",
-                                      witness={"nodes": counter["nodes"] - 1})
-            if not orthogonal(c, chosen):
-                continue
-            chosen.append(c)
-            if len(chosen) == n:
-                return True
-            if extend(chosen):
-                return True
-            chosen.pop()
-        return False
-
-    chosen = []
-    if extend(chosen):
-        new = validate(cand[chosen], seed.kind, seed.weight)
-        return SearchOutcome(seed.extended(new), False, counter["nodes"])
-    return SearchOutcome(None, True, counter["nodes"], "enumeration completed")
+        keep = np.isin(int_matmul(cand, S.entries.T), s * np.array(S._alphabet))
+        cand = cand[keep.all(axis=1)]
+    nodes = [0]
+    for rows in _orthogonal_sets(cand, n, budget, nodes):
+        # only at weight 1, where a matrix is unbiased with itself, can a
+        # row order be a seed member
+        for perm in permutations(rows):
+            M = cand[list(perm)]
+            if not any(np.array_equal(M, S.entries) for S in seed):
+                return SearchOutcome(seed.extended(M), False, nodes[0])
+    return SearchOutcome(None, True, nodes[0], "enumeration completed")
 
 
 def gramian_B(uset):

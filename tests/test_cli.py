@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import shutil
 import time
 from pathlib import Path
@@ -150,6 +151,45 @@ def test_search_budget_exhausted_is_exit_1(tmp_path, capsys):
                      "--budget", "0", "--out", str(tmp_path / "mub"))
     assert rc == 1
     assert json.loads(err)["error"] == "BudgetExhausted"
+
+
+def test_search_mub_order1_does_not_repeat_its_seed(tmp_path, capsys):
+    # at order 1 a matrix is unbiased with itself; [[1]] and [[-1]] are all
+    # there is
+    rc, out, _ = run(capsys, "search", "mub", "--order", "1", "--target", "3",
+                     "--out", str(tmp_path / "mub"))
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["found"], doc["reached_target"], doc["proven_maximal"]) == (2, False, True)
+    assert [fileio.read_matrix(f).matrix.tolist() for f in doc["files"]] == [[[1]], [[-1]]]
+
+
+def test_fuzzed_matrix_files_never_end_in_a_traceback(tmp_path, capsys):
+    # seeded small matrix files: good, bad and unknown header kinds, sizes 0
+    # to 5, entries -2..2 and ragged rows.  verify and search exit 0, or 1
+    # with an {error, message, witness} document, or 2
+    rng = random.Random(21)
+    for trial in range(120):
+        rows = rng.randint(0, 5)
+        cols = rows if rng.random() < 0.7 else rng.randint(0, 5)
+        values = rng.choice([(-1, 1), (-1, 0, 1), (-2, -1, 0, 1, 2)])
+        lines = [f"{rng.choice(['int', 'pm1', 'zpm1', 'garbage'])} {rows} {cols}"]
+        for _ in range(rows):
+            width = cols if rng.random() < 0.9 else rng.randint(0, 6)
+            lines.append(" ".join(str(rng.choice(values)) for _ in range(width)))
+        f = tmp_path / f"m{trial}.txt"
+        f.write_text("\n".join(lines) + "\n")
+        kind = rng.choice(["hadamard", "weighing"])
+        search = ["search", "mub", "--order", str(rows), "--target", str(rng.randint(1, 3)),
+                  "--kind", kind, "--seed-file", str(f), "--budget", "10000",
+                  "--out", str(tmp_path / f"s{trial}")]
+        if kind == "weighing" and rng.random() < 0.5:
+            search += ["--weight", str(rng.randint(0, 5))]
+        for argv in (["verify", "hadamard", str(f)], ["verify", "weighing", str(f)], search):
+            rc, out, err = run(capsys, *argv)
+            assert rc in (0, 1, 2), (argv, lines)
+            if rc == 1:
+                assert out == "" and set(json.loads(err)) == {"error", "message", "witness"}
 
 
 def test_construct_thm51(tmp_path, capsys):

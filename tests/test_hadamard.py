@@ -1,11 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from lcdsubspace.constructions import theorem_pipeline
 from lcdsubspace.errors import (
     BadAlphabet,
     BudgetExhausted,
     DimensionMismatch,
     GramFailure,
+    HypothesisFailed,
+    InvalidSpec,
     NotRegular,
     NotSquareOrder,
     NotUnbiased,
@@ -62,6 +67,18 @@ def test_weighing_validation():
     # nonzero counts per row and per column equal the weight
     counts = (w49.entries != 0).sum(axis=1)
     assert (counts == w49.weight).all()
+
+
+def test_hadamard_is_a_weighing_matrix_of_full_weight():
+    H = sylvester(2)
+    assert isinstance(H, WeighingMatrix) and (H.order, H.weight) == (4, 4)
+    assert UnbiasedSet([H]).weight == 4
+    # equal entries, different types
+    assert H != WeighingMatrix(H.entries)
+    with pytest.raises(DimensionMismatch):
+        WeighingMatrix(np.zeros((0, 0), dtype=np.int64))
+    with pytest.raises(InvalidSpec):
+        WeighingMatrix(np.zeros((2, 2), dtype=np.int64))
 
 
 def test_sylvester():
@@ -124,6 +141,38 @@ def test_unbiased_set_construction(bush_pair):
     assert len(ext.matrices) == 2
 
 
+def test_unbiased_set_validates_members_as_its_kind():
+    # a Hadamard matrix in a weighing set is the W(n, n) of its entries
+    us = UnbiasedSet([sylvester(2)], "weighing")
+    assert type(us.matrices[0]) is WeighingMatrix and us.weight == 4
+    # the identity is a W(4, 1) but not a Hadamard matrix
+    eye = WeighingMatrix(np.eye(4, dtype=np.int64))
+    with pytest.raises(BadAlphabet):
+        UnbiasedSet([eye], "hadamard")
+    for M in (eye, sylvester(2)):
+        with pytest.raises(InvalidSpec):
+            UnbiasedSet([M], "orthogonal")
+    # through the pipelines: a failed hypothesis, not a traceback
+    with pytest.raises(HypothesisFailed) as exc:
+        theorem_pipeline("thm51", p=2, matrices=[eye])
+    assert exc.value.name == "matrices are valid and pairwise unbiased"
+    H = sylvester(1)
+    with pytest.raises(HypothesisFailed) as exc:
+        theorem_pipeline("thm52", p=2, matrices=[H, H])
+    assert exc.value.name == "matrices are valid and pairwise unbiased"
+
+
+def test_unbiased_set_rejects_a_repeated_matrix():
+    # at weight 1 a matrix is unbiased with itself
+    eye = WeighingMatrix(np.eye(3, dtype=np.int64))
+    assert are_unbiased(eye, eye).ok
+    with pytest.raises(NotUnbiased) as exc:
+        UnbiasedSet([eye, eye], "weighing")
+    assert exc.value.witness == {"pair": (0, 1)}
+    with pytest.raises(NotUnbiased):
+        UnbiasedSet([[[1]], [[-1]], [[1]]])
+
+
 def test_all_hadamard_counts():
     assert len(all_hadamard(1)) == 2
     assert len(all_hadamard(2)) == 8
@@ -145,6 +194,54 @@ def test_search_order4():
     assert again.nodes == out.nodes
     # no third matrix exists: the completed scan proves maximality
     final = search_unbiased_extension(out.found, use_bound=False)
+    assert final.found is None and final.proven_exhausted
+
+
+def test_all_hadamard_matches_a_brute_force_scan():
+    for n in (1, 2, 4):
+        masks = np.arange(1 << (n * n))[:, None] >> np.arange(n * n) & 1
+        signs = (1 - 2 * masks).reshape(-1, n, n)
+        gram = signs @ signs.transpose(0, 2, 1)
+        hadamard = signs[(gram == n * np.eye(n, dtype=np.int64)).all(axis=(1, 2))]
+        assert {H.tobytes() for H in hadamard} == {
+            H.entries.tobytes() for H in all_hadamard(n)}
+
+
+def test_search_order16_pinned():
+    out = search_unbiased_extension(UnbiasedSet([sylvester(4)]))
+    assert out.nodes == 365
+    A, B = out.found
+    assert are_unbiased(A, B).ok
+    assert hashlib.sha256(B.entries.tobytes()).hexdigest() == (
+        "a6fca154de0fa09f1242aca13ff66b978e35d812c9f4af5e5104442ac8375acf")
+
+
+W64 = [[1, 1, 1, 1, 0, 0], [1, 1, -1, -1, 0, 0], [1, -1, 0, 0, 1, 1],
+       [1, -1, 0, 0, -1, -1], [0, 0, 1, -1, 1, -1], [0, 0, 1, -1, -1, 1]]
+
+
+def test_weighing_search_pinned():
+    # the first W(6, 4) unbiased with W64 is found after 257 candidates,
+    # though its last row is candidate 28: the search backtracks
+    seed = UnbiasedSet([W64], "weighing")
+    out = search_unbiased_extension(seed)
+    assert out.nodes == 257
+    assert out.found.matrices[1].entries.tolist() == [
+        [1, 1, 1, -1, 0, 0], [1, 1, -1, 1, 0, 0], [1, -1, 0, 0, 1, -1],
+        [1, -1, 0, 0, -1, 1], [0, 0, 1, 1, 1, 1], [0, 0, 1, 1, -1, -1]]
+    third = search_unbiased_extension(out.found)
+    assert third.nodes == 58 and len(third.found) == 3
+
+
+def test_search_skips_seed_members():
+    # at weight 1 every signed permutation matrix is unbiased with every
+    # other, itself included
+    eye = np.eye(3, dtype=np.int64)
+    out = search_unbiased_extension(UnbiasedSet([eye], "weighing"))
+    assert out.found.matrices[1].entries.tolist() == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    one = search_unbiased_extension(UnbiasedSet([[[1]]]))
+    assert one.found.matrices[1].entries.tolist() == [[-1]]
+    final = search_unbiased_extension(one.found)
     assert final.found is None and final.proven_exhausted
 
 
