@@ -12,20 +12,31 @@ For the common small cases this picks
 
 Matrices over F_q are plain numpy int64 arrays of encoded values; all matrix
 routines live on the field object (``f.matmul``, ``f.rref``, ...).  Extension
-field multiplication uses log/antilog tables for q <= 2**16 and coefficient
-arithmetic above that.  The tables hold the powers of the smallest primitive
-element g, and ``log[0]`` is a sentinel past every sum of two nonzero logs
-with ``exp`` zero from there on, so a product, zero included, is the single
-gather ``exp[log[a] + log[b]]``.
+field multiplication uses log/antilog tables for q <= 2**16.  The tables
+hold the powers of the smallest primitive element g, and ``log[0]`` is a
+sentinel past every sum of two nonzero logs with ``exp`` zero from there on,
+so a product, zero included, is the single gather ``exp[log[a] + log[b]]``.
+Above 2**16 a product goes through the matrix of multiplication by b, which
+is F_p-linear: row i of M_b holds the digits of x^i b (the regular
+representation of F_{p^r} over F_p; Lidl and Niederreiter, *Finite Fields*,
+ch. 2).  ``_shifts`` builds M_b in r - 1 vectorised steps, each shifting the
+last row up one digit and adding its top digit times the modulus tail, so
+the reduction by the modulus is built in, and a b sums a's digit i times
+row i of M_b, mod p.  ``inv`` there is a**(q - 2), by square-and-multiply
+over the whole array.
 
-A matrix product over F_p, and each per-digit product of an extension
-field, runs through float BLAS whenever every partial sum, at most
-inner_dim * (p - 1)**2, is an integer the float type holds exactly
-whatever the summation order: float32 below 2**24, float64 below 2**53.
-Past 2**53 it is an int64 product, which numpy computes without BLAS.
-``linalg.exact_product`` makes that choice, for ``int_matmul`` too.  The
-result is reduced mod p (``& 1`` when p = 2), so every product is exact.
-``matmul`` rejects entries outside [0, q) with ``EncodingOutOfRange``.
+A matrix product over F_p runs through float BLAS whenever every partial
+sum, at most inner_dim * (p - 1)**2, is an integer the float type holds
+exactly whatever the summation order: float32 below 2**24, float64 below
+2**53.  Past 2**53 it is an int64 product, which numpy computes without
+BLAS.  ``linalg.exact_product`` makes that choice, for ``int_matmul`` too.
+A product over F_{p^r}, tables or none, is one such product over F_p, of
+inner dimension k r: digits(AB) = digits(A) M_B, where M_B is the (k r x n r)
+block matrix of the M_b of B's entries, or, as ab = ba, M_A digits(B).  The
+operand with fewer entries is the one expanded, so the extra memory is at
+most r**2 times the smaller operand.  The result is reduced mod p (``& 1``
+when p = 2), so every product is exact.  ``matmul`` rejects entries outside
+[0, q) with ``EncodingOutOfRange``.
 
 A right factor B multiplied by many row sets, as the projection decoder
 multiplies every received word by the same complement coordinates, is
@@ -445,25 +456,12 @@ class GF:
         # prime fields use the convention modulus = x
         self.modulus = (0, 1) if r == 1 else _smallest_irreducible(p, r)
         self._pw = self.p ** np.arange(self.r, dtype=np.int64)
-        self._redc = self._reduction_rows() if r > 1 else None
+        # x^r = -(c_0 + ... + c_{r-1} x^(r-1)) modulo the monic modulus
+        self._tail = np.array([(-c) % p for c in self.modulus[:r]], dtype=np.int64)
         self._exp = None
         self._log = None
         self._ops = None
         self.generator = None
-
-    def _reduction_rows(self):
-        """Row s holds the coefficients of x^(r+s) modulo the field modulus."""
-        p, r = self.p, self.r
-        rep = np.array([(-c) % p for c in self.modulus[:r]], dtype=np.int64)
-        rows = np.zeros((r - 1, r), dtype=np.int64)
-        if r > 1:
-            rows[0] = rep
-        for s in range(1, r - 1):
-            prev = rows[s - 1]
-            nxt = np.zeros(r, dtype=np.int64)
-            nxt[1:] = prev[:-1]
-            rows[s] = (nxt + prev[r - 1] * rep) % p
-        return rows
 
     # --- bookkeeping ---
 
@@ -491,6 +489,23 @@ class GF:
 
     def _from_digits(self, d):
         return d @ self._pw
+
+    def _shifts(self, d):
+        """M_b, the matrix of multiplication by b over F_p, from the digits d
+        (..., r) of b, as (r, r, ...): entry (i, t) is digit t of x^i b.
+
+        Each row is the last shifted up one digit, plus its top digit times
+        the modulus tail.  Digit planes go first, so that each step is a few
+        whole-array operations, and the rows are reduced mod p once, at the
+        end: row i is at most (p - 1) p**i before, below q."""
+        r = self.r
+        out = np.empty((r, r) + d.shape[:-1], dtype=np.int64)
+        out[0] = d.transpose(-1, *range(d.ndim - 1))
+        tail = self._tail.reshape((r,) + (1,) * (d.ndim - 1))
+        for i in range(1, r):
+            out[i] = tail * out[i - 1, -1]
+            out[i, 1:] += out[i - 1, :-1]
+        return self._mod_p(out)
 
     @staticmethod
     def _coerce2(a, b):
@@ -545,21 +560,11 @@ class GF:
         return int(out) if scalar else out
 
     def _mul_digits(self, a, b):
-        """Coefficientwise product, any q; broadcasts like numpy."""
-        da, db = self._to_digits(a), self._to_digits(b)
-        da, db = np.broadcast_arrays(da, db)
-        shape = da.shape[:-1]
-        r = self.r
-        conv = np.zeros(shape + (2 * r - 1,), dtype=np.int64)
-        for i in range(r):
-            for j in range(r):
-                conv[..., i + j] += da[..., i] * db[..., j]
-        conv %= self.p
-        for s in range(2 * r - 2, r - 1, -1):
-            c = conv[..., s]
-            conv[..., :r] = (conv[..., :r] + c[..., None] * self._redc[s - r]) % self.p
-            conv[..., s] = 0
-        return self._from_digits(conv[..., :r])
+        """Product in any field, broadcast like numpy: the sum over i of a's
+        digit i times the digits of x^i b."""
+        digits = np.einsum("...i,it...->...t", self._to_digits(a),
+                           self._shifts(self._to_digits(b)))
+        return self._from_digits(self._mod_p(digits))
 
     def inv(self, a):
         scalar = np.isscalar(a)
@@ -571,28 +576,28 @@ class GF:
         if self._ensure_tables():
             out = self._exp[self.q - 1 - self._log[arr]]
             return int(out) if scalar else out
-        if scalar:
-            return self.pow(int(arr), self.q - 2)
-        return np.array([self.pow(int(v), self.q - 2) for v in arr.ravel()],
-                        dtype=np.int64).reshape(arr.shape)
+        return self.pow(a, self.q - 2)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e):
-        """Square-and-multiply; e may be negative for nonzero a."""
-        a = int(a)
+        """Square-and-multiply, elementwise on arrays; e may be negative for
+        nonzero a."""
+        scalar = np.isscalar(a)
         e = int(e)
         if e < 0:
             a = self.inv(a)
             e = -e
-        result, base = 1, a
+        base = np.asarray(a, dtype=np.int64)
+        result = np.ones_like(base)
         while e:
             if e & 1:
                 result = self.mul(result, base)
-            base = self.mul(base, base)
             e >>= 1
-        return result
+            if e:
+                base = self.mul(base, base)
+        return int(result) if scalar else result
 
     def _ensure_tables(self):
         if self.q > _TABLE_LIMIT:
@@ -609,22 +614,17 @@ class GF:
         on.  So exp[log[a] + log[b]] = a b for all a, b, and
         exp[q - 1 - log[a]] = 1 / a for a != 0, with no mask and no modulo.
         """
-        p, r, q, mod = self.p, self.r, self.q, self.modulus
-
-        def mul(a, b):
-            return self.from_coeffs(_poly_mulmod(self.coeffs(a), self.coeffs(b), mod, p))
-
+        p, q, mod = self.p, self.q, self.modulus
         order_factors = _prime_factors(q - 1)
         gen = next(g for g in range(1, q)
                    if all(_poly_powmod(self.coeffs(g), (q - 1) // ell, mod, p) != (1,)
                           for ell in order_factors))
-        # doubling: exp[k:2k] = g^k exp[:k].  Multiplying by g^k is F_p-linear,
-        # so it is one product of digit vectors with M, whose row i holds the
-        # digits of x^i g^k
+        # doubling: exp[k:2k] = g^k exp[:k], with g^k = exp[k - 1] g.  Multiplying
+        # by g^k is F_p-linear, so it is one product of digit vectors with M_{g^k}
         exp = np.ones(1, dtype=np.int64)
         while exp.size < q - 1:
-            gk = mul(int(exp[-1]), gen)
-            M = np.array([self.coeffs(mul(p ** i, gk)) for i in range(r)], dtype=np.int64)
+            gk = _poly_mulmod(self.coeffs(int(exp[-1])), self.coeffs(gen), mod, p)
+            M = self._shifts(self._to_digits(np.array(self.from_coeffs(gk))))
             exp = np.concatenate([exp, self._from_digits(self._to_digits(exp) @ M % p)])
         exp = exp[:q - 1]
         sentinel = 2 * (q - 1)
@@ -654,18 +654,18 @@ class GF:
         self._check(B)
         if self.r == 1:
             return self._mod_p(self._dot(A, B))
-        Ad = self._to_digits(A)
-        Bd = self._to_digits(B)
-        conv = np.zeros((A.shape[0], B.shape[1], 2 * self.r - 1), dtype=np.int64)
-        for i in range(self.r):
-            for j in range(self.r):
-                conv[:, :, i + j] += self._dot(Ad[:, :, i], Bd[:, :, j])
-        conv = self._mod_p(conv)
-        for s in range(2 * self.r - 2, self.r - 1, -1):
-            c = conv[:, :, s]
-            conv[:, :, :self.r] = (conv[:, :, :self.r] + c[:, :, None] * self._redc[s - self.r]) % self.p
-            conv[:, :, s] = 0
-        return self._from_digits(conv[:, :, :self.r])
+        # one product over F_p, expanding the operand with fewer entries into
+        # its multiplication matrices: digits(AB) = digits(A) M_B, the block
+        # (j, l) of M_B being M_{B[j, l]}, or, as ab = ba, M_A digits(B)
+        (m, k), n, r = A.shape, B.shape[1], self.r
+        if A.size <= B.size:
+            MA = self._shifts(self._to_digits(A)).transpose(2, 1, 3, 0).reshape(m * r, k * r)
+            Bd = self._to_digits(B).transpose(0, 2, 1).reshape(k * r, n)
+            # digit t of entry (i, l) is entry (i r + t, l) of the product
+            return self._pw @ self._mod_p(self._dot(MA, Bd).reshape(m, r, n))
+        MB = self._shifts(self._to_digits(B)).transpose(2, 0, 3, 1).reshape(k * r, n * r)
+        C = self._dot(self._to_digits(A).reshape(m, k * r), MB)
+        return self._from_digits(self._mod_p(C.reshape(m, n, r)))
 
     def _dot(self, A, B):
         """Exact integer product of int64 matrices with entries in [0, p)."""

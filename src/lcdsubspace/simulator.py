@@ -355,9 +355,11 @@ def _received_rows(sent, spec, words, rows):
     32-bit outputs by _Words.take, for all trials at once: the codewords
     share one dimension (an LCD code has one), so the trials share one
     shape.  Round by round the pending trials draw a coefficient matrix
-    each and are ranked together; each codeword then multiplies the
-    stacked coefficients of all its trials at once, and all trials draw
-    their error rows from where their last attempt ended.
+    each and are ranked together.  One product then multiplies the
+    stacked coefficients of all trials by the bases of the distinct
+    codewords side by side, and each trial takes the block of its own
+    codeword; all trials draw their error rows from where their last
+    attempt ended.
     """
     f = sent[0].field
     n, dim = sent[0].n, sent[0].dim
@@ -378,12 +380,10 @@ def _received_rows(sent, spec, words, rows):
                 break
         else:
             raise InternalInconsistency("could not draw a full-rank coefficient matrix")
-        by_word = {}
-        for t, w in enumerate(sent):
-            by_word.setdefault(w, []).append(t)
-        for w, ts in by_word.items():
-            product = f.matmul(coeffs[ts].reshape(-1, dim), w.basis)
-            out[ts, :keep] = product.reshape(len(ts), keep, n)
+        slots = {}
+        slot = [slots.setdefault(w, len(slots)) for w in sent]
+        product = f.matmul(coeffs.reshape(-1, dim), np.hstack([w.basis for w in slots]))
+        out[:, :keep] = product.reshape(trials, keep, len(slots), n)[np.arange(trials), :, slot]
     errors, _ = words.take(rows, cursors, spec.error_count * n, f.q)
     out[:, keep:] = errors.reshape(trials, spec.error_count, n)
     return list(out)

@@ -125,6 +125,29 @@ def test_extension_fields_match_polynomial_oracle(f4, f8, f9):
             assert f.mul(a, b) == oracles.ext_mul(f, a, b)
         for a in range(1, f.q):
             assert f.inv(a) == oracles.ext_inv(f, a)
+    # the untabled fields, on both sides of 2**16 and at the largest order:
+    # elementwise products and inverses on broadcast arrays, and matrix
+    # products expanding either operand, with empty shapes, all recomputed
+    # from oracle polynomial products
+    rng = np.random.default_rng(17)
+    for f in (field_new(2, 17), field_new(3, 11), field_new(2, 20)):
+        a, b = rng.integers(0, f.q, (4, 1)), rng.integers(0, f.q, (1, 5))
+        a[0, 0], b[0, 0] = 0, f.q - 1
+        got = f.mul(a, b)
+        assert got.shape == (4, 5)
+        assert got.tolist() == [[oracles.ext_mul(f, x, y) for y in b[0].tolist()]
+                                for x in a[:, 0].tolist()]
+        assert f.mul(int(a[1, 0]), b).tolist() == got[1:2].tolist()
+        units = rng.integers(1, f.q, (3, 4))
+        units[0, 0] = f.q - 1
+        inv = f.inv(units)
+        # an inverse is unique, so a b = 1 by the oracle pins it
+        assert all(oracles.ext_mul(f, x, y) == 1
+                   for x, y in zip(units.ravel().tolist(), inv.ravel().tolist()))
+        assert f.inv(int(units[0, 1])) == int(inv[0, 1])
+        for m, k, n in ((2, 3, 6), (6, 3, 2), (0, 3, 4), (3, 4, 0), (3, 0, 4)):
+            A, B = rng.integers(0, f.q, (m, k)), rng.integers(0, f.q, (k, n))
+            assert f.matmul(A, B).tolist() == _exact_product(f, A, B)
 
 
 def test_division_and_pow(all_fields):

@@ -291,7 +291,7 @@ def _replay(code, spec, trials):
     return correct, failure, wrong, dsum / trials
 
 
-def _chunk_codes(f2, f5, f9):
+def _chunk_codes(f2, f4, f5, f9):
     readme = SubspaceCode([span(f2, 4, [[0, 0, 1, 0], [0, 0, 0, 1]]),
                            span(f2, 4, [[1, 1, 1, 0], [0, 0, 0, 1]]),
                            span(f2, 4, [[1, 1, 0, 1], [0, 0, 1, 0]])])
@@ -305,6 +305,13 @@ def _chunk_codes(f2, f5, f9):
     code = SubspaceCode(f9_words)
     assert bool(is_lcd_subspace_code(code))
     yield code, ChannelSpec(1, 2, 33)
+    # p = 2 with r > 1: a chunk sends several distinct codewords through one
+    # product, and each trial takes its own codeword's block
+    f4_code = SubspaceCode([span(f4, 5, [[1, 0, 2, 0, 3], [0, 1, 2, 2, 2]]),
+                            span(f4, 5, [[1, 0, 2, 3, 2], [0, 1, 1, 0, 2]]),
+                            span(f4, 5, [[1, 0, 0, 3, 0], [0, 1, 2, 3, 3]])])
+    assert bool(is_lcd_subspace_code(f4_code))
+    yield f4_code, ChannelSpec(1, 1, 38)
     # every dimension erased, on a seed whose codeword index and channel
     # streams differ (five entropy words and four); no errors; no noise
     yield readme, ChannelSpec(2, 1, 2 ** 64 + 34)
@@ -316,10 +323,10 @@ def _chunk_codes(f2, f5, f9):
     yield one, ChannelSpec(1, 1, 37)
 
 
-def test_chunked_experiment_matches_per_trial_replay(f2, f5, f9, monkeypatch):
+def test_chunked_experiment_matches_per_trial_replay(f2, f4, f5, f9, monkeypatch):
     # every received word is drawn as corrupt() draws it and both decoders
     # see it, whatever the chunking: one trial, one chunk, and many chunks
-    for code, spec in _chunk_codes(f2, f5, f9):
+    for code, spec in _chunk_codes(f2, f4, f5, f9):
         for trials in (1, 150):
             want = _replay(code, spec, trials)
             for entries in (simulator.STACK_ENTRIES, 1, 500):
