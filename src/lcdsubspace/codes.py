@@ -15,12 +15,22 @@ d(C_i, R) = dim C_i + 2 e_i - dim R, with e_i the rank of block i of R Q
 Silva, Kschischang and Koetter (IEEE T-IT 2008).
 
 A decode returns only the minimum distance and whether one codeword alone
-attains it, so both batched decoders take their verdict from one driver,
-_bounded_verdict, on every field: it asks each e_i only as far as the
-verdict needs, through a capped rank min(e_i, cap).  Over F_2 a codeword's
-elimination so stops once its distance is known to exceed the best found
-so far; every other field computes each e_i exactly, and the verdict reads
-those exact ranks in one pass.  decode_naive stays the unbounded reference.
+attains it, and both batched decoders take one branch, by one rule,
+GF.stacked(n): where the field ranks matrices of n columns on its stacked
+elimination core (every field but F_2, and F_2 up to n = 8, where a packed
+row is one byte), each decoder computes every e_i of every word of the
+batch exactly, in one stack, and _verdicts reads the distances of all
+words in one numpy pass.  On F_2 past n = 8 they take their verdicts from
+one driver, _bounded_verdict, which asks each e_i only as far as the
+verdict needs, through a capped rank min(e_i, cap) that runs a lazy scan of
+packed rows: a codeword's elimination so stops once its distance is known
+to exceed the best found so far.  The rule is on n because the stacked core
+costs a few numpy calls per column, for the whole batch, while each scan is
+Python per row and per word, and a bounded scan only saves rows on wide
+codes: on a 4-column code every scan reads every row anyway.  Measured on
+random GF(2) LCD codes (see gf), naive decoding crosses over between
+n = 8, where the stacked branch is faster, and n = 10, where the lazy one
+is.  decode_naive stays the unbounded reference.
 
 The minimum distance of params (and of sampled_min_distance) comes from the
 same idea: one scan over the pairs, d(C_i, C_j) = dim C_i + 2 e - dim C_j
@@ -250,6 +260,16 @@ def _verdict(dists):
     return DecodeOutcome("failure", None, dmin)
 
 
+def _verdicts(dims, dim, E):
+    """_verdict of every word t at once, from exact ranks: the distances
+    D[t, i] = dims[i] + 2 E[t, i] - dim[t] of arrays dim (T) and E (T x N)."""
+    D = np.asarray(dims, dtype=np.int64) + 2 * E - dim[:, None]
+    best = D.min(1)
+    alone = np.count_nonzero(D == best[:, None], axis=1) == 1
+    return [DecodeOutcome("decoded", i, d) if one else DecodeOutcome("failure", None, d)
+            for one, i, d in zip(alone.tolist(), D.argmin(1).tolist(), best.tolist())]
+
+
 def _bounded_verdict(dim, dims, rank):
     """_verdict of the distances d_i = dims[i] + 2 e_i - dim, with each e_i
     taken only as far as the verdict needs it, from the capped rank
@@ -267,15 +287,7 @@ def _bounded_verdict(dim, dims, rank):
     a block that reached the cap has e_i above every exact one, so pass 2
     has nothing to do; it serves codes of mixed dimensions.  The driver
     needs no more of rank than that, so exact ranks, capped, serve too.
-
-    A capped rank that carries its exact ranks, as gf._exact_capped's does
-    (its attribute exact), settles the verdict in one pass, with no ask:
-    each of its answers is the least of that e_i and the cap, so the
-    passes above would end with the same distances.
     """
-    exact = getattr(rank, "exact", None)
-    if exact is not None:
-        return _verdict([k + 2 * e - dim for k, e in zip(dims, exact)])
     blocks = range(len(dims))
     cap = 2
     found = [rank(i, cap) for i in blocks]
@@ -318,18 +330,24 @@ def decode_naive_many(code, words):
     for many words at once.
 
     d(C_i, R) = 2 rank [C_i; R] - dim C_i - dim R, which depends on the span
-    of R alone, so raw rows need no canonical form first.  The capped ranks
-    min(e_i, cap), e_i = rank [C_i; R] - dim C_i, of GF.capped_stack_ranks
-    feed _bounded_verdict: over F_2 each codeword's echelon table is the one
-    its Subspace keeps from its first use, so no codeword is packed again
-    on later calls; each word is reduced once to an echelon set of its own,
-    and e_i counted, row by row of that set into a copy of C_i's table, only
-    as far as the verdict asks.
+    of R alone, so raw rows need no canonical form first.  Where the field
+    ranks n columns on its stacked core (GF.stacked: every field but F_2,
+    and F_2 up to n = 8), GF.excess_ranks ranks every stack [C_i; R] of
+    the batch at once and _verdicts reads the exact e_i = rank [C_i; R] -
+    dim C_i of all words in one pass.  On wider F_2 codes the capped ranks
+    min(e_i, cap) of GF.capped_stack_ranks feed _bounded_verdict: each
+    codeword's echelon table is the one its Subspace keeps from its first
+    use, so no codeword is packed again on later calls; each word is
+    reduced once to an echelon set of its own, and e_i counted, row by row
+    of that set into a copy of C_i's table, only as far as the verdict asks.
     """
     rows = [_received_rows(code, w) for w in words]
     dims = [w.dim for w in code]
+    f = code.field
+    if f.stacked(code.n):
+        return _verdicts(dims, *f.excess_ranks(code.codewords, rows))
     return [_bounded_verdict(dim, dims, rank)
-            for dim, rank in code.field.capped_stack_ranks(code.codewords, rows)]
+            for dim, rank in f.capped_stack_ranks(code.codewords, rows)]
 
 
 class ProjectionDecoder:
@@ -341,12 +359,15 @@ class ProjectionDecoder:
     d(C_i, R) = dim C_i + 2 e_i - dim R.  The Q_i are stacked once into
     Q = [Q_1 | ... | Q_N] (n x sum(n - dim C_i)) and prepared as a
     gf.BlockRankFactor (over F_2, its Four-Russians tables), and each
-    received word costs one product R Q and the capped ranks of its column
-    blocks, asked for by _bounded_verdict.  Over F_2 each block's echelon
-    scan so runs only as far as the verdict needs it to settle the minimum
-    distance and its ties; off F_2, decode_many takes one product
-    (R_1; ...; R_T) Q for all its words and ranks every block of every word
-    exactly, in one stack.
+    received word costs one product R Q and the ranks of its column blocks.
+    Where the field ranks n columns on its stacked core (GF.stacked: every
+    field but F_2, and F_2 up to n = 8), decode_many takes one product
+    (R_1; ...; R_T) Q for all its words, ranks every block of every word
+    exactly, in one stack (BlockRankFactor.block_ranks), and reads the
+    verdicts in one pass (_verdicts).  On wider F_2 codes the blocks' ranks
+    are capped and asked for by _bounded_verdict, so each block's echelon
+    scan runs only as far as the verdict needs it to settle the minimum
+    distance and its ties.
 
     rank(R Q_i) is the dimension of the image of span(R) under x -> x Q_i,
     so it depends only on the span of the rows: any spanning set gives the
@@ -372,11 +393,15 @@ class ProjectionDecoder:
 
     def decode_many(self, words):
         """decode() of each received word (a Subspace or generator rows), with
-        one factor call for all and a bounded verdict per word."""
-        rows = [_received_rows(self.code, w) for w in words]
+        one factor call for all and one verdict pass for all (a bounded
+        verdict per word on F_2 past n = 8)."""
+        code = self.code
+        rows = [_received_rows(code, w) for w in words]
         # a Subspace's basis is in rref already, so the factor skips reducing it
         flags = [isinstance(w, Subspace) for w in words]
-        dims = [w.dim for w in self.code]
+        dims = [w.dim for w in code]
+        if code.field.stacked(code.n):
+            return _verdicts(dims, *self._factor.block_ranks(rows, flags))
         return [_bounded_verdict(dim, dims, rank)
                 for dim, rank in self._factor.capped(rows, flags)]
 

@@ -232,6 +232,9 @@ def code_from_doc(doc):
     if {type(p), type(r), type(n)} != {int}:
         raise FileFormatError(
             f"field p, r and ambient must be integers, got {p!r}, {r!r}, {n!r}")
+    # F^0 has no subspace but 0, and no dual basis to take
+    if n < 1:
+        raise FileFormatError(f"ambient must be at least 1, got {n}")
     f = field_new(p, r)
     subs = []
     for rows in words:

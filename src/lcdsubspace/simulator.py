@@ -35,8 +35,13 @@ stacked array of a chunk (the naive decoder's stacks [C_i; R]) holds about
 ``corrupt`` draws it (the same streams, the same draw order, the same
 full-rank retries), as arrays over all its trials, then decodes them all
 with ``decode_naive_many`` and with the projection decoder's
-``decode_many``, and compares the two trial by trial.  The chunking
-changes no tally.
+``decode_many``, and compares the two trial by trial.  Both decoders take
+one branch per code, by the rule ``GF.stacked(n)`` (see ``codes``): on
+every field but GF(2), and on GF(2) up to n = 8, as for the README's
+n = 4 code, each ranks the whole chunk exactly on the stacked elimination
+core and reads all its verdicts in one pass; on wider GF(2) codes, as the
+(192, 31, 4; 96) code, each word takes lazy, bounded scans of packed rows.
+The chunking and the branch change no tally.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from lcdsubspace.cli import main
 from lcdsubspace.codes import SubspaceCode
 from lcdsubspace.constructions import PIPELINE_KINDS, theorem_pipeline
 from lcdsubspace.drg import PermutationGroup
-from lcdsubspace.errors import HypothesisFailed
+from lcdsubspace.errors import HypothesisFailed, LcdError
 from lcdsubspace.hadamard import sylvester
 from lcdsubspace.schemes import EquitablePartition
 from lcdsubspace.subspaces import span
@@ -190,6 +190,93 @@ def test_fuzzed_matrix_files_never_end_in_a_traceback(tmp_path, capsys):
             assert rc in (0, 1, 2), (argv, lines)
             if rc == 1:
                 assert out == "" and set(json.loads(err)) == {"error", "message", "witness"}
+
+
+# valid code documents over GF(2) and GF(9) for the fuzz test to break
+_CODE_DOCS = [
+    {"field": {"p": 2, "r": 1}, "ambient": 4,
+     "codewords": [[[0, 0, 1, 0], [0, 0, 0, 1]], [[1, 1, 1, 0], [0, 0, 0, 1]],
+                   [[1, 1, 0, 1], [0, 0, 1, 0]]]},
+    {"field": {"p": 3, "r": 2}, "ambient": 5,
+     "codewords": [[[1, 0, 2, 6, 7], [0, 1, 6, 5, 8]], [[1, 0, 7, 4, 5], [0, 1, 3, 2, 6]],
+                   [[1, 2, 3, 0, 5], [0, 0, 0, 1, 7]]]},
+]
+
+
+def _broken_code_doc(rng):
+    """A copy of a valid code document with one seeded fault: ragged rows,
+    an entry outside [0, q) or not an integer, a wrong ambient, a missing
+    or bad field, or codewords of the wrong shape.  None of them is valid."""
+    doc = json.loads(json.dumps(rng.choice(_CODE_DOCS)))
+    q, n = doc["field"]["p"] ** doc["field"]["r"], doc["ambient"]
+    words = doc["codewords"]
+    word = rng.choice(words)
+    row = rng.choice(word)
+    at = rng.randrange(n)
+    fault = rng.choice(["ragged", "range", "entry", "ambient", "field", "shape"])
+    if fault == "ragged":
+        if rng.random() < 0.5:
+            row.pop(at)
+        else:
+            row.insert(at, rng.randrange(q))
+    elif fault == "range":
+        row[at] = rng.choice([q, q + rng.randrange(1, 100), -1, -rng.randrange(1, 2 ** 40)])
+    elif fault == "entry":
+        row[at] = rng.choice([1.0, 1.5, "1", True, False, None, [1], {"a": 1}, 2 ** 70])
+    elif fault == "ambient":
+        doc["ambient"] = rng.choice([n - 1, n + 1, 2 * n, 0, -1, -n, str(n), float(n),
+                                     True, None, [n]])
+    elif fault == "field":
+        field = doc["field"]
+        how = rng.randrange(5)
+        if how == 0:
+            del doc["field"]
+        elif how == 1:
+            del field[rng.choice(["p", "r"])]
+        elif how == 2:
+            field["p"] = rng.choice([4, 6, 1, 0, -2, 2.0, "2", None, True, 2 ** 64])
+        elif how == 3:
+            field["r"] = rng.choice([0, -1, 1.5, "1", None, 25, 2 ** 64])
+        else:
+            doc["field"] = rng.choice([2, "GF2", [2, 1], None])
+    else:
+        how = rng.randrange(5)
+        if how == 0:
+            doc["codewords"] = rng.choice([[], None, 3, "abc", {"a": 1}])
+        elif how == 1:
+            words[words.index(word)] = rng.choice([3, None, "ab", [1, 0], [[[1]]]])
+        elif how == 2:
+            word[word.index(row)] = rng.choice([3, None, "1011", {"a": 1}])
+        elif how == 3:
+            del doc["codewords"]
+        else:
+            return rng.choice([[], 3, "x", None, [doc]])
+    return doc
+
+
+def test_fuzzed_code_documents_never_end_in_a_traceback(tmp_path, capsys):
+    # seeded faults in valid code documents, and truncated JSON text: the
+    # reader raises an LcdError, and `simulate --code` exits 1 with an
+    # {error, message, witness} document
+    rng = random.Random(23)
+    for trial in range(150):
+        text = json.dumps(_broken_code_doc(rng))
+        if trial % 10 == 0:
+            text = text[:rng.randrange(len(text))]
+        f = tmp_path / f"c{trial}.json"
+        f.write_text(text)
+        with pytest.raises(LcdError):
+            fileio.read_code_json(f)
+        rc, out, err = run(capsys, "simulate", "--code", str(f), "--erasures", "1",
+                           "--errors", "1", "--trials", "5", "--seed", "1")
+        assert rc == 1 and out == "", text
+        assert set(json.loads(err)) == {"error", "message", "witness"}
+    # F^0, whose only subspace, 0, has no dual basis to take
+    f = tmp_path / "zero.json"
+    f.write_text(json.dumps({"field": {"p": 2, "r": 1}, "ambient": 0, "codewords": [[]]}))
+    rc, _, err = run(capsys, "simulate", "--code", str(f), "--erasures", "0", "--errors", "0",
+                     "--trials", "5")
+    assert rc == 1 and json.loads(err)["error"] == "FileFormatError"
 
 
 def test_construct_thm51(tmp_path, capsys):

@@ -10,6 +10,7 @@ from lcdsubspace.codes import (
     SubspaceCode,
     _bounded_verdict,
     _verdict,
+    _verdicts,
     classical_lcd_check,
     decode_naive,
     decode_naive_many,
@@ -23,6 +24,7 @@ from lcdsubspace.constructions import theorem_pipeline
 from lcdsubspace.errors import (
     AmbientMismatch,
     DegenerateCode,
+    DimensionMismatch,
     EmptyCode,
     EncodingOutOfRange,
     FieldMismatch,
@@ -528,18 +530,27 @@ def test_classical_check_is_the_gram_determinant(f3):
 
 
 def test_bounded_verdict_with_and_without_exact_ranks():
-    # off GF(2) the decoders hand _bounded_verdict exact ranks, which it reads
-    # in one pass; its capped passes, which GF(2) takes, must give the same
-    # verdict from the same ranks, asked only through the cap
+    # the stacked branch reads exact ranks of a whole batch in one pass
+    # (_verdicts); the capped passes of _bounded_verdict, which the lazy
+    # GF(2) scans take, must give the same verdict from the same ranks,
+    # asked only through the cap
     rng = random.Random(79)
-    for _ in range(3000):
-        s, dim = rng.randrange(1, 8), rng.randrange(0, 10)
+    for _ in range(300):
+        s = rng.randrange(1, 8)
         dims = [rng.randrange(0, 10) for _ in range(s)]
-        # rank [C_i; R] lies between max(dim C_i, dim R) and dim C_i + dim R
-        e = [rng.randrange(max(0, dim - k), dim + 1) for k in dims]
-        want = _verdict([k + 2 * x - dim for k, x in zip(dims, e)])
-        assert _bounded_verdict(dim, dims, _exact_capped(e)) == want
-        assert _bounded_verdict(dim, dims, lambda i, cap: min(e[i], cap)) == want
+        batch, want = [], []
+        for _ in range(10):
+            dim = rng.randrange(0, 10)
+            # rank [C_i; R] lies between max(dim C_i, dim R) and dim C_i + dim R
+            e = [rng.randrange(max(0, dim - k), dim + 1) for k in dims]
+            want.append(_verdict([k + 2 * x - dim for k, x in zip(dims, e)]))
+            assert _bounded_verdict(dim, dims, _exact_capped(e)) == want[-1]
+            assert _bounded_verdict(dim, dims, lambda i, cap: min(e[i], cap)) == want[-1]
+            batch.append((dim, e))
+        dim = np.array([d for d, _ in batch], dtype=np.int64)
+        E = np.array([e for _, e in batch], dtype=np.int64)
+        assert _verdicts(dims, dim, E) == want
+    assert _verdicts([1, 2], np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64)) == []
 
 
 def _batched_verdicts_match_naive(code, words):
@@ -662,6 +673,79 @@ def test_bounded_verdicts_beyond_the_unique_radius_of_thm59(thm59_report, erasur
     assert projection_decoder(code).decode_many(words) == want
     # the nearest codeword is past the unique decoding radius of 1
     assert all(o.distance > 1 for o in want)
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_gf2_decoders_either_side_of_the_stacked_boundary(f2, n):
+    # n = 8 takes the stacked branch (exact ranks of the whole batch, one
+    # verdict pass), n = 10 the lazy packed scans: both must give
+    # decode_naive's verdict on every word, ties, the zero space, the whole
+    # space and an empty batch included
+    assert f2.stacked(n) == (n == 8)
+    rng = np.random.default_rng(83 + n)
+    k = n // 2 - 1
+    code = _isotropic_lcd_code(f2, n, k, 6, rng)
+    assert len(code) >= 5 and is_lcd_subspace_code(code)
+    words = [Subspace.zero(f2, n), np.zeros((0, n), dtype=np.int64), Subspace.full(f2, n),
+             np.vstack([np.eye(n, dtype=np.int64)] * 2)]
+    for t in range(60):
+        rows = rng.integers(0, 2, (int(rng.integers(0, n + 2)), n))
+        if t % 3 == 0:
+            # part of one codeword plus part of another
+            i = t % len(code)
+            rows = np.vstack([code[i].basis[:2], code[i - 1].basis[2:], rows[:1]])
+        words.append(Subspace(f2, n, rows) if t % 2 else rows)
+    out = _batched_verdicts_match_naive(code, words)
+    assert [o.distance for o in out[:4]] == [k, k, n - k, n - k]
+    assert {o.status for o in out} == {"decoded", "failure"}
+    assert decode_naive_many(code, []) == ProjectionDecoder(code).decode_many([]) == []
+    # codewords of mixed dimensions: naive decoding only
+    mixed = _mixed_code(f2, n, (1, 3, 4, n - 2), rng)
+    words = [rng.integers(0, 2, (int(rng.integers(0, n + 2)), n)) for _ in range(40)]
+    words += [w.basis for w in mixed] + [Subspace.zero(f2, n), Subspace.full(f2, n)]
+    out = _batched_verdicts_match_naive(mixed, words)
+    assert {o.index for o in out} >= set(range(len(mixed)))
+    assert {o.status for o in out} == {"decoded", "failure"}
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_gf2_lazy_and_exact_ranks_agree_on_one_code(f2, n):
+    # the decoders read one branch per code, but both forms stay callable
+    # on it: the lazy capped scans, asked at any cap, give the least of
+    # the exact ranks and the cap.  Only a factor of at most 8 rows keeps B
+    # for exact block ranks; every GF(2) factor gives packed products
+    rng = np.random.default_rng(89 + n)
+    code = _isotropic_lcd_code(f2, n, n // 2 - 1, 4, rng)
+    rows = [rng.integers(0, 2, (k, n)) for k in (0, 1, 3, n, n + 2)]
+    flags = [False] * len(rows)
+    dims, E = f2.excess_ranks(code.codewords, rows)
+    want_dims = [oracles.rank(f2, A.tolist()) for A in rows]
+    want = [[oracles.rank(f2, np.vstack([w.basis, A]).tolist()) - w.dim for w in code]
+            for A in rows]
+    assert (dims.tolist(), E.tolist()) == (want_dims, want)
+    dec = ProjectionDecoder(code)
+    factor = dec._factor
+    widths = [n - w.dim for w in code]
+    product = f2.matmul(np.vstack(rows), dec.coordinates)
+    blocks, at = [], 0
+    for A in rows:
+        P, at = product[at:at + len(A)], at + len(A)
+        spans = np.cumsum([0] + widths)
+        blocks.append([oracles.rank(f2, P[:, s:e].tolist()) for s, e in zip(spans, spans[1:])])
+    for (dim, rank), (dim2, rank2), e, b in zip(
+            f2.capped_stack_ranks(code.codewords, rows), factor.capped(rows, flags), want, blocks):
+        assert dim == dim2
+        for cap in (1, 2, 1, 4, n + 1, 0):
+            assert [rank(i, cap) for i in range(len(code))] == [min(x, cap) for x in e]
+            assert [rank2(i, cap) for i in range(len(code))] == [min(x, cap) for x in b]
+    assert [[(r >> c) & 1 for c in range(sum(widths))] for r in factor.products(rows[3])] == \
+        f2.matmul(rows[3], dec.coordinates).tolist()
+    if f2.stacked(n):
+        dims, R = factor.block_ranks(rows, flags)
+        assert (dims.tolist(), R.tolist()) == (want_dims, blocks)
+    else:
+        with pytest.raises(DimensionMismatch):
+            factor.block_ranks(rows, flags)
 
 
 def test_syndrome_control_matches_naive_decoding_on_codes_not_lcd(f2, f3, f4, f9):

@@ -391,6 +391,35 @@ def test_stacked_elimination_on_larger_stacks(p, r):
     assert list(f.stack_ranks(tops, bottoms, pairs)) == want
 
 
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_gf2_ranks_either_side_of_the_stacked_boundary(f2, f3, n):
+    # GF(2) stacks of up to 8 columns run on the stacked core, wider ones on
+    # packed rows one matrix at a time: both must give the oracle's ranks,
+    # and f.rank's packed ranks, with zero rows and zero columns as padding
+    assert f2.stacked(n) == (n <= 8) and f3.stacked(n)
+    rng = np.random.default_rng(40 + n)
+    mats = [rng.integers(0, 2, (k, n)) for k in (1, 2, 5, 8, 9, 12)]
+    mats += [np.zeros((3, n), dtype=np.int64), np.eye(n, dtype=np.int64)]
+    mats.append(np.vstack([mats[2], mats[2][:2] ^ mats[2][2:4]]))   # dependent rows
+    mats.append(np.zeros((0, n), dtype=np.int64))
+    want = [oracles.rank(f2, A.tolist()) for A in mats]
+    assert [f2.rank(A) for A in mats] == want
+    S = padded_stack(mats)
+    assert f2.ranks(S).tolist() == want
+    # zero rows, and zero columns up to the next width, change no rank
+    for rows, cols in ((0, 0), (3, 0), (0, 1), (2, 1)):
+        padded = np.pad(S, ((0, 0), (0, rows), (0, cols)))
+        assert f2.stacked(padded.shape[2]) == (n + cols <= 8)
+        assert f2.ranks(padded).tolist() == want
+    for shape in ((0, 3, n), (2, 0, n), (2, 3, 0)):
+        assert f2.ranks(np.zeros(shape, dtype=np.int64)).tolist() == [0] * shape[0]
+    for bad in (-1, 2, 3):
+        B = S.copy()
+        B[1, 0, n - 1] = bad
+        with pytest.raises(EncodingOutOfRange):
+            f2.ranks(B)
+
+
 def test_kernel_pinned_and_oracle(f2, f3):
     K = f2.kernel([[1, 1]])
     assert K.tolist() == [[1, 1]]
