@@ -108,11 +108,9 @@ def _resolve_partition(arg, size):
         return EquitablePartition.singletons(size)
     if arg.startswith("blocks:"):
         return EquitablePartition.contiguous_blocks(size, int(arg[len("blocks:"):]))
-    part = fileio.read_partition(arg)
-    if part.size != size:
-        raise InvalidSpec(
-            f"partition covers {part.size} points but {size} are needed")
-    return part
+    # read against the size it must cover, so an index past it is rejected
+    # before the partition's arrays are allocated
+    return fileio.read_partition(arg, size)
 
 
 # --- verify ---

@@ -32,6 +32,15 @@ random GF(2) LCD codes (see gf), naive decoding crosses over between
 n = 8, where the stacked branch is faster, and n = 10, where the lazy one
 is.  decode_naive stays the unbounded reference.
 
+A batch of received words reaches both batched decoders in one format, a
+stack of their generator rows (T x h x n), zero-padded to one height, and
+one preparer, _received_stack, builds it, checking each word once.  The
+two decoders are then each a decision on that stack (_decide_naive and
+ProjectionDecoder._decide), and the simulator, which draws its words as
+such a stack already, hands the same stack to both.  They share only that
+format and the verdict code: naive decoding ranks [C_i; R], projection
+decoding the blocks of R Q.
+
 The minimum distance of params (and of sampled_min_distance) comes from the
 same idea: one scan over the pairs, d(C_i, C_j) = dim C_i + 2 e - dim C_j
 with e = rank [C_i; C_j] - dim C_i, where each pair's rank is capped at the
@@ -61,7 +70,7 @@ from .errors import (
     PairBudgetExceeded,
     RankDeficient,
 )
-from .gf import BlockRankFactor
+from .gf import BlockRankFactor, padded_stack
 from .subspaces import Subspace, complement_coordinates, distance, dual_meets, is_lcd
 
 PAIR_BUDGET = 10 ** 7
@@ -253,6 +262,16 @@ def _received_rows(code, received):
     return rows
 
 
+def _received_stack(code, words):
+    """The received words, any mix of Subspaces and generator rows, as one
+    stack (T x h x n): each word checked once by _received_rows and padded
+    with zero rows to the greatest height h, which changes no span.  It is
+    the one input of both batched decisions, whose rank forms check its
+    entries' range."""
+    rows = [_received_rows(code, w) for w in words]
+    return padded_stack(rows) if rows else np.zeros((0, 0, code.n), dtype=np.int64)
+
+
 def _verdict(dists):
     dmin = min(dists)
     if dists.count(dmin) == 1:
@@ -341,13 +360,18 @@ def decode_naive_many(code, words):
     reduced once to an echelon set of its own, and e_i counted, row by row
     of that set into a copy of C_i's table, only as far as the verdict asks.
     """
-    rows = [_received_rows(code, w) for w in words]
+    return _decide_naive(code, _received_stack(code, words))
+
+
+def _decide_naive(code, stack):
+    """decode_naive_many's verdicts on a stack of received words, as
+    _received_stack builds it (or the simulator draws it)."""
     dims = [w.dim for w in code]
     f = code.field
     if f.stacked(code.n):
-        return _verdicts(dims, *f.excess_ranks(code.codewords, rows))
+        return _verdicts(dims, *f.excess_ranks(code.codewords, stack))
     return [_bounded_verdict(dim, dims, rank)
-            for dim, rank in f.capped_stack_ranks(code.codewords, rows)]
+            for dim, rank in f.capped_stack_ranks(code.codewords, stack)]
 
 
 class ProjectionDecoder:
@@ -395,15 +419,16 @@ class ProjectionDecoder:
         """decode() of each received word (a Subspace or generator rows), with
         one factor call for all and one verdict pass for all (a bounded
         verdict per word on F_2 past n = 8)."""
+        return self._decide(_received_stack(self.code, words))
+
+    def _decide(self, stack):
+        """decode_many's verdicts on a stack of received words, as
+        _received_stack builds it (or the simulator draws it)."""
         code = self.code
-        rows = [_received_rows(code, w) for w in words]
-        # a Subspace's basis is in rref already, so the factor skips reducing it
-        flags = [isinstance(w, Subspace) for w in words]
         dims = [w.dim for w in code]
         if code.field.stacked(code.n):
-            return _verdicts(dims, *self._factor.block_ranks(rows, flags))
-        return [_bounded_verdict(dim, dims, rank)
-                for dim, rank in self._factor.capped(rows, flags)]
+            return _verdicts(dims, *self._factor.block_ranks(stack))
+        return [_bounded_verdict(dim, dims, rank) for dim, rank in self._factor.capped(stack)]
 
 
 def projection_decoder(code):

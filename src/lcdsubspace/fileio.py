@@ -31,6 +31,11 @@ from .schemes import EquitablePartition
 from .subspaces import Subspace
 
 _KINDS = ("int", "pm1", "zpm1", "fq")
+# the widest ambient space a code document may name.  The LCD check of a code
+# takes a dense dual basis of up to n x n entries, 8 MiB of int64 at the cap;
+# the widest code the pipelines build, the (192, 31, 4; 96) code of thm59 on
+# the bundled order-16 Bush pair, has n = 192
+MAX_AMBIENT = 1024
 
 
 def _content_lines(text):
@@ -150,7 +155,12 @@ def read_group(path):
 
 
 def parse_partition_text(text, size=None):
-    """One cell per line, 1-based indices; cells must cover 1..n exactly."""
+    """One cell per line, 1-based indices; cells must cover 1..size exactly.
+
+    Without a size, it is the number of indices in the file, which is n for
+    every partition of 1..n: an index past it is out of range, and rejected
+    before anything of its size is allocated.
+    """
     lines = _content_lines(text)
     if not lines:
         raise FileFormatError("empty partition file")
@@ -161,7 +171,7 @@ def parse_partition_text(text, size=None):
         except ValueError:
             raise FileFormatError(f"non-integer index in {ln!r}")
     if size is None:
-        size = max(max(c) for c in cells) + 1
+        size = sum(map(len, cells))
     return EquitablePartition(cells, size)
 
 
@@ -232,9 +242,11 @@ def code_from_doc(doc):
     if {type(p), type(r), type(n)} != {int}:
         raise FileFormatError(
             f"field p, r and ambient must be integers, got {p!r}, {r!r}, {n!r}")
-    # F^0 has no subspace but 0, and no dual basis to take
-    if n < 1:
-        raise FileFormatError(f"ambient must be at least 1, got {n}")
+    # F^0 has no subspace but 0, and no dual basis to take; past the cap a
+    # document of empty codewords would have the LCD check allocate its
+    # n x n dual basis
+    if not 1 <= n <= MAX_AMBIENT:
+        raise FileFormatError(f"ambient must lie in [1, {MAX_AMBIENT}], got {n}", witness=n)
     f = field_new(p, r)
     subs = []
     for rows in words:

@@ -42,12 +42,14 @@ scalar is faster than numpy's int64 ``%``), so every product is exact.  ``matmul
 A right factor B multiplied by many row sets, as the projection decoder
 multiplies every received word by the same complement coordinates, is
 prepared once as a ``BlockRankFactor`` with the widths of its column blocks.
-``block_ranks`` returns the rank of every row set and of every block of
-its product, exactly, as arrays: one ``matmul`` of all the row sets,
-stacked, and one ``ranks`` of every column block of every row set.
-``capped`` returns, per row set, the rank of the rows and a capped rank
-rank(i, cap) = min(rank of block i of rows B, cap), on every field.  Over
-F_2, when the factor is built, each row of B is packed into one Python int,
+Both of its rank forms take the row sets as one stack (T x h x rows of B),
+zero-padded to one height, as ``codes`` builds it for a batch of received
+words.  ``block_ranks`` returns the rank of every row set and of every
+block of its product, exactly, as arrays: one ``matmul`` of the stack and
+one ``ranks`` of every column block of every row set.  ``capped``, over
+F_2 only, returns per row set the rank of the rows and a capped rank
+rank(i, cap) = min(rank of block i of rows B, cap).  Over F_2, when the
+factor is built, each row of B is packed into one Python int,
 column c in bit c, and every 8 rows of B get one 256-entry table of the XORs
 of their subsets (the Four-Russians method, M4RM: Albrecht, Bard and Hart,
 ACM TOMS 2010).  A call reduces the rows to an echelon set, reads each as
@@ -64,8 +66,9 @@ few dozen XORs with no conversion, faster than numpy gathers both for the
 same table loop.  The product identity check N_i N_j^T = I of a GF(2)
 ``[X | I]`` code (``constructions``) prepares one factor over the blocks
 N_j^T side by side and compares each product row k of N_i with the int
-whose bits k, t + k, 2t + k, ... are set, one comparison per row.  Every
-other field caps the exact ranks of ``block_ranks`` (``_exact_capped``).
+whose bits k, t + k, 2t + k, ... are set, one comparison per row.  Other
+fields have no capped form, and ``capped`` raises ``FieldMismatch`` there,
+as ``products`` does: the decoders rank every block off F_2 exactly.
 The factor keeps B only where ``block_ranks`` reads it (see the rule
 below): on F_2 past 8 rows of B, as for the 192 x 2976 product-identity
 factor of the (192, 31, 4; 96) code, 4.6 MB of int64, it keeps the tables
@@ -103,17 +106,18 @@ F_2 each bottom W_j is indexed when the first pair that needs it comes up
 (other fields index them all at once), so the LCD routine, which hands
 over its duals as a sequence that takes each dual when indexed, takes a
 dual over F_2 only when a pair needs it.
-``capped_stack_ranks(tops, bottoms)`` is its capped form for batched naive
-decoding, with Subspace tops (the codewords) and raw received rows B as
-bottoms, rank(i, cap) = min(rank [tops[i]; B] - dim tops[i], cap) on every
-field.  Over F_2, at any width, each top is its kept echelon table, each
-bottom an echelon set once, and rank(i, cap) reduces B's rows into a copy
-of top i's table until cap of them add a pivot, going on from where the
-last call stopped; every other field caps the exact ranks of
-``excess_ranks(tops, bottoms)``, which ranks every stack [tops[i]; B] of a
-batch, and B alone, on the stacked core: the padded tops are broadcast
-against the padded bottoms into one stack, in batches of at most
-``STACK_ENTRIES`` entries, and the ranks come back as arrays.  ``capped_pair_ranks(spaces, pairs)`` is the capped
+Batched naive decoding has two forms, both with Subspace tops (the
+codewords) and the received words as one stack of matrices B (T x h x n).
+``excess_ranks(tops, stack)`` ranks every [tops[i]; B] of the batch, and B
+alone, on the stacked core: the padded tops are broadcast against the
+stack into one stack, in batches of at most ``STACK_ENTRIES`` entries, and
+the ranks come back as arrays.  ``capped_stack_ranks(tops, stack)``, over
+F_2 only (``FieldMismatch`` elsewhere), gives per B a capped rank
+rank(i, cap) = min(rank [tops[i]; B] - dim tops[i], cap): each top is its
+kept echelon table, each B an echelon set once, and rank(i, cap) reduces
+B's rows into a copy of top i's table until cap of them add a pivot,
+going on from where the last call stopped.
+``capped_pair_ranks(spaces, pairs)`` is the capped
 form for the minimum-distance scan, one capped rank per pair of Subspaces
 [U_i; U_j], from U_i's kept table and U_j's kept rows over F_2 and from
 ``stack_ranks`` elsewhere.  Every GF(2) capped form runs one capped scan,
@@ -325,6 +329,15 @@ def _gf2_echelon(B):
     echelon form: its rows' leading columns differ, so one pack and no
     elimination."""
     return {r.bit_length(): r for r in _gf2_pack(B)}
+
+
+def _gf2_echelons(S):
+    """For each matrix of a 0/1 stack, the packed rows of an echelon set of
+    its rows, as _gf2_pivots finds them."""
+    height = S.shape[1]
+    packed = _gf2_pack(S)
+    return [list(_gf2_pivots(packed[t * height:(t + 1) * height]).values())
+            for t in range(len(S))]
 
 
 def _gf2_capped_ranks(tables, rows, fields):
@@ -867,13 +880,12 @@ class GF:
 
     def _ranks(self, S):
         """ranks of a stack already checked, which it may overwrite."""
-        B, m, n = S.shape
+        B, _, n = S.shape
         out = np.zeros(B, dtype=np.int64)
         if not S.size:
             return out
         if not self.stacked(n):
-            rows = _gf2_pack(S)
-            out[:] = [len(_gf2_pivots(rows[i:i + m])) for i in range(0, len(rows), m)]
+            out[:] = [len(rows) for rows in _gf2_echelons(S)]
             return out
         for _, has, _, _ in self._eliminate(S, full=False):
             out += has
@@ -932,70 +944,58 @@ class GF:
 
         return starmap(rank, pairs)
 
-    def excess_ranks(self, tops, bottoms):
-        """(dim, E) for Subspace tops and the matrices B_t of bottoms, as
-        int64 arrays: dim[t] = rank B_t and E[t, i] = rank [tops[i]; B_t] -
+    def excess_ranks(self, tops, stack):
+        """(dim, E) for Subspace tops and a stack of matrices B_t (T x h x n),
+        as int64 arrays: dim[t] = rank B_t and E[t, i] = rank [tops[i]; B_t] -
         dim tops[i], exactly, on every field.
 
         The tops, padded with zero rows to one height and joined by a top of
-        no rows (whose stack has rank B_t), are broadcast against the
-        bottoms, padded likewise, into one stack of every [tops[i]; B_t],
-        ranked by ``ranks`` in batches of at most STACK_ENTRIES entries.
+        no rows (whose stack has rank B_t), are broadcast against the stack
+        into one stack of every [tops[i]; B_t], ranked by ``ranks`` in
+        batches of at most STACK_ENTRIES entries.
         """
-        S = self._bottoms(tops, bottoms)
-        k = len(tops)
-        if S is None:
-            return np.zeros(0, dtype=np.int64), np.zeros((0, k), dtype=np.int64)
-        C = padded_stack([U.basis for U in tops] + [S[0, :0]])
+        S = self._checked_stack(stack, [U.n for U in tops])
         T, b, n = S.shape
+        k = len(tops)
+        C = padded_stack([U.basis for U in tops] + [np.zeros((0, n), dtype=np.int64)])
         a = C.shape[1]
         size = max(1, STACK_ENTRIES // max((k + 1) * (a + b) * n, 1))
         ranks = np.empty((T, k + 1), dtype=np.int64)
         for at in range(0, T, size):
             W = S[at:at + size]
-            stack = np.empty((len(W), k + 1, a + b, n), dtype=np.int64)
-            stack[:, :, :a] = C
-            stack[:, :, a:] = W[:, None]
-            ranks[at:at + len(W)] = self._ranks(stack.reshape(-1, a + b, n)).reshape(-1, k + 1)
+            joint = np.empty((len(W), k + 1, a + b, n), dtype=np.int64)
+            joint[:, :, :a] = C
+            joint[:, :, a:] = W[:, None]
+            ranks[at:at + len(W)] = self._ranks(joint.reshape(-1, a + b, n)).reshape(-1, k + 1)
         return ranks[:, k], ranks[:, :k] - np.array([U.dim for U in tops], dtype=np.int64)
 
-    def _bottoms(self, tops, bottoms):
-        """The matrices of bottoms as one checked stack, padded with zero rows
-        to one height (None for none), once each has as many columns as
-        every top."""
-        bottoms = [self._as_rows(A) for A in bottoms]
-        if len({U.n for U in tops} | {A.shape[1] for A in bottoms}) > 1:
-            raise DimensionMismatch("stacked matrices need the same number of columns")
-        return self._check(padded_stack(bottoms)) if bottoms else None
+    def _checked_stack(self, stack, columns):
+        """stack as a (T x h x n) int64 array, once it is one, n equals every
+        count of columns, and every entry lies in [0, q)."""
+        S = np.asarray(stack, dtype=np.int64)
+        if S.ndim != 3 or any(c != S.shape[2] for c in columns):
+            raise DimensionMismatch(
+                f"cannot rank a stack of shape {S.shape} against {sorted(set(columns))} columns")
+        return self._check(S)
 
-    def capped_stack_ranks(self, tops, bottoms):
-        """For each matrix B of bottoms, (rank B, rank) where
-        rank(i, cap) = min(rank [tops[i]; B] - dim tops[i], cap), for
+    def capped_stack_ranks(self, tops, stack):
+        """Over F_2, for each matrix B of a stack (T x h x n), (rank B, rank)
+        where rank(i, cap) = min(rank [tops[i]; B] - dim tops[i], cap), for
         Subspace tops.
 
-        Over F_2, at any width, each top's table is the one its Subspace
-        keeps from its first use, and each B is reduced once to an echelon
-        set of its own.  rank(i, cap) reduces B's echelon rows into a copy
-        of top i's table until cap of them add a pivot; a later call with a
-        higher cap goes on from there.  Every other field caps the exact
-        ranks of ``excess_ranks``.
+        Each top's table is the one its Subspace keeps from its first use,
+        and each B is reduced once to an echelon set of its own.
+        rank(i, cap) reduces B's echelon rows into a copy of top i's table
+        until cap of them add a pivot; a later call with a higher cap goes
+        on from there.  Other fields rank exactly, by ``excess_ranks``.
         """
         if self.q != 2:
-            dims, E = self.excess_ranks(tops, bottoms)
-            return [(d, _exact_capped(e)) for d, e in zip(dims.tolist(), E.tolist())]
-        S = self._bottoms(tops, bottoms)
-        if S is None:
-            return []
-        k = len(tops)
+            raise FieldMismatch("capped stack ranks are taken over F_2 only")
+        S = self._checked_stack(stack, [U.n for U in tops])
         tables = [U.echelon() for U in tops]
-        whole = [(0, -1)] * k     # (r >> 0) & -1 is r itself
-        height = S.shape[1]
-        packed = _gf2_pack(S)
-        out = []
-        for t in range(len(S)):
-            rows = list(_gf2_pivots(packed[t * height:(t + 1) * height]).values())
-            out.append((len(rows), _gf2_capped_ranks(tables, rows, whole)))
-        return out
+        whole = [(0, -1)] * len(tops)     # (r >> 0) & -1 is r itself
+        return [(len(rows), _gf2_capped_ranks(tables, rows, whole))
+                for rows in _gf2_echelons(S)]
 
     def capped_pair_ranks(self, spaces, pairs):
         """For each (i, j) of pairs, lazily, a capped rank rank(0, cap) =
@@ -1104,15 +1104,15 @@ def _block_spans(widths, cols):
 class BlockRankFactor:
     """A right factor B, prepared once for the column-block ranks of rows B.
 
-    For consecutive column blocks of B of the given widths,
-    ``factor.block_ranks(row_sets, flags)`` returns the rank of each row
-    set and of each block of its product, as arrays, and
-    ``factor.capped(row_sets, flags)`` returns, for each row set, (rank of
-    rows, rank) with rank(i, cap) = min(rank of block i of rows B, cap); B
-    is checked when the factor is built.  Over F_2 the product runs on
-    Four-Russians tables (see the module docstring) and each block is
-    scanned lazily and resumed on each call, and ``factor.products(M)``
-    returns the rows of M B, each packed into one int.  B itself is kept
+    For consecutive column blocks of B of the given widths and a stack of
+    row sets (T x h x rows of B), ``factor.block_ranks(stack)`` returns the
+    rank of each row set and of each block of its product, as arrays; B is
+    checked when the factor is built.  Over F_2 ``factor.capped(stack)``
+    returns, for each row set, (rank of rows, rank) with rank(i, cap) =
+    min(rank of block i of rows B, cap): the product runs on Four-Russians
+    tables (see the module docstring) and each block is scanned lazily and
+    resumed on each call, and ``factor.products(M)`` returns the rows of
+    M B, each packed into one int.  B itself is kept
     only where ``block_ranks`` reads it, when the field ranks matrices of
     as many columns as B has rows on the stacked core: every field but F_2,
     and F_2 up to 8 rows.
@@ -1144,31 +1144,25 @@ class BlockRankFactor:
                 table += [t ^ row for t in table]
             self._tables.append(table)
 
-    def block_ranks(self, row_sets, independent):
-        """(dim, E) for the row sets and flags of independent, as int64
+    def block_ranks(self, stack):
+        """(dim, E) for a stack of row sets (T x h x rows of B), as int64
         arrays: dim[t] is the rank of row set t and E[t, i] the rank of
         block i of its product with B, exactly.
 
-        A row set flagged independent, as a Subspace basis is, is trusted
-        to be so: its rank is its number of rows.  The span decides every
-        block rank, so any spanning set serves.  The row sets are padded
-        with zero rows to one height and checked at once, multiplied by B
-        in one matmul, and every column block of every product, padded with
-        zero columns to the widest, is ranked in one ``ranks`` stack.  Only
-        a factor that keeps B (see the class docstring) takes it.
+        The span decides every block rank, so any spanning set serves, and
+        zero rows pad the row sets to one height.  The stack is multiplied
+        by B in one matmul, and every column block of every product, padded
+        with zero columns to the widest, is ranked in one ``ranks`` stack.
+        Only a factor that keeps B (see the class docstring) takes it.
         """
         if self._B is None:
             raise DimensionMismatch(
                 f"exact block ranks over F_2 need a factor of at most "
                 f"{_GF2_STACKED_COLUMNS} rows, not {self.inner}")
         f = self.field
-        mats = self._rows(row_sets)
-        S = f._check(padded_stack(mats))
+        S = f._checked_stack(stack, [self.inner])
         T, height, _ = S.shape
-        dims = np.array([len(A) for A in mats], dtype=np.int64)
-        dependent = [t for t, flag in enumerate(independent) if not flag]
-        if dependent:
-            dims[dependent] = f._ranks(S[dependent])
+        dims = f._ranks(S.copy())
         P = f.matmul(S.reshape(T * height, self.inner), self._B)
         P = P.reshape(T, height, self._B.shape[1])
         spans = self._spans
@@ -1179,46 +1173,26 @@ class BlockRankFactor:
         ranks = f._ranks(blocks.reshape(T * len(spans), height, width))
         return dims, ranks.reshape(T, len(spans))
 
-    def capped(self, row_sets, independent):
-        """For each row set and flag of independent, (rank of rows, rank)
-        where rank(i, cap) = min(rank of block i of rows B, cap), with the
-        flags read as ``block_ranks`` reads them.
+    def capped(self, stack):
+        """Over F_2, for each row set of a stack (T x h x rows of B), (rank of
+        rows, rank) where rank(i, cap) = min(rank of block i of rows B, cap).
 
-        Over F_2, at any width, the row sets are padded with zero rows to
-        one height, checked and packed at once, and each taken as it is
-        when independent or else reduced to an echelon set (no
-        back-substitution), whose size is the rank of the rows.  Its
-        product rows come off the Four-Russians tables, and rank(i, cap)
-        reads block i of them lazily, one product row at a time, into an
-        echelon table of its own until cap of them add a pivot: a block
-        stopped after two rows never touches the others, and a later call
-        with a higher cap goes on from there.  Every other field caps the
-        exact ranks of ``block_ranks``.
+        The stack is checked and packed at once, and each row set reduced to
+        an echelon set (no back-substitution), whose size is the rank of the
+        rows.  Its product rows come off the Four-Russians tables, and
+        rank(i, cap) reads block i of them lazily, one product row at a
+        time, into an echelon table of its own until cap of them add a
+        pivot: a block stopped after two rows never touches the others, and
+        a later call with a higher cap goes on from there.  Other fields
+        rank exactly, by ``block_ranks``.
         """
         f = self.field
         if f.q != 2:
-            dims, ranks = self.block_ranks(row_sets, independent)
-            return [(d, _exact_capped(r)) for d, r in zip(dims.tolist(), ranks.tolist())]
-        S = f._check(padded_stack(self._rows(row_sets)))
-        height = S.shape[1]
-        packed = _gf2_pack(S)
-        out = []
-        for t, flag in enumerate(independent):
-            rows = packed[t * height:(t + 1) * height]
-            echelon = [r for r in rows if r] if flag else _gf2_pivots(rows).values()
-            out.append((len(echelon), _gf2_capped_ranks(
-                [{}] * len(self._fields), self._m4rm(echelon), self._fields)))
-        return out
-
-    def _rows(self, row_sets):
-        """The row sets as matrices, each checked to have as many columns as
-        B has rows."""
-        mats = [self.field._as_rows(rows) for rows in row_sets]
-        for A in mats:
-            if A.shape[1] != self.inner:
-                raise DimensionMismatch(
-                    f"cannot multiply {A.shape} by a factor of {self.inner} rows")
-        return mats
+            raise FieldMismatch("capped block ranks are taken over F_2 only")
+        S = f._checked_stack(stack, [self.inner])
+        empty = [{}] * len(self._fields)
+        return [(len(rows), _gf2_capped_ranks(empty, self._m4rm(rows), self._fields))
+                for rows in _gf2_echelons(S)]
 
     def products(self, M):
         """Over F_2, each row of M B as one int, column c of B in bit c."""

@@ -33,9 +33,12 @@ re-draw depend on these streams, so they stay as they are.
 stacked array of a chunk (the naive decoder's stacks [C_i; R]) holds about
 ``gf.STACK_ENTRIES`` entries.  A chunk draws every received word as
 ``corrupt`` draws it (the same streams, the same draw order, the same
-full-rank retries), as arrays over all its trials, then decodes them all
-with ``decode_naive_many`` and with the projection decoder's
-``decode_many``, and compares the two trial by trial.  Both decoders take
+full-rank retries), as one (trials x h x n) stack, the format that
+``codes._received_stack`` gives a batch of received words, in range by
+construction.  So the chunk skips that preparer: it marks the stack
+read-only and hands it, unconverted, to both decisions, those of
+``decode_naive_many`` and of the projection decoder's ``decode_many``, and
+compares the two verdicts trial by trial.  Both decoders take
 one branch per code, by the rule ``GF.stacked(n)`` (see ``codes``): on
 every field but GF(2), and on GF(2) up to n = 8, as for the README's
 n = 4 code, each ranks the whole chunk exactly on the stacked elimination
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import decode_naive_many, is_lcd_subspace_code, projection_decoder
+from .codes import _decide_naive, is_lcd_subspace_code, projection_decoder
 from .errors import InternalInconsistency, InvalidSpec, NotLCDCode
 from .gf import STACK_ENTRIES
 from .subspaces import Subspace
@@ -350,8 +353,9 @@ def _first_words(dim, n, spec):
 
 
 def _received_rows(sent, spec, words, rows):
-    """Generator rows of the received word of each trial, the codeword of
-    trial t being sent[t] and its stream row rows[t] of words.
+    """Generator rows of the received word of each trial, as one stack
+    (trials x h x n), the codeword of trial t being sent[t] and its stream
+    row rows[t] of words.
 
     Trial i draws from its own stream, np.random.default_rng((rng_seed, i))
     bit for bit: coefficient matrices until one has full rank (at most
@@ -391,7 +395,7 @@ def _received_rows(sent, spec, words, rows):
         out[:, :keep] = product.reshape(trials, keep, len(slots), n)[np.arange(trials), :, slot]
     errors, _ = words.take(rows, cursors, spec.error_count * n, f.q)
     out[:, keep:] = errors.reshape(trials, spec.error_count, n)
-    return list(out)
+    return out
 
 
 def run_experiment(code, spec, trials):
@@ -405,11 +409,12 @@ def run_experiment(code, spec, trials):
     at once.  Trial i's codeword index is the first draw of
     Generator.integers(0, len(code)) on its index stream, made for all
     trials by one bounded map; every received word is drawn as corrupt()
-    draws it, then decoded by decode_naive_many and by the projection
-    decoder's decode_many.  The two verdicts must match exactly (same
-    status, index, and distance) on every trial.  Timings are medians over
-    chunks of the per-trial mean wall time, excluding the one-off decoder
-    precomputation, which is cached on the code.
+    draws it, into one read-only stack, which both decisions take as it
+    is: decode_naive_many's and the projection decoder's decode_many's.
+    The two verdicts must match exactly (same status, index, and distance)
+    on every trial.  Timings are medians over chunks of the per-trial mean
+    wall time, excluding the one-off decoder precomputation, which is
+    cached on the code.
     """
     if trials < 1:
         raise InvalidSpec("trials must be >= 1")
@@ -442,11 +447,13 @@ def run_experiment(code, spec, trials):
         sent, _ = words.take(words.row[:m], np.zeros(m, dtype=np.int64), 1, len(code))
         sent = sent[:, 0].tolist()
         received = _received_rows([code[s] for s in sent], spec, words, words.row[m:])
+        # both decisions read this one stack; neither may change it
+        received.flags.writeable = False
 
         t0 = time.perf_counter()
-        naive = decode_naive_many(code, received)
+        naive = _decide_naive(code, received)
         t1 = time.perf_counter()
-        proj = decoder.decode_many(received)
+        proj = decoder._decide(received)
         t2 = time.perf_counter()
         naive_times.append((t1 - t0) / len(indices))
         proj_times.append((t2 - t1) / len(indices))

@@ -8,10 +8,6 @@ axiom tests pin down before anything else relies on it.  Prime-field
 scalars are additionally cross-checked against plain integers mod p, and
 extension-field scalars against from-scratch polynomial arithmetic, so the
 shared layer is itself double-checked.
-
-``syndrome_decode`` is the one exception: it is a control for the paper's
-decoding claim, not an independent reference, so it is built on the
-package's ``Subspace.dual`` and ``BlockRankFactor``.
 """
 
 from collections import deque
@@ -234,22 +230,31 @@ def syndrome_decode(code, rows):
     """(status, index, distance) of the received rows by syndromes, with the
     unbounded minimum-distance rule of decode_naive.
 
-    W_i^T, W_i the basis of C_i^perp, has left kernel C_i for any subspace
-    code, LCD or not, so e_i = rank(R W_i^T) and d(C_i, R) =
-    dim C_i + 2 e_i - dim R, with no LCD check and no inverse: the
-    projection decoder's Q_i span the same columns (Q_i = W_i^T G_i^-1).
+    W_i, a basis of C_i^perp (the right kernel of C_i's basis), has left
+    kernel C_i for any subspace code, LCD or not, so e_i = rank(R W_i^T)
+    and d(C_i, R) = dim C_i + 2 e_i - dim R, with no LCD check and no
+    inverse: the projection decoder's Q_i span the same columns
+    (Q_i = W_i^T G_i^-1).  Every rank and product is a textbook one.
     """
-    from lcdsubspace.gf import BlockRankFactor
-
-    duals = [w.dual().basis for w in code]
-    factor = BlockRankFactor(code.field, [[v for W in duals for v in W[:, x].tolist()]
-                                          for x in range(code.n)], [len(W) for W in duals])
-    (dim, rank), = factor.capped([rows], [False])
-    dists = [w.dim + 2 * rank(i, code.n + 1) - dim for i, w in enumerate(code)]
+    f = code.field
+    rows = [[int(x) for x in r] for r in rows]
+    dim = rank(f, rows)
+    dists = []
+    for w in code:
+        W = kernel_basis(f, w.basis.tolist(), code.n)
+        e = rank(f, [[_dot(f, r, v) for v in W] for r in rows])
+        dists.append(w.dim + 2 * e - dim)
     best = min(dists)
     if dists.count(best) > 1:
         return "failure", None, best
     return "decoded", dists.index(best), best
+
+
+def _dot(field, x, y):
+    s = 0
+    for a, b in zip(x, y):
+        s = field.add(s, field.mul(a, b))
+    return int(s)
 
 
 # ---------------------------------------------------------------------------

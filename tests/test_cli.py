@@ -279,6 +279,170 @@ def test_fuzzed_code_documents_never_end_in_a_traceback(tmp_path, capsys):
     assert rc == 1 and json.loads(err)["error"] == "FileFormatError"
 
 
+def test_code_documents_are_capped_in_ambient(tmp_path, capsys):
+    # a document of empty codewords names its ambient alone; past the cap
+    # the LCD check would allocate an n x n dual basis
+    doc = {"field": {"p": 2, "r": 1}, "ambient": fileio.MAX_AMBIENT, "codewords": [[]]}
+    assert fileio.code_from_doc(doc).n == fileio.MAX_AMBIENT
+    for n in (fileio.MAX_AMBIENT + 1, 1099511627776):
+        f = tmp_path / f"wide{n}.json"
+        f.write_text(json.dumps({**doc, "ambient": n}))
+        with pytest.raises(LcdError):
+            fileio.read_code_json(f)
+        rc, out, err = run(capsys, "simulate", "--code", str(f), "--trials", "5")
+        assert rc == 1 and out == ""
+        err = json.loads(err)
+        assert set(err) == {"error", "message", "witness"}
+        assert (err["error"], err["witness"]) == ("FileFormatError", n)
+
+
+def test_construct_partition_index_past_the_size_is_exit_1(tmp_path, capsys, monkeypatch):
+    # the size is known before the file is read: an index past it must not
+    # size an allocation (10**15 indices would take 7 PiB)
+    full = np.full
+
+    def small_full(shape, *args, **kwargs):
+        assert np.prod(shape, dtype=object) <= 10 ** 6, f"asked to allocate {shape}"
+        return full(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "full", small_full)
+    part = tmp_path / "part.txt"
+    part.write_text("1\n1000000000000000\n")
+    rc, out, err = run(capsys, "construct", "thm43", *k44_files(tmp_path), "--p", "2",
+                       "--indices", "1", "--partition", str(part))
+    assert rc == 1 and out == ""
+    err = json.loads(err)
+    assert set(err) == {"error", "message", "witness"} and err["error"] == "IndexOutOfRange"
+    with pytest.raises(LcdError):
+        fileio.parse_partition_text(part.read_text())
+
+
+def _exit_0_or_1_with_json(capsys, argv):
+    """Run argv: it must exit 0 with its report, or 1 with an {error,
+    message, witness} document on stderr or a failed check's report (ok
+    false) on stdout.  Returns the exit status."""
+    rc, out, err = run(capsys, *argv)
+    assert rc in (0, 1), (argv, rc, err)
+    if rc == 1 and err:
+        assert out == "" and set(json.loads(err)) == {"error", "message", "witness"}, argv
+    else:
+        assert err == "" and (rc == 0 or json.loads(out)["ok"] is False), argv
+    return rc
+
+
+def _fuzzed_text(rng, lines, top):
+    """Lines of integer tokens with up to two seeded faults each: a token
+    replaced (by 0, -1, top + 1, a huge number or a non-integer), dropped or
+    added, a line dropped, doubled or turned into a comment."""
+    lines = [ln.split() for ln in lines]
+    for _ in range(rng.randint(0, 2)):
+        if not lines:
+            break
+        ln = rng.choice(lines)
+        fault = rng.randrange(6)
+        if fault == 0 and ln:
+            ln[rng.randrange(len(ln))] = rng.choice(
+                ["0", "-1", str(top + 1), str(10 ** 15), "9" * 30, "1.5", "x"])
+        elif fault == 1 and ln:
+            del ln[rng.randrange(len(ln))]
+        elif fault == 2:
+            ln.insert(rng.randrange(len(ln) + 1), str(rng.randint(1, top)))
+        elif fault == 3:
+            lines.remove(ln)
+        elif fault == 4:
+            lines.append(list(ln))
+        else:
+            ln.insert(0, "#")
+    return "\n".join(" ".join(ln) for ln in lines) + "\n"
+
+
+def _seeded_graph(rng):
+    """A small graph (at most 12 vertices): a cycle, path, star, complete or
+    complete bipartite graph, the Petersen graph or the cube, as an edge
+    list or, now and then, a dense int matrix."""
+    shape = rng.randrange(7)
+    v = rng.randint(2, 12)
+    if shape == 0:
+        # on C_4, cor45 builds a code: p = 2 divides its intersection numbers
+        adj = oracles.cycle_adjacency(rng.choice([4, max(v, 3)]))
+    elif shape in (1, 2):
+        adj = [[int(abs(i - j) == 1 if shape == 1 else (i == 0) != (j == 0))
+                for j in range(v)] for i in range(v)]
+    elif shape == 3:
+        adj = [[int(i != j) for j in range(v)] for i in range(v)]
+    elif shape == 4:
+        adj = oracles.complete_bipartite_adjacency(v // 2 + 1, (v + 1) // 2)
+    else:
+        adj = oracles.petersen_adjacency() if shape == 5 else oracles.cube_adjacency()
+    if rng.random() < 0.2:
+        return fileio.format_matrix_text(np.array(adj), "int").splitlines(), len(adj)
+    edges = [f"{i + 1} {j + 1}" for i in range(len(adj)) for j in range(i) if adj[i][j]]
+    return rng.sample(edges, len(edges)), len(adj)
+
+
+def test_fuzzed_graph_and_group_files_never_end_in_a_traceback(tmp_path, capsys):
+    # seeded small graphs and groups, most of them broken: the parsers
+    # return or raise an LcdError, and every command that reads them exits 0
+    # or 1 with a JSON document
+    rng = random.Random(29)
+    seen = set()
+    for trial in range(60):
+        lines, v = _seeded_graph(rng)
+        text = _fuzzed_text(rng, lines, v)
+        perm = list(range(1, v + 1))
+        gens = [" ".join(map(str, perm))]
+        if rng.random() < 0.5:
+            gens.append(" ".join(map(str, perm[1:] + perm[:1])))   # a rotation
+        if rng.random() < 0.3:
+            rng.shuffle(perm)
+            gens.append(" ".join(map(str, perm)))
+        group = _fuzzed_text(rng, gens, v)
+        for parse, txt in ((fileio.parse_graph_text, text), (fileio.parse_group_text, group)):
+            try:
+                parse(txt)
+            except LcdError:
+                pass
+        g, grp = tmp_path / f"g{trial}.txt", tmp_path / f"grp{trial}.txt"
+        g.write_text(text)
+        grp.write_text(group)
+        for argv in (("verify", "drg", str(g)), ("screen", "--from-graph", str(g), "--p", "2"),
+                     ("construct", "cor45", str(g), "--group", str(grp), "--p", "2",
+                      "--indices", "1")):
+            seen.add((argv[0], _exit_0_or_1_with_json(capsys, argv)))
+    # the seeds reach both outcomes of every command
+    assert seen == {(cmd, rc) for cmd in ("verify", "screen", "construct") for rc in (0, 1)}
+
+
+def test_fuzzed_partition_files_never_end_in_a_traceback(tmp_path, capsys):
+    # seeded partitions of the 8 vertices of K_{4,4}, most of them broken,
+    # through the parser (with and without the size) and the two commands
+    # that read a partition file
+    rng = random.Random(31)
+    files = k44_files(tmp_path)
+    cells = [[[i] for i in range(1, 9)], [[1, 2, 3, 4], [5, 6, 7, 8]],
+             [[1, 5], [2, 6], [3, 7], [4, 8]], [list(range(1, 9))]]
+    seen = set()
+    for trial in range(40):
+        points = list(range(1, 9))
+        rng.shuffle(points)
+        cut = sorted(rng.sample(range(1, 8), rng.randint(0, 3)))
+        shuffled = [points[a:b] for a, b in zip([0] + cut, cut + [8])]
+        lines = [" ".join(map(str, c)) for c in rng.choice(cells + [shuffled])]
+        text = _fuzzed_text(rng, lines, 8)
+        for size in (None, 8):
+            try:
+                fileio.parse_partition_text(text, size)
+            except LcdError:
+                pass
+        part = tmp_path / f"p{trial}.txt"
+        part.write_text(text)
+        for argv in (("verify", "partition", str(part), *files),
+                     ("construct", "thm43", *files, "--partition", str(part), "--p", "2",
+                      "--indices", "1")):
+            seen.add((argv[0], _exit_0_or_1_with_json(capsys, argv)))
+    assert seen == {(cmd, rc) for cmd in ("verify", "construct") for rc in (0, 1)}
+
+
 def test_construct_thm51(tmp_path, capsys):
     prefix = str(tmp_path / "mub")
     run(capsys, "search", "mub", "--order", "4", "--target", "2",

@@ -32,7 +32,7 @@ from lcdsubspace.errors import (
     PairBudgetExceeded,
     RankDeficient,
 )
-from lcdsubspace.gf import _exact_capped
+from lcdsubspace.gf import _exact_capped, padded_stack
 from lcdsubspace.simulator import ChannelSpec, corrupt
 from lcdsubspace.subspaces import Subspace, complement_coordinates, distance, dual, intersect, span
 
@@ -384,8 +384,8 @@ def test_decoders_reject_received_words_that_do_not_fit(f2, f3):
 
 
 def test_subspace_and_its_raw_rows_decode_alike(f3, f9):
-    # a Subspace's basis reaches the block ranks unreduced, raw rows through
-    # an echelon reduction; both must give the same verdict
+    # a Subspace's basis is independent, the raw rows here are not: both
+    # reach the block ranks as rows of one stack and must give one verdict
     rng = np.random.default_rng(39)
     for f in (f3, f9):
         n = 6
@@ -717,8 +717,8 @@ def test_gf2_lazy_and_exact_ranks_agree_on_one_code(f2, n):
     rng = np.random.default_rng(89 + n)
     code = _isotropic_lcd_code(f2, n, n // 2 - 1, 4, rng)
     rows = [rng.integers(0, 2, (k, n)) for k in (0, 1, 3, n, n + 2)]
-    flags = [False] * len(rows)
-    dims, E = f2.excess_ranks(code.codewords, rows)
+    stack = padded_stack(rows)
+    dims, E = f2.excess_ranks(code.codewords, stack)
     want_dims = [oracles.rank(f2, A.tolist()) for A in rows]
     want = [[oracles.rank(f2, np.vstack([w.basis, A]).tolist()) - w.dim for w in code]
             for A in rows]
@@ -733,7 +733,7 @@ def test_gf2_lazy_and_exact_ranks_agree_on_one_code(f2, n):
         spans = np.cumsum([0] + widths)
         blocks.append([oracles.rank(f2, P[:, s:e].tolist()) for s, e in zip(spans, spans[1:])])
     for (dim, rank), (dim2, rank2), e, b in zip(
-            f2.capped_stack_ranks(code.codewords, rows), factor.capped(rows, flags), want, blocks):
+            f2.capped_stack_ranks(code.codewords, stack), factor.capped(stack), want, blocks):
         assert dim == dim2
         for cap in (1, 2, 1, 4, n + 1, 0):
             assert [rank(i, cap) for i in range(len(code))] == [min(x, cap) for x in e]
@@ -741,11 +741,11 @@ def test_gf2_lazy_and_exact_ranks_agree_on_one_code(f2, n):
     assert [[(r >> c) & 1 for c in range(sum(widths))] for r in factor.products(rows[3])] == \
         f2.matmul(rows[3], dec.coordinates).tolist()
     if f2.stacked(n):
-        dims, R = factor.block_ranks(rows, flags)
+        dims, R = factor.block_ranks(stack)
         assert (dims.tolist(), R.tolist()) == (want_dims, blocks)
     else:
         with pytest.raises(DimensionMismatch):
-            factor.block_ranks(rows, flags)
+            factor.block_ranks(stack)
 
 
 def test_syndrome_control_matches_naive_decoding_on_codes_not_lcd(f2, f3, f4, f9):

@@ -295,14 +295,18 @@ def test_elimination_rejects_encodings_outside_the_field(f2, f3, f4, f9):
         whole = Subspace.full(f, 2)
         for bad in sorted({-1, f.q, f.q + 1}):
             M = [[1, 0], [0, bad]]
-            # a Subspace operand is checked when it is made; the raw received
-            # rows of capped_stack_ranks are checked there
-            for op in (f.rref, f.rank, f.det, f.kernel, lambda M: f.ranks([M]),
-                       lambda M: BlockRankFactor(f, ok, [1, 1]).capped([M], [False]),
-                       lambda M: next(f.stack_ranks([whole], [Subspace(f, 2, M)], [(0, 0)])),
-                       lambda M: next(f.stack_ranks([Subspace(f, 2, M)], [whole], [(0, 0)])),
-                       lambda M: f.capped_stack_ranks([whole], [M]),
-                       lambda M: f.capped_stack_ranks([Subspace(f, 2, M)], [ok])):
+            # a Subspace operand is checked when it is made; a stack of
+            # received words by each batched rank form that takes it
+            ops = [f.rref, f.rank, f.det, f.kernel, lambda M: f.ranks([M]),
+                   lambda M: BlockRankFactor(f, ok, [1, 1]).block_ranks([ok, M]),
+                   lambda M: next(f.stack_ranks([whole], [Subspace(f, 2, M)], [(0, 0)])),
+                   lambda M: next(f.stack_ranks([Subspace(f, 2, M)], [whole], [(0, 0)])),
+                   lambda M: f.excess_ranks([whole], [ok, M]),
+                   lambda M: f.excess_ranks([Subspace(f, 2, M)], [ok])]
+            if f.q == 2:
+                ops += [lambda M: BlockRankFactor(f, ok, [1, 1]).capped([ok, M]),
+                        lambda M: f.capped_stack_ranks([whole], [ok, M])]
+            for op in ops:
                 with pytest.raises(EncodingOutOfRange):
                     op(M)
 
@@ -531,11 +535,19 @@ def test_matmul_matches_exact_dot_products(f2, f9):
     assert f2.matmul(A, B).tolist() == want
 
 
-def _factor_ranks(factor, rows, widths, independent=False):
-    """(rank of rows, [rank of block i of rows B]) from factor.capped, each
-    block asked at a cap above its width, so exactly."""
-    [(dim, rank)] = factor.capped([rows], [independent])
-    return dim, [rank(i, w + 1) for i, w in enumerate(widths)]
+def _factor_ranks(factor, rows, widths):
+    """(rank of rows, [rank of block i of rows B]) from factor.block_ranks
+    where the factor keeps B, and over F_2 from factor.capped, each block
+    asked at a cap above its width, so exactly; where both run they agree."""
+    got = []
+    if factor.field.stacked(factor.inner):
+        dims, E = factor.block_ranks([rows])
+        got.append((int(dims[0]), E[0].tolist()))
+    if factor.field.q == 2:
+        [(dim, rank)] = factor.capped([rows])
+        got.append((dim, [rank(i, w + 1) for i, w in enumerate(widths)]))
+    assert all(g == got[0] for g in got)
+    return got[0]
 
 
 def test_block_ranks_match_oracle(all_fields):
@@ -672,14 +684,14 @@ def test_block_rank_factor_matches_dot_products(f2, inner):
 
 
 def test_capped_ranks_are_min_of_exact_rank_and_cap(f2, f3, f4, f9):
-    # over GF(2) each block's scan is resumed, never restarted, and every
-    # other field caps exact ranks, so any sequence of caps, rising or
-    # falling, must give min(exact rank, cap) every time
+    # over GF(2) each block's scan is resumed, never restarted, so any
+    # sequence of caps, rising or falling, must give min(exact rank, cap)
+    # every time; the exact forms, on every field, give the exact ranks
     for f in (f2, f3, f4, f9):
-        _check_capped_ranks(f)
+        _check_stacked_ranks(f)
 
 
-def _check_capped_ranks(f):
+def _check_stacked_ranks(f):
     q = f.q
     n = 70 if q == 2 else 12    # elimination off GF(2) is slower
     rank_of = oracles.gf2_rank if q == 2 else lambda M: oracles.rank(f, M)
@@ -693,21 +705,65 @@ def _check_capped_ranks(f):
     rows = [np.zeros((0, n), dtype=np.int64), rng.integers(0, q, (5, n)),
             rng.integers(0, q, (n // 2, n)), np.eye(n, dtype=np.int64)]
     rows.append(np.vstack([rows[2], rows[2][:4]]))
-    capped = factor.capped(rows, [False] * len(rows))
-    stacked = f.capped_stack_ranks(spaces, rows)
-    for A, (dim, rank), (dim2, rank2) in zip(rows, capped, stacked):
-        assert dim == dim2 == rank_of(A.tolist())
-        block = _block_ranks_of_product(f, A, B, widths, rank_of)
-        joint = [rank_of(np.vstack([T, A]).tolist()) - rank_of(T.tolist()) for T in tops]
-        for cap in [1, 2, 1, 4, 3, 8, 16, 0, 32, 64, 70, 5]:
-            assert [rank(i, cap) for i in range(len(widths))] == [min(e, cap) for e in block]
-            assert [rank2(i, cap) for i in range(len(tops))] == [min(e, cap) for e in joint]
+    stack = padded_stack(rows)
+    dims = [rank_of(A.tolist()) for A in rows]
+    blocks = [_block_ranks_of_product(f, A, B, widths, rank_of) for A in rows]
+    joints = [[rank_of(np.vstack([T, A]).tolist()) - rank_of(T.tolist()) for T in tops]
+              for A in rows]
+    got, E = f.excess_ranks(spaces, stack)
+    assert (got.tolist(), E.tolist()) == (dims, joints)
     # no tops: only rank B
-    assert [dim for dim, _ in f.capped_stack_ranks([], rows)] == \
-        [rank_of(A.tolist()) for A in rows]
-    assert f.capped_stack_ranks(spaces, []) == []
-    with pytest.raises(DimensionMismatch):
-        f.capped_stack_ranks(spaces, [np.zeros((1, n - 1), dtype=np.int64)])
+    got, E = f.excess_ranks([], stack)
+    assert (got.tolist(), E.shape) == (dims, (len(rows), 0))
+    if q != 2:
+        got, E = factor.block_ranks(stack)
+        assert (got.tolist(), E.tolist()) == (dims, blocks)
+    else:
+        capped = factor.capped(stack)
+        stacked = f.capped_stack_ranks(spaces, stack)
+        for want, block, joint, (dim, rank), (dim2, rank2) in zip(
+                dims, blocks, joints, capped, stacked):
+            assert dim == dim2 == want
+            for cap in [1, 2, 1, 4, 3, 8, 16, 0, 32, 64, 70, 5]:
+                assert [rank(i, cap) for i in range(len(widths))] == [min(e, cap) for e in block]
+                assert [rank2(i, cap) for i in range(len(tops))] == [min(e, cap) for e in joint]
+        assert [dim for dim, _ in f.capped_stack_ranks([], stack)] == dims
+        assert f.capped_stack_ranks(spaces, np.zeros((0, 0, n), dtype=np.int64)) == []
+    # a stack of no words, of words of the wrong width, and not a stack
+    assert [a.shape for a in f.excess_ranks(spaces, np.zeros((0, 3, n), dtype=np.int64))] == \
+        [(0,), (0, len(spaces))]
+    forms = [lambda S: f.excess_ranks(spaces, S)]
+    forms += [factor.capped, lambda S: f.capped_stack_ranks(spaces, S)] if q == 2 else \
+        [factor.block_ranks]
+    for form in forms:
+        for bad in (np.zeros((1, 2, n - 1), dtype=np.int64), np.zeros((2, n), dtype=np.int64)):
+            with pytest.raises(DimensionMismatch):
+                form(bad)
+
+
+def test_capped_forms_are_taken_over_gf2_only(f2, f3, f4, f9):
+    # the decoders rank every block off GF(2) exactly, so there is no capped
+    # form there; GF(2) takes it at any width, the stacked one included
+    for f in (f2, f3, f4, f9):
+        n = 4
+        spaces = [Subspace(f, n, [[1, 0, 0, 0]]), Subspace(f, n, [[1, 1, 1, 1]])]
+        factor = BlockRankFactor(f, np.eye(n, dtype=np.int64), [2, 2])
+        stack = np.array([[[1, 1, 0, 0], [0, 0, 1, 1]]])
+        forms = (factor.capped, lambda S: f.capped_stack_ranks(spaces, S))
+        if f.q == 2:
+            (dim, rank), = factor.capped(stack)
+            assert (dim, rank(0, 3), rank(1, 3)) == (2, 1, 1)
+            (dim, rank), = f.capped_stack_ranks(spaces, stack)
+            assert (dim, rank(0, 3), rank(1, 3)) == (2, 2, 1)
+            continue
+        for form in forms:
+            with pytest.raises(FieldMismatch):
+                form(stack)
+        # the exact forms give the ranks the capped ones would have capped
+        dims, E = factor.block_ranks(stack)
+        assert (dims.tolist(), E.tolist()) == ([2], [[1, 1]])
+        dims, E = f.excess_ranks(spaces, stack)
+        assert (dims.tolist(), E.tolist()) == ([2], [[2, 1]])
 
 
 def test_block_rank_factor_on_other_fields(f3, f4, f9):
@@ -731,9 +787,12 @@ def test_block_rank_factor_validation(all_fields):
             BlockRankFactor(f, B, [1, 2])
         with pytest.raises(EncodingOutOfRange):
             BlockRankFactor(f, B - 1, [4])
+        # a stack of row sets of 4 columns, against a factor of 3 rows
         with pytest.raises(DimensionMismatch):
-            BlockRankFactor(f, B, [4]).capped([np.zeros((2, 4), dtype=np.int64)], [False])
+            BlockRankFactor(f, B, [4]).block_ranks(np.zeros((1, 2, 4), dtype=np.int64))
         if f.q == 2:
+            with pytest.raises(DimensionMismatch):
+                BlockRankFactor(f, B, [4]).capped(np.zeros((1, 2, 4), dtype=np.int64))
             with pytest.raises(DimensionMismatch):
                 BlockRankFactor(f, B, [4]).products(np.zeros((2, 4), dtype=np.int64))
             with pytest.raises(EncodingOutOfRange):

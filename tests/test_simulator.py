@@ -341,19 +341,19 @@ def test_chunked_experiment_matches_per_trial_replay(f2, f4, f5, f9, monkeypatch
 def test_disagreement_names_the_trial(f5, monkeypatch):
     code = SubspaceCode([span(f5, 2, [[1, 1]]), span(f5, 2, [[1, 0]])])
     decoder = projection_decoder(code)
-    honest = decoder.decode_many
+    honest = decoder._decide
     calls = []
 
-    def skewed(words):
+    def skewed(stack):
         # the third chunk's second word (trial 2 k + 1 in chunks of k) is off by one
-        out = honest(words)
-        calls.append(len(words))
+        out = honest(stack)
+        calls.append(len(stack))
         if len(calls) == 3:
             o = out[1]
             out[1] = DecodeOutcome(o.status, o.index, o.distance + 1)
         return out
 
-    monkeypatch.setattr(decoder, "decode_many", skewed)
+    monkeypatch.setattr(decoder, "_decide", skewed)
     monkeypatch.setattr(simulator, "STACK_ENTRIES", 40)
     with pytest.raises(InternalInconsistency, match=r"trial (\d+):") as info:
         run_experiment(code, ChannelSpec(0, 1, 7), 50)
