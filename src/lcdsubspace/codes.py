@@ -15,22 +15,25 @@ d(C_i, R) = dim C_i + 2 e_i - dim R, with e_i the rank of block i of R Q
 Silva, Kschischang and Koetter (IEEE T-IT 2008).
 
 A decode returns only the minimum distance and whether one codeword alone
-attains it, and both batched decoders take one branch, by one rule,
-GF.stacked(n): where the field ranks matrices of n columns on its stacked
-elimination core (every field but F_2, and F_2 up to n = 8, where a packed
-row is one byte), each decoder computes every e_i of every word of the
-batch exactly, in one stack, and _verdicts reads the distances of all
-words in one numpy pass.  On F_2 past n = 8 they take their verdicts from
-one driver, _bounded_verdict, which asks each e_i only as far as the
-verdict needs, through a capped rank min(e_i, cap) that runs a lazy scan of
-packed rows: a codeword's elimination so stops once its distance is known
-to exceed the best found so far.  The rule is on n because the stacked core
-costs a few numpy calls per column, for the whole batch, while each scan is
-Python per row and per word, and a bounded scan only saves rows on wide
-codes: on a 4-column code every scan reads every row anyway.  Measured on
-random GF(2) LCD codes (see gf), naive decoding crosses over between
-n = 8, where the stacked branch is faster, and n = 10, where the lazy one
-is.  decode_naive stays the unbounded reference.
+attains it.  Inside the module a verdict is the pair (index, distance),
+index -1 for a tie, and a batch's verdicts are two int64 arrays: both
+decisions return them, and only the public decode, decode_many,
+decode_naive and decode_naive_many build DecodeOutcome objects from them.
+Both batched decoders take one branch, by one rule, GF.stacked(n): where
+the field ranks a whole stack of matrices of n columns at once (every
+field but F_2, and F_2 up to n = 8, on one word per row), each decoder
+computes every e_i of every word of the batch exactly, in one stack, and
+_verdicts reads the verdicts of all words in one numpy pass.  On F_2 past
+n = 8 they take their verdicts from one routine, _bounded_verdict, which
+asks each e_i only as far as the verdict needs, through a capped rank
+min(e_i, cap) that runs a lazy scan of packed rows: a codeword's
+elimination so stops once its distance is known to exceed the best found
+so far.  The rule is on n because a whole stack costs a few numpy calls
+per column, for the whole batch, while each scan is Python per row and per
+word, and a bounded scan only saves rows on wide codes: on a 4-column code
+every scan reads every row anyway.  Measured on random GF(2) LCD codes
+(see gf), both decoders run about ten times faster on words than by lazy
+scans at n = 4 and at n = 8.  decode_naive stays the unbounded reference.
 
 A batch of received words reaches both batched decoders in one format, a
 stack of their generator rows (T x h x n), zero-padded to one height, and
@@ -273,20 +276,32 @@ def _received_stack(code, words):
 
 
 def _verdict(dists):
+    """(index, distance) of the one codeword at the least of the distances,
+    index -1 on a tie."""
     dmin = min(dists)
-    if dists.count(dmin) == 1:
-        return DecodeOutcome("decoded", dists.index(dmin), dmin)
-    return DecodeOutcome("failure", None, dmin)
+    return (dists.index(dmin) if dists.count(dmin) == 1 else -1), dmin
 
 
 def _verdicts(dims, dim, E):
-    """_verdict of every word t at once, from exact ranks: the distances
-    D[t, i] = dims[i] + 2 E[t, i] - dim[t] of arrays dim (T) and E (T x N)."""
+    """_verdict of every word t at once, from exact ranks, as two int64
+    arrays (index, distance): the distances D[t, i] = dims[i] + 2 E[t, i] -
+    dim[t] of arrays dim (T) and E (T x N)."""
     D = np.asarray(dims, dtype=np.int64) + 2 * E - dim[:, None]
     best = D.min(1)
     alone = np.count_nonzero(D == best[:, None], axis=1) == 1
-    return [DecodeOutcome("decoded", i, d) if one else DecodeOutcome("failure", None, d)
-            for one, i, d in zip(alone.tolist(), D.argmin(1).tolist(), best.tolist())]
+    return np.where(alone, D.argmin(1), -1), best
+
+
+def _outcome(index, distance):
+    """The DecodeOutcome of one verdict (index, distance)."""
+    if index < 0:
+        return DecodeOutcome("failure", None, distance)
+    return DecodeOutcome("decoded", index, distance)
+
+
+def _outcomes(index, distance):
+    """The DecodeOutcome of every verdict of the arrays (index, distance)."""
+    return list(map(_outcome, index.tolist(), distance.tolist()))
 
 
 def _bounded_verdict(dim, dims, rank):
@@ -329,6 +344,13 @@ def _bounded_verdict(dim, dims, rank):
     return _verdict(dists)
 
 
+def _bounded_verdicts(dims, capped):
+    """_bounded_verdict of every (dim, rank) of capped, as _verdicts' arrays
+    (index, distance)."""
+    V = np.array([_bounded_verdict(dim, dims, rank) for dim, rank in capped], dtype=np.int64)
+    return tuple(V.reshape(-1, 2).T)
+
+
 def decode_naive(code, received):
     """Minimum-distance decoding by direct subspace distances.
 
@@ -341,7 +363,7 @@ def decode_naive(code, received):
     """
     rows = _received_rows(code, received)
     R = received if isinstance(received, Subspace) else Subspace(code.field, code.n, rows)
-    return _verdict([distance(w, R) for w in code])
+    return _outcome(*_verdict([distance(w, R) for w in code]))
 
 
 def decode_naive_many(code, words):
@@ -350,8 +372,8 @@ def decode_naive_many(code, words):
 
     d(C_i, R) = 2 rank [C_i; R] - dim C_i - dim R, which depends on the span
     of R alone, so raw rows need no canonical form first.  Where the field
-    ranks n columns on its stacked core (GF.stacked: every field but F_2,
-    and F_2 up to n = 8), GF.excess_ranks ranks every stack [C_i; R] of
+    ranks a whole stack of n columns at once (GF.stacked: every field but
+    F_2, and F_2 up to n = 8), GF.excess_ranks ranks every stack [C_i; R] of
     the batch at once and _verdicts reads the exact e_i = rank [C_i; R] -
     dim C_i of all words in one pass.  On wider F_2 codes the capped ranks
     min(e_i, cap) of GF.capped_stack_ranks feed _bounded_verdict: each
@@ -360,18 +382,18 @@ def decode_naive_many(code, words):
     reduced once to an echelon set of its own, and e_i counted, row by row
     of that set into a copy of C_i's table, only as far as the verdict asks.
     """
-    return _decide_naive(code, _received_stack(code, words))
+    return _outcomes(*_decide_naive(code, _received_stack(code, words)))
 
 
 def _decide_naive(code, stack):
     """decode_naive_many's verdicts on a stack of received words, as
-    _received_stack builds it (or the simulator draws it)."""
+    _received_stack builds it (or the simulator draws it), as the arrays
+    (index, distance) of _verdicts."""
     dims = [w.dim for w in code]
     f = code.field
     if f.stacked(code.n):
         return _verdicts(dims, *f.excess_ranks(code.codewords, stack))
-    return [_bounded_verdict(dim, dims, rank)
-            for dim, rank in f.capped_stack_ranks(code.codewords, stack)]
+    return _bounded_verdicts(dims, f.capped_stack_ranks(code.codewords, stack))
 
 
 class ProjectionDecoder:
@@ -384,8 +406,8 @@ class ProjectionDecoder:
     Q = [Q_1 | ... | Q_N] (n x sum(n - dim C_i)) and prepared as a
     gf.BlockRankFactor (over F_2, its Four-Russians tables), and each
     received word costs one product R Q and the ranks of its column blocks.
-    Where the field ranks n columns on its stacked core (GF.stacked: every
-    field but F_2, and F_2 up to n = 8), decode_many takes one product
+    Where the field ranks a whole stack of n columns at once (GF.stacked:
+    every field but F_2, and F_2 up to n = 8), decode_many takes one product
     (R_1; ...; R_T) Q for all its words, ranks every block of every word
     exactly, in one stack (BlockRankFactor.block_ranks), and reads the
     verdicts in one pass (_verdicts).  On wider F_2 codes the blocks' ranks
@@ -419,16 +441,17 @@ class ProjectionDecoder:
         """decode() of each received word (a Subspace or generator rows), with
         one factor call for all and one verdict pass for all (a bounded
         verdict per word on F_2 past n = 8)."""
-        return self._decide(_received_stack(self.code, words))
+        return _outcomes(*self._decide(_received_stack(self.code, words)))
 
     def _decide(self, stack):
         """decode_many's verdicts on a stack of received words, as
-        _received_stack builds it (or the simulator draws it)."""
+        _received_stack builds it (or the simulator draws it), as the arrays
+        (index, distance) of _verdicts."""
         code = self.code
         dims = [w.dim for w in code]
         if code.field.stacked(code.n):
             return _verdicts(dims, *self._factor.block_ranks(stack))
-        return [_bounded_verdict(dim, dims, rank) for dim, rank in self._factor.capped(stack)]
+        return _bounded_verdicts(dims, self._factor.capped(stack))
 
 
 def projection_decoder(code):

@@ -75,18 +75,19 @@ factor of the (192, 31, 4; 96) code, 4.6 MB of int64, it keeps the tables
 alone.
 
 Which elimination ranks a matrix of n columns is one rule, ``stacked(n)``:
-the stacked core below on every field but F_2, and on F_2 up to n = 8,
-where a packed row is one byte; packed rows on F_2 past that.  The core
-costs a few numpy calls per column for a whole stack, while a packed
-reduction is Python per row and per matrix, and a capped scan saves rows
-only on wide matrices.  On random GF(2) LCD codes of 3 codewords of
-dimension n / 2, decoding 200 words of one erasure and one error (2
-cores, CPython 3.11, NumPy 2.4), naive decoding took per word 4.7 us
-stacked against 9.8 us lazy at n = 4, 11-13 against 12-13 us at n = 8 and
-17 against 13 us at n = 10; projection decoding stayed faster stacked up
-to n = 16 (11 against 17 us), so n = 8 is the naive decoder's crossover.  ``ranks`` and the
-decoders (``codes``) follow the rule; ``rank``, ``rref``, ``det`` and the
-kept echelon tables of Subspaces stay packed over F_2 at any width.
+a whole stack at once on every field but F_2, by the stacked core below,
+and on F_2 up to n = 8, on one uint64 word per row; rows packed into
+Python ints, one matrix at a time, on F_2 past that.  A whole stack costs
+a few numpy calls per column, while a packed reduction is Python per row
+and per matrix, and a capped scan saves rows only on wide matrices.  On
+random GF(2) LCD codes of 3 codewords of dimension n / 2, decoding 200
+words of one erasure and one error (2 cores, CPython 3.11, NumPy 2.4, two
+rounds), naive decoding took per word 0.8-1.0 us on words against 9.7-13
+us by lazy scans at n = 4 and 1.4-2.4 against 9.7-16 us at n = 8, and
+projection decoding 0.7-1.0 against 8.1-14 us at n = 4 and 1.1-2.0
+against 18-20 us at n = 8.  ``ranks`` and the decoders (``codes``) follow
+the rule; ``rank``, ``rref``, ``det`` and the kept echelon tables of
+Subspaces stay packed into ints over F_2 at any width.
 
 Elimination over F_2 on packed rows packs each row into one Python int,
 column 0 in the highest bit, so adding two rows is one XOR of arbitrary
@@ -109,14 +110,16 @@ dual over F_2 only when a pair needs it.
 Batched naive decoding has two forms, both with Subspace tops (the
 codewords) and the received words as one stack of matrices B (T x h x n).
 ``excess_ranks(tops, stack)`` ranks every [tops[i]; B] of the batch, and B
-alone, on the stacked core: the padded tops are broadcast against the
-stack into one stack, in batches of at most ``STACK_ENTRIES`` entries, and
-the ranks come back as arrays.  ``capped_stack_ranks(tops, stack)``, over
-F_2 only (``FieldMismatch`` elsewhere), gives per B a capped rank
-rank(i, cap) = min(rank [tops[i]; B] - dim tops[i], cap): each top is its
-kept echelon table, each B an echelon set once, and rank(i, cap) reduces
-B's rows into a copy of top i's table until cap of them add a pivot,
-going on from where the last call stopped.
+alone, as ``ranks`` does: the padded tops are broadcast against the stack
+into one stack, in batches of at most ``STACK_ENTRIES`` entries, and the
+ranks come back as arrays; over F_2 up to 8 columns the tops and the
+stack are packed into words first, and the words are broadcast.
+``capped_stack_ranks(tops, stack)``, over F_2 only (``FieldMismatch``
+elsewhere), gives per B a capped rank rank(i, cap) =
+min(rank [tops[i]; B] - dim tops[i], cap): each top is its kept echelon
+table, each B an echelon set once, and rank(i, cap) reduces B's rows into a
+copy of top i's table until cap of them add a pivot, going on from where
+the last call stopped.
 ``capped_pair_ranks(spaces, pairs)`` is the capped
 form for the minimum-distance scan, one capped rank per pair of Subspaces
 [U_i; U_j], from U_i's kept table and U_j's kept rows over F_2 and from
@@ -125,35 +128,49 @@ form for the minimum-distance scan, one capped rank per pair of Subspaces
 since at each pivot that count cost the uncapped reduction of ``rank`` and
 ``stack_ranks`` about a tenth of its time.
 
-The stacked core, ``_eliminate``, runs on a stack of matrices (B x m x n):
-off F_2 ``rank``, ``rref`` and ``det`` pass a stack of one, and
-``ranks(stack)`` returns the rank of each matrix of a stack.  Column by
-column, each matrix pivots on its first unused row with a nonzero entry
-there (no row moves); the pivot rows are divided by their pivots, and one
-gathered product and one difference clear the column across the whole
+The stacked core, ``_eliminate``, runs on a stack of matrices (B x m x n)
+over every field but F_2: ``rank``, ``rref`` and ``det`` pass a stack of
+one, and ``ranks(stack)`` returns the rank of each matrix of a stack.
+Column by column, each matrix pivots on its first unused row with a nonzero
+entry there (no row moves); the pivot rows are divided by their pivots, and
+one gathered product and one difference clear the column across the whole
 stack, so the numpy calls per column do not grow with B.  Row operations
-are bound once per field: on F_2 the update is ``T ^= fac (x) row`` with
-an AND for the product, and every pivot is 1; on odd F_p it is T - fac (x)
-row, reduced as T - T // p * p (products below 2**40), with inverses from a
-table of Fermat powers; with
-log/exp tables a product is one gather, and a difference is an XOR when
-p = 2, a lookup in a table of all q**2 differences for odd p up to q = 2**8,
-and digitwise above; past 2**16 the public ``mul``, ``sub`` and ``inv`` do
-it.  ``rref`` keeps each divided pivot row and marks its row used, so each
-column is cleared above and below its pivot; in ``rank`` and ``det`` (the
-pivot product times the sign of the pivot rows' permutation) the update
-zeroes the pivot rows, and they stop once every matrix has all its pivots.
-A stack of one skips the search per matrix: its pivot is its first nonzero
-entry in the column, in an unused row.  Over F_2 past 8 columns,
-``ranks`` packs the whole stack at once and reduces each matrix on its
-packed rows.  Zero rows and zero columns change no rank, so
+are bound once per field: on odd F_p the update is T - fac (x) row, reduced
+as T - T // p * p (products below 2**40), with inverses from a table of
+Fermat powers; with log/exp tables a product is one gather, and a
+difference is an XOR when p = 2, a lookup in a table of all q**2
+differences for odd p up to q = 2**8, and digitwise above; past 2**16 the
+public ``mul``, ``sub`` and ``inv`` do it.  ``rref`` keeps each divided
+pivot row and marks its row used, so each column is cleared above and below
+its pivot; in ``rank`` and ``det`` (the pivot product times the sign of the
+pivot rows' permutation) the update zeroes the pivot rows, and they stop
+once every matrix has all its pivots.  A stack of one skips the search per
+matrix: its pivot is its first nonzero entry in the column, in an unused
+row.
+
+Every F_2 rank runs on packed rows instead: Python ints, as above, past 8
+columns, and numpy words up to 8.  There ``ranks`` packs the stack once
+into one uint64 word per row (``_gf2_words``, an m x B array, so a step
+over the rows is contiguous), and ``_gf2_word_ranks`` goes column by column
+over it, from the highest bit, with a few numpy calls per column for the
+whole stack: by then no row has a bit above the column's, so a matrix's
+largest row is a pivot whenever any of its rows has the bit, and that word
+is XORed into every row of the matrix that has the bit, itself included,
+until every matrix has all its pivots.  An int64 entry costs a broadcast
+update per column; a word is one XOR per row, the machine-word rows of M4RI
+(Albrecht, Bard and Hart, ACM TOMS 2010).  Over F_2 past 8 columns,
+``ranks`` packs the whole stack at once into ints and reduces each matrix
+on its packed rows.  Zero rows and zero columns change no rank, so
 ``padded_stack`` pads matrices of mixed shapes into one stack:
 ``BlockRankFactor`` ranks its column blocks in one ``ranks`` call, and
 ``stack_ranks`` on fields other than F_2 goes through ``ranks`` in stacks
 of at most ``STACK_ENTRIES`` entries.  Every elimination entry point
 rejects entries outside [0, q) with ``EncodingOutOfRange``, by one max over
 the operand's uint64 view, since a gather would silently wrap a negative
-entry and packing would read any nonzero entry as 1.
+entry and packing would read any nonzero entry as 1.  Operands known to be
+in range are checked once: ``block_ranks`` multiplies its checked stack,
+and the simulator its drawn coefficients, by ``_product``, ``matmul``
+without the check, and rank them by ``_ranks``, ``ranks`` without it.
 """
 
 from __future__ import annotations
@@ -180,7 +197,7 @@ _SUB_TABLE_LIMIT = 1 << 8  # odd-p orders whose q**2 differences are tabled
 # entries of one stack that stack_ranks and excess_ranks hand to ranks (and
 # of one chunk of simulated trials): a few hundred kB of int64 per temporary
 STACK_ENTRIES = 1 << 15
-# the widest F_2 matrices ranked on the stacked core: a packed row is one byte
+# the widest F_2 matrices ranked a whole stack at once, on one word per row
 _GF2_STACKED_COLUMNS = 8
 
 
@@ -380,6 +397,38 @@ def _gf2_capped_ranks(tables, rows, fields):
         return cap
 
     return rank
+
+
+def _gf2_words(S):
+    """The rows of a 0/1 stack (B x m x n, n <= 64) as one word each: an
+    (m x B) uint64 array whose entry (i, b) is row i of matrix b, column c in
+    bit n - 1 - c.  Rows go first, so a step over the rows is contiguous."""
+    return (S.swapaxes(0, 1) @ (1 << np.arange(S.shape[2])[::-1])).view(np.uint64)
+
+
+def _gf2_word_ranks(W, n):
+    """Rank of every matrix of a stack of words W (m x B), as _gf2_words
+    packs it, of n columns; W is overwritten.
+
+    Column by column, from the highest bit, no row has a bit above the
+    column's, so a matrix's largest row has the column's bit if any row
+    has it.  That row is the pivot, and it is XORed into every row of its
+    matrix that has the bit, itself included.  The loop stops once every
+    matrix has all its pivots.
+    """
+    m, B = W.shape
+    out = np.zeros(B, dtype=np.int64)
+    left = B * min(m, n)  # pivots still possible
+    for c in reversed(range(n)):
+        if not left:
+            break
+        bit = 1 << c
+        piv = W.max(0)
+        found = piv >= bit
+        out += found
+        W ^= (W >= bit) * piv
+        left -= np.count_nonzero(found)
+    return out
 
 
 def _exact_capped(ranks):
@@ -684,8 +733,10 @@ class GF:
         B = np.asarray(B, dtype=np.int64)
         if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
             raise DimensionMismatch(f"cannot multiply {A.shape} by {B.shape}")
-        self._check(A)
-        self._check(B)
+        return self._product(self._check(A), self._check(B))
+
+    def _product(self, A, B):
+        """matmul of int64 matrices already known to fit and lie in [0, q)."""
         if self.r == 1:
             return self._mod_p(self._dot(A, B))
         # one product over F_p, expanding the operand with fewer entries into
@@ -733,14 +784,7 @@ class GF:
         elim(T, fac, P) sets T[b] to T[b] - fac[b] (x) P[b] for every b."""
         if self._ops is None:
             p, q = self.p, self.q
-            if p == 2 and self.r == 1:
-                def elim(T, fac, P):
-                    # on 0/1 entries a product is an AND and a difference an XOR
-                    T ^= fac[:, :, None] & P[:, None, :]
-
-                # every pivot is 1
-                self._ops = (lambda P, v: P, elim)
-            elif self.r == 1:
+            if self.r == 1:
                 inv = (_fermat_inv(np.arange(p, dtype=np.int64), p).__getitem__
                        if p <= _TABLE_LIMIT else lambda a: _fermat_inv(a, p))
 
@@ -859,19 +903,20 @@ class GF:
         return steps
 
     def stacked(self, n):
-        """Whether matrices of n columns are ranked on the stacked core,
-        ``_eliminate``: on every field but F_2, and on F_2 up to 8 columns,
-        where a packed row is one byte.  Past that, F_2 ranks packed rows,
-        one matrix at a time, and the decoders take lazy capped scans."""
+        """Whether stacks of matrices of n columns are ranked whole, a few
+        numpy calls per column: on every field but F_2 by ``_eliminate``,
+        and on F_2 up to 8 columns on one word per row.  Past that, F_2
+        ranks rows packed into Python ints, one matrix at a time, and the
+        decoders take lazy capped scans."""
         return self.q != 2 or n <= _GF2_STACKED_COLUMNS
 
     def ranks(self, stack):
         """Rank of every matrix of a stack (B x m x n), as an int64 array.
 
-        A stack the field ranks on the stacked core (``stacked(n)``) runs
-        one elimination of the whole stack; a wider F_2 stack is packed at
-        once and each matrix reduced on its packed rows.  Zero rows and zero
-        columns, as padding, change no rank.
+        A stack the field ranks whole (``stacked(n)``) runs one elimination
+        of the whole stack, on one word per row over F_2; a wider F_2 stack
+        is packed at once and each matrix reduced on its packed rows.  Zero
+        rows and zero columns, as padding, change no rank.
         """
         S = np.array(stack, dtype=np.int64)
         if S.ndim != 3:
@@ -884,7 +929,9 @@ class GF:
         out = np.zeros(B, dtype=np.int64)
         if not S.size:
             return out
-        if not self.stacked(n):
+        if self.q == 2:
+            if self.stacked(n):
+                return _gf2_word_ranks(_gf2_words(S), n)
             out[:] = [len(rows) for rows in _gf2_echelons(S)]
             return out
         for _, has, _, _ in self._eliminate(S, full=False):
@@ -952,21 +999,31 @@ class GF:
         The tops, padded with zero rows to one height and joined by a top of
         no rows (whose stack has rank B_t), are broadcast against the stack
         into one stack of every [tops[i]; B_t], ranked by ``ranks`` in
-        batches of at most STACK_ENTRIES entries.
+        batches of at most STACK_ENTRIES entries.  Over F_2 up to 8 columns
+        the tops and the stack are packed first, one word per row, and the
+        words are broadcast.
         """
         S = self._checked_stack(stack, [U.n for U in tops])
         T, b, n = S.shape
         k = len(tops)
         C = padded_stack([U.basis for U in tops] + [np.zeros((0, n), dtype=np.int64)])
         a = C.shape[1]
+        words = self.q == 2 and self.stacked(n)
         size = max(1, STACK_ENTRIES // max((k + 1) * (a + b) * n, 1))
         ranks = np.empty((T, k + 1), dtype=np.int64)
         for at in range(0, T, size):
             W = S[at:at + size]
-            joint = np.empty((len(W), k + 1, a + b, n), dtype=np.int64)
-            joint[:, :, :a] = C
-            joint[:, :, a:] = W[:, None]
-            ranks[at:at + len(W)] = self._ranks(joint.reshape(-1, a + b, n)).reshape(-1, k + 1)
+            if words:
+                joint = np.empty((a + b, len(W), k + 1), dtype=np.uint64)
+                joint[:a] = _gf2_words(C)[:, None]
+                joint[a:] = _gf2_words(W)[:, :, None]
+                got = _gf2_word_ranks(joint.reshape(a + b, len(W) * (k + 1)), n)
+            else:
+                joint = np.empty((len(W), k + 1, a + b, n), dtype=np.int64)
+                joint[:, :, :a] = C
+                joint[:, :, a:] = W[:, None]
+                got = self._ranks(joint.reshape(-1, a + b, n))
+            ranks[at:at + len(W)] = got.reshape(-1, k + 1)
         return ranks[:, k], ranks[:, :k] - np.array([U.dim for U in tops], dtype=np.int64)
 
     def _checked_stack(self, stack, columns):
@@ -1113,9 +1170,9 @@ class BlockRankFactor:
     tables (see the module docstring) and each block is scanned lazily and
     resumed on each call, and ``factor.products(M)`` returns the rows of
     M B, each packed into one int.  B itself is kept
-    only where ``block_ranks`` reads it, when the field ranks matrices of
-    as many columns as B has rows on the stacked core: every field but F_2,
-    and F_2 up to 8 rows.
+    only where ``block_ranks`` reads it, when the field ranks a whole stack
+    of matrices of as many columns as B has rows at once: every field but
+    F_2, and F_2 up to 8 rows.
     """
 
     def __init__(self, field, B, widths):
@@ -1163,7 +1220,7 @@ class BlockRankFactor:
         S = f._checked_stack(stack, [self.inner])
         T, height, _ = S.shape
         dims = f._ranks(S.copy())
-        P = f.matmul(S.reshape(T * height, self.inner), self._B)
+        P = f._product(S.reshape(T * height, self.inner), self._B)
         P = P.reshape(T, height, self._B.shape[1])
         spans = self._spans
         width = max((e - s for s, e in spans), default=0)

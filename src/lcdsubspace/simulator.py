@@ -37,14 +37,17 @@ full-rank retries), as one (trials x h x n) stack, the format that
 ``codes._received_stack`` gives a batch of received words, in range by
 construction.  So the chunk skips that preparer: it marks the stack
 read-only and hands it, unconverted, to both decisions, those of
-``decode_naive_many`` and of the projection decoder's ``decode_many``, and
-compares the two verdicts trial by trial.  Both decoders take
-one branch per code, by the rule ``GF.stacked(n)`` (see ``codes``): on
-every field but GF(2), and on GF(2) up to n = 8, as for the README's
-n = 4 code, each ranks the whole chunk exactly on the stacked elimination
-core and reads all its verdicts in one pass; on wider GF(2) codes, as the
-(192, 31, 4; 96) code, each word takes lazy, bounded scans of packed rows.
-The chunking and the branch change no tally.
+``decode_naive_many`` and of the projection decoder's ``decode_many``.
+Each decision returns its verdicts as two arrays, codeword index (-1 for a
+tie) and distance, and the chunk compares the two decisions in one array
+comparison and tallies its outcomes by counting array entries; no outcome
+object is built.  Both decoders take one branch per code, by the rule
+``GF.stacked(n)`` (see ``codes``): on every field but GF(2), and on GF(2)
+up to n = 8, as for the README's n = 4 code, each ranks the whole chunk
+exactly, in one stack (over GF(2) on one word per row), and reads all its
+verdicts in one pass; on wider GF(2) codes, as the (192, 31, 4; 96) code,
+each word takes lazy, bounded scans of packed rows.  The chunking and the
+branch change no tally.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import _decide_naive, is_lcd_subspace_code, projection_decoder
+from .codes import _decide_naive, _outcome, is_lcd_subspace_code, projection_decoder
 from .errors import InternalInconsistency, InvalidSpec, NotLCDCode
 from .gf import STACK_ENTRIES
 from .subspaces import Subspace
@@ -96,7 +99,8 @@ class ChannelSpec:
 class TrialStats:
     """Outcome tallies of run_experiment; naive_seconds and
     projection_seconds are medians over chunks of each decoder's mean wall
-    time per trial of the chunk."""
+    time per trial of the chunk, for its verdict arrays: no DecodeOutcome
+    is built, so neither time includes building outcome objects."""
 
     trials: int
     correct: int
@@ -384,14 +388,14 @@ def _received_rows(sent, spec, words, rows):
         for _ in range(_RANK_RETRY_CAP):
             draws, cursors[pending] = words.take(rows[pending], cursors[pending], keep * dim, f.q)
             coeffs[pending] = draws.reshape(-1, keep, dim)
-            pending = pending[f.ranks(coeffs[pending]) < keep]
+            pending = pending[f._ranks(coeffs[pending]) < keep]
             if not len(pending):
                 break
         else:
             raise InternalInconsistency("could not draw a full-rank coefficient matrix")
         slots = {}
         slot = [slots.setdefault(w, len(slots)) for w in sent]
-        product = f.matmul(coeffs.reshape(-1, dim), np.hstack([w.basis for w in slots]))
+        product = f._product(coeffs.reshape(-1, dim), np.hstack([w.basis for w in slots]))
         out[:, :keep] = product.reshape(trials, keep, len(slots), n)[np.arange(trials), :, slot]
     errors, _ = words.take(rows, cursors, spec.error_count * n, f.q)
     out[:, keep:] = errors.reshape(trials, spec.error_count, n)
@@ -409,12 +413,15 @@ def run_experiment(code, spec, trials):
     at once.  Trial i's codeword index is the first draw of
     Generator.integers(0, len(code)) on its index stream, made for all
     trials by one bounded map; every received word is drawn as corrupt()
-    draws it, into one read-only stack, which both decisions take as it
-    is: decode_naive_many's and the projection decoder's decode_many's.
-    The two verdicts must match exactly (same status, index, and distance)
-    on every trial.  Timings are medians over chunks of the per-trial mean
-    wall time, excluding the one-off decoder precomputation, which is
-    cached on the code.
+    draws it, into one read-only stack, which both decisions take as it is:
+    decode_naive_many's and the projection decoder's decode_many's.  The
+    two verdicts must match exactly (same index, -1 for a tie, and
+    distance) on every trial, compared as arrays, chunk by chunk; a
+    mismatch raises InternalInconsistency naming the first differing trial
+    and both its outcomes.  The tallies are counts of array entries, and
+    mean_distance the integer sum of the distances divided by trials.  Timings
+    are medians over chunks of the per-trial mean wall time, excluding the
+    one-off decoder precomputation, which is cached on the code.
     """
     if trials < 1:
         raise InvalidSpec("trials must be >= 1")
@@ -435,50 +442,47 @@ def run_experiment(code, spec, trials):
     height = max(code.dims) + max(code.dims) - spec.erasure_count + spec.error_count
     chunk = max(1, STACK_ENTRIES // ((len(code) + 1) * height * code.n))
     first = _first_words(code.dims[0], code.n, spec)
-    correct = failure = wrong = agreement = 0
-    distances = []
+    correct = failure = wrong = agreement = total = 0
     naive_times = []
     proj_times = []
     for start in range(0, trials, chunk):
-        indices = range(start, min(start + chunk, trials))
-        m = len(indices)
+        m = min(chunk, trials - start)
+        indices = range(start, start + m)
         words = _streams([(spec.rng_seed, i, 0) for i in indices]
                          + [(spec.rng_seed, i) for i in indices], first)
         sent, _ = words.take(words.row[:m], np.zeros(m, dtype=np.int64), 1, len(code))
-        sent = sent[:, 0].tolist()
-        received = _received_rows([code[s] for s in sent], spec, words, words.row[m:])
+        sent = sent[:, 0]
+        received = _received_rows([code[s] for s in sent.tolist()], spec, words, words.row[m:])
         # both decisions read this one stack; neither may change it
         received.flags.writeable = False
 
         t0 = time.perf_counter()
         naive = _decide_naive(code, received)
         t1 = time.perf_counter()
-        proj = decoder._decide(received)
+        index, dist = proj = decoder._decide(received)
         t2 = time.perf_counter()
-        naive_times.append((t1 - t0) / len(indices))
-        proj_times.append((t2 - t1) / len(indices))
+        naive_times.append((t1 - t0) / m)
+        proj_times.append((t2 - t1) / m)
 
-        for i, s, out_naive, out_proj in zip(indices, sent, naive, proj):
-            if (out_naive.status, out_naive.index, out_naive.distance) != (
-                    out_proj.status, out_proj.index, out_proj.distance):
-                raise InternalInconsistency(
-                    f"decoders disagree on trial {i}: naive {out_naive}, "
-                    f"projection {out_proj}")
-            agreement += 1
-            distances.append(out_proj.distance)
-            if out_proj.status == "failure":
-                failure += 1
-            elif out_proj.index == s:
-                correct += 1
-            else:
-                wrong += 1
+        differ = np.flatnonzero((naive[0] != index) | (naive[1] != dist))
+        if differ.size:
+            t = differ[0]
+            raise InternalInconsistency(
+                f"decoders disagree on trial {start + t}: naive "
+                f"{_outcome(*(int(v[t]) for v in naive))}, projection "
+                f"{_outcome(*(int(v[t]) for v in proj))}")
+        agreement += m
+        total += int(dist.sum())
+        failure += np.count_nonzero(index < 0)
+        correct += np.count_nonzero(index == sent)
+        wrong += np.count_nonzero((index >= 0) & (index != sent))
 
     if agreement != trials:
         raise InternalInconsistency("agreement count must equal trials")
     return TrialStats(
-        trials=trials, correct=correct, failure=failure, wrong=wrong,
+        trials=trials, correct=int(correct), failure=int(failure), wrong=int(wrong),
         agreement=agreement,
-        mean_distance=float(statistics.fmean(distances)),
+        mean_distance=total / trials,
         naive_seconds=float(statistics.median(naive_times)),
         projection_seconds=float(statistics.median(proj_times)),
     )

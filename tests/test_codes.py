@@ -549,8 +549,12 @@ def test_bounded_verdict_with_and_without_exact_ranks():
             batch.append((dim, e))
         dim = np.array([d for d, _ in batch], dtype=np.int64)
         E = np.array([e for _, e in batch], dtype=np.int64)
-        assert _verdicts(dims, dim, E) == want
-    assert _verdicts([1, 2], np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64)) == []
+        # (index, distance) arrays, index -1 for a tie, as _verdict gives them
+        index, dist = _verdicts(dims, dim, E)
+        assert index.dtype == dist.dtype == np.int64
+        assert list(zip(index.tolist(), dist.tolist())) == want
+    index, dist = _verdicts([1, 2], np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64))
+    assert index.shape == dist.shape == (0,)
 
 
 def _batched_verdicts_match_naive(code, words):

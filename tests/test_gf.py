@@ -296,7 +296,8 @@ def test_elimination_rejects_encodings_outside_the_field(f2, f3, f4, f9):
         for bad in sorted({-1, f.q, f.q + 1}):
             M = [[1, 0], [0, bad]]
             # a Subspace operand is checked when it is made; a stack of
-            # received words by each batched rank form that takes it
+            # received words by each batched rank form that takes it, once:
+            # block_ranks multiplies it by the unchecked GF._product
             ops = [f.rref, f.rank, f.det, f.kernel, lambda M: f.ranks([M]),
                    lambda M: BlockRankFactor(f, ok, [1, 1]).block_ranks([ok, M]),
                    lambda M: next(f.stack_ranks([whole], [Subspace(f, 2, M)], [(0, 0)])),
@@ -395,11 +396,12 @@ def test_stacked_elimination_on_larger_stacks(p, r):
     assert list(f.stack_ranks(tops, bottoms, pairs)) == want
 
 
-@pytest.mark.parametrize("n", [7, 8, 9])
+@pytest.mark.parametrize("n", [7, 8, 9, 16, 64])
 def test_gf2_ranks_either_side_of_the_stacked_boundary(f2, f3, n):
-    # GF(2) stacks of up to 8 columns run on the stacked core, wider ones on
-    # packed rows one matrix at a time: both must give the oracle's ranks,
-    # and f.rank's packed ranks, with zero rows and zero columns as padding
+    # GF(2) stacks of up to 8 columns run on one word per row, wider ones on
+    # rows packed into ints one matrix at a time: both must give the
+    # oracle's ranks, and f.rank's packed ranks, with zero rows and zero
+    # columns as padding; the word kernel itself takes up to 64 columns
     assert f2.stacked(n) == (n <= 8) and f3.stacked(n)
     rng = np.random.default_rng(40 + n)
     mats = [rng.integers(0, 2, (k, n)) for k in (1, 2, 5, 8, 9, 12)]
@@ -410,6 +412,7 @@ def test_gf2_ranks_either_side_of_the_stacked_boundary(f2, f3, n):
     assert [f2.rank(A) for A in mats] == want
     S = padded_stack(mats)
     assert f2.ranks(S).tolist() == want
+    assert gf._gf2_word_ranks(gf._gf2_words(S), n).tolist() == want
     # zero rows, and zero columns up to the next width, change no rank
     for rows, cols in ((0, 0), (3, 0), (0, 1), (2, 1)):
         padded = np.pad(S, ((0, 0), (0, rows), (0, cols)))
@@ -422,6 +425,44 @@ def test_gf2_ranks_either_side_of_the_stacked_boundary(f2, f3, n):
         B[1, 0, n - 1] = bad
         with pytest.raises(EncodingOutOfRange):
             f2.ranks(B)
+
+
+def _packed_kernel_cases(n, rng):
+    """GF(2) matrices of n columns and heights 0 to 10: random and sparse
+    ones, zero rows among others, all-zero matrices, identities, and a
+    single 1 in column 0 and in column n - 1."""
+    for k in range(11):
+        yield rng.integers(0, 2, (k, n))
+        yield (rng.random((k, n)) < 0.2).astype(np.int64)
+        A = rng.integers(0, 2, (k, n))
+        A[::2] = 0
+        yield A
+        yield np.zeros((k, n), dtype=np.int64)
+        for col in (0, n - 1):
+            A = np.zeros((k, n), dtype=np.int64)
+            A[k // 2:k // 2 + 1, col] = 1
+            yield A
+    for k in range(1, n + 1):
+        yield np.eye(k, n, dtype=np.int64)
+        yield np.eye(n, dtype=np.int64)[::-1][:k]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_packed_gf2_kernel_matches_oracle(f2, n):
+    # ranks of GF(2) stacks of up to 8 columns run on one word per row; each
+    # matrix alone (B = 1), the whole list as one stack, and B = 0 must give
+    # the oracle's ranks, as must the word kernel on its own
+    rng = np.random.default_rng(900 + n)
+    mats = list(_packed_kernel_cases(n, rng))
+    want = [oracles.rank(f2, A.tolist()) for A in mats]
+    assert [f2.ranks(A[None]).tolist() for A in mats] == [[w] for w in want]
+    S = padded_stack(mats)
+    assert f2.ranks(S).tolist() == want
+    words = gf._gf2_words(S)
+    assert words.dtype == np.uint64 and words.shape == (S.shape[1], len(mats))
+    assert gf._gf2_word_ranks(words, n).tolist() == want
+    for height in range(11):
+        assert f2.ranks(np.zeros((0, height, n), dtype=np.int64)).tolist() == []
 
 
 def test_kernel_pinned_and_oracle(f2, f3):
@@ -623,7 +664,7 @@ def test_stack_ranks_match_oracle(f2, f3, f9, n):
 
 def test_matmul_rejects_encodings_outside_the_field(f2, f3, f9):
     # unchecked, GF(2) reads 3 and -1 as 1 and GF(9) reads 12 as its low
-    # two base-3 digits, 3
+    # two base-3 digits, 3; matmul checks both operands before GF._product
     for f in (f2, f3, f9, field_new(2, 17)):
         ok = np.ones((1, 2), dtype=np.int64)
         for bad in (-1, f.q):

@@ -1,9 +1,10 @@
+import statistics
+
 import numpy as np
 import pytest
 
 from lcdsubspace import simulator
 from lcdsubspace.codes import (
-    DecodeOutcome,
     SubspaceCode,
     decode_naive,
     decode_projection,
@@ -273,7 +274,7 @@ def _replay(code, spec, trials):
     """Tallies of a per-trial replay through corrupt, decode_naive and
     decode_projection, with the codeword drawn as run_experiment draws it."""
     correct = failure = wrong = 0
-    dsum = 0
+    dists = []
     for i in range(trials):
         sent = int(np.random.default_rng((spec.rng_seed, i, 0)).integers(0, len(code)))
         received = corrupt(code[sent], spec, i)
@@ -281,14 +282,14 @@ def _replay(code, spec, trials):
         a = decode_naive(code, received)
         b = decode_projection(code, received)
         assert a == b
-        dsum += a.distance
+        dists.append(a.distance)
         if a.status == "failure":
             failure += 1
         elif a.index == sent:
             correct += 1
         else:
             wrong += 1
-    return correct, failure, wrong, dsum / trials
+    return correct, failure, wrong, statistics.fmean(dists)
 
 
 def _chunk_codes(f2, f4, f5, f9):
@@ -333,29 +334,61 @@ def test_chunked_experiment_matches_per_trial_replay(f2, f4, f5, f9, monkeypatch
                 monkeypatch.setattr(simulator, "STACK_ENTRIES", entries)
                 st = run_experiment(code, spec, trials)
                 assert (st.correct, st.failure, st.wrong) == want[:3]
-                assert st.mean_distance == pytest.approx(want[3])
+                # counts of array entries come back as Python ints
+                assert {type(v) for v in (st.correct, st.failure, st.wrong)} == {int}
+                # the integer sum over trials is fmean's value, exactly
+                assert st.mean_distance == want[3]
                 assert st.agreement == trials
             monkeypatch.undo()
 
 
-def test_disagreement_names_the_trial(f5, monkeypatch):
-    code = SubspaceCode([span(f5, 2, [[1, 1]]), span(f5, 2, [[1, 0]])])
+def _skewed_run(code, spec, monkeypatch, skew):
+    """run_experiment in chunks of fewer than 25 trials, with skew applied
+    to the projection decision's verdict arrays (index, distance) of the
+    third chunk; returns the error raised and the chunk size."""
     decoder = projection_decoder(code)
     honest = decoder._decide
     calls = []
 
     def skewed(stack):
-        # the third chunk's second word (trial 2 k + 1 in chunks of k) is off by one
-        out = honest(stack)
+        index, dist = honest(stack)
         calls.append(len(stack))
         if len(calls) == 3:
-            o = out[1]
-            out[1] = DecodeOutcome(o.status, o.index, o.distance + 1)
-        return out
+            index, dist = skew(index.copy(), dist.copy())
+        return index, dist
 
     monkeypatch.setattr(decoder, "_decide", skewed)
     monkeypatch.setattr(simulator, "STACK_ENTRIES", 40)
     with pytest.raises(InternalInconsistency, match=r"trial (\d+):") as info:
-        run_experiment(code, ChannelSpec(0, 1, 7), 50)
-    assert f"trial {2 * calls[0] + 1}:" in str(info.value)
+        run_experiment(code, spec, 50)
     assert calls[0] < 25
+    return str(info.value), calls[0]
+
+
+def test_disagreement_names_the_trial(f5, monkeypatch):
+    code = SubspaceCode([span(f5, 2, [[1, 1]]), span(f5, 2, [[1, 0]])])
+
+    def skew(index, dist):
+        # the third chunk's second word (trial 2 k + 1 in chunks of k) is off by one
+        dist[1] += 1
+        return index, dist
+
+    message, k = _skewed_run(code, ChannelSpec(0, 1, 7), monkeypatch, skew)
+    assert f"trial {2 * k + 1}:" in message
+
+
+def test_index_only_disagreement_names_the_trial(f5, monkeypatch):
+    # with no erasure and no error every word is decoded at distance 0; the
+    # third chunk's second word is turned into a tie at the same distance
+    code = SubspaceCode([span(f5, 2, [[1, 1]]), span(f5, 2, [[1, 0]])])
+
+    def skew(index, dist):
+        assert index[1] >= 0 and dist[1] == 0
+        index[1] = -1
+        return index, dist
+
+    message, k = _skewed_run(code, ChannelSpec(0, 0, 7), monkeypatch, skew)
+    assert f"trial {2 * k + 1}:" in message
+    naive, projection = message.split("projection")
+    assert "status='decoded'" in naive and "status='failure'" in projection
+    assert "distance=0" in naive and "distance=0" in projection
