@@ -3,7 +3,8 @@ block builder, and the scheme/graph/Hadamard routes to LCD subspace codes.
 
 Every pipeline re-verifies its conclusion: the emitted code is checked to be
 an LCD subspace code by direct intersection computations, and the key product
-identity N_x N_y^T = a_x a_y I_t is evaluated on explicit pairs.  A pipeline
+identity N_x N_y^T = a_x a_y I_t, for N_x = [X | a_x I_t], is evaluated on
+explicit pairs as X_x X_y^T = 0, to which it is equivalent.  A pipeline
 that cannot verify its output raises instead of emitting.
 
 Scheme arithmetic stays over the integers until the final reduction mod p.
@@ -359,40 +360,26 @@ def _check_product_identity(f, t, ordered, pair_list):
     """N_i N_j^T = a_i a_j I_t for each (i, j) of pair_list, N_i = [X_i | a_i I];
     raises with the first failing pair in pair_list order.
 
-    Each N_i is built once and takes one product with the blocks N_j^T of
-    its partners j side by side, t x (t * #partners) entries, rather than
-    one product per pair; with all pairs that is one product per codeword.
-    Over F_2 the product runs on the Four-Russians tables of a
-    BlockRankFactor of that right stack, one int per product row, and
-    every alpha is 1: product row k must have exactly the bits t p + k
-    set, one in each block p.
+    As N_i N_j^T = X_i X_j^T + a_i a_j I_t exactly, the identity is checked
+    as X_i X_j^T = 0, of inner dimension t, with no block built.  Each X_i
+    takes one product with the X_j^T of its partners j side by side, t x (t *
+    #partners) entries, rather than one product per pair: a BlockRankFactor
+    of that right stack, built once per distinct tuple of partners, tells
+    which of its blocks the product leaves nonzero.  With all pairs that is
+    one product per codeword.
     """
-    alphas = np.array([al for _, al in ordered], dtype=np.int64)
-    blocks = {k: build_block(f, *ordered[k])
-              for k in dict.fromkeys(k for pair in pair_list for k in pair)}
     partners = {}
     for i, j in pair_list:
         partners.setdefault(i, {})[j] = None
-    rights = {}
-    diagonal = np.arange(t)
-    mask = (1 << t) - 1
+    factors = {}
     failed = set()
     for i, js in partners.items():
         js = tuple(js)
-        if js not in rights:
-            right = np.hstack([blocks[j].T for j in js])
-            rights[js] = BlockRankFactor(f, right, [t] * len(js)) if f.q == 2 else right
-        if f.q == 2:
-            ones = sum(1 << (t * p) for p in range(len(js)))
-            for k, row in enumerate(rights[js].products(blocks[i])):
-                diff = row ^ (ones << k)
-                if diff:
-                    failed.update((i, j) for p, j in enumerate(js) if (diff >> (t * p)) & mask)
-        else:
-            got = f.matmul(blocks[i], rights[js]).reshape(t, len(js), t)
-            # block j must be a_i a_j on its diagonal and zero off it
-            got[diagonal, :, diagonal] -= f.mul(alphas[i], alphas[list(js)])
-            failed.update((i, js[k]) for k in np.flatnonzero(got.any(axis=(0, 2))))
+        if js not in factors:
+            right = np.hstack([ordered[j][0].T for j in js])
+            factors[js] = BlockRankFactor(f, right, [t] * len(js))
+        nonzero = factors[js].nonzero_blocks(ordered[i][0])
+        failed.update((i, js[k]) for k in np.flatnonzero(nonzero))
     for pair in pair_list:
         if pair in failed:
             raise VerificationFailed(

@@ -7,12 +7,14 @@ use 1-based indices; everything in memory is 0-based.
 
 JSON documents are written by ``dumps`` as ``json.dumps(doc, sort_keys=True,
 indent=2)`` would write them with every ndarray replaced by its ``tolist()``,
-byte for byte.  ``dumps`` writes 2-D integer arrays, such as the codeword
-bases of a code document, itself: numpy lays out every entry of an array in
+byte for byte.  ``dumps`` writes nonempty 2-D integer arrays of entries 0-9
+itself, as are the codeword bases of every code document over GF(q) with
+q <= 10: numpy lays out every entry of such an array, one digit each, in
 one byte buffer, decoded once, and the result is spliced into the text
 ``json.dumps`` writes for the rest of the document.  json's indenting encoder
 is pure Python, and the 571,392 basis entries of the (192, 31, 4; 96) code
-would otherwise pass through it, or through ``str``, one by one.
+would otherwise pass through it, or through ``str``, one by one.  Every
+other array is written as its ``tolist()``.
 """
 
 from __future__ import annotations
@@ -284,18 +286,19 @@ def dumps(doc):
     """JSON text of doc with sorted keys, indent 2 and a final newline.
 
     json.dumps writes the document with a placeholder string in place of
-    each 2-D integer array (other arrays become lists), and _matrix_text
-    writes each array, spliced in after.  A placeholder is a run of '@' and
-    the array's index.  The run is lengthened until a quote followed by it
-    occurs in the text once per placeholder, so that no string of the
-    document can pass for one.
+    each nonempty 2-D integer array whose entries all lie in 0-9 (other
+    arrays become lists), and _matrix_text writes each such array, spliced
+    in after.  A placeholder is a run of '@' and the array's index.  The
+    run is lengthened until a quote followed by it occurs in the text once
+    per placeholder, so that no string of the document can pass for one.
     """
     mark, matrices = "@", []
 
     def placeholder(obj):
         if not isinstance(obj, np.ndarray):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        if obj.ndim != 2 or obj.dtype.kind not in "iu":
+        if obj.ndim != 2 or obj.dtype.kind not in "iu" or not obj.size \
+                or obj.min() < 0 or obj.max() > 9:
             return obj.tolist()
         matrices.append(obj)
         return f"{mark}{len(matrices) - 1}"
@@ -318,66 +321,26 @@ def dumps(doc):
 
 
 def _matrix_text(A, pad):
-    """A 2-D integer array laid out as json.dumps(indent=2) lays out its
-    list on a line that begins with pad.
+    """A nonempty 2-D array of entries 0-9 laid out as json.dumps(indent=2)
+    lays out its list on a line that begins with pad (a newline and the
+    spaces of its indent).
 
-    Each entry fills a fixed-width slot of bytes: its separator ("[" opening
-    a row, "," after an entry, then the newline and indent), a sign byte if
-    some entry is negative, and one byte per decimal digit of the widest
-    entry, taken by repeated divmod by 10 of the magnitudes.  When every
-    slot is full, as when each entry is a single digit 0-9, the slots are
-    decoded as they stand and the rows are cut at equal steps.  Otherwise a
-    mask drops the unused sign bytes and leading zeros, the kept bytes are
-    decoded at once, and the rows are cut at the mask's row counts.  Each
-    row is then closed.
+    Each entry fills a slot of bytes: its separator ("[" opening a row, ","
+    after an entry, then the newline and indent) and its digit.  The slots
+    are decoded at once, cut into rows at equal steps, and each row closed.
     """
     rows, cols = A.shape
-    if A.size == 0:
-        return _list_text(["[]"] * rows, pad)
-    # magnitudes in uint64, for every integer dtype: a negative entry a wraps
-    # to 2**64 - |a| and its negation to |a|, int64 min included.  Nothing
-    # below mixes uint64 with a signed type, which numpy 1.x would promote
-    # to float64
-    mag = A.astype(np.uint64)
-    neg = A < 0
-    signed = bool(neg.any())
-    if signed:
-        np.negative(mag, out=mag, where=neg)
-    width = len(str(int(mag.max())))
     sep = ("," + pad + "    ").encode("ascii")
-    slot = sep + b"-" * signed + bytes(width)
-    slots = np.frombuffer(bytearray(slot * A.size), dtype=np.uint8).reshape(rows, cols, -1)
+    slots = np.empty((rows, cols, len(sep) + 1), dtype=np.uint8)
+    slots[:, :, :-1] = np.frombuffer(sep, dtype=np.uint8)
     slots[:, 0, 0] = ord("[")
-    # a full slot has no byte to drop, and then there is no mask
-    keep = np.ones(slots.shape, dtype=bool) if signed or width > 1 else None
-    ten = np.uint64(10)
-    for at in range(len(slot) - 1, len(slot) - 1 - width, -1):
-        if keep is not None:
-            # a digit is kept when it or a higher one is nonzero
-            keep[:, :, at] = mag != 0
-        mag, slots[:, :, at] = np.divmod(mag, ten)
-    slots[:, :, len(slot) - width:] += ord("0")
-    if keep is None:
-        text = slots.tobytes().decode("ascii")
-        step = cols * len(slot)
-        ends = list(range(step, len(text) + 1, step))
-    else:
-        if signed:
-            keep[:, :, len(sep)] = neg
-        keep[:, :, -1] = True
-        text = slots[keep].tobytes().decode("ascii")
-        ends = np.cumsum(keep.reshape(rows, -1).sum(1)).tolist()
-    close = pad + "  ]"
-    return _list_text([text[a:b] + close for a, b in zip([0] + ends, ends)], pad)
-
-
-def _list_text(items, pad):
-    """A list of JSON texts laid out as json.dumps(indent=2) lays out a list
-    whose line begins with pad (a newline and the spaces of its indent)."""
-    if not items:
-        return "[]"
+    slots[:, :, -1] = A + ord("0")
+    text = slots.tobytes().decode("ascii")
+    step = cols * slots.shape[2]
     inner = pad + "  "
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
+    close = pad + "  ]"
+    return "[" + inner + ("," + inner).join(
+        text[k:k + step] + close for k in range(0, len(text), step)) + pad + "]"
 
 
 def matrix_over_field(data, field=None):

@@ -62,17 +62,18 @@ reads the rest of that block.
 Python ints, not uint64 arrays, hold the tables: a product row is then a
 few dozen XORs with no conversion, faster than numpy gathers both for the
 95 rows of a (192, 31, 4; 96) decode and for a handful of rows.
-``products(M)`` returns the packed product rows of M B themselves, from the
-same table loop.  The product identity check N_i N_j^T = I of a GF(2)
-``[X | I]`` code (``constructions``) prepares one factor over the blocks
-N_j^T side by side and compares each product row k of N_i with the int
-whose bits k, t + k, 2t + k, ... are set, one comparison per row.  Other
-fields have no capped form, and ``capped`` raises ``FieldMismatch`` there,
-as ``products`` does: the decoders rank every block off F_2 exactly.
-The factor keeps B only where ``block_ranks`` reads it (see the rule
-below): on F_2 past 8 rows of B, as for the 192 x 2976 product-identity
-factor of the (192, 31, 4; 96) code, 4.6 MB of int64, it keeps the tables
-alone.
+``nonzero_blocks(M)`` tells, on every field, which column blocks of M B
+are nonzero: over F_2 the product rows of M come off the same table loop,
+are ORed into one int and masked per block, and other fields multiply M by
+the kept B.  The product identity check of ``constructions``, X_i X_j^T = 0,
+prepares one factor over the blocks X_j^T side by side and reads which of
+them fail, so the packed layout stays inside this module.  Other fields
+have no capped form, and ``capped`` raises ``FieldMismatch`` there: the
+decoders rank every block off F_2 exactly.  The factor keeps B only where
+``block_ranks`` reads it (see the rule below), on every field where
+``nonzero_blocks`` reads it too: on F_2 past 8 rows of B, as for the
+96 x 2976 product-identity factor of the (192, 31, 4; 96) code, 2.3 MB of
+int64, it keeps the tables alone.
 
 Which elimination ranks a matrix of n columns is one rule, ``stacked(n)``:
 a whole stack at once on every field but F_2, by the stacked core below,
@@ -1123,22 +1124,6 @@ class GF:
         K, _ = self.rref(K)
         return K
 
-    def solve(self, A, b):
-        """One solution x of A x = b, or None if inconsistent."""
-        A = self.asmatrix(A)
-        b = np.asarray(b, dtype=np.int64).ravel()
-        if b.shape[0] != A.shape[0]:
-            raise DimensionMismatch("right-hand side length mismatch")
-        aug = np.hstack([A, b[:, None]])
-        R, piv = self.rref(aug)
-        n = A.shape[1]
-        if n in piv:
-            return None
-        x = np.zeros(n, dtype=np.int64)
-        for i, pc in enumerate(piv):
-            x[pc] = R[i, n]
-        return x
-
     def inv_matrix(self, A):
         A = self.asmatrix(A)
         n = A.shape[0]
@@ -1168,11 +1153,12 @@ class BlockRankFactor:
     returns, for each row set, (rank of rows, rank) with rank(i, cap) =
     min(rank of block i of rows B, cap): the product runs on Four-Russians
     tables (see the module docstring) and each block is scanned lazily and
-    resumed on each call, and ``factor.products(M)`` returns the rows of
-    M B, each packed into one int.  B itself is kept
-    only where ``block_ranks`` reads it, when the field ranks a whole stack
-    of matrices of as many columns as B has rows at once: every field but
-    F_2, and F_2 up to 8 rows.
+    resumed on each call.  On every field ``factor.nonzero_blocks(M)`` tells
+    which column blocks of M B are nonzero, over F_2 from the same tables.
+    B itself is kept only where ``block_ranks`` reads it, when the field
+    ranks a whole stack of matrices of as many columns as B has rows at
+    once: every field but F_2 (where ``nonzero_blocks`` reads it too), and
+    F_2 up to 8 rows.
     """
 
     def __init__(self, field, B, widths):
@@ -1251,15 +1237,26 @@ class BlockRankFactor:
         return [(len(rows), _gf2_capped_ranks(empty, self._m4rm(rows), self._fields))
                 for rows in _gf2_echelons(S)]
 
-    def products(self, M):
-        """Over F_2, each row of M B as one int, column c of B in bit c."""
-        if self.field.q != 2:
-            raise FieldMismatch("packed products are taken over F_2 only")
-        A = self.field.asmatrix(M)
+    def nonzero_blocks(self, M):
+        """For a matrix M of as many columns as B has rows, whether each
+        column block of M B is nonzero, as a bool array.
+
+        Over F_2 the product rows come off the Four-Russians tables and are
+        ORed into one int, whose bit field of each block is then read;
+        other fields take the product with the kept B.
+        """
+        f = self.field
+        A = f.asmatrix(M)
         if A.shape[1] != self.inner:
             raise DimensionMismatch(
                 f"cannot multiply {A.shape} by a factor of {self.inner} rows")
-        return self._m4rm(_gf2_pack(A))
+        if f.q == 2:
+            seen = 0
+            for row in self._m4rm(_gf2_pack(A)):
+                seen |= row
+            return np.array([bool((seen >> s) & mask) for s, mask in self._fields], dtype=bool)
+        P = f._product(A, self._B)
+        return np.array([P[:, s:e].any() for s, e in self._spans], dtype=bool)
 
     def _m4rm(self, rows):
         """The product rows of rows packed as _gf2_pack packs them: byte g of

@@ -531,7 +531,7 @@ def test_classical_check_is_the_gram_determinant(f3):
 
 def test_bounded_verdict_with_and_without_exact_ranks():
     # the stacked branch reads exact ranks of a whole batch in one pass
-    # (_verdicts); the capped passes of _bounded_verdict, which the lazy
+    # (_verdicts); the capped loop of _bounded_verdict, which the lazy
     # GF(2) scans take, must give the same verdict from the same ranks,
     # asked only through the cap
     rng = random.Random(79)
@@ -555,6 +555,40 @@ def test_bounded_verdict_with_and_without_exact_ranks():
         assert list(zip(index.tolist(), dist.tolist())) == want
     index, dist = _verdicts([1, 2], np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64))
     assert index.shape == dist.shape == (0,)
+
+
+def _asked(dim, dims, e):
+    """(verdict, caps asked) of _bounded_verdict on the exact ranks e, the
+    caps as (block, cap) in the order asked."""
+    asks = []
+
+    def rank(i, cap):
+        asks.append((i, cap))
+        return min(e[i], cap)
+
+    return _bounded_verdict(dim, dims, rank), asks
+
+
+def test_bounded_verdict_asks_each_cap_once_per_round():
+    # equal dimensions, as in every LCD code: every block is asked at 2, 4,
+    # 8, ... up to the first round with a block below its cap, and no more
+    rounds = lambda s, caps: [(i, cap) for cap in caps for i in range(s)]
+    for dim, dims, e, verdict, caps in [
+            (5, [5] * 4, [7, 3, 9, 3], (-1, 6), [2, 4]),
+            (4, [4] * 3, [0, 0, 1], (-1, 0), [2]),
+            (6, [6] * 3, [20, 17, 30], (1, 34), [2, 4, 8, 16, 32]),
+            (3, [3] * 2, [2, 2], (-1, 4), [2, 4]),
+            (10, [8] * 5, [4, 5, 4, 6, 9], (-1, 6), [2, 4, 8])]:
+        assert _asked(dim, dims, e) == (verdict, rounds(len(dims), caps))
+    # dimensions far apart: block i's cap is (min(dims) + 2t - 1 - dims[i]) // 2
+    # + 1 in round t = 2, 4, 8, ..., and a block is not asked while its cap is
+    # not positive.  Here the 30-dimensional block's cap is -12, -10, -6,
+    # then 2 at t = 16
+    assert _asked(2, [2, 30], [5, 0]) == ((0, 10), [(0, 2), (0, 4), (0, 8)])
+    assert _asked(2, [2, 30], [40, 0]) == (
+        (1, 28), [(0, 2), (0, 4), (0, 8), (0, 16), (1, 2)])
+    assert _asked(2, [2, 30, 32], [40, 0, 0]) == (
+        (1, 28), [(0, 2), (0, 4), (0, 8), (0, 16), (1, 2), (2, 1)])
 
 
 def _batched_verdicts_match_naive(code, words):
@@ -648,7 +682,7 @@ def test_bounded_verdicts_on_the_zero_and_the_full_space(f2, f3, f4, f9):
 
 def test_bounded_verdicts_far_from_every_codeword(f2, f3, f4, f9):
     # random words of dimension 40 in F_q^130 are far from every codeword of
-    # dimension 40, so every e_i is large and pass 1 raises its cap from 2
+    # dimension 40, so every e_i is large and the loop raises its cap from 2
     # to at least 16 before any block comes in below it
     for f in (f2, f3, f4, f9):
         rng = np.random.default_rng(73)
@@ -717,7 +751,7 @@ def test_gf2_lazy_and_exact_ranks_agree_on_one_code(f2, n):
     # the decoders read one branch per code, but both forms stay callable
     # on it: the lazy capped scans, asked at any cap, give the least of
     # the exact ranks and the cap.  Only a factor of at most 8 rows keeps B
-    # for exact block ranks; every GF(2) factor gives packed products
+    # for exact block ranks; every GF(2) factor tells the nonzero blocks
     rng = np.random.default_rng(89 + n)
     code = _isotropic_lcd_code(f2, n, n // 2 - 1, 4, rng)
     rows = [rng.integers(0, 2, (k, n)) for k in (0, 1, 3, n, n + 2)]
@@ -742,8 +776,8 @@ def test_gf2_lazy_and_exact_ranks_agree_on_one_code(f2, n):
         for cap in (1, 2, 1, 4, n + 1, 0):
             assert [rank(i, cap) for i in range(len(code))] == [min(x, cap) for x in e]
             assert [rank2(i, cap) for i in range(len(code))] == [min(x, cap) for x in b]
-    assert [[(r >> c) & 1 for c in range(sum(widths))] for r in factor.products(rows[3])] == \
-        f2.matmul(rows[3], dec.coordinates).tolist()
+    for A, b in zip(rows, blocks):
+        assert factor.nonzero_blocks(A).tolist() == [x > 0 for x in b]
     if f2.stacked(n):
         dims, R = factor.block_ranks(stack)
         assert (dims.tolist(), R.tolist()) == (want_dims, blocks)

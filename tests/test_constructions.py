@@ -370,21 +370,35 @@ def test_product_identity_agrees_with_matmul_on_random_codes(p, r, t):
             assert _reported_failures(f, t, ordered, pair_list) == want
 
 
-def test_product_identity_builds_each_block_once(f2, f3, monkeypatch):
-    built = []
+def test_product_identity_builds_no_block_and_one_factor_per_partner_tuple(f2, f3, monkeypatch):
+    # the check multiplies the X blocks alone, never [X | aI]; codewords with
+    # the same partners, in the same order, share one factor
+    built, factors = [], []
 
-    def counting(field, X, alpha):
+    def forbidden(field, X, alpha):
         built.append(1)
         return build_block(field, X, alpha)
 
-    monkeypatch.setattr(constructions, "build_block", counting)
+    class Counting(constructions.BlockRankFactor):
+        def __init__(self, field, B, widths):
+            factors.append(B.shape)
+            super().__init__(field, B, widths)
+
+    monkeypatch.setattr(constructions, "build_block", forbidden)
+    monkeypatch.setattr(constructions, "BlockRankFactor", Counting)
     t = 4
     for f in (f2, f3):
         ordered = [(np.zeros((t, t), dtype=np.int64), 1)] * 5
-        for pair_list in ([(0, 1), (1, 0), (1, 1), (0, 1), (3, 0)], _pair_lists(5, 0)[0]):
-            built.clear()
+        for pair_list in ([(0, 1), (1, 0), (1, 1), (0, 1), (3, 0), (2, 0), (2, 1)],
+                          _pair_lists(5, 0)[0], _pair_lists(5, 0)[2]):
+            factors.clear()
             _check_product_identity(f, t, ordered, pair_list)
-            assert len(built) == len({k for pair in pair_list for k in pair})
+            partners = {}
+            for i, j in pair_list:
+                partners.setdefault(i, {})[j] = None
+            tuples = {tuple(js) for js in partners.values()}
+            assert sorted(factors) == sorted((t, t * len(js)) for js in tuples)
+    assert built == []
 
 
 def test_algebra_code_rejects_non_lcd(f2):

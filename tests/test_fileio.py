@@ -240,9 +240,8 @@ def test_dumps_writes_edge_case_arrays():
 
 
 def test_dumps_one_digit_arrays_and_their_neighbours():
-    # nonnegative one-digit entries fill every slot, and are written with no
-    # mask; a single -1 brings back the sign byte and a single 10 a second
-    # digit, and with them the mask
+    # nonnegative one-digit entries are laid out by the writer itself; a
+    # single -1 or a single 10 sends the array to json as its list
     rng = np.random.default_rng(808)
     digits = rng.integers(0, 10, (7, 192))
     arrays = [np.zeros((3, 5), dtype=np.int64), np.ones((4, 192), dtype=np.int64), digits,
@@ -260,3 +259,27 @@ def test_dumps_one_digit_arrays_and_their_neighbours():
     for A in arrays:
         for doc in (A, {"codewords": [A, A[::-1]], "n": 1}):
             assert fileio.dumps(doc) == json.dumps(_to_lists(doc), sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_lays_out_only_one_digit_matrices(monkeypatch):
+    # one document of a 0-9 matrix, a matrix with a 10, one with a -1, empty
+    # arrays and a 1-D array: the writer lays out the first itself and
+    # hands every other array to json as its list
+    digits = np.random.default_rng(909).integers(0, 10, (5, 17))
+    ten, minus = digits.copy(), digits.copy()
+    ten[2, 3], minus[4, 16] = 10, -1
+    doc = {"digits": digits, "ten": ten, "minus": minus,
+           "empty": [np.zeros((0, 3), dtype=np.int64), np.zeros((3, 0), dtype=np.int64)],
+           "flat": np.arange(4), "nested": [{"digits": digits.astype(np.uint8)}]}
+    seen = []
+
+    def spy(A, pad):
+        seen.append(A)
+        return layout(A, pad)
+
+    layout = fileio._matrix_text
+    monkeypatch.setattr(fileio, "_matrix_text", spy)
+    assert fileio.dumps(doc) == json.dumps(_to_lists(doc), sort_keys=True, indent=2) + "\n"
+    assert len(seen) == 2
+    assert all(A.ndim == 2 and A.size and A.min() >= 0 and A.max() <= 9 for A in seen)
+    assert all(A.tolist() == digits.tolist() for A in seen)

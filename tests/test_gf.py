@@ -691,6 +691,47 @@ def _block_ranks_of_product(f, rows, B, widths, rank):
     return out
 
 
+def _nonzero_blocks(f, rows, B, widths):
+    """Whether each column block of rows B is nonzero, from f.matmul."""
+    P = f.matmul(rows, B)
+    ends = np.cumsum([0] + widths).tolist()
+    return [bool(P[:, s:e].any()) for s, e in zip(ends, ends[1:])]
+
+
+@pytest.mark.parametrize("p, r, inner", [(2, 1, 1), (2, 1, 7), (2, 1, 8), (2, 1, 9),
+                                         (2, 1, 96), (3, 1, 6), (2, 2, 6), (3, 2, 6)])
+def test_nonzero_blocks_match_matmul(p, r, inner):
+    # each block of B has at most two nonzero entries, in rows picked at
+    # random, so a block of rows B is zero for some rows and nonzero for
+    # others, and two entries in one column cancel for some rows; the
+    # widths 0 to 13 start and end inside bytes and on byte boundaries of
+    # the packed product rows over F_2
+    f = field_new(p, r)
+    rng = np.random.default_rng([p, r, inner])
+    widths = [0, 1, 3, 4, 8, 0, 5, 13, 8, 2, 0]
+    ends = np.cumsum([0] + widths).tolist()
+    seen = set()
+    for _ in range(4):
+        B = np.zeros((inner, sum(widths)), dtype=np.int64)
+        for s, e in zip(ends, ends[1:]):
+            if e > s:
+                col = s + int(rng.integers(e - s))
+                B[rng.integers(inner, size=int(rng.integers(3))), col] = rng.integers(1, f.q)
+        factor = BlockRankFactor(f, B, widths)
+        for k in (0, 1, 3, inner + 2):
+            rows = rng.integers(0, f.q, (k, inner)) * (rng.random((k, inner)) < 0.3)
+            got = factor.nonzero_blocks(rows)
+            want = _nonzero_blocks(f, rows, B, widths)
+            assert got.dtype == bool and got.tolist() == want
+            seen.update(want)
+        assert factor.nonzero_blocks(np.ones((2, inner), dtype=np.int64)).tolist() == \
+            _nonzero_blocks(f, np.ones((2, inner), dtype=np.int64), B, widths)
+    assert seen == {False, True}
+    # no blocks at all
+    assert BlockRankFactor(f, np.zeros((inner, 0), dtype=np.int64), []).nonzero_blocks(
+        np.ones((2, inner), dtype=np.int64)).shape == (0,)
+
+
 @pytest.mark.parametrize("inner", [1, 7, 8, 9, 191])
 def test_block_rank_factor_matches_dot_products(f2, inner):
     # blocks of 63 to 130 columns start and end on both sides of 64-bit
@@ -716,10 +757,8 @@ def test_block_rank_factor_matches_dot_products(f2, inner):
             assert want == _block_ranks_of_product(
                 f2, rows, B, widths, lambda M: oracles.rank(f2, M))
             assert got[0] == oracles.rank(f2, rows.tolist())
-        # the packed product rows, column c in bit c, are the rows of rows B
-        packed = factor.products(rows)
-        assert [[(r >> c) & 1 for c in range(B.shape[1])] for r in packed] == \
-            f2.matmul(rows, B).tolist()
+        # the same tables tell which blocks of rows B are nonzero
+        assert factor.nonzero_blocks(rows).tolist() == _nonzero_blocks(f2, rows, B, widths)
     if inner == 191:
         assert got[0] == 96     # the last case, the 97 rows
 
@@ -831,38 +870,23 @@ def test_block_rank_factor_validation(all_fields):
         # a stack of row sets of 4 columns, against a factor of 3 rows
         with pytest.raises(DimensionMismatch):
             BlockRankFactor(f, B, [4]).block_ranks(np.zeros((1, 2, 4), dtype=np.int64))
+        # a matrix of 4 columns, and entries outside [0, q), on every field
+        with pytest.raises(DimensionMismatch):
+            BlockRankFactor(f, B, [4]).nonzero_blocks(np.zeros((2, 4), dtype=np.int64))
+        for bad in (-1, f.q):
+            with pytest.raises(EncodingOutOfRange):
+                BlockRankFactor(f, B, [4]).nonzero_blocks(np.full((2, 3), bad))
         if f.q == 2:
             with pytest.raises(DimensionMismatch):
                 BlockRankFactor(f, B, [4]).capped(np.zeros((1, 2, 4), dtype=np.int64))
-            with pytest.raises(DimensionMismatch):
-                BlockRankFactor(f, B, [4]).products(np.zeros((2, 4), dtype=np.int64))
-            with pytest.raises(EncodingOutOfRange):
-                BlockRankFactor(f, B, [4]).products(np.full((2, 3), 2))
-        else:
-            with pytest.raises(FieldMismatch):
-                BlockRankFactor(f, B, [4]).products(np.zeros((2, 3), dtype=np.int64))
 
 
-def test_solve_and_inverse(f3, f9):
-    rng = random.Random(3)
+def test_inverse_matrix(f3, f9):
     for f in (f3, f9):
-        for _ in range(20):
-            n = rng.randrange(1, 5)
-            A = [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)]
-            x = [rng.randrange(f.q) for _ in range(n)]
-            b = f.matmul(np.array(A), np.array(x)[:, None]).ravel()
-            got = f.solve(A, b)
-            assert got is not None
-            back = f.matmul(f.asmatrix(A), got[:, None]).ravel()
-            assert back.tolist() == b.tolist()
         I = np.eye(3, dtype=np.int64)
         M = [[1, 1, 0], [0, 1, 0], [2 % f.q, 0, 1]]
         Minv = f.inv_matrix(M)
         assert f.matmul(np.array(M), Minv).tolist() == I.tolist()
-
-
-def test_solve_inconsistent_returns_none(f2):
-    assert f2.solve([[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_singular_inverse_raises(f3):
