@@ -8,34 +8,45 @@ on every trial; a disagreement is an internal error, not a statistic.
 
 Trial i draws its codeword index from np.random.default_rng((rng_seed, i, 0))
 and its channel from np.random.default_rng((rng_seed, i)), bit for bit, but
-no default_rng and no Generator is built.  ``_streams`` hashes every
-SeedSequence of a chunk in one vectorised pass and hands each distinct
-hashed state one PCG64, which is asked once for the raw 64-bit words its
-first draws need (``random_raw``); only a stream that runs short, after a
-rank-deficient coefficient matrix or a rejected output, asks again.  Each
-word gives two 32-bit outputs, its low half first, as PCG64's next_uint32
-splits it, and every ``Generator.integers(0, q)`` draw is made on those
-outputs by one vectorised bounded map per chunk (``_Words.take``): Lemire's
-multiply-and-shift (u q) >> 32, an output being rejected, and the next one
-taken, when (u q) mod 2^32 is below (2^32 - q) mod q (Lemire, "Fast Random
-Integer Generation in an Interval", ACM TOMACS 2019), exactly as numpy
-draws below 2^32.  For q == 1 no output is read.
+no Generator and no bit generator is built, and numpy.random is not
+imported.  The streams of a chunk of trials are drawn in a fixed number of
+array passes, whatever the seed and the trial indices:
+
+- ``_states`` builds the SeedSequence entropy words of every stream as the
+  columns of a uint32 array and hashes them together, as SeedSequence does;
+- ``_raw`` runs PCG64 (O'Neill, "PCG: a family of simple fast
+  space-efficient statistically good algorithms for random number
+  generation", 2014) as 128-bit LCG arithmetic on pairs of uint64 arrays:
+  t steps take a state s to A_t s + S_t inc, with A_t = M^t and
+  S_t = 1 + M + ... + M^(t-1) mod 2^128 precomputed (``_jumps``), so a
+  window of outputs of every stream is computed at once, each permuted by
+  XSL-RR;
+- each 64-bit output gives two 32-bit outputs, its low half first, as
+  PCG64's next_uint32 splits it, and ``_bounded`` maps a whole window
+  through Lemire's multiply-and-shift (u q) >> 32, an output being
+  rejected when (u q) mod 2^32 is below (2^32 - q) mod q (Lemire, "Fast
+  Random Integer Generation in an Interval", ACM TOMACS 2019), exactly as
+  Generator.integers(0, q) draws below 2^32, and packs each stream's kept
+  draws to the left;
+- a trial's codeword index, its coefficient attempts and its error rows are
+  slices of its stream's draws (``_Draws.take``); only a stream that runs
+  short draws a further window, from where its last one ended.
 
 SeedSequence zero-pads its entropy words up to its pool of four, so while
 rng_seed and i take at most three 32-bit words between them (rng_seed <
 2^64 and i < 2^32, say), (rng_seed, i, 0) and (rng_seed, i) seed the same
-stream: they share one row of outputs, and the codeword index and the
-channel each read it from its first output, so the two are not
-independent.  Every seeded tally pinned in the tests and the benchmark's
-re-draw depend on these streams, so they stay as they are.
+stream: the codeword index and the channel each read it from its first
+output, so the two are not independent.  Every seeded tally pinned in the
+tests and the benchmark's re-draw depend on these streams, so they stay as
+they are.
 
 ``run_experiment`` runs its trials in chunks, sized so that the largest
 stacked array of a chunk (the naive decoder's stacks [C_i; R]) holds about
 ``gf.STACK_ENTRIES`` entries.  A chunk draws every received word as
-``corrupt`` draws it (the same streams, the same draw order, the same
-full-rank retries), as one (trials x h x n) stack, the format that
-``codes._received_stack`` gives a batch of received words, in range by
-construction.  So the chunk skips that preparer: it marks the stack
+``corrupt`` draws it, by the same function (the same streams, the same
+draw order, the same full-rank retries), as one (trials x h x n) stack, the
+format that ``codes._received_stack`` gives a batch of received words, in
+range by construction.  So the chunk skips that preparer: it marks the stack
 read-only and hands it, unconverted, to both decisions, those of
 ``decode_naive_many`` and of the projection decoder's ``decode_many``.
 Each decision returns its verdicts as two arrays, codeword index (-1 for a
@@ -53,6 +64,7 @@ branch change no tally.
 from __future__ import annotations
 
 import functools
+import math
 import statistics
 import time
 from dataclasses import dataclass
@@ -73,6 +85,9 @@ _INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
 _INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
 _MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
 _XSHIFT = np.uint32(16)
+# PCG64's 128-bit LCG multiplier, and uint64 shifts and masks
+_PCG_MULT = 0x2360ed051fc65da44385df649fccf645
+_LOW, _S32, _S58 = np.uint64(_MASK32), np.uint64(32), np.uint64(58)
 
 
 @dataclass(frozen=True)
@@ -85,14 +100,10 @@ class ChannelSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        # SeedSequence takes non-negative ints only; bool is an int to Python
-        if (isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int)
-                or self.rng_seed < 0):
-            raise InvalidSpec(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
-        if self.erasure_count < 0:
-            raise InvalidSpec("erasure_count must be >= 0")
-        if self.error_count < 0:
-            raise InvalidSpec("error_count must be >= 0")
+        # a seed is a Python int, never a bool, which is an int to Python
+        _count("rng_seed", self.rng_seed, types=int)
+        _count("erasure_count", self.erasure_count)
+        _count("error_count", self.error_count)
 
 
 @dataclass(frozen=True)
@@ -132,46 +143,25 @@ def corrupt(codeword, spec, trial_index):
     """Received subspace for one trial: a uniform (dim - erasures)-dimensional
     subspace of the codeword with error_count uniform vectors adjoined.
 
-    It is drawn as run_experiment draws trial trial_index, from the raw
-    words of the stream of default_rng((rng_seed, trial_index)) through the
-    bounded map of _Words.take, which rejects outputs as
-    Generator.integers does."""
+    It is drawn as run_experiment draws trial trial_index, by the same
+    _draw, from the stream of default_rng((rng_seed, trial_index)), bit for
+    bit."""
+    trial_index = _count("trial_index", trial_index)
     if spec.erasure_count > codeword.dim:
         raise InvalidSpec(
             f"cannot erase {spec.erasure_count} of {codeword.dim} dimensions")
     if spec.error_count > codeword.n:
         raise InvalidSpec(f"error_count {spec.error_count} exceeds n = {codeword.n}")
-    if trial_index < 0:
-        raise InvalidSpec(f"trial_index must be >= 0, got {trial_index}")
-    words = _streams([(spec.rng_seed, trial_index)],
-                     _first_words(codeword.dim, codeword.n, spec))
-    rows, = _received_rows([codeword], spec, words, words.row)
+    _, (rows,) = _draw([codeword], spec, trial_index, 1)
     return Subspace(codeword.field, codeword.n, rows)
 
 
-@functools.lru_cache(maxsize=None)
-def _hashed_seed_type():
-    """The seed sequence class of _streams, made on first use so that
-    importing the package, as every CLI command does, does not import
-    numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class HashedSeed(ISeedSequence):
-        """A seed sequence whose state is already hashed: the 4 uint64
-        words that a PCG64 asks of its seed sequence."""
-
-        __slots__ = ("state",)
-
-        def __init__(self, state):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != _POOL or dtype is not np.uint64:
-                raise InternalInconsistency(
-                    f"a hashed seed holds 4 uint64 words, not {n_words} {dtype}")
-            return self.state
-
-    return HashedSeed
+def _count(name, value, least=0, types=(int, np.integer)):
+    """value as an int, if it is an integer of one of types (never a bool)
+    and at least least; InvalidSpec otherwise."""
+    if isinstance(value, bool) or not isinstance(value, types) or value < least:
+        raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @functools.lru_cache(maxsize=None)
@@ -188,10 +178,10 @@ def _hash_consts(init, mult, count):
 
 def _hashmix(values, consts):
     """SeedSequence's hashmix of values against each successive step of
-    consts, len(consts) - 1 steps; an (m, 1) column of values is hashed
-    once per step."""
-    out = values ^ consts[:-1]
-    out *= consts[1:]
+    consts, len(consts) - 1 steps, one row of values per step; a (1, m) row
+    of values is hashed once per step."""
+    out = values ^ consts[:-1, None]
+    out *= consts[1:, None]
     out ^= out >> _XSHIFT
     return out
 
@@ -204,29 +194,31 @@ def _mix(x, y):
 
 
 def _seed_states(entropy):
-    """SeedSequence(e).generate_state(4, np.uint64) for every row e of
-    entropy, an (m, L) uint32 array with L >= 4, all rows at once.
+    """SeedSequence(e).generate_state(4, np.uint64) for every column e of
+    entropy, an (L, m) uint32 array with L >= 4, all columns at once, as a
+    (4, m) uint64 array.
 
     This is SeedSequence's mix_entropy over a pool of 4 words, then its
-    generate_state, with the loop over rows made array arithmetic: uint32
+    generate_state, with the loop over seeds made array arithmetic: uint32
     arrays wrap around as SeedSequence's words do.
     """
-    length = entropy.shape[1]
+    length = len(entropy)
     consts = _hash_consts(_INIT_A, _MULT_A, _POOL * length)
-    pool = _hashmix(entropy[:, :_POOL], consts[:_POOL + 1])
+    pool = _hashmix(entropy[:_POOL], consts[:_POOL + 1])
     k = _POOL
     # mix every pool word into each of the others, so late bits reach early ones
     for src in range(_POOL):
         dst = [d for d in range(_POOL) if d != src]
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src:src + 1], consts[k:k + _POOL]))
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src:src + 1], consts[k:k + _POOL]))
         k += _POOL - 1
     # then each entropy word past the pool into every pool word
     for src in range(_POOL, length):
-        pool = _mix(pool, _hashmix(entropy[:, src:src + 1], consts[k:k + _POOL + 1]))
+        pool = _mix(pool, _hashmix(entropy[src:src + 1], consts[k:k + _POOL + 1]))
         k += _POOL
-    state = _hashmix(pool[:, [0, 1, 2, 3] * 2], _hash_consts(_INIT_B, _MULT_B, 2 * _POOL))
+    state = _hashmix(pool[[0, 1, 2, 3] * 2], _hash_consts(_INIT_B, _MULT_B, 2 * _POOL))
     # little-endian words, as SeedSequence pairs them
-    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+    state = state.astype(np.uint64)
+    return state[0::2] | state[1::2] << _S32
 
 
 def _entropy_words(entropy):
@@ -245,175 +237,233 @@ def _entropy_words(entropy):
     return words
 
 
-def _halves(raw):
-    """The 32-bit outputs of raw PCG64 words, the low half of each word
-    first, as PCG64's next_uint32 splits it: shape (..., 2 k) of (..., k)."""
-    return np.ascontiguousarray(raw, dtype="<u8").view("<u4")
+def _states(seed, start, m, tails):
+    """SeedSequence((seed, i, *tail)).generate_state(4, np.uint64) for each
+    tail of tails and each trial index i of range(start, start + m), as a
+    (4, len(tails) m) uint64 array, tail by tail.
+
+    The low word of i is start's low word plus 0, ..., m - 1, and its carry
+    c, the same for a run of trial indices, picks the words above it, those
+    of (start >> 32) + c.  The entropy words of every seed are one column,
+    zero-padded up to the pool of 4 words, as SeedSequence pads them, and
+    the columns of each length are hashed in one _seed_states pass.
+    """
+    head, low = _entropy_words((seed,)), start & _MASK32
+    runs = {}
+    for c in range((low + m - 1 >> 32) + 1):
+        high = (start >> 32) + c
+        at = np.arange(max(low, c << 32), min(low + m, c + 1 << 32))
+        for t, tail in enumerate(tails):
+            words = head + [0] + (_entropy_words((high,)) if high else []) + _entropy_words(tail)
+            cols = np.zeros((max(len(words), _POOL), len(at)), dtype=np.uint32)
+            cols[:len(words)] = np.reshape(words, (-1, 1))
+            cols[len(head)] = at & _MASK32
+            runs.setdefault(len(cols), []).append((t * m + at[0] - low, cols))
+    out = np.empty((_POOL, len(tails) * m), dtype=np.uint64)
+    for parts in runs.values():
+        hashed, k = _seed_states(np.hstack([cols for _, cols in parts])), 0
+        for offset, cols in parts:
+            out[:, offset:offset + cols.shape[1]] = hashed[:, k:k + cols.shape[1]]
+            k += cols.shape[1]
+    return out
 
 
-class _Words:
-    """The 32-bit outputs of PCG64 streams, one row per distinct stream,
-    drawn with random_raw as the draws need them.
+@functools.lru_cache(maxsize=None)
+def _jumps(steps):
+    """PCG64's jumps of 1, ..., steps steps: t steps take a state s to
+    A_t s + S_t inc mod 2^128, with A_t = M^t and S_t = 1 + M + ... +
+    M^(t-1).  Returns, of [A; S], the high words, the low words, and the
+    high and low 32-bit halves of the low words, each a (2, steps, 1)
+    uint64 array."""
+    a, s, jumps = 1, 0, []
+    for _ in range(steps):
+        a, s = a * _PCG_MULT % 2 ** 128, (s * _PCG_MULT + 1) % 2 ** 128
+        jumps.append([[v >> 64, v & 2 ** 64 - 1, v >> 32 & _MASK32, v & _MASK32] for v in (a, s)])
+    words = np.array(jumps, dtype=np.uint64).transpose(1, 0, 2)
+    words.flags.writeable = False  # every caller shares the cached array
+    return tuple(words[..., j, None] for j in range(4))
 
-    Row r of u32 holds the first have[r] outputs of gens[r], so every
-    consumer of a stream reads the same outputs, each from its own cursor.
-    row[e] is the row of the e-th stream asked of _streams.
+
+def _times(c, x):
+    """c x mod 2^128 for every jump c of _jumps (2 x t x 1) and every value x
+    of a (high, low) pair of 2 x k uint64 arrays, as a (high, low) pair of
+    (2, t, k) arrays: the low words' full product from their 32-bit halves,
+    and the cross terms mod 2^64."""
+    (c_hi, c_lo, c1, c0), (x_hi, x_lo) = c, (v[:, None] for v in x)
+    x0, x1 = x_lo & _LOW, x_lo >> _S32
+    mid = c1 * x0 + (c0 * x0 >> _S32)
+    low = c0 * x1 + (mid & _LOW)
+    return c1 * x1 + (mid >> _S32) + (low >> _S32) + c_lo * x_hi + c_hi * x_lo, c_lo * x_lo
+
+
+def _pcg(states):
+    """PCG64's state and inc of each column of seed states (4 x m uint64),
+    as a (high, low) pair of (2, m) uint64 arrays, the states in row 0 and
+    the incs in row 1, with the state one step before the seeded one:
+    numpy's seeding sets inc = 2 v_1 + 1 for the 128-bit
+    v_1 = (states[2], states[3]), then steps from inc + v_0."""
+    v0_hi, v0_lo, v1_hi, v1_lo = states
+    inc_hi = (v1_hi << np.uint64(1)) | (v1_lo >> np.uint64(63))
+    inc_lo = (v1_lo << np.uint64(1)) | np.uint64(1)
+    low = v0_lo + inc_lo
+    return np.stack([v0_hi + inc_hi + (low < v0_lo), inc_hi]), np.stack([low, inc_lo])
+
+
+def _raw(pcg, words, lead):
+    """The next `words` 64-bit outputs of the PCG64 streams pcg (as _pcg
+    gives them) whose states are `lead` steps behind, as a (words, k)
+    uint64 array, one column per stream, and the states after them.
+
+    Output j comes from A_(lead+j) s + S_(lead+j) inc (see _jumps), every
+    stream and step at once, permuted by XSL-RR: the high word XOR the low
+    word, rotated right by the state's top 6 bits.
+    """
+    (hi_a, hi_s), (lo_a, lo_s) = _times(_jumps(words + lead), pcg)
+    lo = lo_a + lo_s
+    hi = hi_a + hi_s + (lo < lo_s)
+    x, rot = hi[lead:] ^ lo[lead:], hi[lead:] >> _S58
+    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63))), (hi[-1], lo[-1])
+
+
+def _bounded(raw, q):
+    """Generator.integers(0, q) draws, for a uint64 q, on the 32-bit outputs
+    of each column of raw 64-bit outputs (w x k), the low half of each
+    output first, as PCG64's next_uint32 splits it: Lemire's (u q) >> 32,
+    an output u being rejected when (u q) mod 2^32 is below
+    (2^32 - q) mod q.  Returns each column's kept draws packed to the top,
+    shape (2 w, k), and how many each column kept."""
+    scaled = np.stack([raw & _LOW, raw >> _S32], axis=1).reshape(-1, raw.shape[1]) * q
+    kept = (scaled & _LOW) >= (np.uint64(2 ** 32) - q) % q
+    draws = (scaled >> _S32).astype(np.int64)
+    if not kept.all():
+        draws = np.take_along_axis(draws, np.argsort(~kept, axis=0, kind="stable"), axis=0)
+    return draws, kept.sum(axis=0)
+
+
+class _Draws:
+    """The Generator.integers(0, q) draws of the PCG64 stream of each column
+    r of seed states (4 x m uint64), drawn a window at a time.
+
+    Column r of draws holds the first have[r] draws of stream r; the first
+    window maps `words` raw outputs of every stream, and a stream that is
+    asked past its draws maps a further window, from its state, where its
+    last one ended.
     """
 
-    def __init__(self, gens, row, first):
-        self.gens = gens
-        self.row = row
-        raw = np.array([g.random_raw(first) for g in gens], dtype=np.uint64)
-        self.u32 = _halves(raw.reshape(len(gens), first))
-        self.have = np.full(len(gens), 2 * first, dtype=np.int64)
-
-    def _fill(self, rows, need):
-        """Ask the streams of rows for raw words until row rows[j] holds at
-        least need[j] outputs; only rows that run short ask."""
-        short = need > self.have[rows]
-        for r, n in zip(rows[short].tolist(), need[short].tolist()):
-            have = int(self.have[r])
-            if n <= have:  # r came twice
-                continue
-            raw = self.gens[r].random_raw((n - have + 1) // 2)
-            n = have + 2 * len(raw)
-            if n > self.u32.shape[1]:
-                wider = np.zeros((len(self.gens), max(n, 2 * self.u32.shape[1])),
-                                 dtype=self.u32.dtype)
-                wider[:, :self.u32.shape[1]] = self.u32
-                self.u32 = wider
-            self.u32[r, have:n] = _halves(raw)
-            self.have[r] = n
-
-    def take(self, rows, cursors, count, q):
-        """count draws of Generator.integers(0, q) from stream rows[j], from
-        its output cursors[j] on, for every j at once; returns the draws,
-        shape (len(rows), count), and the cursors past them.
-
-        This is Lemire's bounded map as numpy applies it to ranges below
-        2^32: an output u gives (u q) >> 32 unless (u q) mod 2^32 is below
-        (2^32 - q) mod q, when it is skipped and the next output tried.
-        For q == 1 no output is read.  Rows whose first count outputs hold
-        a skip read a window twice as wide, until they have count draws.
-        """
+    def __init__(self, states, q, words):
         if not 1 <= q <= 2 ** 32:
             raise InternalInconsistency(f"bounded draws need 1 <= q <= 2**32, got {q}")
-        out = np.zeros((len(rows), count), dtype=np.int64)
-        if q == 1 or count == 0:
-            return out, cursors
-        skip = (2 ** 32 - q) % q
-        cursors = cursors.copy()
-        todo = np.arange(len(rows))
-        width = count
-        while len(todo):
-            at = cursors[todo, None] + np.arange(width)
-            self._fill(rows[todo], at[:, -1] + 1)
-            scaled = self.u32[rows[todo, None], at].astype(np.uint64) * np.uint64(q)
-            kept = (scaled & np.uint64(_MASK32)) >= skip
-            seen = kept.cumsum(axis=1)
-            done = seen[:, -1] >= count
-            use = kept & (seen <= count) & done[:, None]
-            out[todo[done]] = (scaled[use] >> np.uint64(32)).reshape(-1, count)
-            cursors[todo[done]] += (seen[done] < count).sum(axis=1) + 1
-            todo = todo[~done]
-            width *= 2
-        return out, cursors
+        self.q = np.uint64(q)
+        self.pcg = _pcg(states)
+        self.draws, self.have = self._map(slice(None), words, 1)
+
+    def _map(self, rows, words, lead=0):
+        """The draws of the next `words` raw outputs of the streams rows (an
+        index array or a slice), by _bounded; the streams step past them."""
+        raw, (hi, lo) = _raw(tuple(v[:, rows] for v in self.pcg), words, lead)
+        self.pcg[0][0, rows], self.pcg[1][0, rows] = hi, lo
+        return _bounded(raw, self.q)
+
+    def take(self, rows, start, count):
+        """count draws of each stream rows[j] (distinct rows), from its draw
+        start[j] on (start may be one int for all rows), shape
+        (len(rows), count)."""
+        end = np.reshape(start, -1) + count
+        short = self.have[rows] < end
+        while short.any():
+            more = rows[short]
+            draws, kept = self._map(more, (int((end - self.have[rows])[short].max()) + 1) // 2)
+            depth = int(self.have[more].max()) + len(draws) - len(self.draws)
+            if depth > 0:
+                more_rows = np.zeros((depth, self.draws.shape[1]), dtype=np.int64)
+                self.draws = np.concatenate([self.draws, more_rows])
+            self.draws[self.have[more] + np.arange(len(draws))[:, None], more] = draws
+            self.have[more] += kept
+            short = self.have[rows] < end
+        return self.draws[np.reshape(start, (-1, 1)) + np.arange(count), rows[:, None]]
 
 
-def _streams(entropies, first):
-    """The stream np.random.default_rng(e) gives for each tuple e of
-    non-negative ints, bit for bit, as a _Words whose streams each hold
-    their first `first` raw words.
+def _attempts(f, keep, dim, pending):
+    """Coefficient attempts per pending trial in one round.  A stack the
+    field ranks whole (f.stacked(dim)) costs a few numpy calls per column,
+    so a round ranks the fewest attempts that leave, at the exact
+    probability prod_i (1 - q^(i - dim)), i < keep, that a uniform
+    keep x dim matrix has full rank, under a quarter of a trial pending in
+    expectation, up to one stack of STACK_ENTRIES entries.  Past that each
+    matrix is ranked on its own, and a round ranks one attempt.  It changes
+    no draw, only how many are ranked at once."""
+    if not f.stacked(dim):
+        return 1
+    miss = 1 - math.prod(1 - float(f.q) ** (i - dim) for i in range(keep))
+    want = math.ceil(math.log(4 * pending) / -math.log(miss)) if miss > 0 else 1
+    return max(1, min(want, STACK_ENTRIES // (pending * keep * dim)))
 
-    SeedSequence hashes a row of at most 4 entropy words as that row
-    zero-padded to 4, so tuples whose padded rows are equal are one stream:
-    one PCG64 and one row of outputs.  Every distinct row is hashed in one
-    pass per length, and each PCG64 takes its hashed state, with no
-    Generator.
+
+def _draw(words, spec, start, m):
+    """Codeword indices into words, and the generator rows of the received
+    words as one stack (m x h x n), of trials i = start, ..., start + m - 1.
+
+    Trial i's codeword index is the first draw of Generator.integers(0,
+    len(words)) on the stream of np.random.default_rng((rng_seed, i, 0)),
+    bit for bit, and none is read for one codeword.  Its channel draws from
+    the stream of default_rng((rng_seed, i)): coefficient matrices until
+    one has full rank (giving up past _RANK_RETRY_CAP attempts), then the
+    error rows, every entry one Generator.integers(0, q) draw, so that
+    attempt a is draws a kd, ..., (a + 1) kd - 1 for kd = keep x dim, and
+    the error rows follow the first full-rank one.  The codewords share one
+    dimension (an LCD code has one), so the trials share one shape.  Every
+    stream is seeded in one _states pass; the channel streams are drawn by
+    one _Draws, whose first window holds the first round of attempts and
+    the error rows, and the index streams by another, of one raw output
+    each.  Round by round each pending trial takes _attempts(...) attempts,
+    all ranked in one stack, and keeps its first full-rank one.  One
+    product then multiplies the chosen coefficients of all trials by the
+    bases of the codewords sent side by side, and each trial takes the
+    block of its own codeword.
     """
-    key_row = {}
-    row = []
-    for e in entropies:
-        words = _entropy_words(e)
-        words += [0] * (_POOL - len(words))
-        row.append(key_row.setdefault(tuple(words), len(key_row)))
-    keys = list(key_row)
-    by_length = {}
-    for j, words in enumerate(keys):
-        by_length.setdefault(len(words), []).append(j)
-    states = np.empty((len(keys), _POOL), dtype=np.uint64)
-    for ts in by_length.values():
-        states[ts] = _seed_states(np.array([keys[j] for j in ts], dtype=np.uint32))
-    seed = _hashed_seed_type()
-    gens = [np.random.PCG64(seed(s)) for s in states]
-    return _Words(gens, np.array(row, dtype=np.int64), first)
-
-
-def _first_words(dim, n, spec):
-    """The raw words a stream is first asked for: one 32-bit output for the
-    codeword index, then one coefficient attempt and the error rows."""
-    outputs = (dim - spec.erasure_count) * dim + spec.error_count * n
-    return (max(outputs, 1) + 1) // 2
-
-
-def _received_rows(sent, spec, words, rows):
-    """Generator rows of the received word of each trial, as one stack
-    (trials x h x n), the codeword of trial t being sent[t] and its stream
-    row rows[t] of words.
-
-    Trial i draws from its own stream, np.random.default_rng((rng_seed, i))
-    bit for bit: coefficient matrices until one has full rank (at most
-    _RANK_RETRY_CAP), then the error rows, every entry one
-    Generator.integers(0, q) draw.  The draws are made on the streams' raw
-    32-bit outputs by _Words.take, for all trials at once: the codewords
-    share one dimension (an LCD code has one), so the trials share one
-    shape.  Round by round the pending trials draw a coefficient matrix
-    each and are ranked together.  One product then multiplies the
-    stacked coefficients of all trials by the bases of the distinct
-    codewords side by side, and each trial takes the block of its own
-    codeword; all trials draw their error rows from where their last
-    attempt ended.
-    """
-    f = sent[0].field
-    n, dim = sent[0].n, sent[0].dim
-    if any(w.dim != dim for w in sent):
+    f, n, dim = words[0].field, words[0].n, words[0].dim
+    if any(w.dim != dim for w in words):
         raise InternalInconsistency("the codewords of one draw must share one dimension")
     keep = dim - spec.erasure_count
-    trials = len(sent)
-    out = np.empty((trials, keep + spec.error_count, n), dtype=np.int64)
-    cursors = np.zeros(trials, dtype=np.int64)
-    if keep > 0:
-        coeffs = np.empty((trials, keep, dim), dtype=np.int64)
-        pending = np.arange(trials)
-        for _ in range(_RANK_RETRY_CAP):
-            draws, cursors[pending] = words.take(rows[pending], cursors[pending], keep * dim, f.q)
-            coeffs[pending] = draws.reshape(-1, keep, dim)
-            pending = pending[f._ranks(coeffs[pending]) < keep]
-            if not len(pending):
-                break
-        else:
+    kd, en, every = keep * dim, spec.error_count * n, np.arange(m)
+    tails = ((), (0,)) if len(words) > 1 else ((),)
+    states = _states(spec.rng_seed, start, m, tails)
+    tries = _attempts(f, keep, dim, m) if keep else 0
+    draws = _Draws(states[:, :m], f.q, (tries * kd + en + 1) // 2)
+    sent = np.zeros(m, dtype=np.int64)
+    if len(tails) > 1:
+        sent = _Draws(states[:, m:], len(words), 1).take(every, 0, 1)[:, 0]
+    chosen = np.zeros(m, dtype=np.int64)
+    pending, tried = (every if keep else every[:0]), 0
+    while len(pending):
+        if tried >= _RANK_RETRY_CAP:
             raise InternalInconsistency("could not draw a full-rank coefficient matrix")
-        slots = {}
-        slot = [slots.setdefault(w, len(slots)) for w in sent]
-        product = f._product(coeffs.reshape(-1, dim), np.hstack([w.basis for w in slots]))
-        out[:, :keep] = product.reshape(trials, keep, len(slots), n)[np.arange(trials), :, slot]
-    errors, _ = words.take(rows, cursors, spec.error_count * n, f.q)
-    out[:, keep:] = errors.reshape(trials, spec.error_count, n)
-    return out
+        tries = _attempts(f, keep, dim, len(pending))
+        coeffs = draws.take(pending, tried * kd, tries * kd).reshape(-1, keep, dim)
+        full = (f._ranks(coeffs) == keep).reshape(-1, tries)
+        hit = full.any(axis=1)
+        chosen[pending[hit]] = tried + full.argmax(axis=1)[hit]
+        pending, tried = pending[~hit], tried + tries
+    rows = draws.take(every, chosen * kd, kd + en)
+    out = np.empty((m, keep + spec.error_count, n), dtype=np.int64)
+    if keep:
+        used, slot = np.unique(sent, return_inverse=True)
+        bases = np.hstack([words[u].basis for u in used.tolist()])
+        product = f._product(rows[:, :kd].reshape(-1, dim), bases)
+        out[:, :keep] = product.reshape(m, keep, len(used), n)[every, :, slot]
+    out[:, keep:] = rows[:, kd:].reshape(m, spec.error_count, n)
+    return sent, out
 
 
 def run_experiment(code, spec, trials):
     """Simulate `trials` transmissions and tabulate decoder outcomes.
 
     Trials run in chunks, each small enough that its stacked arrays hold
-    about gf.STACK_ENTRIES entries.  The streams of a chunk, those of
-    default_rng((rng_seed, i, 0)) for the codeword index and of
-    default_rng((rng_seed, i)) for the channel, bit for bit, are seeded in
-    one _streams pass, and each distinct stream draws its first raw words
-    at once.  Trial i's codeword index is the first draw of
-    Generator.integers(0, len(code)) on its index stream, made for all
-    trials by one bounded map; every received word is drawn as corrupt()
-    draws it, into one read-only stack, which both decisions take as it is:
+    about gf.STACK_ENTRIES entries.  A chunk's codeword indices, from the
+    streams of default_rng((rng_seed, i, 0)), and its received words, from
+    those of default_rng((rng_seed, i)), bit for bit, are drawn by
+    corrupt()'s _draw, in a fixed number of array passes, the received
+    words into one read-only stack, which both decisions take as it is:
     decode_naive_many's and the projection decoder's decode_many's.  The
     two verdicts must match exactly (same index, -1 for a tie, and
     distance) on every trial, compared as arrays, chunk by chunk; a
@@ -423,8 +473,7 @@ def run_experiment(code, spec, trials):
     are medians over chunks of the per-trial mean wall time, excluding the
     one-off decoder precomputation, which is cached on the code.
     """
-    if trials < 1:
-        raise InvalidSpec("trials must be >= 1")
+    trials = _count("trials", trials, least=1)
     check = is_lcd_subspace_code(code)
     if not check.ok:
         raise NotLCDCode("simulation requires an LCD subspace code",
@@ -441,18 +490,12 @@ def run_experiment(code, spec, trials):
     # the naive decoder's stacks [C_i; R] (and [; R]) are the largest arrays
     height = max(code.dims) + max(code.dims) - spec.erasure_count + spec.error_count
     chunk = max(1, STACK_ENTRIES // ((len(code) + 1) * height * code.n))
-    first = _first_words(code.dims[0], code.n, spec)
     correct = failure = wrong = agreement = total = 0
     naive_times = []
     proj_times = []
     for start in range(0, trials, chunk):
         m = min(chunk, trials - start)
-        indices = range(start, start + m)
-        words = _streams([(spec.rng_seed, i, 0) for i in indices]
-                         + [(spec.rng_seed, i) for i in indices], first)
-        sent, _ = words.take(words.row[:m], np.zeros(m, dtype=np.int64), 1, len(code))
-        sent = sent[:, 0]
-        received = _received_rows([code[s] for s in sent.tolist()], spec, words, words.row[m:])
+        sent, received = _draw(list(code), spec, start, m)
         # both decisions read this one stack; neither may change it
         received.flags.writeable = False
 

@@ -1,6 +1,7 @@
 import statistics
 
 import numpy as np
+import oracles
 import pytest
 
 from lcdsubspace import simulator
@@ -12,6 +13,7 @@ from lcdsubspace.codes import (
     projection_decoder,
 )
 from lcdsubspace.errors import InternalInconsistency, InvalidSpec, NotLCDCode
+from lcdsubspace.gf import field_new
 from lcdsubspace.simulator import ChannelSpec, TrialStats, corrupt, run_experiment
 from lcdsubspace.subspaces import Subspace, distance, span
 
@@ -37,6 +39,14 @@ def test_channel_spec_validation():
         with pytest.raises(InvalidSpec, match="rng_seed"):
             ChannelSpec(0, 0, seed)
     assert ChannelSpec(0, 0, 2 ** 100 + 7).rng_seed == 2 ** 100 + 7
+    # counts are integers, as seeds are, but numpy integers stay accepted
+    for count in (1.5, True, False, 2.0, "1", None):
+        with pytest.raises(InvalidSpec, match="erasure_count"):
+            ChannelSpec(count, 0)
+        with pytest.raises(InvalidSpec, match="error_count"):
+            ChannelSpec(0, count)
+    spec = ChannelSpec(np.int64(1), np.int32(2), 9)
+    assert (spec.erasure_count, spec.error_count) == (1, 2)
 
 
 def test_noiseless_channel_returns_codeword(word_f2):
@@ -62,11 +72,15 @@ def test_corrupt_validation(word_f2):
         corrupt(word_f2, ChannelSpec(3, 0), 0)  # erasures exceed dim 2
     with pytest.raises(InvalidSpec):
         corrupt(word_f2, ChannelSpec(0, 5), 0)  # errors exceed ambient 4
-    for t in (-1, -2 ** 32):
+    for t in (-1, -2 ** 32, 1.5, 2.0, True, False, None):
         with pytest.raises(InvalidSpec, match="trial_index"):
             corrupt(word_f2, ChannelSpec(0, 1), t)
-    with pytest.raises(InvalidSpec, match="non-negative"):
-        simulator._streams([(3, 0), (3, -1)], 1)
+    spec = ChannelSpec(1, 1, 3)
+    assert corrupt(word_f2, spec, np.int64(2)) == corrupt(word_f2, spec, 2)
+    # a negative entropy word would wrap silently in a uint32 array
+    for seed, tail in ((-1, ()), (3, (-1,))):
+        with pytest.raises(InvalidSpec, match="non-negative"):
+            simulator._states(seed, 0, 1, (tail,))
 
 
 def test_corrupt_frozen_fixtures(word_f2):
@@ -106,6 +120,13 @@ def test_run_experiment_validation(code_f5, f3):
         run_experiment(code_f5, ChannelSpec(4, 0), 5)  # erasures exceed min dim
     with pytest.raises(InvalidSpec):
         run_experiment(code_f5, ChannelSpec(0, 3), 5)  # errors exceed ambient
+    for trials in (2.5, 3.0, True, False, "3", None, -1):
+        with pytest.raises(InvalidSpec, match="trials"):
+            run_experiment(code_f5, ChannelSpec(0, 1), trials)
+    tallies = lambda st: (st.trials, st.correct, st.failure, st.wrong, st.mean_distance)
+    st = run_experiment(code_f5, ChannelSpec(0, 1, 7), np.int64(3))
+    assert type(st.trials) is int
+    assert tallies(st) == tallies(run_experiment(code_f5, ChannelSpec(0, 1, 7), 3))
 
 
 def test_noiseless_experiment_all_correct(code_f5):
@@ -172,66 +193,68 @@ def test_erasures_and_errors_combined(f4):
 
 _SEEDS = (0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 100 + 7)
 _TRIALS = (0, 1, 199, 2 ** 32 - 1, 2 ** 32)
-
-
-def _outputs(rng, words):
-    """The 32-bit outputs of the next `words` raw words of a numpy
-    Generator's PCG64, the low half of each word first."""
-    raw = rng.bit_generator.random_raw(words)
-    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel().tolist()
+_TAILS = ((), (0,))
 
 
 def test_streams_are_default_rng_streams():
-    # entropy of 2 to 7 words, those past 4 through the extra mixing loop, all
-    # seeded in one pass as a chunk's are, and one at a time as corrupt's are
-    entropies = [(s, i, *tail) for tail in ((), (0,)) for s in _SEEDS for i in _TRIALS]
-    assert {len(simulator._entropy_words(e)) for e in entropies} == {2, 3, 4, 5, 6, 7}
-    words = simulator._streams(entropies, 3)
-    # a stream asked past its first words asks its PCG64 again, in whole words
-    asked = words.row[::2]
-    words._fill(asked, np.full(len(asked), 11))
-    for t, e in enumerate(entropies):
-        r = words.row[t]
-        want = np.random.default_rng(e)
-        assert words.have[r] == (12 if r in asked else 6)
-        assert words.u32[r, :words.have[r]].tolist() == _outputs(want, words.have[r] // 2), e
-        assert words.gens[r].state == want.bit_generator.state, e
-    # equal hashed states are one stream
-    states = {str(np.random.default_rng(e).bit_generator.state) for e in entropies}
-    assert len(words.gens) == len(states)
-    for e in entropies[::7]:
-        one = simulator._streams([e], 2)
-        assert one.u32[0].tolist() == _outputs(np.random.default_rng(e), 2), e
+    # entropy of 2 to 7 words, those past 4 through the extra mixing loop,
+    # seeded as a chunk's are: every tail and trial index of a run at once,
+    # one _seed_states pass per length, the runs below crossing 2^32
+    assert {len(simulator._entropy_words((s, i, *tail)))
+            for s in _SEEDS for i in _TRIALS for tail in _TAILS} == {2, 3, 4, 5, 6, 7}
+    for s in _SEEDS:
+        for start, m in ((0, 3), (199, 1), (2 ** 32 - 2, 4)):
+            pcg = simulator._pcg(simulator._states(s, start, m, _TAILS))
+            first, after = simulator._raw(pcg, 3, 1)
+            # outputs past the first window, from where it ended
+            pcg[0][0], pcg[1][0] = after
+            more, _ = simulator._raw(pcg, 8, 0)
+            for t, tail in enumerate(_TAILS):
+                for j in range(m):
+                    e = (s, start + j, *tail)
+                    want = np.random.default_rng(e).bit_generator.random_raw(11).tolist()
+                    assert first[:, t * m + j].tolist() + more[:, t * m + j].tolist() == want, e
+    # one trial at a time, as corrupt seeds its stream
+    for i in _TRIALS:
+        pcg = simulator._pcg(simulator._states(2 ** 100 + 7, i, 1, ((),)))
+        want = np.random.default_rng((2 ** 100 + 7, i)).bit_generator.random_raw(2)
+        assert simulator._raw(pcg, 2, 1)[0][:, 0].tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 9, 2 ** 20, 2 ** 31 + 1, 3 * 2 ** 30])
 def test_bounded_draws_are_generator_integers(q):
     # consecutive calls with odd counts and scalar draws: a call that ends
-    # on the low half of a raw word leaves its high half to the next call.
-    # (s, i, 0) and (s, i) share a stream for these seeds, so most rows have
-    # two consumers, each at its own cursor
-    entropies = [(s, i, *tail) for s in _SEEDS[:4] for i in _TRIALS[:3] for tail in ((), (0,))]
-    words = simulator._streams(entropies, 1)
+    # on the low half of a raw output leaves its high half to the next call,
+    # so the calls draw one sequence, which _Draws reads in slices.  Its
+    # first window holds 2 raw outputs a stream, so most slices are drawn
+    # by later windows, each from where the last one ended
+    entropies = [(s, i, *tail) for tail in _TAILS for s in _SEEDS[:4] for i in _TRIALS[:3]]
+    states = np.hstack([simulator._states(s, i, 1, (tuple(tail),)) for s, i, *tail in entropies])
+    draws = simulator._Draws(states, q, 2)
+    rows = np.arange(len(entropies))
     gens = [np.random.default_rng(e) for e in entropies]
-    cursors = np.zeros(len(entropies), dtype=np.int64)
-    skipped = 0
+    at = 0
     for count in (1, 3, None, 5, 1, 7, None, 2, 9):
-        got, after = words.take(words.row, cursors, count or 1, q)
+        got = draws.take(rows, at, count or 1)
         if count is None:
             want = [[int(g.integers(0, q))] for g in gens]
         else:
             want = [g.integers(0, q, size=count).tolist() for g in gens]
         assert got.tolist() == want
-        skipped += int((after - cursors).sum()) - (got.size if q > 1 else 0)
-        cursors = after
+        at += count or 1
     # (2^32 - q) mod q of the 2^32 outputs are skipped: none for a power of
     # two, about 1 in 2 for 2^31 + 1 and 1 in 4 for 3 2^30
-    assert (skipped > 0) == (q > 2 ** 30)
+    raw, _ = simulator._raw(simulator._pcg(states), 20, 1)
+    _, kept = simulator._bounded(raw, np.uint64(q))
+    assert (kept.sum() < raw.size * 2) == (q > 2 ** 30)
     if q == 1:
-        assert not cursors.any()
+        # numpy reads no output for q == 1, and _draw seeds no index stream
+        # for a one-codeword code, whose index draws are all 0
+        assert all(g.bit_generator.state == np.random.default_rng(e).bit_generator.state
+                   for g, e in zip(gens, entropies))
 
 
-def test_codeword_index_and_channel_share_a_stream_for_short_seeds():
+def test_codeword_index_and_channel_share_a_stream_for_short_seeds(f5):
     # SeedSequence zero-pads entropy up to its pool of 4 words, so while
     # (rng_seed, i) takes at most 3 words, (rng_seed, i, 0) seeds the stream
     # of (rng_seed, i): the codeword index is drawn from a copy of the
@@ -243,12 +266,31 @@ def test_codeword_index_and_channel_share_a_stream_for_short_seeds():
             b = np.random.default_rng((s, i))
             assert a.bit_generator.state == b.bit_generator.state
             assert _outputs(a, 4) == _outputs(b, 4)
+            # the two columns _states gives them are one state
+            states = simulator._states(s, i, 1, _TAILS)
+            assert (states[:, 0] == states[:, 1]).all()
     s, i = 2 ** 100 + 7, 3  # five words and six: two streams
     assert (np.random.default_rng((s, i, 0)).bit_generator.state
             != np.random.default_rng((s, i)).bit_generator.state)
-    # _streams gives them one row of outputs, which each reads from the first
-    assert simulator._streams([(7, 5, 0), (7, 5)], 1).row.tolist() == [0, 0]
-    assert simulator._streams([(s, i, 0), (s, i)], 1).row.tolist() == [0, 1]
+    states = simulator._states(s, i, 1, _TAILS)
+    assert (states[:, 0] != states[:, 1]).any()
+    # the index and the channel each read their stream from its first output
+    code = SubspaceCode([span(f5, 2, [[1, 1]]), span(f5, 2, [[1, 0]])])
+    for seed in (7, s):
+        spec = ChannelSpec(0, 1, seed)
+        sent, rows = simulator._draw(list(code), spec, i, 1)
+        assert sent.tolist() == [int(np.random.default_rng((seed, i, 0)).integers(0, 2))]
+        channel = np.random.default_rng((seed, i))
+        coeff = int(channel.integers(0, 5))  # nonzero here: a full-rank 1 x 1 attempt
+        assert coeff and rows[0].tolist() == [(coeff * code[sent[0]].basis[0] % 5).tolist(),
+                                              channel.integers(0, 5, size=2).tolist()]
+
+
+def _outputs(rng, words):
+    """The 32-bit outputs of the next `words` raw words of a numpy
+    Generator's PCG64, the low half of each word first."""
+    raw = rng.bit_generator.random_raw(words)
+    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel().tolist()
 
 
 def _one_draw(word, spec, i):
@@ -292,6 +334,41 @@ def _replay(code, spec, trials):
     return correct, failure, wrong, statistics.fmean(dists)
 
 
+# the prime field of order 1048367 = 2^20 - 209, near the largest supported
+# order, rejects (2^32 - q) mod q = 856064 of the 2^32 outputs, about 1 in
+# 5,000; seed 40766 rejects two outputs of the channel streams of trials 0
+# to 149, and draws a singular first coefficient matrix for trial 7
+_BIG_P, _BIG_SEED = 1048367, 40766
+
+
+def _big_prime_code():
+    f = field_new(_BIG_P)
+    code = SubspaceCode([span(f, 4, [[1, 0, 5, 7], [0, 1, 3, 2]]),
+                         span(f, 4, [[1, 0, 9, 4], [0, 1, 6, 11]])])
+    assert bool(is_lcd_subspace_code(code))
+    return code, ChannelSpec(0, 2, _BIG_SEED)
+
+
+def test_big_prime_seed_rejects_outputs_and_retries_attempts():
+    # from numpy's own streams, not from the simulator: the channel of some
+    # trial reads a rejected output, and one trial's first 2 x 2
+    # coefficient matrix is singular, so, as the first round ranks one
+    # attempt per trial at this order, that trial takes a second round
+    code, spec = _big_prime_code()
+    q, skip = _BIG_P, (2 ** 32 - _BIG_P) % _BIG_P
+    rejected, singular = [], []
+    for i in range(150):
+        channel = np.random.default_rng((spec.rng_seed, i))
+        # the first attempt and the error rows read 12 draws, from the
+        # first 12 outputs or more; an output is read if one after it is
+        outputs = _outputs(np.random.default_rng((spec.rng_seed, i)), 6)
+        rejected += [(i, j) for j, u in enumerate(outputs) if u * q % 2 ** 32 < skip]
+        if oracles.rank(code.field, channel.integers(0, q, size=(2, 2)).tolist()) < 2:
+            singular.append(i)
+    assert rejected == [(88, 0), (109, 9)] and singular == [7]
+    assert simulator._attempts(code.field, 2, 2, 150) == 1
+
+
 def _chunk_codes(f2, f4, f5, f9):
     readme = SubspaceCode([span(f2, 4, [[0, 0, 1, 0], [0, 0, 0, 1]]),
                            span(f2, 4, [[1, 1, 1, 0], [0, 0, 0, 1]]),
@@ -322,6 +399,9 @@ def _chunk_codes(f2, f4, f5, f9):
     one = SubspaceCode(f9_words[:1])
     assert bool(is_lcd_subspace_code(one))
     yield one, ChannelSpec(1, 1, 37)
+    # rejected outputs and a second round of attempts, windows drawn past
+    # the first
+    yield _big_prime_code()
 
 
 def test_chunked_experiment_matches_per_trial_replay(f2, f4, f5, f9, monkeypatch):
@@ -340,6 +420,57 @@ def test_chunked_experiment_matches_per_trial_replay(f2, f4, f5, f9, monkeypatch
                 assert st.mean_distance == want[3]
                 assert st.agreement == trials
             monkeypatch.undo()
+
+
+def test_attempts_per_round_change_no_draw(f2, f4, f5, f9, monkeypatch):
+    # the rule sizes each round by the exact full-rank probability: one
+    # erasure of two dimensions over GF(2) is full rank with 3/4, so 200
+    # trials need ceil(log(800) / log(4)) = 5 attempts a trial for under a
+    # quarter of a trial to be left; one stack of STACK_ENTRIES caps it.
+    # A GF(2) matrix wider than the word kernel is ranked on its own, and
+    # its round takes one attempt
+    f2_, f9_ = field_new(2), field_new(3, 2)
+    assert simulator._attempts(f2_, 1, 2, 200) == 5
+    assert simulator._attempts(f2_, 1, 2, 1) == 1
+    assert simulator._attempts(f9_, 2, 3, 25) == 2
+    assert simulator._attempts(f9_, 2, 3, 2000) == simulator.STACK_ENTRIES // (2000 * 6) == 2
+    assert simulator._attempts(f2_, 7, 8, 1) > 1
+    assert simulator._attempts(f2_, 8, 9, 1) == 1
+    assert simulator._attempts(f2_, 95, 96, 1) == 1
+    for code, spec in _chunk_codes(f2, f4, f5, f9):
+        sent, received = simulator._draw(list(code), spec, 0, 150)
+        for tries in (1, 64):
+            monkeypatch.setattr(simulator, "_attempts", lambda *args: tries)
+            got = simulator._draw(list(code), spec, 0, 150)
+            assert np.array_equal(got[0], sent) and np.array_equal(got[1], received)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("p, n, basis", [
+    (2, 4, [[1, 0, 1, 0], [0, 1, 0, 1]]),
+    (3, 3, [[1, 0, 2], [0, 1, 1]]),
+])
+def test_erasures_are_uniform(p, n, basis):
+    # one erasure of a 2-dimensional codeword leaves one of its q + 1
+    # lines, each with probability 1 / (q + 1): over 6,000 seeded trials of
+    # run_experiment's draw, the chi-square statistic of the line counts
+    # stays below 21.1, the 0.9999 quantile for q = 3 degrees of freedom
+    # (18.4 for q = 2), whatever the draw's rounds
+    f = field_new(p)
+    word = Subspace.span(f, n, basis)
+    trials = 6000
+    _, received = simulator._draw([word], ChannelSpec(1, 0, 2024), 0, trials)
+    rows = received[:, 0]
+    # each line by its vector whose first nonzero entry is 1
+    lead = rows[np.arange(trials), (rows != 0).argmax(axis=1)]
+    assert lead.all()
+    lines = {}
+    for row in (rows * lead[:, None] ** (p - 2) % p).tolist():
+        lines[tuple(row)] = lines.get(tuple(row), 0) + 1
+    assert len(lines) == p + 1 and all(word.contains(list(v)) for v in lines)
+    expect = trials / (p + 1)
+    chi2 = sum((c - expect) ** 2 / expect for c in lines.values())
+    assert chi2 < {2: 18.4, 3: 21.1}[p], lines
 
 
 def _skewed_run(code, spec, monkeypatch, skew):
