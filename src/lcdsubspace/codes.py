@@ -48,9 +48,9 @@ decoding the blocks of R Q.
 The minimum distance of params (and of sampled_min_distance) comes from the
 same idea: one scan over the pairs, d(C_i, C_j) = dim C_i + 2 e - dim C_j
 with e = rank [C_i; C_j] - dim C_i, where each pair's rank is capped at the
-least e that cannot beat the best distance so far (GF.capped_pair_ranks).
-Over F_2 a pair's reduction so stops after a few rows once a close pair is
-known; every other field ranks the pairs exactly, in stacks, and caps them.
+least e that cannot beat the best distance so far (GF.excess_rank with a
+cap).  Over F_2 a pair's reduction so stops after a few rows once a close
+pair is known; every other field ranks each pair exactly and caps it.
 
 Whether a code is LCD (is_lcd_subspace_code), and whether a classical
 generator matrix is (classical_lcd_check), is read from the one LCD routine,
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product, tee
+from itertools import combinations
 
 import numpy as np
 
@@ -70,6 +70,7 @@ from .errors import (
     DegenerateCode,
     EmptyCode,
     FieldMismatch,
+    InvalidSpec,
     NotLCDCode,
     PairBudgetExceeded,
     RankDeficient,
@@ -164,6 +165,8 @@ def params(code, *, pair_budget=PAIR_BUDGET, allow_degenerate=False):
 
 def sampled_min_distance(code, samples=10 ** 4, seed=0):
     """Upper bound on d from random codeword pairs (non-exhaustive)."""
+    if samples < 1:
+        raise InvalidSpec(f"sampled_min_distance needs at least one sample, got {samples}")
     s = len(code)
     if s < 2:
         raise DegenerateCode("minimum distance undefined for one codeword")
@@ -183,20 +186,19 @@ def _min_distance(code, pairs):
 
     d(C_i, C_j) = dim C_i + 2 e - dim C_j with e = rank [C_i; C_j] - dim C_i,
     so the pair beats best iff e < (best - dim C_i + dim C_j + 1) // 2, the
-    cap its capped rank (GF.capped_pair_ranks) is asked at; a pair whose
-    cap is 0 or less is not asked.  The first pair is asked at a cap above
-    dim C_j, which e never reaches, so it is exact.
+    cap GF.excess_rank(C_i, C_j, cap) is asked at; a pair whose cap is 0 or
+    less is not asked.  The first pair is asked at a cap above dim C_j,
+    which e never reaches, so it is exact.
     """
     words = code.codewords
     best = None
-    pairs, asked = tee(pairs)
-    for (i, j), rank in zip(pairs, code.field.capped_pair_ranks(words, asked)):
-        di, dj = words[i].dim, words[j].dim
-        cap = dj + 1 if best is None else (best - di + dj + 1) // 2
+    for i, j in pairs:
+        U, W = words[i], words[j]
+        cap = W.dim + 1 if best is None else (best - U.dim + W.dim + 1) // 2
         if cap > 0:
-            e = rank(0, cap)
+            e = code.field.excess_rank(U, W, cap)
             if e < cap:
-                best = di + 2 * e - dj
+                best = U.dim + 2 * e - W.dim
     return best
 
 
@@ -204,9 +206,10 @@ def _min_distance(code, pairs):
 class LcdCodeCheck:
     """ok iff C_i n C_j^perp = 0 for every ordered pair (i, j).
 
-    The s^2 ordered pairs of s codewords take s(s + 1)/2 stacked ranks
-    [C_a; C_b^perp], a <= b: since (C_a + C_b^perp)^perp = C_a^perp n C_b,
-    one rank settles both (a, b) and (b, a) (subspaces.dual_meets).
+    The s^2 ordered pairs of s codewords take at most s(s + 1)/2 excess
+    ranks of [C_a; C_b^perp], a <= b: since (C_a + C_b^perp)^perp =
+    C_a^perp n C_b, one rank settles both (a, b) and (b, a)
+    (subspaces.dual_meets).  witness is the first failing ordered pair.
     """
 
     ok: bool
@@ -225,13 +228,12 @@ def is_lcd_subspace_code(code):
     order, s(s + 1)/2 of them for s codewords: (b, a) is read off the rank
     of (a, b) taken before it, through (C_a + C_b^perp)^perp =
     C_a^perp n C_b.  Witness is the first (lowest-index) violating ordered
-    pair, where the walk stops.  The result is cached on the code object.
+    pair, where the walk stops, before any later rank or dual is taken.
+    The result is cached on the code object.
     """
     if code._lcd is not None:
         return code._lcd
-    pairs, stacked = tee(product(range(len(code)), repeat=2))
-    meets = dual_meets(code.codewords, stacked)
-    witness = next((pair for pair, meet in zip(pairs, meets) if meet), None)
+    witness = next((pair for pair, meet in dual_meets(code.codewords) if meet), None)
     code._lcd = LcdCodeCheck(witness is None, witness)
     return code._lcd
 

@@ -101,13 +101,18 @@ basis packed, as the echelon table ``_gf2_pivots`` builds, once its
 distinct leading bits, so that is one ``_gf2_pack`` and no elimination.
 ``_gf2_pivots`` can start from a copy of such a table, so the rank of a
 stack [U; W] of subspaces packs neither basis again and reinserts none of
-U's rows.  ``stack_ranks`` ranks many stacks [U_i; W_j] of Subspaces of
-one ambient space, as the LCD check and ``subspaces.distance`` do: a pair
-reduces W_j's kept echelon rows into a copy of U_i's kept table.  Over
-F_2 each bottom W_j is indexed when the first pair that needs it comes up
-(other fields index them all at once), so the LCD routine, which hands
-over its duals as a sequence that takes each dual when indexed, takes a
-dual over F_2 only when a pair needs it.
+U's rows.
+
+``excess_rank(U, W, cap=None)`` is the one rank of a pair of Subspaces of
+one ambient space: rank [U; W] - dim U, or the least of that and cap.  The
+LCD routine (``subspaces.dual_meets``), ``subspaces.distance`` and the
+minimum-distance scan of ``codes`` take it pair by pair.  Over F_2 it
+reduces W's kept echelon rows into a copy of U's kept table, by
+``_gf2_pivots`` when exact and by the capped scan ``_gf2_capped_ranks``
+when capped, which stops once cap of them add a pivot.  Other fields
+reduce W's basis by U's, which is in rref, in one product, eliminate what
+is left on the columns outside U's pivots, and cap its rank.
+
 Batched naive decoding has two forms, both with Subspace tops (the
 codewords) and the received words as one stack of matrices B (T x h x n).
 ``excess_ranks(tops, stack)`` ranks every [tops[i]; B] of the batch, and B
@@ -121,17 +126,13 @@ min(rank [tops[i]; B] - dim tops[i], cap): each top is its kept echelon
 table, each B an echelon set once, and rank(i, cap) reduces B's rows into a
 copy of top i's table until cap of them add a pivot, going on from where
 the last call stopped.
-``capped_pair_ranks(spaces, pairs)`` is the capped
-form for the minimum-distance scan, one capped rank per pair of Subspaces
-[U_i; U_j], from U_i's kept table and U_j's kept rows over F_2 and from
-``stack_ranks`` elsewhere.  Every GF(2) capped form runs one capped scan,
-``_gf2_capped_ranks``; it keeps its count of missing pivots to itself,
-since at each pivot that count cost the uncapped reduction of ``rank`` and
-``stack_ranks`` about a tenth of its time.
+Every GF(2) capped form runs one capped scan, ``_gf2_capped_ranks``; it
+keeps its count of missing pivots to itself, since at each pivot that count
+cost the uncapped reduction of ``rank`` about a tenth of its time.
 
 The stacked core, ``_eliminate``, runs on a stack of matrices (B x m x n)
-over every field but F_2: ``rank``, ``rref`` and ``det`` pass a stack of
-one, and ``ranks(stack)`` returns the rank of each matrix of a stack.
+over every field but F_2: ``ranks(stack)`` returns the rank of each matrix
+of a stack.
 Column by column, each matrix pivots on its first unused row with a nonzero
 entry there (no row moves); the pivot rows are divided by their pivots, and
 one gathered product and one difference clear the column across the whole
@@ -145,9 +146,10 @@ public ``mul``, ``sub`` and ``inv`` do it.  ``rref`` keeps each divided
 pivot row and marks its row used, so each column is cleared above and below
 its pivot; in ``rank`` and ``det`` (the pivot product times the sign of the
 pivot rows' permutation) the update zeroes the pivot rows, and they stop
-once every matrix has all its pivots.  A stack of one skips the search per
-matrix: its pivot is its first nonzero entry in the column, in an unused
-row.
+once every matrix has all its pivots.  A lone matrix (``rank``, ``rref``,
+``det``, ``excess_rank`` and a stack of one) skips the search per matrix:
+``_eliminate_lone`` pivots on its first nonzero entry in the column, in an
+unused row, on 2-d slices with the pivot a Python int.
 
 Every F_2 rank runs on packed rows instead: Python ints, as above, past 8
 columns, and numpy words up to 8.  There ``ranks`` packs the stack once
@@ -163,21 +165,21 @@ update per column; a word is one XOR per row, the machine-word rows of M4RI
 ``ranks`` packs the whole stack at once into ints and reduces each matrix
 on its packed rows.  Zero rows and zero columns change no rank, so
 ``padded_stack`` pads matrices of mixed shapes into one stack:
-``BlockRankFactor`` ranks its column blocks in one ``ranks`` call, and
-``stack_ranks`` on fields other than F_2 goes through ``ranks`` in stacks
-of at most ``STACK_ENTRIES`` entries.  Every elimination entry point
-rejects entries outside [0, q) with ``EncodingOutOfRange``, by one max over
-the operand's uint64 view, since a gather would silently wrap a negative
-entry and packing would read any nonzero entry as 1.  Operands known to be
-in range are checked once: ``block_ranks`` multiplies its checked stack,
-and the simulator its drawn coefficients, by ``_product``, ``matmul``
-without the check, and rank them by ``_ranks``, ``ranks`` without it.
+``BlockRankFactor`` ranks its column blocks in one ``ranks`` call.  Every
+elimination entry point rejects entries outside [0, q) with
+``EncodingOutOfRange``, by one max over the operand's uint64 view, since a
+gather would silently wrap a negative entry and packing would read any
+nonzero entry as 1.  Operands known to be in range are checked once:
+``block_ranks`` multiplies its checked stack, and the simulator its drawn
+coefficients, by ``_product``, ``matmul`` without the check, and rank them
+by ``_ranks``, ``ranks`` without it.  ``excess_rank`` takes Subspaces, whose
+entries were checked when they were made, and checks none again.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, islice, product, starmap, tee
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -195,8 +197,8 @@ from .linalg import exact_product
 MAX_FIELD_ORDER = 1 << 20
 _TABLE_LIMIT = 1 << 16
 _SUB_TABLE_LIMIT = 1 << 8  # odd-p orders whose q**2 differences are tabled
-# entries of one stack that stack_ranks and excess_ranks hand to ranks (and
-# of one chunk of simulated trials): a few hundred kB of int64 per temporary
+# entries of one stack that excess_ranks hands to ranks (and of one chunk
+# of simulated trials): a few hundred kB of int64 per temporary
 STACK_ENTRIES = 1 << 15
 # the widest F_2 matrices ranked a whole stack at once, on one word per row
 _GF2_STACKED_COLUMNS = 8
@@ -432,11 +434,6 @@ def _gf2_word_ranks(W, n):
     return out
 
 
-def _exact_capped(ranks):
-    """The capped rank rank(i, cap) = min(ranks[i], cap) of exact ranks."""
-    return lambda i, cap: min(ranks[i], cap)
-
-
 def _gf2_rref(A):
     """(R, pivots) of a 0/1 int64 matrix, as GF.rref returns them."""
     rows, cols = A.shape
@@ -489,11 +486,6 @@ def _odd_permutation(perm):
     return swaps % 2 == 1
 
 
-# the pivot flags of a stack of one in a column where it pivots
-_LONE = np.ones(1, dtype=bool)
-_LONE.flags.writeable = False
-
-
 def padded_stack(mats):
     """The matrices as one stack, each padded with zero rows and zero columns
     to the largest height and width.  A lone matrix comes back as a view."""
@@ -519,15 +511,16 @@ class GF:
     """
 
     def __init__(self, p, r=1):
-        if r < 1 or int(r) != r:
+        if isinstance(r, str) or r < 1 or int(r) != r:
             raise LcdError(f"extension degree must be a positive integer, got {r}")
-        if not p >= 2:
-            raise NotPrime(f"{p} is not prime")
+        if isinstance(p, str) or not p >= 2:
+            raise NotPrime(f"{p!r} is not prime")
         # a p past the largest order is rejected before trial division,
         # which would take O(sqrt p) steps
         if p > MAX_FIELD_ORDER:
             raise FieldTooLarge(f"order {p}**{r} exceeds {MAX_FIELD_ORDER}")
-        if _prime_factors(p) != [p]:
+        # a non-integral p is no prime, not one to be truncated
+        if int(p) != p or _prime_factors(p) != [p]:
             raise NotPrime(f"{p} is not prime")
         # with p >= 2, an r of the largest order's bit length is too large,
         # and p ** r is never computed for a huge r
@@ -781,8 +774,9 @@ class GF:
 
     def _elimination_ops(self):
         """(div_rows, elim) for the elimination core, bound once per field, on
-        stacks: div_rows(P, v) is row b of P divided by v[b], and
-        elim(T, fac, P) sets T[b] to T[b] - fac[b] (x) P[b] for every b."""
+        stacks or lone matrices: div_rows(P, v) divides P by v, broadcast,
+        and elim(T, fac, P) sets T[b] to T[b] - fac[b] (x) P[b] for every b
+        (T to T - fac (x) P for a lone T)."""
         if self._ops is None:
             p, q = self.p, self.q
             if self.r == 1:
@@ -792,10 +786,10 @@ class GF:
                 def elim(T, fac, P):
                     # entries lie below 2**20, so products stay below 2**40;
                     # a floor division by a scalar is faster than numpy's %
-                    T -= fac[:, :, None] * P[:, None, :]
+                    T -= fac[..., None] * P[..., None, :]
                     T -= T // p * p
 
-                self._ops = (lambda P, v: P * inv(v)[:, None] % p, elim)
+                self._ops = (lambda P, v: P * inv(v) % p, elim)
             elif self._ensure_tables():
                 exp, log = self._exp, self._log
                 # 1 / v = g**(q - 1 - log v): a log in [1, q - 1], so its sum
@@ -803,104 +797,112 @@ class GF:
                 inv_log = q - 1 - log
                 if p == 2:
                     def elim(T, fac, P):
-                        T ^= exp[log[fac][:, :, None] + log[P][:, None, :]]
+                        T ^= exp[log[fac][..., None] + log[P][..., None, :]]
                 else:
                     # a - b read off a table of all q**2 differences when small
                     table = (self._sub_digits(*np.divmod(np.arange(q * q), q))
                              if q <= _SUB_TABLE_LIMIT else None)
 
                     def elim(T, fac, P):
-                        X = exp[log[fac][:, :, None] + log[P][:, None, :]]
+                        X = exp[log[fac][..., None] + log[P][..., None, :]]
                         T[...] = self._sub_digits(T, X) if table is None else table[T * q + X]
 
-                self._ops = (lambda P, v: exp[log[P] + inv_log[v][:, None]], elim)
+                self._ops = (lambda P, v: exp[log[P] + inv_log[v]], elim)
             else:
                 def elim(T, fac, P):
-                    T[...] = self.sub(T, self.mul(fac[:, :, None], P[:, None, :]))
+                    T[...] = self.sub(T, self.mul(fac[..., None], P[..., None, :]))
 
-                self._ops = (lambda P, v: self.mul(P, self.inv(v)[:, None]), elim)
+                self._ops = (lambda P, v: self.mul(P, self.inv(v)), elim)
         return self._ops
 
-    def _eliminate(self, S, full):
+    def _eliminate(self, S):
         """Row-reduce every matrix of the stack S (B x m x n, entries in
-        [0, q)) in place.
+        [0, q)) in place, as far as its rank needs.
 
-        Column by column, each matrix pivots on its first unused row with a
-        nonzero entry in the column.  The pivot rows are divided by their
-        pivots, and one gathered product and one difference clear the column
-        across the whole stack, the pivot rows included, so rank and det
-        leave the used rows zero and need no record of them.  full (rref,
-        which passes a stack of one) writes the divided pivot row back and
-        marks it used, so the matrix ends in its rref up to row order.  No
-        row moves.  The loop ends once every matrix has min(m, n) pivots,
-        without clearing the last column unless full.
+        Column by column, each matrix pivots on its first row with a nonzero
+        entry in the column.  The pivot rows are divided by their pivots,
+        and one gathered product and one difference clear the column across
+        the whole stack, the pivot rows included, so the used rows end zero
+        and need no record.  No row moves.  The loop ends once every matrix
+        has min(m, n) pivots, without clearing the last column.  A stack of
+        one goes to ``_eliminate_lone``.
 
         Returns one step (c, has, rows, values) per column c in which some
         matrix pivots: has[b] tells whether matrix b does, rows[b] is its
         pivot row and values[b] its pivot before the division.
         """
         B, m, n = S.shape
+        if B == 1:
+            return self._eliminate_lone(S[0], full=False)
         div_rows, elim = self._elimination_ops()
         # rows indexed flat, row i of matrix b as b m + i: one-axis gathers
         # are several times cheaper than two-axis ones on small stacks
         flat_rows = S.reshape(B * m, n)
-        first = np.arange(B) * m if B > 1 else None
-        used = np.zeros(m, dtype=bool) if full else None
+        first = np.arange(B) * m
         steps = []
         left = B * min(m, n)  # pivots still possible
         for c in range(n):
-            if not left:
-                break
             col = flat_rows[:, c]
-            if B == 1:
-                # a lone matrix pivots on its first nonzero entry, in an
-                # unused row under full: no search per matrix, and a slice
-                # reaches the pivot row without a gather
-                nz = col.nonzero()[0]
-                r = next((i for i in nz.tolist() if not (full and used[i])), None)
-                if r is None:
-                    continue
-                at = slice(r, r + 1)
-                rows, has, k = (r,), _LONE, 1
-                values = col[at].copy()
-                unit = values[0] == 1
-                clear = nz.size > 1
-            else:
-                cand = col != 0
-                rows = cand.reshape(B, m).argmax(1)
-                at = first + rows
-                has = cand[at]
-                k = np.count_nonzero(has)
-                if not k:
-                    continue
-                values = col[at]
-                unit = False
-                # whether any row but the pivots has a nonzero entry to clear
-                clear = np.count_nonzero(col) > k
+            cand = col != 0
+            rows = cand.reshape(B, m).argmax(1)
+            at = first + rows
+            has = cand[at]
+            k = np.count_nonzero(has)
+            if not k:
+                continue
+            values = col[at]
             steps.append((c, has, rows, values))
             left -= k
-            if not (left or full):
+            if not left:
                 break  # every matrix has all its pivots
             if k < B:
                 at, values = at[has], values[has]
-            if full or clear:
-                source = (flat_rows[at] if B == 1 else flat_rows.take(at, 0))[:, c:]
-                # a lone pivot of 1 divides nothing: a copy, which the update
-                # below cannot change, serves
-                pivot_rows = source.copy() if unit else div_rows(source, values)
-            if clear:
-                P = pivot_rows
-                if k < B:
-                    # a matrix without a pivot here gets a zero row: no change
-                    P = np.zeros((B, n - c), dtype=np.int64)
-                    P[has] = pivot_rows
-                # P and every unused row are zero left of column c
-                elim(S[:, :, c:], col.reshape(B, m), P)
-            if full:
-                flat_rows[at, c:] = pivot_rows
-                used[at] = True
-            elif not clear:
+            # whether any row but the pivots has a nonzero entry to clear
+            if np.count_nonzero(col) == k:
                 flat_rows[at] = 0  # as the elimination leaves them
+                continue
+            P = pivot_rows = div_rows(flat_rows.take(at, 0)[:, c:], values[:, None])
+            if k < B:
+                # a matrix without a pivot here gets a zero row: no change
+                P = np.zeros((B, n - c), dtype=np.int64)
+                P[has] = pivot_rows
+            # P and every unused row are zero left of column c
+            elim(S[:, :, c:], col.reshape(B, m), P)
+        return steps
+
+    def _eliminate_lone(self, A, full):
+        """The steps of ``_eliminate`` for one matrix A (m x n), reduced in
+        place on 2-d slices with its pivots as Python ints: a column's pivot
+        is its first nonzero entry, so there is no search per matrix and no
+        gather.  full (rref) writes each divided pivot row back and marks its
+        row used, so every column is cleared and A ends in its rref up to
+        row order."""
+        div_rows, elim = self._elimination_ops()
+        m, n = A.shape
+        used = set()
+        steps = []
+        for c in range(n):
+            if len(steps) == m:
+                break
+            col = A[:, c]
+            nz = col.nonzero()[0].tolist()
+            r = next((i for i in nz if i not in used), None)
+            if r is None:
+                continue
+            v = int(col[r])
+            steps.append((c, (True,), (r,), (v,)))
+            if not full and (len(steps) == m or len(nz) == 1):
+                A[r] = 0  # as the elimination leaves it
+                continue
+            # the update computes its product before it writes, so a pivot
+            # of 1 needs no copy of its row but for the write-back of full
+            row = A[r, c:]
+            row = div_rows(row, v) if v != 1 else row.copy() if full else row
+            if len(nz) > 1:
+                elim(A[:, c:], col, row)
+            if full:
+                A[r, c:] = row
+                used.add(r)
         return steps
 
     def stacked(self, n):
@@ -935,7 +937,7 @@ class GF:
                 return _gf2_word_ranks(_gf2_words(S), n)
             out[:] = [len(rows) for rows in _gf2_echelons(S)]
             return out
-        for _, has, _, _ in self._eliminate(S, full=False):
+        for _, has, _, _ in self._eliminate(S):
             out += has
         return out
 
@@ -944,53 +946,48 @@ class GF:
         A = self._check(self._as_rows(M))
         if self.q == 2:
             return _gf2_rref(A)
-        S = A[None].copy()
-        steps = self._eliminate(S, full=True)
+        S = A.copy()
+        steps = self._eliminate_lone(S, full=True)
         rows = [step[2][0] for step in steps]
         # the rows without a pivot end zero, so pivot rows already in order
         # (the usual case) leave the matrix in rref as it stands
-        R = S[0]
+        R = S
         if rows != list(range(len(rows))):
             R = np.zeros(A.shape, dtype=np.int64)
-            R[:len(rows)] = S[0].take(rows, 0)
+            R[:len(rows)] = S.take(rows, 0)
         return R, tuple(step[0] for step in steps)
 
     def rank(self, M):
         A = self._check(self._as_rows(M))
         if self.q == 2:
             return len(_gf2_pivots(_gf2_pack(A)))
-        # in a stack of one, every step is a pivot of the one matrix
-        return len(self._eliminate(A[None].copy(), full=False))
+        return len(self._eliminate_lone(A.copy(), full=False))
 
-    def stack_ranks(self, tops, bottoms, pairs):
-        """rank([tops[i]; bottoms[j]]) for each (i, j) of pairs, lazily, for
-        Subspaces of one ambient space; bottoms may be any sequence.
+    def excess_rank(self, U, W, cap=None):
+        """rank [U; W] - dim U for Subspaces U and W of one ambient space,
+        or the least of that and cap when a cap is given.
 
-        Over F_2 each bottom is indexed at most once, when the first pair
-        that needs it comes up, so a caller that stops early never takes the
-        rest; a pair reduces the bottom's kept echelon rows into a copy of
-        the top's kept table.  Every other field takes every bottom at once,
-        pads the bases of the tops, and of the bottoms, with zero rows to one
-        height and ranks the pairs in stacks of at most STACK_ENTRIES
-        entries.
+        Over F_2, W's kept echelon rows are reduced into a copy of U's kept
+        table, so neither basis is packed again; with a cap the reduction
+        stops once cap of them add a pivot.  Other fields reduce W's basis by
+        U's in one product, as U's basis is in rref, and run one elimination
+        of what is left on the columns outside U's pivots.
         """
-        if self.q != 2:
-            bottoms = list(bottoms)
-            if len({U.n for U in [*tops, *bottoms]}) > 1:
-                raise DimensionMismatch("stacked subspaces need one ambient space")
-            return self._paired_ranks(padded_stack([U.basis for U in tops]),
-                                      padded_stack([W.basis for W in bottoms]), iter(pairs))
-        taken = {}
-
-        def rank(i, j):
-            U, W = tops[i], taken.get(j)
-            if W is None:
-                W = taken[j] = bottoms[j]
-            if W.n != U.n:
-                raise DimensionMismatch("stacked subspaces need one ambient space")
-            return len(_gf2_pivots(W.echelon().values(), U.echelon()))
-
-        return starmap(rank, pairs)
+        if W.n != U.n:
+            raise DimensionMismatch("stacked subspaces need one ambient space")
+        if self.q == 2:
+            rows = W.echelon().values()
+            if cap is None:
+                return len(_gf2_pivots(rows, U.echelon())) - U.dim
+            return _gf2_capped_ranks([U.echelon()], list(rows), [(0, -1)])(0, cap)
+        B, V = U.basis, W.basis
+        # V - V[:, piv] B is zero on U's pivot columns piv, and its rank is
+        # rank [U; W] - dim U
+        free = np.ones(U.n, dtype=bool)
+        free[(B != 0).argmax(1)] = False
+        R = self.sub(V[:, free], self._product(V[:, ~free], B[:, free]))
+        e = len(self._eliminate_lone(R, full=False))
+        return e if cap is None else min(e, cap)
 
     def excess_ranks(self, tops, stack):
         """(dim, E) for Subspace tops and a stack of matrices B_t (T x h x n),
@@ -1055,32 +1052,6 @@ class GF:
         return [(len(rows), _gf2_capped_ranks(tables, rows, whole))
                 for rows in _gf2_echelons(S)]
 
-    def capped_pair_ranks(self, spaces, pairs):
-        """For each (i, j) of pairs, lazily, a capped rank rank(0, cap) =
-        min(e, cap) of e = rank [spaces[i]; spaces[j]] - dim spaces[i], for
-        Subspaces of one ambient space.
-
-        Over F_2 it is _gf2_capped_ranks over a copy of U_i's kept echelon
-        table and U_j's kept echelon rows, so the reduction stops at the
-        cap.  Every other field ranks the pairs exactly, in the stacks of
-        stack_ranks, and caps them.
-        """
-        if self.q == 2:
-            whole = [(0, -1)]
-            return (_gf2_capped_ranks([spaces[i].echelon()],
-                                      list(spaces[j].echelon().values()), whole)
-                    for i, j in pairs)
-        pairs, stacked = tee(pairs)
-        return (_exact_capped([r - spaces[i].dim])
-                for (i, _), r in zip(pairs, self.stack_ranks(spaces, spaces, stacked)))
-
-    def _paired_ranks(self, tops, bottoms, pairs):
-        entries = (tops.shape[1] + bottoms.shape[1]) * tops.shape[2]
-        size = max(1, STACK_ENTRIES // max(entries, 1))
-        while chunk := list(islice(pairs, size)):
-            i, j = np.array(chunk, dtype=np.int64).T
-            yield from self._ranks(np.concatenate([tops[i], bottoms[j]], axis=1)).tolist()
-
     def det(self, M):
         A = np.asarray(M, dtype=np.int64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -1088,7 +1059,7 @@ class GF:
         n = A.shape[0]
         if self.q == 2:
             return int(self.rank(A) == n)
-        steps = self._eliminate(self._check(A)[None].copy(), full=False)
+        steps = self._eliminate_lone(self._check(A).copy(), full=False)
         if len(steps) < n:
             return 0
         # no row moved: row rows[k] holds pivot k, so the rows taken in pivot

@@ -5,25 +5,27 @@ any spanning set, so equality and hashing are structural.  The bilinear form
 throughout is the standard dot product u . v = sum_i u_i v_i, and the dual
 U^perp is taken with respect to it.
 
-Every LCD test reads dim(U_i n U_j^perp) from one routine, dual_meets, which
-ranks the stacks [U_a; U_b^perp], a <= b, and answers both (a, b) and (b, a)
-from each, since (U_a + U_b^perp)^perp = U_a^perp n U_b: is_lcd,
-pairwise_lcd and complement_coordinates here, is_lcd_subspace_code and
-classical_lcd_check in codes.  The Gram determinants of is_lcd and
-pairwise_lcd are an independent second path; the meet U & W is the public
-intersect.
+Every rank of a pair of subspaces is one GF.excess_rank, rank [U; W] -
+dim U, taken pair by pair: distance, pairwise_lcd (one rank of
+[U; W^perp]) and the one LCD routine, dual_meets.  dual_meets walks the
+ordered pairs (i, j) of a list of subspaces in lexicographic order and
+gives dim(U_i n U_j^perp) for each; it ranks [U_a; U_b^perp] for a <= b
+only and answers (b, a) from the same rank, since (U_a + U_b^perp)^perp =
+U_a^perp n U_b.  is_lcd and complement_coordinates here, and
+is_lcd_subspace_code and classical_lcd_check in codes, read it.  The Gram
+determinants of is_lcd and pairwise_lcd are an independent second path;
+the meet U & W is the public intersect.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import tee
 
 import numpy as np
 
 from .errors import (
     AmbientMismatch,
+    DimensionMismatch,
     FieldMismatch,
     InternalInconsistency,
     NotLCD,
@@ -47,6 +49,8 @@ class Subspace:
     def __init__(self, field, n, vectors=None, *, _rref=None):
         self.field = field
         self.n = int(n)
+        if self.n < 1:
+            raise DimensionMismatch(f"ambient dimension must be at least 1, got {n}")
         if _rref is not None:
             B = _rref
         else:
@@ -78,11 +82,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, field, n):
-        return cls(field, n, np.zeros((0, n), dtype=np.int64))
+        return cls(field, n)
 
     @classmethod
     def full(cls, field, n):
-        return cls(field, n, _rref=np.eye(n, dtype=np.int64))
+        return cls.zero(field, n).dual()
 
     # --- basic structure ---
 
@@ -171,12 +175,12 @@ def dual(U):
 def distance(U, W):
     """Subspace distance dim(U+W) - dim(U n W) = 2 dim(U+W) - dim U - dim W.
 
-    dim(U+W) is the one stacked rank [U; W] of GF.stack_ranks: over F_2,
-    W's kept echelon rows reduced into a copy of U's kept table, so neither
+    dim(U+W) = dim U + e with e = GF.excess_rank(U, W): over F_2, W's
+    kept echelon rows reduced into a copy of U's kept table, so neither
     basis is packed again.
     """
     W = U._check_mate(W)
-    return 2 * next(U.field.stack_ranks([U], [W], [(0, 0)])) - U.dim - W.dim
+    return U.dim + 2 * U.field.excess_rank(U, W) - W.dim
 
 
 @dataclass(frozen=True)
@@ -191,62 +195,32 @@ class LcdCheck:
         return self.ok
 
 
-class _Duals(Sequence):
-    """The duals of a list of subspaces, each taken when it is indexed."""
+def dual_meets(spaces):
+    """((i, j), dim(U_i n U_j^perp)) for every ordered pair of subspaces of
+    one ambient space F^n, lazily, in lexicographic order of (i, j).
 
-    def __init__(self, spaces):
-        self.spaces = spaces
-
-    def __len__(self):
-        return len(self.spaces)
-
-    def __getitem__(self, j):
-        return self.spaces[j].dual()
-
-
-def dual_meets(spaces, pairs):
-    """dim(U_i n U_j^perp) for each (i, j) of pairs, lazily, for subspaces of
-    one ambient space F^n.
-
-    Both ordered pairs of {a, b}, a <= b, are read off one stacked rank
-    r = rank [U_a; U_b^perp] = dim(U_a + U_b^perp): (a, b) gives
-    dim U_a + dim U_b^perp - r, and since (U_a + U_b^perp)^perp =
-    U_a^perp n U_b, (b, a) gives n - r.  So the one stack_ranks call is asked
-    for each (a, b), a <= b, once, in the order its first ordered pair comes
-    in pairs: all s^2 ordered pairs of s subspaces take s(s + 1)/2 ranks.
-
-    stack_ranks is handed the duals as a sequence that takes U_b^perp when
-    it is indexed, so over F_2 a dual is taken only when the first pair
-    that needs it is ranked, and a caller that stops at an early pair does
-    not pay for the rest; other fields take every dual at once.
+    Both ordered pairs of {a, b}, a <= b, are read off one excess rank
+    e = rank [U_a; U_b^perp] - dim U_a: (a, b) gives dim U_b^perp - e, and
+    since (U_a + U_b^perp)^perp = U_a^perp n U_b, (b, a) gives
+    n - dim U_a - e.  The rank is taken at (a, b), which comes first, and
+    kept for (b, a): s(s + 1)/2 ranks for s subspaces.  U_b^perp is taken
+    when the first pair that needs it, (0, b), is ranked, so a caller that
+    stops at an early pair pays neither for later ranks nor for later duals.
 
     The one LCD test: U is LCD iff (U, U) gives 0, and a set of subspaces is
     an LCD subspace code iff every ordered pair, i = j included, does.
     """
     n = spaces[0].n
-    pairs, wanted = tee(pairs)
-    asked = set()
-
-    def upper():
-        for i, j in wanted:
-            pair = (min(i, j), max(i, j))
-            if pair not in asked:
-                asked.add(pair)
-                yield pair
-
-    ranks = spaces[0].field.stack_ranks(spaces, _Duals(spaces), upper())
-
-    def meets():
-        # a pair (a, b) missing here is the next one upper() gave
-        known = {}
-        for i, j in pairs:
-            pair = (min(i, j), max(i, j))
-            if pair not in known:
-                known[pair] = next(ranks)
-            r = known[pair]
-            yield spaces[i].dim + n - spaces[j].dim - r if i <= j else n - r
-
-    return meets()
+    field = spaces[0].field
+    kept = {}
+    for i, U in enumerate(spaces):
+        for j, W in enumerate(spaces):
+            if i <= j:
+                D = W.dual()
+                e = kept[i, j] = field.excess_rank(U, D)
+                yield (i, j), D.dim - e
+            else:
+                yield (i, j), n - W.dim - kept.pop((j, i))
 
 
 def is_lcd(U):
@@ -258,7 +232,7 @@ def is_lcd(U):
     """
     f = U.field
     d = f.det(f.matmul(U.basis, U.basis.T))
-    radical = next(dual_meets([U], [(0, 0)]))
+    (_, radical), = dual_meets([U])
     ok_det = d != 0
     if ok_det != (radical == 0):
         raise InternalInconsistency(
@@ -272,7 +246,7 @@ class PairwiseLcdCheck:
 
     det_nonsingular reports whether the cross Gram matrix of the two bases is
     nonsingular; it is None when the dimensions differ (no square matrix to
-    test) and implies ok when True.
+    test), and equals ok otherwise.
     """
 
     ok: bool
@@ -283,14 +257,19 @@ class PairwiseLcdCheck:
 
 
 def pairwise_lcd(U, W):
+    """Whether U n W^perp and W n U^perp are both zero.
+
+    Each has dimension at least the excess of one dimension over the other,
+    so both are zero only when dim U = dim W.  Then (U + W^perp)^perp =
+    U^perp n W, so both are zero iff [U; W^perp] has rank n: one excess
+    rank.
+    """
     W = U._check_mate(W)
-    ok = not any(dual_meets([U, W], [(0, 1), (1, 0)]))
-    det_ns = None
-    if U.dim == W.dim:
-        f = U.field
-        cross = f.matmul(W.basis, U.basis.T)
-        det_ns = f.det(cross) != 0
-    return PairwiseLcdCheck(ok, det_ns)
+    if U.dim != W.dim:
+        return PairwiseLcdCheck(False, None)
+    f = U.field
+    ok = U.dim + f.excess_rank(U, W.dual()) == U.n
+    return PairwiseLcdCheck(ok, f.det(f.matmul(W.basis, U.basis.T)) != 0)
 
 
 def complement_coordinates(U):
@@ -304,11 +283,11 @@ def complement_coordinates(U):
     G is symmetric, so Q^T = G^-1 W, the right block of rref [G | W]: one
     elimination of n - dim U rows, where [U; W]^-1 takes n.
     """
-    radical = next(dual_meets([U], [(0, 0)]))
+    (_, radical), = dual_meets([U])
     if radical:
         raise NotLCD(f"subspace meets its dual in dimension {radical}")
     f = U.field
-    W = U.dual().basis     # kept by the dual_meets call
+    W = U.dual().basis     # kept by dual_meets
     R, _ = f.rref(np.hstack([f.matmul(W, W.T), W]))
     return R[:, len(W):].T, W
 

@@ -44,35 +44,16 @@ def all_fields(f2, f3, f4, f8, f9):
 
 
 @pytest.fixture
-def stack_rank_asks(monkeypatch):
-    """The pairs every GF.stack_ranks call draws from its pairs argument,
-    in the order drawn."""
+def excess_rank_asks(monkeypatch):
+    """(U, W, cap) of every GF.excess_rank call, in the order called."""
     asks = []
-    real = GF.stack_ranks
+    real = GF.excess_rank
 
-    def spy(self, tops, bottoms, pairs):
-        def record():
-            for pair in pairs:
-                asks.append(pair)
-                yield pair
-        return real(self, tops, bottoms, record())
+    def spy(self, U, W, cap=None):
+        asks.append((U, W, cap))
+        return real(self, U, W, cap)
 
-    monkeypatch.setattr(GF, "stack_ranks", spy)
-    return asks
-
-
-@pytest.fixture
-def capped_pair_asks(monkeypatch):
-    """The pairs of every GF.capped_pair_ranks call, one list per call."""
-    asks = []
-    real = GF.capped_pair_ranks
-
-    def spy(self, spaces, pairs):
-        pairs = list(pairs)
-        asks.append(pairs)
-        return real(self, spaces, pairs)
-
-    monkeypatch.setattr(GF, "capped_pair_ranks", spy)
+    monkeypatch.setattr(GF, "excess_rank", spy)
     return asks
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from lcdsubspace import codes as codes_module
 from lcdsubspace.codes import (
     ProjectionDecoder,
     SubspaceCode,
@@ -28,11 +29,12 @@ from lcdsubspace.errors import (
     EmptyCode,
     EncodingOutOfRange,
     FieldMismatch,
+    InvalidSpec,
     NotLCDCode,
     PairBudgetExceeded,
     RankDeficient,
 )
-from lcdsubspace.gf import _exact_capped, padded_stack
+from lcdsubspace.gf import padded_stack
 from lcdsubspace.simulator import ChannelSpec, corrupt
 from lcdsubspace.subspaces import Subspace, complement_coordinates, distance, dual, intersect, span
 
@@ -101,6 +103,22 @@ def _pair_distances(code):
             for i, j in combinations(range(len(code)), 2)}
 
 
+def _scan_asks(code, pairs):
+    """(C_i, C_j, cap) of each excess rank the bounded scan over pairs must
+    ask for, replayed on exact distances: every pair at the cap where its
+    e = rank [C_i; C_j] - dim C_i could still beat the least distance so
+    far, none where that cap is not positive."""
+    asks, best = [], None
+    for i, j in pairs:
+        U, W = code[i], code[j]
+        cap = W.dim + 1 if best is None else (best - U.dim + W.dim + 1) // 2
+        if cap > 0:
+            asks.append((U, W, cap))
+            d = distance(U, W)
+            best = d if best is None else min(best, d)
+    return asks
+
+
 def _scan_codes(f, rng):
     """Seeded codes for the minimum-distance scan: two-word codes, codes of
     mixed dimensions, crowded codes with tied pairs, and codes whose only
@@ -131,19 +149,21 @@ def _scan_codes(f, rng):
     return codes
 
 
-def test_min_distance_scan_matches_every_pair(f2, f3, f4, f9, capped_pair_asks):
-    # params must visit every pair, and its capped ranks must still give the
-    # least distance: with mixed dimensions the caps differ from pair to
-    # pair, and a closest pair found last or tied must be exact
+def test_min_distance_scan_matches_every_pair(f2, f3, f4, f9, excess_rank_asks):
+    # params must visit every pair, each at its cap, and its capped ranks
+    # must still give the least distance: with mixed dimensions the caps
+    # differ from pair to pair, and a closest pair found last or tied must
+    # be exact
     for f in (f2, f3, f4, f9):
         rng = np.random.default_rng(83)
         shapes = set()
         for code in _scan_codes(f, rng):
             dists = _pair_distances(code)
             best = min(dists.values())
-            capped_pair_asks.clear()
+            want = _scan_asks(code, combinations(range(len(code)), 2))
+            excess_rank_asks.clear()
             assert params(code).d == best
-            assert capped_pair_asks == [list(combinations(range(len(code)), 2))]
+            assert excess_rank_asks == want
             ties = sum(d == best for d in dists.values())
             shapes |= {("two words", len(code) == 2), ("mixed", len(code.dims) > 1),
                        ("tied", ties > 1),
@@ -151,18 +171,33 @@ def test_min_distance_scan_matches_every_pair(f2, f3, f4, f9, capped_pair_asks):
         assert {("two words", True), ("mixed", True), ("tied", True), ("last", True)} <= shapes
 
 
-def test_sampled_min_distance_is_the_least_over_its_pairs(f2, f3, f4, f9, capped_pair_asks):
+def test_sampled_min_distance_is_the_least_over_its_pairs(f2, f3, f4, f9, excess_rank_asks,
+                                                         monkeypatch):
+    scans = []
+    scan = codes_module._min_distance
+
+    def spy(code, pairs):
+        scans.append(list(pairs))
+        return scan(code, scans[-1])
+
+    monkeypatch.setattr(codes_module, "_min_distance", spy)
     for f in (f2, f3, f4, f9):
         rng = np.random.default_rng(89)
         for code in _scan_codes(f, rng)[::3]:
             for samples, seed in ((1, 0), (7, 3), (40, 5)):
-                capped_pair_asks.clear()
+                scans.clear()
+                excess_rank_asks.clear()
                 got = sampled_min_distance(code, samples=samples, seed=seed)
-                [pairs] = capped_pair_asks
+                asks = list(excess_rank_asks)
+                [pairs] = scans
                 assert len(pairs) == samples
                 assert all(i != j for i, j in pairs)
+                assert asks == _scan_asks(code, pairs)
                 assert got == min(distance(code[i], code[j]) for i, j in pairs)
-        assert sampled_min_distance(code, samples=0) is None
+        # no pair, or fewer, bounds nothing
+        for samples in (0, -1):
+            with pytest.raises(InvalidSpec):
+                sampled_min_distance(code, samples=samples)
 
 
 def test_lcd_code_membership_pinned(f3):
@@ -222,19 +257,37 @@ def test_lcd_witness_matches_direct_stacked_ranks(f2, f3, f9):
     assert len(witnesses - {None, (0, 0)}) >= 4
 
 
-def test_lcd_check_takes_one_rank_per_unordered_pair(f2, f3, f9, stack_rank_asks):
-    # an LCD code of s codewords: s(s + 1)/2 ranks, the pairs a <= b in
-    # lexicographic order, each once
+def test_lcd_check_takes_one_rank_per_unordered_pair(f2, f3, f9, excess_rank_asks):
+    # an LCD code of s codewords: s(s + 1)/2 ranks [C_a; C_b^perp], the
+    # pairs a <= b in lexicographic order, each once
     rng = np.random.default_rng(41)
     for f, n, k, s in ((f2, 12, 4, 6), (f3, 12, 4, 4), (f9, 10, 3, 3)):
         code = _isotropic_lcd_code(f, n, k, s, rng)
         assert len(code) == s
-        stack_rank_asks.clear()
+        excess_rank_asks.clear()
         assert is_lcd_subspace_code(code)
-        assert stack_rank_asks == [(a, b) for a in range(s) for b in range(a, s)]
+        assert excess_rank_asks == [(code[a], code[b].dual(), None)
+                                    for a in range(s) for b in range(a, s)]
 
 
-def test_lcd_witness_at_a_mirror_pair(f2, f3, stack_rank_asks):
+def test_lcd_check_failing_at_the_first_pair_takes_one_rank_and_one_dual(
+        f2, f3, f9, excess_rank_asks):
+    # C_0 is a self-orthogonal line, so (0, 0) fails: one rank [C_0; C_0^perp]
+    # and C_0^perp alone are taken, on every field.  Over GF(9) = F_3[x] /
+    # (x^2 + 1), x is encoded as 3 and 1 + x^2 = 0
+    e = np.eye(3, dtype=np.int64)
+    for f, v in ((f2, [1, 1, 0]), (f3, [1, 1, 1]), (f9, [1, 3, 0])):
+        assert f.matmul(np.array([v]), np.array([v]).T).tolist() == [[0]]
+        code = SubspaceCode([line(f, v), span(f, 3, e[[0, 2]]), span(f, 3, e[1:])])
+        assert code[0] == line(f, v)
+        excess_rank_asks.clear()
+        check = is_lcd_subspace_code(code)
+        assert (check.ok, check.witness) == (False, (0, 0))
+        assert excess_rank_asks == [(code[0], code[0].dual(), None)]
+        assert [w._dual is not None for w in code] == [True, False, False]
+
+
+def test_lcd_witness_at_a_mirror_pair(f2, f3, excess_rank_asks):
     # dim(C_j n C_i^perp) >= dim C_j - dim C_i, so with codewords of unequal
     # dimension (ordered by dimension) the first violating pair is (j, i),
     # j > i, while (i, j) is clean: the witness is read off the rank taken
@@ -254,17 +307,13 @@ def test_lcd_witness_at_a_mirror_pair(f2, f3, stack_rank_asks):
         want = _first_meeting_pair(code)
         j, i = want
         assert j > i and intersect(code[i], dual(code[j])).dim == 0
-        stack_rank_asks.clear()
+        excess_rank_asks.clear()
         check = is_lcd_subspace_code(code)
         assert (check.ok, check.witness) == (False, want)
         upper = [(a, b) for a in range(len(code)) for b in range(a, len(code))]
-        before = [pair for pair in upper if pair < want]
-        # no rank is taken for the witness itself; over GF(2) none past it
-        # either, other fields draw pairs in chunks
-        assert stack_rank_asks == upper[:len(stack_rank_asks)]
-        assert stack_rank_asks[:len(before)] == before
-        if f.q == 2:
-            assert stack_rank_asks == before
+        # no rank is taken for the witness itself, nor past it
+        assert excess_rank_asks == [(code[a], code[b].dual(), None)
+                                    for a, b in upper if (a, b) < want]
 
 
 def test_decode_pinned_failures(f3):
@@ -544,7 +593,6 @@ def test_bounded_verdict_with_and_without_exact_ranks():
             # rank [C_i; R] lies between max(dim C_i, dim R) and dim C_i + dim R
             e = [rng.randrange(max(0, dim - k), dim + 1) for k in dims]
             want.append(_verdict([k + 2 * x - dim for k, x in zip(dims, e)]))
-            assert _bounded_verdict(dim, dims, _exact_capped(e)) == want[-1]
             assert _bounded_verdict(dim, dims, lambda i, cap: min(e[i], cap)) == want[-1]
             batch.append((dim, e))
         dim = np.array([d for d, _ in batch], dtype=np.int64)

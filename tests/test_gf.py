@@ -1,6 +1,5 @@
 import random
-from collections.abc import Sequence
-from itertools import product, repeat
+from itertools import product
 
 import numpy as np
 import pytest
@@ -32,6 +31,19 @@ def test_construction_validation():
     assert field_from_order(9).q == 9
     with pytest.raises(NotPrime):
         field_from_order(12)
+
+
+def test_non_integral_or_str_characteristics_are_rejected():
+    # int(p) once truncated 2.5 to 2 and 7.9 to 7, and a str p or r failed
+    # its comparison with a bare TypeError
+    for p in (2.5, 7.9, "2"):
+        with pytest.raises(NotPrime):
+            GF(p)
+        with pytest.raises(NotPrime):
+            field_new(p)
+    with pytest.raises(LcdError, match="extension degree"):
+        GF(2, "2")
+    assert GF(2.0) == GF(2)
 
 
 def test_oversized_fields_are_rejected_before_factoring(monkeypatch):
@@ -300,8 +312,8 @@ def test_elimination_rejects_encodings_outside_the_field(f2, f3, f4, f9):
             # block_ranks multiplies it by the unchecked GF._product
             ops = [f.rref, f.rank, f.det, f.kernel, lambda M: f.ranks([M]),
                    lambda M: BlockRankFactor(f, ok, [1, 1]).block_ranks([ok, M]),
-                   lambda M: next(f.stack_ranks([whole], [Subspace(f, 2, M)], [(0, 0)])),
-                   lambda M: next(f.stack_ranks([Subspace(f, 2, M)], [whole], [(0, 0)])),
+                   lambda M: f.excess_rank(whole, Subspace(f, 2, M)),
+                   lambda M: f.excess_rank(Subspace(f, 2, M), whole, 1),
                    lambda M: f.excess_ranks([whole], [ok, M]),
                    lambda M: f.excess_ranks([Subspace(f, 2, M)], [ok])]
             if f.q == 2:
@@ -393,7 +405,7 @@ def test_stacked_elimination_on_larger_stacks(p, r):
     pairs = [(i, j) for i in range(20) for j in range(20)]
     want = [oracles.rank(f, np.vstack([tops[i], bottoms[j]]).tolist()) for i, j in pairs]
     tops, bottoms = ([Subspace(f, 8, A) for A in side] for side in (tops, bottoms))
-    assert list(f.stack_ranks(tops, bottoms, pairs)) == want
+    assert [tops[i].dim + f.excess_rank(tops[i], bottoms[j]) for i, j in pairs] == want
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 16, 64])
@@ -612,54 +624,37 @@ def test_block_ranks_match_oracle(all_fields):
             BlockRankFactor(f, np.eye(4, dtype=np.int64), [5, -1])
 
 
-class _Recorded(Sequence):
-    """A sequence that records each index it is asked for."""
-
-    def __init__(self, items):
-        self.items = items
-        self.asked = []
-
-    def __len__(self):
-        return len(self.items)
-
-    def __getitem__(self, j):
-        item = self.items[j]
-        self.asked.append(j)
-        return item
-
-
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 130])
 def test_stack_ranks_match_oracle(f2, f3, f9, n):
-    # over GF(2) a pair reduces the bottom's packed rows into a copy of the
-    # top's table, so widths on each side of byte and word boundaries matter
+    # excess_rank ranks one stack [U; W] of Subspaces, exactly or capped:
+    # over GF(2) it reduces W's packed rows into a copy of U's table, so
+    # widths on each side of byte and word boundaries matter
     rng = np.random.default_rng(n)
     for f in (f2, f3, f9):
         tops = [rng.integers(0, f.q, (k, n)) for k in (0, 1, 3, 5)]
         bottoms = [rng.integers(0, f.q, (k, n)) for k in (0, 2, 4)]
         # rows shared with a top, and a bottom of 0 rows, make rank-deficient stacks
         bottoms.append(np.vstack([tops[3][1:3], rng.integers(0, f.q, (1, n))]))
-        pairs = [(i, j) for i in range(4) for j in range(4)] + [(3, 3), (0, 0)]
+        pairs = [(i, j) for i in range(4) for j in range(4)]
         want = [oracles.rank(f, np.vstack([tops[i], bottoms[j]]).tolist()) for i, j in pairs]
         tops, bottoms = ([Subspace(f, n, A) for A in side] for side in (tops, bottoms))
-        assert list(f.stack_ranks(tops, bottoms, pairs)) == want
-        assert list(f.stack_ranks(bottoms, tops, [(j, i) for i, j in pairs])) == want
-        # lazily: an endless pair iterator yields its first rank
-        assert next(f.stack_ranks(tops, bottoms, repeat((3, 3)))) == want[15]
-        # each bottom is indexed once: over GF(2) when the first pair that
-        # needs it comes up to be ranked, elsewhere all at once
-        recorded = _Recorded(bottoms)
-        ranks = f.stack_ranks(tops, recorded, pairs[5:])
-        if f.q != 2:
-            assert recorded.asked == [0, 1, 2, 3]
-        assert next(ranks) == want[5]
-        if f.q == 2:
-            assert recorded.asked == [1]
-        assert list(ranks) == want[6:]
-        assert recorded.asked == ([1, 2, 3, 0] if f.q == 2 else [0, 1, 2, 3])
-        with pytest.raises(DimensionMismatch):
-            next(f.stack_ranks(tops, [Subspace.zero(f, n + 1)], [(0, 0)]))
-        with pytest.raises(DimensionMismatch):
-            next(f.stack_ranks([Subspace.full(f, n + 1)], bottoms, [(0, 0)]))
+        tables = [dict(U.echelon()) for U in tops + bottoms] if f.q == 2 else None
+        for (i, j), rank in zip(pairs, want):
+            U, W = tops[i], bottoms[j]
+            assert f.excess_rank(U, W) == rank - U.dim
+            assert f.excess_rank(W, U) == rank - W.dim
+            # caps below, at and above the excess
+            for cap in range(rank - U.dim + 2):
+                assert f.excess_rank(U, W, cap) == min(rank - U.dim, cap)
+                assert f.excess_rank(W, U, cap) == min(rank - W.dim, cap)
+        if tables:
+            # every rank reduces into a copy: the kept tables are as they were
+            assert [U.echelon() for U in tops + bottoms] == tables
+        for cap in (None, 1):
+            with pytest.raises(DimensionMismatch):
+                f.excess_rank(tops[0], Subspace.zero(f, n + 1), cap)
+            with pytest.raises(DimensionMismatch):
+                f.excess_rank(Subspace.full(f, n + 1), bottoms[0], cap)
 
 
 def test_matmul_rejects_encodings_outside_the_field(f2, f3, f9):

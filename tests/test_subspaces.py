@@ -6,6 +6,7 @@ import pytest
 import oracles
 from lcdsubspace.errors import (
     AmbientMismatch,
+    DimensionMismatch,
     EncodingOutOfRange,
     FieldMismatch,
     NotLCD,
@@ -224,51 +225,52 @@ def test_is_lcd_matches_definition_randomized(all_fields):
     assert max(radicals) > 0    # nonzero radical dimensions were checked too
 
 
-def test_dual_meets_matches_direct_intersections(all_fields, stack_rank_asks):
-    # pairs in any order, mirrors before their pair and repeats included:
-    # one rank per unordered pair, in the order the pairs first come
+def test_dual_meets_matches_direct_intersections(all_fields, excess_rank_asks):
+    # every ordered pair in lexicographic order, from one excess rank per
+    # unordered pair {a, b}, taken at (a, b) in that order
     rng = random.Random(47)
     for f in all_fields:
         for _ in range(8):
             n = rng.randrange(1, 6)
             spaces = [rand_subspace(rng, f, n, rng.randrange(0, n + 1))
                       for _ in range(rng.randrange(1, 5))]
-            pairs = [(rng.randrange(len(spaces)), rng.randrange(len(spaces)))
-                     for _ in range(12)]
-            stack_rank_asks.clear()
-            assert list(dual_meets(spaces, pairs)) == [
-                intersect(spaces[i], dual(spaces[j])).dim for i, j in pairs]
-            assert stack_rank_asks == list(dict.fromkeys(
-                (min(i, j), max(i, j)) for i, j in pairs))
+            s = len(spaces)
+            excess_rank_asks.clear()
+            got = list(dual_meets(spaces))
+            assert excess_rank_asks == [(spaces[a], spaces[b].dual(), None)
+                                        for a in range(s) for b in range(a, s)]
+            assert got == [((i, j), intersect(spaces[i], dual(spaces[j])).dim)
+                           for i in range(s) for j in range(s)]
 
 
 def test_dual_meets_takes_each_dual_when_a_pair_first_needs_it(all_fields):
     # span(e1, e2) meets span(e1)^perp = span(e2, e3), so an LCD check stops
-    # at (0, 1): over F_2 no pair of the last two spaces has been ranked, and
-    # their duals are not taken (other fields take every dual at once)
+    # at (0, 1): no pair of the last two spaces has been ranked, and on
+    # every field their duals are not taken
     e = np.eye(3, dtype=np.int64)
     for f in all_fields:
         spaces = [span(f, 3, e[:2]), span(f, 3, e[:1]), span(f, 3, e[1:2]), span(f, 3, e[2:])]
-        pairs = [(i, j) for i in range(4) for j in range(4)]
-        meets = dual_meets(spaces, pairs)
-        assert [next(meets), next(meets)] == [0, 1]
-        assert [U._dual is not None for U in spaces] == [True, True] + [f.q != 2] * 2
-        assert list(meets) == [intersect(spaces[i], dual(spaces[j])).dim for i, j in pairs[2:]]
+        meets = dual_meets(spaces)
+        assert [next(meets), next(meets)] == [((0, 0), 0), ((0, 1), 1)]
+        assert [U._dual is not None for U in spaces] == [True, True, False, False]
+        assert [m for _, m in meets] == [intersect(spaces[i], dual(spaces[j])).dim
+                                         for i in range(4) for j in range(4)][2:]
 
 
-def test_lcd_tests_of_one_or_two_subspaces_take_one_rank(all_fields, stack_rank_asks):
-    # pairwise_lcd reads (W, U) off the rank of (U, W)
+def test_lcd_tests_of_one_or_two_subspaces_take_one_rank(all_fields, excess_rank_asks):
+    # pairwise_lcd ranks [U; W^perp] once, and only for equal dimensions;
+    # is_lcd ranks [U; U^perp] once
     rng = random.Random(53)
     for f in all_fields:
         for _ in range(6):
             U = rand_subspace(rng, f, 4, rng.randrange(0, 5))
             W = rand_subspace(rng, f, 4, rng.randrange(0, 5))
-            stack_rank_asks.clear()
+            excess_rank_asks.clear()
             pairwise_lcd(U, W)
-            assert stack_rank_asks == [(0, 1)]
-            stack_rank_asks.clear()
+            assert excess_rank_asks == ([(U, W.dual(), None)] if U.dim == W.dim else [])
+            excess_rank_asks.clear()
             is_lcd(U)
-            assert stack_rank_asks == [(0, 0)]
+            assert excess_rank_asks == [(U, U.dual(), None)]
 
 
 def test_pairwise_lcd(f3, all_fields):
@@ -293,8 +295,10 @@ def test_pairwise_lcd(f3, all_fields):
             if U.dim != W.dim:
                 # U n W^perp = 0 needs dim U <= dim W, and W n U^perp = 0 the reverse
                 assert not chk.ok and chk.det_nonsingular is None
-            elif chk.det_nonsingular:
-                assert chk.ok
+            else:
+                # equal dimensions: the cross Gram matrix W U^T is singular
+                # iff some nonzero vector of W lies in U^perp
+                assert chk.det_nonsingular == chk.ok
             seen.add((f.q, chk.ok, U.dim == W.dim))
     # on every field both verdicts, and pairs of unequal dimensions
     for f in all_fields:
@@ -358,6 +362,19 @@ def test_complement_coordinates_are_the_last_columns_of_the_inverse(f2, f3, f4, 
                 assert Q.shape == want.shape and Q.tolist() == want.tolist()
                 dims.add((n, U.dim))
         assert len(dims) >= 20, f
+
+
+def test_ambient_dimension_must_be_positive(f2, f3):
+    # an ambient space of no coordinates once built, and its dual then
+    # failed in numpy; a negative one failed in numpy at once
+    for f in (f2, f3):
+        for n in (0, -1):
+            with pytest.raises(DimensionMismatch, match="at least 1"):
+                Subspace(f, n)
+            for make in (Subspace.zero, Subspace.full):
+                with pytest.raises(DimensionMismatch):
+                    make(f, n)
+    assert Subspace(f3, 1).dual() == Subspace.full(f3, 1)
 
 
 def test_mixed_operand_validation(f2, f3):
