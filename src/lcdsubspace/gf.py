@@ -110,8 +110,9 @@ minimum-distance scan of ``codes`` take it pair by pair.  Over F_2 it
 reduces W's kept echelon rows into a copy of U's kept table, by
 ``_gf2_pivots`` when exact and by the capped scan ``_gf2_capped_ranks``
 when capped, which stops once cap of them add a pivot.  Other fields
-reduce W's basis by U's, which is in rref, in one product, eliminate what
-is left on the columns outside U's pivots, and cap its rank.
+reduce W's basis by U's, which is in rref, in one product, and eliminate
+what is left on the columns outside U's pivots, stopping, when capped,
+once cap pivots are found.
 
 Batched naive decoding has two forms, both with Subspace tops (the
 codewords) and the received words as one stack of matrices B (T x h x n).
@@ -870,19 +871,21 @@ class GF:
             elim(S[:, :, c:], col.reshape(B, m), P)
         return steps
 
-    def _eliminate_lone(self, A, full):
+    def _eliminate_lone(self, A, full, limit=None):
         """The steps of ``_eliminate`` for one matrix A (m x n), reduced in
         place on 2-d slices with its pivots as Python ints: a column's pivot
         is its first nonzero entry, so there is no search per matrix and no
         gather.  full (rref) writes each divided pivot row back and marks its
         row used, so every column is cleared and A ends in its rref up to
-        row order."""
+        row order.  A limit stops the elimination once it has that many
+        pivots."""
         div_rows, elim = self._elimination_ops()
         m, n = A.shape
+        limit = m if limit is None else min(limit, m)
         used = set()
         steps = []
         for c in range(n):
-            if len(steps) == m:
+            if len(steps) >= limit:
                 break
             col = A[:, c]
             nz = col.nonzero()[0].tolist()
@@ -891,7 +894,7 @@ class GF:
                 continue
             v = int(col[r])
             steps.append((c, (True,), (r,), (v,)))
-            if not full and (len(steps) == m or len(nz) == 1):
+            if not full and (len(steps) == limit or len(nz) == 1):
                 A[r] = 0  # as the elimination leaves it
                 continue
             # the update computes its product before it writes, so a pivot
@@ -971,7 +974,8 @@ class GF:
         table, so neither basis is packed again; with a cap the reduction
         stops once cap of them add a pivot.  Other fields reduce W's basis by
         U's in one product, as U's basis is in rref, and run one elimination
-        of what is left on the columns outside U's pivots.
+        of what is left on the columns outside U's pivots, which a cap stops
+        once it has cap pivots.
         """
         if W.n != U.n:
             raise DimensionMismatch("stacked subspaces need one ambient space")
@@ -986,7 +990,7 @@ class GF:
         free = np.ones(U.n, dtype=bool)
         free[(B != 0).argmax(1)] = False
         R = self.sub(V[:, free], self._product(V[:, ~free], B[:, free]))
-        e = len(self._eliminate_lone(R, full=False))
+        e = len(self._eliminate_lone(R, full=False, limit=cap))
         return e if cap is None else min(e, cap)
 
     def excess_ranks(self, tops, stack):

@@ -204,22 +204,35 @@ class EquitableCheck:
 
 def verify_equitable(partition, matrices):
     """Constant block row sums and block column sums for every matrix."""
-    mats = _matrix_list(matrices)
+    witness, _ = _equitable(partition, _matrix_list(matrices))
+    return EquitableCheck(witness is None, witness)
+
+
+def _equitable(partition, mats):
+    """verify_equitable's witness, None for an equitable partition, and the
+    products A H of the matrices A it checked.
+
+    Each side S, A H and then A^T H, is compared with S taken at the first
+    point of each point's cell in one array comparison, read in cell order
+    (the cells in order, each point by point), so the witness is the first
+    differing entry of the first cell that has one."""
     H = partition.char_matrix
+    order = np.argsort(partition.cell_of, kind="stable")
+    # each point's cell's first point, where its cell first appears in order
+    lead = order[np.searchsorted(partition.cell_of[order], partition.cell_of[order])]
+    products = []
     for mi, A in enumerate(mats):
         if A.shape[0] != partition.size:
             raise DimensionMismatch(
                 f"matrix {mi} of order {A.shape[0]} vs partition on {partition.size}")
-        for side, S in (("row", int_matmul(A, H)), ("col", int_matmul(A.T, H))):
-            for ci, cell in enumerate(partition.cells):
-                block = S[list(cell)]
-                if (block != block[0]).any():
-                    rows = np.argwhere(block != block[0])[0]
-                    return EquitableCheck(False, {
-                        "matrix": mi, "side": side, "cell": ci,
-                        "point": cell[int(rows[0])], "target_cell": int(rows[1]),
-                    })
-    return EquitableCheck(True, None)
+        products.append(int_matmul(A, H))
+        for side, S in (("row", products[-1]), ("col", int_matmul(A.T, H))):
+            bad = np.argwhere(S[order] != S[lead])
+            if len(bad):
+                point = int(order[bad[0, 0]])
+                return {"matrix": mi, "side": side, "cell": int(partition.cell_of[point]),
+                        "point": point, "target_cell": int(bad[0, 1])}, products
+    return None, products
 
 
 @dataclass(frozen=True)
@@ -234,20 +247,20 @@ class QuotientSet:
 def quotient_matrices(partition, matrices):
     """Exact quotients (H^T H)^{-1} H^T A_i H of an equitable partition."""
     mats = _matrix_list(matrices)
-    check = verify_equitable(partition, mats)
-    if not check.ok:
-        raise NotEquitable("partition is not equitable", witness=check.witness)
+    witness, products = _equitable(partition, mats)
+    if witness is not None:
+        raise NotEquitable("partition is not equitable", witness=witness)
     H = partition.char_matrix
     sizes = np.array(partition.cell_sizes, dtype=np.int64)
     quotients = []
-    for A in mats:
-        num = int_matmul(int_matmul(H.T, A), H)
+    for A, AH in zip(mats, products):
+        num = int_matmul(H.T, AH)
         if (num % sizes[:, None] != 0).any():
             bad = np.argwhere(num % sizes[:, None] != 0)[0]
             raise NonIntegralQuotient(
                 f"entry {tuple(bad)} not divisible by cell size", witness=tuple(bad))
         M = num // sizes[:, None]
-        if not (int_matmul(A, H) == int_matmul(H, M)).all():
+        if not (AH == int_matmul(H, M)).all():
             raise InternalInconsistency("A H != H M after quotient")
         quotients.append(M)
     return QuotientSet(tuple(quotients), partition.cell_sizes,

@@ -28,15 +28,19 @@ array passes, whatever the seed and the trial indices:
   Random Integer Generation in an Interval", ACM TOMACS 2019), exactly as
   Generator.integers(0, q) draws below 2^32, and packs each stream's kept
   draws to the left;
-- a trial's codeword index, its coefficient attempts and its error rows are
-  slices of its stream's draws (``_Draws.take``); only a stream that runs
-  short draws a further window, from where its last one ended.
+- a trial's coefficient attempts and its error rows are slices of its
+  stream's draws (``_Draws.take``); only a stream that runs short draws a
+  further window, from where its last one ended.
 
 SeedSequence zero-pads its entropy words up to its pool of four, so while
 rng_seed and i take at most three 32-bit words between them (rng_seed <
 2^64 and i < 2^32, say), (rng_seed, i, 0) and (rng_seed, i) seed the same
 stream: the codeword index and the channel each read it from its first
-output, so the two are not independent.  Every seeded tally pinned in the
+output, so the two are not independent.  Such a stream is seeded and run
+once: the index is the first draw below the number of codewords that the
+first raw output of the channel's window gives (a second pass, from the
+same states, if both its halves are rejected or there is no window).  A longer seed's index has
+its own stream, seeded and drawn apart.  Every seeded tally pinned in the
 tests and the benchmark's re-draw depend on these streams, so they stay as
 they are.
 
@@ -347,7 +351,9 @@ class _Draws:
     Column r of draws holds the first have[r] draws of stream r; the first
     window maps `words` raw outputs of every stream, and a stream that is
     asked past its draws maps a further window, from its state, where its
-    last one ended.
+    last one ended.  The first window's raw outputs stay as window (words x
+    m), so that draws below another bound can be read from the same
+    outputs.
     """
 
     def __init__(self, states, q, words):
@@ -355,14 +361,15 @@ class _Draws:
             raise InternalInconsistency(f"bounded draws need 1 <= q <= 2**32, got {q}")
         self.q = np.uint64(q)
         self.pcg = _pcg(states)
-        self.draws, self.have = self._map(slice(None), words, 1)
+        self.window = self._outputs(slice(None), words, 1)
+        self.draws, self.have = _bounded(self.window, self.q)
 
-    def _map(self, rows, words, lead=0):
-        """The draws of the next `words` raw outputs of the streams rows (an
-        index array or a slice), by _bounded; the streams step past them."""
+    def _outputs(self, rows, words, lead=0):
+        """The next `words` raw outputs of the streams rows (an index array
+        or a slice); the streams step past them."""
         raw, (hi, lo) = _raw(tuple(v[:, rows] for v in self.pcg), words, lead)
         self.pcg[0][0, rows], self.pcg[1][0, rows] = hi, lo
-        return _bounded(raw, self.q)
+        return raw
 
     def take(self, rows, start, count):
         """count draws of each stream rows[j] (distinct rows), from its draw
@@ -372,7 +379,8 @@ class _Draws:
         short = self.have[rows] < end
         while short.any():
             more = rows[short]
-            draws, kept = self._map(more, (int((end - self.have[rows])[short].max()) + 1) // 2)
+            words = (int((end - self.have[rows])[short].max()) + 1) // 2
+            draws, kept = _bounded(self._outputs(more, words), self.q)
             depth = int(self.have[more].max()) + len(draws) - len(self.draws)
             if depth > 0:
                 more_rows = np.zeros((depth, self.draws.shape[1]), dtype=np.int64)
@@ -412,27 +420,42 @@ def _draw(words, spec, start, m):
     attempt a is draws a kd, ..., (a + 1) kd - 1 for kd = keep x dim, and
     the error rows follow the first full-rank one.  The codewords share one
     dimension (an LCD code has one), so the trials share one shape.  Every
-    stream is seeded in one _states pass; the channel streams are drawn by
-    one _Draws, whose first window holds the first round of attempts and
-    the error rows, and the index streams by another, of one raw output
-    each.  Round by round each pending trial takes _attempts(...) attempts,
-    all ranked in one stack, and keeps its first full-rank one.  One
-    product then multiplies the chosen coefficients of all trials by the
-    bases of the codewords sent side by side, and each trial takes the
-    block of its own codeword.
+    stream is seeded in one _states pass, and the channel streams are drawn
+    by one _Draws, whose first window holds the first round of attempts and
+    the error rows.  While (rng_seed, start + m - 1) takes at most three
+    entropy words, each trial's two seeds pad to one stream, so the chunk
+    seeds the channel streams alone and maps the first raw output of their
+    window once more, below len(words): each trial's index is the first
+    kept draw of its two halves.  A longer seed's index streams are seeded
+    apart, and drawn by a second _Draws of one raw output each; so is a
+    chunk in which some trial keeps neither half, over the channel's states
+    (at most (len(words) / 2^32)^2 per trial, or certain when the window is
+    empty).
+    Round by round each pending trial takes _attempts(...) attempts, all
+    ranked in one stack, and keeps its first full-rank one.  One product
+    then multiplies the chosen coefficients of all trials by the bases of
+    the codewords sent side by side (those present, in index order), and
+    each trial takes the block of its own codeword.
     """
     f, n, dim = words[0].field, words[0].n, words[0].dim
     if any(w.dim != dim for w in words):
         raise InternalInconsistency("the codewords of one draw must share one dimension")
     keep = dim - spec.erasure_count
     kd, en, every = keep * dim, spec.error_count * n, np.arange(m)
-    tails = ((), (0,)) if len(words) > 1 else ((),)
-    states = _states(spec.rng_seed, start, m, tails)
+    several = len(words) > 1
+    # (seed, i, 0) pads to the entropy of (seed, i) while that takes <= 3 words
+    shared = several and len(_entropy_words((spec.rng_seed, start + m - 1))) < _POOL
+    states = _states(spec.rng_seed, start, m, ((), (0,)) if several and not shared else ((),))
     tries = _attempts(f, keep, dim, m) if keep else 0
     draws = _Draws(states[:, :m], f.q, (tries * kd + en + 1) // 2)
-    sent = np.zeros(m, dtype=np.int64)
-    if len(tails) > 1:
-        sent = _Draws(states[:, m:], len(words), 1).take(every, 0, 1)[:, 0]
+    sent = None if several else np.zeros(m, dtype=np.int64)
+    if shared:
+        first, kept = _bounded(draws.window[:1], np.uint64(len(words)))
+        if kept.all():
+            sent = first[0]
+    if sent is None:
+        # the index's own stream, or one whose first output keeps no index draw
+        sent = _Draws(states[:, -m:], len(words), 1).take(every, 0, 1)[:, 0]
     chosen = np.zeros(m, dtype=np.int64)
     pending, tried = (every if keep else every[:0]), 0
     while len(pending):
@@ -447,7 +470,9 @@ def _draw(words, spec, start, m):
     rows = draws.take(every, chosen * kd, kd + en)
     out = np.empty((m, keep + spec.error_count, n), dtype=np.int64)
     if keep:
-        used, slot = np.unique(sent, return_inverse=True)
+        present = np.zeros(len(words), dtype=bool)
+        present[sent] = True
+        used, slot = np.flatnonzero(present), np.cumsum(present)[sent] - 1
         bases = np.hstack([words[u].basis for u in used.tolist()])
         product = f._product(rows[:, :kd].reshape(-1, dim), bases)
         out[:, :keep] = product.reshape(m, keep, len(used), n)[every, :, slot]

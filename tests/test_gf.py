@@ -657,6 +657,31 @@ def test_stack_ranks_match_oracle(f2, f3, f9, n):
                 f.excess_rank(Subspace.full(f, n + 1), bottoms[0], cap)
 
 
+def test_capped_excess_rank_stops_at_the_cap(f3, f9, monkeypatch):
+    # off GF(2) a capped pair eliminates its residual only until it has cap
+    # pivots: one elimination of at most cap steps, however large the
+    # excess, and the capped rank is still the oracle's
+    steps = []
+    real = GF._eliminate_lone
+
+    def spy(self, A, full, limit=None):
+        out = real(self, A, full, limit)
+        steps.append(len(out))
+        return out
+
+    monkeypatch.setattr(GF, "_eliminate_lone", spy)
+    rng = np.random.default_rng(5)
+    for f in (f3, f9):
+        U = Subspace(f, 12, rng.integers(0, f.q, (3, 12)))
+        W = Subspace(f, 12, rng.integers(0, f.q, (6, 12)))
+        excess = oracles.rank(f, np.vstack([U.basis, W.basis]).tolist()) - U.dim
+        assert excess == 6
+        for cap in range(excess + 2):
+            steps.clear()
+            assert f.excess_rank(U, W, cap) == min(excess, cap)
+            assert steps == [min(excess, cap)]
+
+
 def test_matmul_rejects_encodings_outside_the_field(f2, f3, f9):
     # unchecked, GF(2) reads 3 and -1 as 1 and GF(9) reads 12 as its low
     # two base-3 digits, 3; matmul checks both operands before GF._product

@@ -135,6 +135,28 @@ def test_not_equitable_witness():
         quotient_matrices(part, [path])
 
 
+def test_not_equitable_witness_is_in_the_first_failing_cell():
+    # the cells go by first point, (0, 5), (1, 2), (3, 4), however given.
+    # The column sums A^T H fail at points 2, 4 and 5, so the lowest failing
+    # point, 2, lies in cell 1, but the witness is cell 0's point 5, at its
+    # first differing cell; the identity before A is equitable, and A's row
+    # sums are.  Witnesses recorded on the cell-by-cell check
+    A = np.array([[0, 0, 1, 1, 1, 1], [0, 0, 1, 0, 1, 0], [0, 0, 1, 0, 1, 0],
+                  [0, 0, 1, 0, 0, 1], [0, 1, 0, 0, 0, 1], [1, 0, 1, 1, 1, 0]])
+    eye = np.eye(6, dtype=np.int64)
+    for cells in ([(0, 5), (1, 2), (3, 4)], [(4, 3), (2, 1), (5, 0)]):
+        part = EquitablePartition(cells, 6)
+        for mats, want in (([eye, A], {"matrix": 1, "side": "col", "cell": 0,
+                                       "point": 5, "target_cell": 2}),
+                           ([A.T], {"matrix": 0, "side": "row", "cell": 0,
+                                    "point": 5, "target_cell": 2})):
+            chk = verify_equitable(part, mats)
+            assert not chk.ok and chk.witness == want
+            with pytest.raises(NotEquitable) as err:
+                quotient_matrices(part, mats)
+            assert err.value.witness == want
+
+
 def test_c6_antipodal_quotient_pinned(c6):
     A = c6.adjacency
     part = EquitablePartition([(0, 3), (1, 4), (2, 5)], 6)

@@ -286,6 +286,110 @@ def test_codeword_index_and_channel_share_a_stream_for_short_seeds(f5):
                                               channel.integers(0, 5, size=2).tolist()]
 
 
+def _spy_draw(monkeypatch):
+    """The column count of every _seed_states pass and the number of _Draws
+    built, as lists the spies fill."""
+    columns, built = [], []
+    seed_states, init = simulator._seed_states, simulator._Draws.__init__
+
+    def spy_states(entropy):
+        columns.append(entropy.shape[1])
+        return seed_states(entropy)
+
+    def spy_init(self, *args):
+        built.append(args[1])
+        init(self, *args)
+
+    monkeypatch.setattr(simulator, "_seed_states", spy_states)
+    monkeypatch.setattr(simulator._Draws, "__init__", spy_init)
+    return columns, built
+
+
+def _readme_code(f2):
+    return SubspaceCode([span(f2, 4, [[0, 0, 1, 0], [0, 0, 0, 1]]),
+                         span(f2, 4, [[1, 1, 1, 0], [0, 0, 0, 1]]),
+                         span(f2, 4, [[1, 1, 0, 1], [0, 0, 1, 0]])])
+
+
+def _f9_words(f9):
+    # an LCD subspace code has one dimension: dim C_i + dim C_j^perp > n otherwise
+    return [span(f9, 5, [[1, 0, 2, 6, 7], [0, 1, 6, 5, 8]]),
+            span(f9, 5, [[1, 0, 7, 4, 5], [0, 1, 3, 2, 6]]),
+            span(f9, 5, [[1, 2, 3, 0, 5], [0, 0, 0, 1, 7]])]
+
+
+def _f9_code(f9):
+    return SubspaceCode(_f9_words(f9))
+
+
+def test_short_seeds_draw_index_and_channel_in_one_pass(f2, monkeypatch):
+    # while (rng_seed, i) takes at most 3 words, a chunk seeds only the
+    # channel streams, one column a trial, and reads each codeword index
+    # from the first output of its channel window: one _Draws.  At 2^64
+    # (three words) the index streams are their own, hashed apart (five
+    # words against the channel's four, so two passes) and drawn apart: two
+    columns, built = _spy_draw(monkeypatch)
+    words = list(_readme_code(f2))
+    for seed, want_columns, want_built in ((7, [200], [2]), (2 ** 64, [200, 200], [2, 3])):
+        columns.clear(), built.clear()
+        simulator._draw(words, ChannelSpec(1, 1, seed), 0, 200)
+        assert columns == want_columns and built == want_built
+
+
+def test_codeword_indices_are_default_rng_draws_either_side_of_the_pool(f2, f9, monkeypatch):
+    # (s, i) takes 3 words for s = 2^64 - 1 and i < 2^32, 4 words for
+    # s = 2^64 or i >= 2^32: a chunk reads the index from the shared window
+    # only if its last trial's seed fits, so the chunk from 2^32 - 3, which
+    # crosses into a fourth word, seeds the index streams apart
+    _, built = _spy_draw(monkeypatch)
+    for code in (_readme_code(f2), _f9_code(f9)):
+        words = list(code)
+        for seed in (2 ** 64 - 1, 2 ** 64):
+            for start in (0, 2 ** 32 - 3):
+                built.clear()
+                spec = ChannelSpec(1, 1, seed)
+                sent, rows = simulator._draw(words, spec, start, 6)
+                assert len(built) == (1 if seed < 2 ** 64 and start == 0 else 2)
+                for j, i in enumerate(range(start, start + 6)):
+                    assert sent[j] == np.random.default_rng((seed, i, 0)).integers(0, 3)
+                    assert Subspace(code.field, code.n, rows[j]) == _one_draw(words[sent[j]], spec, i)
+
+
+def test_index_without_a_draw_in_the_window_has_its_own_stream(f2, f9, monkeypatch):
+    # a column whose window's first raw output keeps no index draw, both
+    # halves rejected (at most (k / 2^32)^2 per trial), or that has no
+    # window at all (every dimension erased and no errors) takes the index
+    # from its own _Draws, over the same states; no draw changes.  The
+    # bounded map below 3 rejects both halves of a raw output of 0, so a
+    # channel window whose first output reads 0 once the channel has mapped
+    # it keeps no index draw
+    init, built = simulator._Draws.__init__, []
+
+    def no_index_draw(self, states, q, words):
+        init(self, states, q, words)
+        built.append(q)
+        if q != 3:
+            self.window[0, 0] = 0
+
+    for code, spec in ((_readme_code(f2), ChannelSpec(1, 1, 31)),
+                       (_f9_code(f9), ChannelSpec(1, 2, 33))):
+        words = list(code)
+        want = [simulator._draw(words, spec, 0, m) for m in (1, 150)]
+        tallies = _replay(code, spec, 150)
+        monkeypatch.setattr(simulator._Draws, "__init__", no_index_draw)
+        for m, (sent, rows) in zip((1, 150), want):
+            built.clear()
+            got = simulator._draw(words, spec, 0, m)
+            assert built == [code.field.q, 3]
+            assert np.array_equal(got[0], sent) and np.array_equal(got[1], rows)
+        st = run_experiment(code, spec, 150)
+        assert (st.correct, st.failure, st.wrong, st.mean_distance) == tallies
+        monkeypatch.undo()
+    sent, rows = simulator._draw(list(_readme_code(f2)), ChannelSpec(2, 0, 7), 0, 5)
+    assert rows.shape == (5, 0, 4)
+    assert sent.tolist() == [np.random.default_rng((7, i, 0)).integers(0, 3) for i in range(5)]
+
+
 def _outputs(rng, words):
     """The 32-bit outputs of the next `words` raw words of a numpy
     Generator's PCG64, the low half of each word first."""
@@ -370,16 +474,11 @@ def test_big_prime_seed_rejects_outputs_and_retries_attempts():
 
 
 def _chunk_codes(f2, f4, f5, f9):
-    readme = SubspaceCode([span(f2, 4, [[0, 0, 1, 0], [0, 0, 0, 1]]),
-                           span(f2, 4, [[1, 1, 1, 0], [0, 0, 0, 1]]),
-                           span(f2, 4, [[1, 1, 0, 1], [0, 0, 1, 0]])])
+    readme = _readme_code(f2)
     yield readme, ChannelSpec(1, 1, 31)
     f5_code = SubspaceCode([span(f5, 2, [[1, 1]]), span(f5, 2, [[1, 0]])])
     yield f5_code, ChannelSpec(1, 1, 32)
-    # an LCD subspace code has one dimension: dim C_i + dim C_j^perp > n otherwise
-    f9_words = [span(f9, 5, [[1, 0, 2, 6, 7], [0, 1, 6, 5, 8]]),
-                span(f9, 5, [[1, 0, 7, 4, 5], [0, 1, 3, 2, 6]]),
-                span(f9, 5, [[1, 2, 3, 0, 5], [0, 0, 0, 1, 7]])]
+    f9_words = _f9_words(f9)
     code = SubspaceCode(f9_words)
     assert bool(is_lcd_subspace_code(code))
     yield code, ChannelSpec(1, 2, 33)
