@@ -29,10 +29,10 @@ asks each e_i only as far as the verdict needs, through a capped rank
 min(e_i, cap) that runs a lazy scan of packed rows, in one loop over
 doubling distance bounds: a codeword's elimination so stops once its
 distance is known to exceed a bound that some codeword is within.  The
-rule is on n because a whole stack costs a few numpy calls per column, for
-the whole batch, while each scan is Python per row and per word, and a
-bounded scan only saves rows on wide codes: on a 4-column code every scan
-reads every row anyway.  Measured on random GF(2) LCD codes
+rule is on n because a whole stack of F_2 words costs a few numpy calls
+per column (off F_2, per row), for the whole batch, while each scan is
+Python per row and per word, and a bounded scan only saves rows on wide
+codes: on a 4-column code every scan reads every row anyway.  Measured on random GF(2) LCD codes
 (see gf), both decoders run about ten times faster on words than by lazy
 scans at n = 4 and at n = 8.  decode_naive stays the unbounded reference.
 

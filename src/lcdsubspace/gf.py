@@ -36,8 +36,9 @@ block matrix of the M_b of B's entries, or, as ab = ba, M_A digits(B).  The
 operand with fewer entries is the one expanded, so the extra memory is at
 most r**2 times the smaller operand.  The result is reduced mod p (``& 1``
 when p = 2, and C - C // p * p for odd p, since a floor division by a
-scalar is faster than numpy's int64 ``%``), so every product is exact.  ``matmul`` rejects entries outside
-[0, q) with ``EncodingOutOfRange``.
+scalar is faster than numpy's int64 ``%``), so every product is exact.
+``matmul`` rejects entries outside [0, q), and entries that are not
+integers, with ``EncodingOutOfRange``.
 
 A right factor B multiplied by many row sets, as the projection decoder
 multiplies every received word by the same complement coordinates, is
@@ -46,12 +47,12 @@ Both of its rank forms take the row sets as one stack (T x h x rows of B),
 zero-padded to one height, as ``codes`` builds it for a batch of received
 words.  ``block_ranks`` returns the rank of every row set and of every
 block of its product, exactly, as arrays: one ``matmul`` of the stack and
-one ``ranks`` of every column block of every row set.  ``capped``, over
-F_2 only, returns per row set the rank of the rows and a capped rank
-rank(i, cap) = min(rank of block i of rows B, cap).  Over F_2, when the
-factor is built, each row of B is packed into one Python int,
-column c in bit c, and every 8 rows of B get one 256-entry table of the XORs
-of their subsets (the Four-Russians method, M4RM: Albrecht, Bard and Hart,
+one ``ranks`` stack of every row set beside every column block of its
+product.  ``capped``, over F_2 only, returns per row set the rank of the
+rows and a capped rank rank(i, cap) = min(rank of block i of rows B, cap).
+Over F_2, when the factor is built, each row of B is packed into one Python
+int, column c in bit c, and every 8 rows of B get one 256-entry table of
+the XORs of their subsets (the Four-Russians method, M4RM: Albrecht, Bard and Hart,
 ACM TOMS 2010).  A call reduces the rows to an echelon set, reads each as
 ceil(n / 8) bytes and XORs one table entry per byte into a packed product
 row.  Block i's rows are shifted and masked lazily, one product row at a
@@ -79,8 +80,9 @@ Which elimination ranks a matrix of n columns is one rule, ``stacked(n)``:
 a whole stack at once on every field but F_2, by the stacked core below,
 and on F_2 up to n = 8, on one uint64 word per row; rows packed into
 Python ints, one matrix at a time, on F_2 past that.  A whole stack costs
-a few numpy calls per column, while a packed reduction is Python per row
-and per matrix, and a capped scan saves rows only on wide matrices.  On
+a fixed number of numpy calls per row (per column on F_2 words), whatever
+its size, while a packed reduction is Python per row and per matrix, and a
+capped scan saves rows only on wide matrices.  On
 random GF(2) LCD codes of 3 codewords of dimension n / 2, decoding 200
 words of one erasure and one error (2 cores, CPython 3.11, NumPy 2.4, two
 rounds), naive decoding took per word 0.8-1.0 us on words against 9.7-13
@@ -131,26 +133,31 @@ Every GF(2) capped form runs one capped scan, ``_gf2_capped_ranks``; it
 keeps its count of missing pivots to itself, since at each pivot that count
 cost the uncapped reduction of ``rank`` about a tenth of its time.
 
-The stacked core, ``_eliminate``, runs on a stack of matrices (B x m x n)
-over every field but F_2: ``ranks(stack)`` returns the rank of each matrix
-of a stack.
-Column by column, each matrix pivots on its first unused row with a nonzero
-entry there (no row moves); the pivot rows are divided by their pivots, and
-one gathered product and one difference clear the column across the whole
-stack, so the numpy calls per column do not grow with B.  Row operations
-are bound once per field: on odd F_p the update is T - fac (x) row, reduced
+The stacked core, in ``_ranks``, ranks a stack of matrices (B x m x n)
+over every field but F_2 row by row, with no pivot search: ``ranks(stack)``
+returns the rank of each matrix of a stack.  A tall stack is transposed
+first (rank A = rank A^T), so m <= n.  At row i every matrix pivots on the
+first nonzero entry of its row i, and one update across the whole stack
+clears that column from rows i + 1 on, subtracting from each of them its
+entry there over the pivot times row i; a matrix whose row i is zero
+divides by 1 instead of 0 and scales a zero row, so no matrix needs a
+branch.  Each nonzero row then
+has a pivot column that is zero in every row below it, so the rows left
+nonzero are independent and their count is the rank: m - 1 updates of
+some 15 to 20 numpy calls, however large B is.  Row operations are bound
+once per field: on odd F_p the update is T - fac (x) row, reduced
 as T - T // p * p (products below 2**40), with inverses from a table of
 Fermat powers; with log/exp tables a product is one gather, and a
 difference is an XOR when p = 2, a lookup in a table of all q**2
 differences for odd p up to q = 2**8, and digitwise above; past 2**16 the
-public ``mul``, ``sub`` and ``inv`` do it.  ``rref`` keeps each divided
-pivot row and marks its row used, so each column is cleared above and below
-its pivot; in ``rank`` and ``det`` (the pivot product times the sign of the
-pivot rows' permutation) the update zeroes the pivot rows, and they stop
-once every matrix has all its pivots.  A lone matrix (``rank``, ``rref``,
-``det``, ``excess_rank`` and a stack of one) skips the search per matrix:
-``_eliminate_lone`` pivots on its first nonzero entry in the column, in an
-unused row, on 2-d slices with the pivot a Python int.
+public ``mul``, ``sub`` and ``inv`` do it.  A lone matrix (``rank``,
+``rref``, ``det`` and ``excess_rank``) is reduced column by column by
+``_eliminate_lone``, on 2-d slices with the pivot a Python int: each column
+pivots on its first nonzero entry in an unused row (no row moves).
+``rref`` keeps each divided pivot row and marks its row used, so each
+column is cleared above and below its pivot; in ``rank`` and ``det`` (the
+pivot product times the sign of the pivot rows' permutation) the update
+zeroes the pivot rows.
 
 Every F_2 rank runs on packed rows instead: Python ints, as above, past 8
 columns, and numpy words up to 8.  There ``ranks`` packs the stack once
@@ -161,16 +168,20 @@ whole stack: by then no row has a bit above the column's, so a matrix's
 largest row is a pivot whenever any of its rows has the bit, and that word
 is XORed into every row of the matrix that has the bit, itself included,
 until every matrix has all its pivots.  An int64 entry costs a broadcast
-update per column; a word is one XOR per row, the machine-word rows of M4RI
+update per row; a word is one XOR per row, the machine-word rows of M4RI
 (Albrecht, Bard and Hart, ACM TOMS 2010).  Over F_2 past 8 columns,
 ``ranks`` packs the whole stack at once into ints and reduces each matrix
 on its packed rows.  Zero rows and zero columns change no rank, so
 ``padded_stack`` pads matrices of mixed shapes into one stack:
-``BlockRankFactor`` ranks its column blocks in one ``ranks`` call.  Every
+``BlockRankFactor`` ranks its row sets and column blocks in one ``ranks``
+call.  Every
 elimination entry point rejects entries outside [0, q) with
 ``EncodingOutOfRange``, by one max over the operand's uint64 view, since a
 gather would silently wrap a negative entry and packing would read any
-nonzero entry as 1.  Operands known to be in range are checked once:
+nonzero entry as 1; and, where it casts its operand to int64
+(``_integers``), any nonempty operand whose dtype is not an integer one,
+since the cast would truncate 1.5 to 1 and read True or an object as an
+integer.  Operands known to be in range are checked once:
 ``block_ranks`` multiplies its checked stack, and the simulator its drawn
 coefficients, by ``_product``, ``matmul`` without the check, and rank them
 by ``_ranks``, ``ranks`` without it.  ``excess_rank`` takes Subspaces, whose
@@ -487,6 +498,17 @@ def _odd_permutation(perm):
     return swaps % 2 == 1
 
 
+def _integers(M, copy=False):
+    """M as an int64 array, once its entries are integers: a cast would
+    truncate floats and read bools and objects, so a nonempty operand of any
+    other dtype raises ``EncodingOutOfRange`` (an empty list, which numpy
+    reads as floats, holds no entry)."""
+    A = np.asarray(M)
+    if A.size and A.dtype.kind not in "iu":
+        raise EncodingOutOfRange(f"encoded entries must be integers, not {A.dtype}")
+    return A.astype(np.int64, copy=copy)
+
+
 def padded_stack(mats):
     """The matrices as one stack, each padded with zero rows and zero columns
     to the largest height and width.  A lone matrix comes back as a view."""
@@ -716,7 +738,7 @@ class GF:
     # --- matrices (int64 arrays of encoded values) ---
 
     def asmatrix(self, M):
-        A = np.asarray(M, dtype=np.int64)
+        A = _integers(M)
         if A.ndim == 1:
             A = A[None, :]
         if A.ndim != 2:
@@ -724,8 +746,7 @@ class GF:
         return self._check(A)
 
     def matmul(self, A, B):
-        A = np.asarray(A, dtype=np.int64)
-        B = np.asarray(B, dtype=np.int64)
+        A, B = _integers(A), _integers(B)
         if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
             raise DimensionMismatch(f"cannot multiply {A.shape} by {B.shape}")
         return self._product(self._check(A), self._check(B))
@@ -759,7 +780,7 @@ class GF:
 
     @staticmethod
     def _as_rows(M):
-        A = np.asarray(M, dtype=np.int64)
+        A = _integers(M)
         if A.ndim == 1:
             A = A[None, :]
         if A.ndim != 2:
@@ -816,69 +837,19 @@ class GF:
                 self._ops = (lambda P, v: self.mul(P, self.inv(v)), elim)
         return self._ops
 
-    def _eliminate(self, S):
-        """Row-reduce every matrix of the stack S (B x m x n, entries in
-        [0, q)) in place, as far as its rank needs.
-
-        Column by column, each matrix pivots on its first row with a nonzero
-        entry in the column.  The pivot rows are divided by their pivots,
-        and one gathered product and one difference clear the column across
-        the whole stack, the pivot rows included, so the used rows end zero
-        and need no record.  No row moves.  The loop ends once every matrix
-        has min(m, n) pivots, without clearing the last column.  A stack of
-        one goes to ``_eliminate_lone``.
-
-        Returns one step (c, has, rows, values) per column c in which some
-        matrix pivots: has[b] tells whether matrix b does, rows[b] is its
-        pivot row and values[b] its pivot before the division.
-        """
-        B, m, n = S.shape
-        if B == 1:
-            return self._eliminate_lone(S[0], full=False)
-        div_rows, elim = self._elimination_ops()
-        # rows indexed flat, row i of matrix b as b m + i: one-axis gathers
-        # are several times cheaper than two-axis ones on small stacks
-        flat_rows = S.reshape(B * m, n)
-        first = np.arange(B) * m
-        steps = []
-        left = B * min(m, n)  # pivots still possible
-        for c in range(n):
-            col = flat_rows[:, c]
-            cand = col != 0
-            rows = cand.reshape(B, m).argmax(1)
-            at = first + rows
-            has = cand[at]
-            k = np.count_nonzero(has)
-            if not k:
-                continue
-            values = col[at]
-            steps.append((c, has, rows, values))
-            left -= k
-            if not left:
-                break  # every matrix has all its pivots
-            if k < B:
-                at, values = at[has], values[has]
-            # whether any row but the pivots has a nonzero entry to clear
-            if np.count_nonzero(col) == k:
-                flat_rows[at] = 0  # as the elimination leaves them
-                continue
-            P = pivot_rows = div_rows(flat_rows.take(at, 0)[:, c:], values[:, None])
-            if k < B:
-                # a matrix without a pivot here gets a zero row: no change
-                P = np.zeros((B, n - c), dtype=np.int64)
-                P[has] = pivot_rows
-            # P and every unused row are zero left of column c
-            elim(S[:, :, c:], col.reshape(B, m), P)
-        return steps
-
     def _eliminate_lone(self, A, full, limit=None):
-        """The steps of ``_eliminate`` for one matrix A (m x n), reduced in
-        place on 2-d slices with its pivots as Python ints: a column's pivot
-        is its first nonzero entry, so there is no search per matrix and no
-        gather.  full (rref) writes each divided pivot row back and marks its
-        row used, so every column is cleared and A ends in its rref up to
-        row order.  A limit stops the elimination once it has that many
-        pivots."""
+        """Row-reduce one matrix A (m x n, entries in [0, q)) in place, on
+        2-d slices with its pivots as Python ints, column by column: a
+        column's pivot is its first nonzero entry in a row not yet used, and
+        the pivot row, divided by its pivot, clears the column in every
+        other row, itself included unless full.  full (rref) writes each
+        divided pivot row back and marks its row used, so A ends in its rref
+        up to row order; otherwise each pivot row ends zero.  No row moves.
+        A limit stops the elimination once it has that many pivots.
+
+        Returns one step (c, row, value) per pivot: its column, its row and
+        its value before the division.
+        """
         div_rows, elim = self._elimination_ops()
         m, n = A.shape
         limit = m if limit is None else min(limit, m)
@@ -893,7 +864,7 @@ class GF:
             if r is None:
                 continue
             v = int(col[r])
-            steps.append((c, (True,), (r,), (v,)))
+            steps.append((c, r, v))
             if not full and (len(steps) == limit or len(nz) == 1):
                 A[r] = 0  # as the elimination leaves it
                 continue
@@ -909,40 +880,53 @@ class GF:
         return steps
 
     def stacked(self, n):
-        """Whether stacks of matrices of n columns are ranked whole, a few
-        numpy calls per column: on every field but F_2 by ``_eliminate``,
-        and on F_2 up to 8 columns on one word per row.  Past that, F_2
-        ranks rows packed into Python ints, one matrix at a time, and the
-        decoders take lazy capped scans."""
+        """Whether stacks of matrices of n columns are ranked whole, a fixed
+        number of numpy calls per row or column: on every field but F_2 row
+        by row (``_ranks``), and on F_2 up to 8 columns on one word per row,
+        column by column.  Past that, F_2 ranks rows packed into Python
+        ints, one matrix at a time, and the decoders take lazy capped
+        scans."""
         return self.q != 2 or n <= _GF2_STACKED_COLUMNS
 
     def ranks(self, stack):
         """Rank of every matrix of a stack (B x m x n), as an int64 array.
 
         A stack the field ranks whole (``stacked(n)``) runs one elimination
-        of the whole stack, on one word per row over F_2; a wider F_2 stack
-        is packed at once and each matrix reduced on its packed rows.  Zero
-        rows and zero columns, as padding, change no rank.
+        of the whole stack, row by row off F_2 and on one word per row over
+        F_2; a wider F_2 stack is packed at once and each matrix reduced on
+        its packed rows.  Zero rows and zero columns, as padding, change no
+        rank.
         """
-        S = np.array(stack, dtype=np.int64)
+        S = _integers(stack, copy=True)
         if S.ndim != 3:
             raise DimensionMismatch(f"expected a stack of matrices, got ndim={S.ndim}")
         return self._ranks(self._check(S))
 
     def _ranks(self, S):
-        """ranks of a stack already checked, which it may overwrite."""
-        B, _, n = S.shape
-        out = np.zeros(B, dtype=np.int64)
+        """ranks of a stack already checked, which it may overwrite; off F_2
+        by the row-by-row core (see the module docstring)."""
+        B, m, n = S.shape
         if not S.size:
-            return out
+            return np.zeros(B, dtype=np.int64)
         if self.q == 2:
             if self.stacked(n):
                 return _gf2_word_ranks(_gf2_words(S), n)
-            out[:] = [len(rows) for rows in _gf2_echelons(S)]
-            return out
-        for _, has, _, _ in self._eliminate(S):
-            out += has
-        return out
+            return np.array([len(rows) for rows in _gf2_echelons(S)], dtype=np.int64)
+        if m > n:
+            S, m = S.transpose(0, 2, 1), n  # rank A = rank A^T
+        div_rows, elim = self._elimination_ops()
+        every = np.arange(B)
+        for i in range(m - 1):
+            # each matrix pivots on the first nonzero entry of its row i and
+            # clears that column below it; a zero row i divides by 1, as an
+            # untabled inverse rejects 0, and clears nothing
+            row = S[:, i]
+            c = (row != 0).argmax(1)
+            v = row[every, c]
+            fac = div_rows(S[every, i + 1:, c], (v + (v == 0))[:, None])
+            elim(S[:, i + 1:], fac, row)
+        # a nonzero row's pivot column is zero in every row below it
+        return np.count_nonzero(S.any(2), 1)
 
     def rref(self, M):
         """Reduced row echelon form.  Returns (R, pivots)."""
@@ -951,14 +935,14 @@ class GF:
             return _gf2_rref(A)
         S = A.copy()
         steps = self._eliminate_lone(S, full=True)
-        rows = [step[2][0] for step in steps]
+        rows = [r for _, r, _ in steps]
         # the rows without a pivot end zero, so pivot rows already in order
         # (the usual case) leave the matrix in rref as it stands
         R = S
         if rows != list(range(len(rows))):
             R = np.zeros(A.shape, dtype=np.int64)
             R[:len(rows)] = S.take(rows, 0)
-        return R, tuple(step[0] for step in steps)
+        return R, tuple(c for c, _, _ in steps)
 
     def rank(self, M):
         A = self._check(self._as_rows(M))
@@ -1031,7 +1015,7 @@ class GF:
     def _checked_stack(self, stack, columns):
         """stack as a (T x h x n) int64 array, once it is one, n equals every
         count of columns, and every entry lies in [0, q)."""
-        S = np.asarray(stack, dtype=np.int64)
+        S = _integers(stack)
         if S.ndim != 3 or any(c != S.shape[2] for c in columns):
             raise DimensionMismatch(
                 f"cannot rank a stack of shape {S.shape} against {sorted(set(columns))} columns")
@@ -1057,7 +1041,7 @@ class GF:
                 for rows in _gf2_echelons(S)]
 
     def det(self, M):
-        A = np.asarray(M, dtype=np.int64)
+        A = _integers(M)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionMismatch("determinant needs a square matrix")
         n = A.shape[0]
@@ -1069,9 +1053,9 @@ class GF:
         # no row moved: row rows[k] holds pivot k, so the rows taken in pivot
         # order form an upper triangular matrix, and det is its diagonal's
         # product times the sign of that permutation of the rows
-        det = self.neg(1) if _odd_permutation([int(s[2][0]) for s in steps]) else 1
-        for _, _, _, values in steps:
-            det = self.mul(det, int(values[0]))
+        det = self.neg(1) if _odd_permutation([r for _, r, _ in steps]) else 1
+        for _, _, v in steps:
+            det = self.mul(det, v)
         return det
 
     def kernel(self, M):
@@ -1169,8 +1153,9 @@ class BlockRankFactor:
 
         The span decides every block rank, so any spanning set serves, and
         zero rows pad the row sets to one height.  The stack is multiplied
-        by B in one matmul, and every column block of every product, padded
-        with zero columns to the widest, is ranked in one ``ranks`` stack.
+        by B in one matmul, and the row sets and every column block of
+        their products, padded with zero columns to the widest, are ranked
+        in one ``ranks`` stack.
         Only a factor that keeps B (see the class docstring) takes it.
         """
         if self._B is None:
@@ -1179,17 +1164,19 @@ class BlockRankFactor:
                 f"{_GF2_STACKED_COLUMNS} rows, not {self.inner}")
         f = self.field
         S = f._checked_stack(stack, [self.inner])
-        T, height, _ = S.shape
-        dims = f._ranks(S.copy())
-        P = f._product(S.reshape(T * height, self.inner), self._B)
+        T, height, inner = S.shape
+        P = f._product(S.reshape(T * height, inner), self._B)
         P = P.reshape(T, height, self._B.shape[1])
         spans = self._spans
-        width = max((e - s for s, e in spans), default=0)
-        blocks = np.zeros((T, len(spans), height, width), dtype=np.int64)
-        for k, (s, e) in enumerate(spans):
+        width = max([inner] + [e - s for s, e in spans])
+        # the row sets themselves as block 0, then every block of their product
+        blocks = np.zeros((T, len(spans) + 1, height, width), dtype=np.int64)
+        blocks[:, 0, :, :inner] = S
+        for k, (s, e) in enumerate(spans, 1):
             blocks[:, k, :, :e - s] = P[:, :, s:e]
-        ranks = f._ranks(blocks.reshape(T * len(spans), height, width))
-        return dims, ranks.reshape(T, len(spans))
+        ranks = f._ranks(blocks.reshape(T * (len(spans) + 1), height, width))
+        ranks = ranks.reshape(T, len(spans) + 1)
+        return ranks[:, 0], ranks[:, 1:]
 
     def capped(self, stack):
         """Over F_2, for each row set of a stack (T x h x rows of B), (rank of

@@ -393,13 +393,14 @@ class _Draws:
 
 def _attempts(f, keep, dim, pending):
     """Coefficient attempts per pending trial in one round.  A stack the
-    field ranks whole (f.stacked(dim)) costs a few numpy calls per column,
-    so a round ranks the fewest attempts that leave, at the exact
-    probability prod_i (1 - q^(i - dim)), i < keep, that a uniform
-    keep x dim matrix has full rank, under a quarter of a trial pending in
-    expectation, up to one stack of STACK_ENTRIES entries.  Past that each
-    matrix is ranked on its own, and a round ranks one attempt.  It changes
-    no draw, only how many are ranked at once."""
+    field ranks whole (f.stacked(dim)) costs a fixed number of numpy calls
+    per row (per column on F_2 words), whatever its size, so a round ranks
+    the fewest attempts that leave, at the exact probability
+    prod_i (1 - q^(i - dim)), i < keep, that a uniform keep x dim matrix has
+    full rank, under a quarter of a trial pending in expectation, up to one
+    stack of STACK_ENTRIES entries.  Past that each matrix is ranked on its
+    own, and a round ranks one attempt.  It changes no draw, only how many
+    are ranked at once."""
     if not f.stacked(dim):
         return 1
     miss = 1 - math.prod(1 - float(f.q) ** (i - dim) for i in range(keep))

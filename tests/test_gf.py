@@ -15,6 +15,7 @@ from lcdsubspace.errors import (
     NotPrime,
 )
 from lcdsubspace import gf
+from lcdsubspace.codes import ProjectionDecoder, SubspaceCode, decode_naive, decode_naive_many
 from lcdsubspace.gf import GF, BlockRankFactor, field_from_order, field_new, padded_stack
 from lcdsubspace.subspaces import Subspace
 
@@ -301,27 +302,42 @@ def test_elimination_matches_oracle_at_the_boundaries(p, r):
 
 def test_elimination_rejects_encodings_outside_the_field(f2, f3, f4, f9):
     # a table gather would wrap -1 to the last entry, and packing GF(2) rows
-    # would read any nonzero entry as 1
+    # would read any nonzero entry as 1; a cast to int64 would truncate 1.5
+    # to 1 and read True and object entries as integers
     ok = np.eye(2, dtype=np.int64)
     for f in (f2, f3, f4, f9, field_new(2, 17)):
         whole = Subspace.full(f, 2)
-        for bad in sorted({-1, f.q, f.q + 1}):
-            M = [[1, 0], [0, bad]]
+        code = SubspaceCode([Subspace(f, 2, [[1, 0]])])
+        decoder = ProjectionDecoder(code)
+        bads = [[[1, 0], [0, bad]] for bad in sorted({-1, f.q, f.q + 1})]
+        bads += [[[1, 0], [0, 1.5]], np.eye(2), np.eye(2, dtype=bool),
+                 np.eye(2, dtype=np.int64).astype(object), [[1, 0], [0, 2 ** 70]]]
+        for M in bads:
             # a Subspace operand is checked when it is made; a stack of
             # received words by each batched rank form that takes it, once:
-            # block_ranks multiplies it by the unchecked GF._product
-            ops = [f.rref, f.rank, f.det, f.kernel, lambda M: f.ranks([M]),
-                   lambda M: BlockRankFactor(f, ok, [1, 1]).block_ranks([ok, M]),
+            # block_ranks multiplies it by the unchecked GF._product.  A
+            # stack pairs M with an identity of its dtype, which numpy would
+            # otherwise promote to M's (int64 for bool M)
+            I = ok.astype(np.asarray(M).dtype)
+            ops = [f.rref, f.rank, f.det, f.kernel, f.asmatrix, lambda M: f.ranks([I, M]),
+                   lambda M: f.matmul(M, ok), lambda M: f.matmul(ok, M),
+                   lambda M: BlockRankFactor(f, ok, [1, 1]).block_ranks([I, M]),
                    lambda M: f.excess_rank(whole, Subspace(f, 2, M)),
                    lambda M: f.excess_rank(Subspace(f, 2, M), whole, 1),
-                   lambda M: f.excess_ranks([whole], [ok, M]),
-                   lambda M: f.excess_ranks([Subspace(f, 2, M)], [ok])]
+                   lambda M: f.excess_ranks([whole], [I, M]),
+                   lambda M: f.excess_ranks([Subspace(f, 2, M)], [ok]),
+                   lambda M: decode_naive(code, M), decoder.decode,
+                   lambda M: decode_naive_many(code, [ok, M]),
+                   lambda M: decoder.decode_many([ok, M])]
             if f.q == 2:
-                ops += [lambda M: BlockRankFactor(f, ok, [1, 1]).capped([ok, M]),
-                        lambda M: f.capped_stack_ranks([whole], [ok, M])]
+                ops += [lambda M: BlockRankFactor(f, ok, [1, 1]).capped([I, M]),
+                        lambda M: f.capped_stack_ranks([whole], [I, M])]
             for op in ops:
                 with pytest.raises(EncodingOutOfRange):
                     op(M)
+    # an empty list, which numpy reads as floats, holds no entry to reject
+    assert f3.rank([]) == 0 and Subspace(f3, 2, []).dim == 0
+    assert f3.ranks(np.zeros((2, 0, 3))).tolist() == [0, 0]
 
 
 # every table regime: GF(2)'s packed rows, prime and extension tables (odd
@@ -379,6 +395,67 @@ def test_ranks_and_stacks_of_one_match_oracle(p, r):
         assert f.ranks(np.zeros(shape, dtype=np.int64)).tolist() == [0] * shape[0]
     with pytest.raises(DimensionMismatch):
         f.ranks(np.zeros((2, 3), dtype=np.int64))
+
+
+def _row_core_stacks(f, rng):
+    """Stacks for the row-by-row rank core: rows that pivot beside zero
+    rows, tall matrices, pivots in the last column alone, stacks of one."""
+
+    def rand(*shape):
+        return rng.integers(0, f.q, shape)
+
+    # at every row i some matrices pivot and others have a zero row: row i
+    # of matrix b is zero from the start when b = i (mod 5), or once row 0
+    # has been cleared from it when it repeats row 0 (b = i + 1 (mod 5))
+    mixed = rand(10, 4, 6)
+    for b, A in enumerate(mixed):
+        if b % 5 < 4:
+            A[b % 5] = 0
+        if 0 < (b - 1) % 5 < 4:
+            A[(b - 1) % 5] = A[0]
+    yield mixed
+    yield rand(6, 6, 3)                       # tall: ranked as 3 x 6
+    yield rand(3, 5, 1)
+    last = np.zeros((4, 3, 5), dtype=np.int64)
+    last[:, :, -1] = rand(4, 3)               # the only pivot in the last column
+    last[0] = 0
+    last[1, 1:, -1] = 0
+    yield last
+    yield rand(1, 3, 5)                       # stacks of one, wide and tall
+    yield rand(1, 4, 2)
+    yield np.zeros((1, 2, 3), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p, r", STACK_FIELDS)
+def test_row_core_matches_oracle(p, r):
+    f = field_new(p, r)
+    rng = np.random.default_rng(p * 17 + r)
+    for S in _row_core_stacks(f, rng):
+        want = [oracles.rank(f, A.tolist()) for A in S]
+        assert f.ranks(S).tolist() == want
+        assert f.ranks(S.transpose(0, 2, 1)).tolist() == want
+
+
+@pytest.mark.parametrize("p, r", [pr for pr in STACK_FIELDS if pr != (2, 1)])
+def test_row_core_takes_one_update_per_row_but_the_last(p, r, monkeypatch):
+    # the core clears each row's pivot column below it in one update for the
+    # whole stack, with no search, after transposing a tall stack
+    f = field_new(p, r)
+    div_rows, elim = f._elimination_ops()
+    updates = []
+
+    def spy(T, fac, P):
+        updates.append(T.shape[1])
+        elim(T, fac, P)
+
+    monkeypatch.setattr(f, "_ops", (div_rows, spy))
+    rng = np.random.default_rng(p + r)
+    for B, m, n in ((5, 4, 6), (5, 6, 3), (4, 5, 5), (1, 3, 5), (1, 5, 2), (3, 1, 4), (3, 4, 1)):
+        S = rng.integers(0, f.q, (B, m, n))
+        S[0, 0] = 0
+        updates.clear()
+        assert f.ranks(S).tolist() == [oracles.rank(f, A.tolist()) for A in S]
+        assert len(updates) <= min(m, n) - 1
 
 
 @pytest.mark.parametrize("p, r", [(3, 1), (3, 2), (2, 2)])
