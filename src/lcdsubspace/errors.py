@@ -28,6 +28,10 @@ class EncodingOutOfRange(LcdError):
     """An encoded field element lies outside [0, q)."""
 
 
+class NotAnInteger(LcdError):
+    """A degree, dimension or count is not an integer (a bool is none)."""
+
+
 class DivisionByZero(LcdError):
     """Multiplicative inverse of zero requested."""
 

@@ -94,16 +94,20 @@ Subspaces stay packed into ints over F_2 at any width.
 
 Elimination over F_2 on packed rows packs each row into one Python int,
 column 0 in the highest bit, so adding two rows is one XOR of arbitrary
-width.  Rows are reduced into a pivot table keyed by leading bit
-(the bit length of the row): ``rank`` stops there, ``rref`` back-substitutes
-and unpacks into the same int64 matrix and pivot tuple as every other
-field, and ``det`` is ``rank == n``.  A ``Subspace`` of F_2^n keeps its
-basis packed, as the echelon table ``_gf2_pivots`` builds, once its
-``echelon()`` is first called (never when it is made): its rref rows have
-distinct leading bits, so that is one ``_gf2_pack`` and no elimination.
-``_gf2_pivots`` can start from a copy of such a table, so the rank of a
-stack [U; W] of subspaces packs neither basis again and reinserts none of
-U's rows.
+width.  Rows are reduced into an echelon table, a flat list of
+8 ceil(n / 8) + 1 entries indexed by bit length: entry b holds the row whose
+bit length is b, and 0 means no row, so each step of a reduction is one list
+index.  ``_gf2_pivots`` reduces rows into a table in place and returns the
+number of pivots they add: ``rank`` stops there, ``rref`` back-substitutes
+in the same table and unpacks into the same int64 matrix and pivot tuple as
+every other field, and ``det`` is ``rank == n``.  A ``Subspace`` of F_2^n
+keeps its basis packed, its rows in basis order beside the table that
+``_gf2_pivots`` builds from them, once its ``echelon()`` is first called
+(never when it is made): its rref rows have distinct leading bits, so that
+is one ``_gf2_pack`` and no elimination.  The rank of a stack [U; W] of
+subspaces reduces W's kept rows, in basis order, into a ``list.copy()`` of
+U's kept table, so it packs neither basis again and reinserts none of U's
+rows.
 
 ``excess_rank(U, W, cap=None)`` is the one rank of a pair of Subspaces of
 one ambient space: rank [U; W] - dim U, or the least of that and cap.  The
@@ -185,7 +189,12 @@ integer.  Operands known to be in range are checked once:
 ``block_ranks`` multiplies its checked stack, and the simulator its drawn
 coefficients, by ``_product``, ``matmul`` without the check, and rank them
 by ``_ranks``, ``ranks`` without it.  ``excess_rank`` takes Subspaces, whose
-entries were checked when they were made, and checks none again.
+entries were checked when they were made, and checks none again.  The
+elementwise operations (``add``, ``sub``, ``mul``, ``div``, ``inv``, ``neg``,
+``pow``) take every operand through the same two checks, a scalar as a
+Python int compared with q; ``padded_stack``, which knows no field, takes
+its matrices through ``_integers`` and leaves the range to the rank form
+that takes the stack.
 """
 
 from __future__ import annotations
@@ -202,6 +211,7 @@ from .errors import (
     FieldMismatch,
     FieldTooLarge,
     LcdError,
+    NotAnInteger,
     NotPrime,
 )
 from .linalg import exact_product
@@ -338,38 +348,47 @@ def _gf2_pack(A):
     return [int.from_bytes(buf[i:i + nb], "big") for i in range(0, len(buf), nb)]
 
 
-def _gf2_pivots(rows, table=None):
-    """Echelon basis of the span of packed rows: {leading bit length: row}.
+def _gf2_table(n):
+    """An empty echelon table for packed rows of n columns: a list indexed by
+    bit length, 8 ceil(n / 8) + 1 entries, each 0 or the row of its length."""
+    return [0] * (8 * ((n + 7) // 8) + 1)
 
-    Given an echelon table to start from, the rows are reduced into a copy
-    of it, so the result spans both; the table itself is left as it is.
-    """
-    table = dict(table) if table else {}
+
+def _gf2_pivots(rows, table):
+    """Reduce packed rows into an echelon table, in place, so that it spans
+    them too; return the number of pivots they add."""
+    added = 0
     for r in rows:
         while r:
             b = r.bit_length()
-            p = table.get(b)
-            if p is None:
+            p = table[b]
+            if not p:
                 table[b] = r
+                added += 1
                 break
             r ^= p
-    return table
+    return added
 
 
 def _gf2_echelon(B):
-    """The table _gf2_pivots builds from the rows of B, a matrix in row
-    echelon form: its rows' leading columns differ, so one pack and no
-    elimination."""
-    return {r.bit_length(): r for r in _gf2_pack(B)}
+    """(rows, table) of a 0/1 matrix B in row echelon form: its packed rows in
+    B's order and the table _gf2_pivots builds from them.  The rows' leading
+    columns differ, so it is one pack and no elimination."""
+    rows = _gf2_pack(B)
+    table = _gf2_table(B.shape[1])
+    _gf2_pivots(rows, table)    # each row goes straight in, with no XOR
+    return rows, table
 
 
 def _gf2_echelons(S):
     """For each matrix of a 0/1 stack, the packed rows of an echelon set of
-    its rows, as _gf2_pivots finds them."""
+    its rows, as _gf2_pivots finds them, leading bit first."""
     height = S.shape[1]
     packed = _gf2_pack(S)
-    return [list(_gf2_pivots(packed[t * height:(t + 1) * height]).values())
-            for t in range(len(S))]
+    tables = [_gf2_table(S.shape[2]) for _ in range(len(S))]
+    for t, table in enumerate(tables):
+        _gf2_pivots(packed[t * height:(t + 1) * height], table)
+    return [[r for r in reversed(table) if r] for table in tables]
 
 
 def _gf2_capped_ranks(tables, rows, fields):
@@ -382,7 +401,7 @@ def _gf2_capped_ranks(tables, rows, fields):
     new pivots are in.  It keeps its place in rows, so a later call with a
     higher cap goes on from there and never restarts the block.
     """
-    tables = [dict(t) for t in tables]
+    tables = [t.copy() for t in tables]
     found = [0] * len(tables)     # pivots added to each table so far
     read = [0] * len(tables)      # rows of each block reduced so far
 
@@ -395,8 +414,8 @@ def _gf2_capped_ranks(tables, rows, fields):
                 r = (rows[k] >> shift) & mask
                 while r:
                     b = r.bit_length()
-                    p = table.get(b)
-                    if p is None:
+                    p = table[b]
+                    if not p:
                         table[b] = r
                         need -= 1
                         if not need:
@@ -450,24 +469,24 @@ def _gf2_rref(A):
     """(R, pivots) of a 0/1 int64 matrix, as GF.rref returns them."""
     rows, cols = A.shape
     nb = (cols + 7) // 8
-    table = _gf2_pivots(_gf2_pack(A))
-    # back-substitute from the rightmost pivot column, so each row is reduced
-    # only by rows that are reduced already (and so touch no other pivot)
-    done = {}
+    table = _gf2_table(cols)
+    _gf2_pivots(_gf2_pack(A), table)
+    # back-substitute in place from the rightmost pivot column, so each row
+    # is reduced only by rows that are reduced already: each clears its own
+    # pivot bit and touches no other, so r & mask is the bits left to clear
     mask = 0
-    for b in sorted(table):
-        r = table[b]
-        m = r & mask
-        while m:
-            t = m.bit_length()
-            r ^= done[t]
-            m ^= 1 << (t - 1)
-        done[b] = r
-        mask |= 1 << (b - 1)
-    lead = sorted(done, reverse=True)
+    for b, r in enumerate(table):
+        if r:
+            m = r & mask
+            while m:
+                r ^= table[m.bit_length()]
+                m = r & mask
+            table[b] = r
+            mask |= 1 << (b - 1)
+    lead = [b for b in range(8 * nb, 0, -1) if table[b]]
     R = np.zeros((rows, cols), dtype=np.int64)
     if lead:
-        buf = b"".join(done[b].to_bytes(nb, "big") for b in lead)
+        buf = b"".join(table[b].to_bytes(nb, "big") for b in lead)
         bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8))
         R[:len(lead)] = bits.reshape(len(lead), 8 * nb)[:, :cols]
     return R, tuple(8 * nb - b for b in lead)
@@ -509,9 +528,20 @@ def _integers(M, copy=False):
     return A.astype(np.int64, copy=copy)
 
 
+def _integer(x, what):
+    """x as an int, once it is one: a Python or numpy integer, not a bool, a
+    float or a str, which int() would read, truncate or parse."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    raise NotAnInteger(f"{what} must be an integer, got {x!r}")
+
+
 def padded_stack(mats):
-    """The matrices as one stack, each padded with zero rows and zero columns
-    to the largest height and width.  A lone matrix comes back as a view."""
+    """The matrices as one int64 stack, each padded with zero rows and zero
+    columns to the largest height and width.  Entries must be integers, as
+    ``_integers`` takes them; their range is checked where the stack is
+    ranked.  A lone int64 matrix comes back as a view."""
+    mats = [_integers(A) for A in mats]
     rows = max((A.shape[0] for A in mats), default=0)
     cols = max((A.shape[1] for A in mats), default=0)
     if len(mats) == 1 and mats[0].shape == (rows, cols):
@@ -534,7 +564,7 @@ class GF:
     """
 
     def __init__(self, p, r=1):
-        if isinstance(r, str) or r < 1 or int(r) != r:
+        if _integer(r, "extension degree") < 1:
             raise LcdError(f"extension degree must be a positive integer, got {r}")
         if isinstance(p, str) or not p >= 2:
             raise NotPrime(f"{p!r} is not prime")
@@ -549,10 +579,9 @@ class GF:
         # and p ** r is never computed for a huge r
         if r >= MAX_FIELD_ORDER.bit_length() or p ** r > MAX_FIELD_ORDER:
             raise FieldTooLarge(f"order {p}**{r} exceeds {MAX_FIELD_ORDER}")
-        q = p ** r
         self.p = int(p)
         self.r = int(r)
-        self.q = int(q)
+        self.q = self.p ** self.r
         # prime fields use the convention modulus = x
         self.modulus = (0, 1) if r == 1 else _smallest_irreducible(p, r)
         self._pw = self.p ** np.arange(self.r, dtype=np.int64)
@@ -585,7 +614,7 @@ class GF:
     # --- digit helpers (vectorised base-p decomposition) ---
 
     def _to_digits(self, a):
-        return (a[..., None] // self._pw) % self.p
+        return (np.asarray(a)[..., None] // self._pw) % self.p
 
     def _from_digits(self, d):
         return d @ self._pw
@@ -607,17 +636,28 @@ class GF:
             out[i, 1:] += out[i - 1, :-1]
         return self._mod_p(out)
 
-    @staticmethod
-    def _coerce2(a, b):
+    def _elements(self, a):
+        """a, once its entries are integers in [0, q) (``_integers`` and
+        ``_check``): an array as int64, a scalar as an int, whose arithmetic
+        costs a tenth of a 0-d array's.  A scalar is compared with q as it
+        is, where a max would cost more."""
+        if type(a) is int and 0 <= a < self.q:
+            return a
+        A = _integers(a)
+        if A.ndim or not 0 <= A.item() < self.q:
+            self._check(A)
+        return A if A.ndim else A.item()
+
+    def _coerce2(self, a, b):
         scalar = np.isscalar(a) and np.isscalar(b)
-        return np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64), scalar
+        return self._elements(a), self._elements(b), scalar
 
     # --- scalar/elementwise arithmetic ---
 
     def add(self, a, b):
         a, b, scalar = self._coerce2(a, b)
         if self.p == 2:
-            out = np.bitwise_xor(a, b)
+            out = a ^ b
         elif self.r == 1:
             out = (a + b) % self.p
         else:
@@ -625,20 +665,12 @@ class GF:
         return int(out) if scalar else out
 
     def neg(self, a):
-        scalar = np.isscalar(a)
-        a = np.asarray(a, dtype=np.int64)
-        if self.p == 2:
-            out = a
-        elif self.r == 1:
-            out = (-a) % self.p
-        else:
-            out = self._from_digits((-self._to_digits(a)) % self.p)
-        return int(out) if scalar else out
+        return self.sub(0, a)
 
     def sub(self, a, b):
         a, b, scalar = self._coerce2(a, b)
         if self.p == 2:
-            out = np.bitwise_xor(a, b)
+            out = a ^ b
         elif self.r == 1:
             out = (a - b) % self.p
         else:
@@ -647,7 +679,8 @@ class GF:
 
     def _sub_digits(self, a, b):
         # a // p^i is congruent to digit i of a mod p, so no reduction first
-        return self._from_digits((a[..., None] // self._pw - b[..., None] // self._pw) % self.p)
+        a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
+        return self._from_digits((a // self._pw - b // self._pw) % self.p)
 
     def mul(self, a, b):
         a, b, scalar = self._coerce2(a, b)
@@ -668,8 +701,8 @@ class GF:
 
     def inv(self, a):
         scalar = np.isscalar(a)
-        arr = np.asarray(a, dtype=np.int64)
-        if np.any(arr == 0):
+        arr = self._elements(a)
+        if not np.all(arr):
             raise DivisionByZero("0 has no inverse")
         if self.r == 1:
             return pow(int(arr), self.p - 2, self.p) if scalar else _fermat_inv(arr, self.p)
@@ -689,7 +722,7 @@ class GF:
         if e < 0:
             a = self.inv(a)
             e = -e
-        base = np.asarray(a, dtype=np.int64)
+        base = self._elements(a)
         result = np.ones_like(base)
         while e:
             if e & 1:
@@ -738,12 +771,7 @@ class GF:
     # --- matrices (int64 arrays of encoded values) ---
 
     def asmatrix(self, M):
-        A = _integers(M)
-        if A.ndim == 1:
-            A = A[None, :]
-        if A.ndim != 2:
-            raise DimensionMismatch(f"expected a matrix, got ndim={A.ndim}")
-        return self._check(A)
+        return self._check(self._as_rows(M))
 
     def matmul(self, A, B):
         A, B = _integers(A), _integers(B)
@@ -784,7 +812,7 @@ class GF:
         if A.ndim == 1:
             A = A[None, :]
         if A.ndim != 2:
-            raise DimensionMismatch("elimination expects a matrix")
+            raise DimensionMismatch(f"expected a matrix, got ndim={A.ndim}")
         return A
 
     def _check(self, A):
@@ -947,7 +975,7 @@ class GF:
     def rank(self, M):
         A = self._check(self._as_rows(M))
         if self.q == 2:
-            return len(_gf2_pivots(_gf2_pack(A)))
+            return _gf2_pivots(_gf2_pack(A), _gf2_table(A.shape[1]))
         return len(self._eliminate_lone(A.copy(), full=False))
 
     def excess_rank(self, U, W, cap=None):
@@ -964,10 +992,10 @@ class GF:
         if W.n != U.n:
             raise DimensionMismatch("stacked subspaces need one ambient space")
         if self.q == 2:
-            rows = W.echelon().values()
+            rows, table = W.echelon()[0], U.echelon()[1]
             if cap is None:
-                return len(_gf2_pivots(rows, U.echelon())) - U.dim
-            return _gf2_capped_ranks([U.echelon()], list(rows), [(0, -1)])(0, cap)
+                return _gf2_pivots(rows, table.copy())
+            return _gf2_capped_ranks([table], rows, [(0, -1)])(0, cap)
         B, V = U.basis, W.basis
         # V - V[:, piv] B is zero on U's pivot columns piv, and its rank is
         # rank [U; W] - dim U
@@ -1035,7 +1063,7 @@ class GF:
         if self.q != 2:
             raise FieldMismatch("capped stack ranks are taken over F_2 only")
         S = self._checked_stack(stack, [U.n for U in tops])
-        tables = [U.echelon() for U in tops]
+        tables = [U.echelon()[1] for U in tops]
         whole = [(0, -1)] * len(tops)     # (r >> 0) & -1 is r itself
         return [(len(rows), _gf2_capped_ranks(tables, rows, whole))
                 for rows in _gf2_echelons(S)]
@@ -1132,6 +1160,7 @@ class BlockRankFactor:
         # column c of B is bit c of its row's int, so block (s, e) of a
         # product row is its bits s to e - 1: (row >> s) & mask
         self._fields = [(s, (1 << (e - s)) - 1) for s, e in spans]
+        self._empty = None    # its blocks' echelon tables of no rows, built by capped
         rows = [int.from_bytes(r.tobytes(), "little")
                 for r in np.packbits(B.astype(bool), axis=1, bitorder="little")]
         rows += [0] * (-len(rows) % 8)
@@ -1195,8 +1224,9 @@ class BlockRankFactor:
         if f.q != 2:
             raise FieldMismatch("capped block ranks are taken over F_2 only")
         S = f._checked_stack(stack, [self.inner])
-        empty = [{}] * len(self._fields)
-        return [(len(rows), _gf2_capped_ranks(empty, self._m4rm(rows), self._fields))
+        if self._empty is None:
+            self._empty = [[0] * (mask.bit_length() + 1) for _, mask in self._fields]
+        return [(len(rows), _gf2_capped_ranks(self._empty, self._m4rm(rows), self._fields))
                 for rows in _gf2_echelons(S)]
 
     def nonzero_blocks(self, M):
@@ -1233,9 +1263,10 @@ class BlockRankFactor:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def field_new(p, r=1):
-    """Cached field constructor; repeated calls return the same object."""
+    """Cached field constructor; repeated calls return the same object.  The
+    cache is typed, so that it takes no 1.0 or True for 1."""
     return GF(p, r)
 
 

@@ -30,25 +30,28 @@ from .errors import (
     InternalInconsistency,
     NotLCD,
 )
-from .gf import _gf2_echelon
+from .gf import _gf2_echelon, _integer
 
 
 class Subspace:
     """An immutable subspace of F_q^n held as an rref basis matrix.
 
-    Over F_2 the basis is also kept packed, as the echelon table that
-    gf._gf2_pivots builds ({leading bit length: row packed into an int}),
-    but only from the first call of echelon() on: nothing is packed when a
-    Subspace is made.  Every F_2 rank of a stack of subspaces [U; W] starts
-    from a copy of U's table and reduces W's packed rows into it.  The dual,
-    once computed, is kept as a Subspace too, and with it its own table.
+    Over F_2 the basis is also kept packed, as its rows packed into ints in
+    basis order and the echelon table that gf._gf2_pivots builds (a list
+    indexed by bit length, 0 where no row has that length), but only from
+    the first call of echelon() on: nothing is packed when a Subspace is
+    made.  Every F_2 rank of a stack of subspaces [U; W] starts from a copy
+    of U's table and reduces W's packed rows into it, in basis order.  The
+    dual, once computed, is kept as a Subspace too, and with it its own
+    table.  The hash, structural like equality, is computed on the first
+    hash or comparison, so a Subspace that is only ranked never takes it.
     """
 
     __slots__ = ("field", "n", "basis", "_hash", "_dual", "_echelon")
 
     def __init__(self, field, n, vectors=None, *, _rref=None):
         self.field = field
-        self.n = int(n)
+        self.n = _integer(n, "ambient dimension")
         if self.n < 1:
             raise DimensionMismatch(f"ambient dimension must be at least 1, got {n}")
         if _rref is not None:
@@ -69,8 +72,7 @@ class Subspace:
         B = np.ascontiguousarray(B, dtype=np.int64)
         B.setflags(write=False)
         self.basis = B
-        # only the hash is kept: a key of the basis bytes would be a second copy
-        self._hash = hash((field.p, field.r, self.n, B.shape[0], B.tobytes()))
+        self._hash = None
         self._dual = None
         self._echelon = None
 
@@ -102,10 +104,12 @@ class Subspace:
         return self.field.rank(np.vstack([self.basis, w])) == self.dim
 
     def echelon(self):
-        """Over F_2, the basis as an echelon table {leading bit length:
-        packed row}, equal to gf._gf2_pivots of its packed rows.  The rows
-        of an rref basis have distinct leading columns, so it is one pack
-        and no elimination, done on the first call and kept."""
+        """Over F_2, (rows, table): the basis rows packed into ints, in basis
+        order, and the echelon table gf._gf2_pivots builds from them, a list
+        whose entry b is the row of bit length b (0 for none).  The rows of
+        an rref basis have distinct leading columns, so it is one pack and
+        no elimination, done on the first call and kept; ranks copy the
+        table and never change it."""
         if self._echelon is None:
             self._echelon = _gf2_echelon(self.basis)
         return self._echelon
@@ -146,10 +150,13 @@ class Subspace:
     # --- dunder plumbing ---
 
     def __eq__(self, other):
-        return (isinstance(other, Subspace) and self._hash == other._hash
+        return (isinstance(other, Subspace) and hash(self) == hash(other)
                 and self.field == other.field and np.array_equal(self.basis, other.basis))
 
     def __hash__(self):
+        # only the hash is kept: a key of the basis bytes would be a second copy
+        if self._hash is None:
+            self._hash = hash((self.field.p, self.field.r, self.n, self.dim, self.basis.tobytes()))
         return self._hash
 
     def __repr__(self):

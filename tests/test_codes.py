@@ -30,6 +30,7 @@ from lcdsubspace.errors import (
     EncodingOutOfRange,
     FieldMismatch,
     InvalidSpec,
+    NotAnInteger,
     NotLCDCode,
     PairBudgetExceeded,
     RankDeficient,
@@ -198,6 +199,15 @@ def test_sampled_min_distance_is_the_least_over_its_pairs(f2, f3, f4, f9, excess
         for samples in (0, -1):
             with pytest.raises(InvalidSpec):
                 sampled_min_distance(code, samples=samples)
+
+
+@pytest.mark.parametrize("samples", [2.5, 3.0, True, "3"])
+def test_sample_counts_must_be_integers(f3, samples):
+    # 2.5 once failed in range() with a bare TypeError, and True ran as 1
+    code = SubspaceCode([line(f3, [1, 0]), line(f3, [1, 1])])
+    with pytest.raises(NotAnInteger, match="samples"):
+        sampled_min_distance(code, samples=samples)
+    assert sampled_min_distance(code, samples=np.int64(3)) == 2
 
 
 def test_lcd_code_membership_pinned(f3):

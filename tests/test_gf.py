@@ -12,6 +12,7 @@ from lcdsubspace.errors import (
     FieldMismatch,
     FieldTooLarge,
     LcdError,
+    NotAnInteger,
     NotPrime,
 )
 from lcdsubspace import gf
@@ -45,6 +46,16 @@ def test_non_integral_or_str_characteristics_are_rejected():
     with pytest.raises(LcdError, match="extension degree"):
         GF(2, "2")
     assert GF(2.0) == GF(2)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.5, True, "1"])
+def test_non_integer_extension_degrees_are_rejected(r):
+    # field_new(2, 1.0) once failed with a bare TypeError, and True was read
+    # as 1; GF(2) is cached first, so no cache hit may answer for them
+    field_new(2, 1)
+    with pytest.raises(NotAnInteger, match="extension degree"):
+        field_new(2, r)
+    assert field_new(2, np.int64(2)) == GF(2, 2)
 
 
 def test_oversized_fields_are_rejected_before_factoring(monkeypatch):
@@ -205,6 +216,37 @@ def test_scalar_ops_accept_arrays(f9):
     b = np.array([3, 3, 3, 3])
     out = f9.mul(a, b)
     assert [int(x) for x in out] == [f9.mul(int(x), 3) for x in a]
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "inv", "neg", "pow"])
+def test_scalar_ops_reject_non_elements(f3, op):
+    # a cast once truncated 1.5 to 1, accepted 5 and 7 over GF(3) and failed
+    # on 2**70 with a bare OverflowError; every operand is checked, on
+    # scalars and arrays alike
+    call = {"inv": lambda a: f3.inv(a), "neg": lambda a: f3.neg(a),
+            "pow": lambda a: f3.pow(a, 2)}.get(op, lambda a: getattr(f3, op)(a, 1))
+    for bad in (1.5, 1.7, 5, -1, 2 ** 70, True, np.array([1, 3]), np.array([1.0, 2.0])):
+        with pytest.raises(EncodingOutOfRange):
+            call(bad)
+    if op in ("add", "sub", "mul", "div"):
+        for bad in (7, 2.0, 2 ** 70):
+            with pytest.raises(EncodingOutOfRange):
+                getattr(f3, op)(1, bad)
+    assert call(1) == {"add": 2, "sub": 0, "mul": 1, "div": 1, "inv": 1, "neg": 2, "pow": 1}[op]
+    assert call(np.int64(2)) == call(np.array(2)) == call(2)
+    assert call(np.array([1, 2])).tolist() == [call(1), call(2)]
+
+
+def test_padded_stack_rejects_non_integer_matrices():
+    # a float matrix beside an integer one was truncated, and a lone one
+    # came back as floats
+    ints = np.zeros((2, 1), dtype=np.int64)
+    for mats in ([np.array([[1.5, 2.7]]), ints], [np.array([[1.5, 2.7]])],
+                 [np.array([[1.0, 0.0]]), np.array([[1, 1]])], [np.array([[True]]), ints]):
+        with pytest.raises(EncodingOutOfRange):
+            padded_stack(mats)
+    S = padded_stack([np.array([[1, 2]]), ints])
+    assert S.dtype == np.int64 and S.tolist() == [[[1, 2], [0, 0]], [[0, 0], [0, 0]]]
 
 
 def test_rref_pinned_examples(f2, f3):
@@ -715,7 +757,8 @@ def test_stack_ranks_match_oracle(f2, f3, f9, n):
         pairs = [(i, j) for i in range(4) for j in range(4)]
         want = [oracles.rank(f, np.vstack([tops[i], bottoms[j]]).tolist()) for i, j in pairs]
         tops, bottoms = ([Subspace(f, n, A) for A in side] for side in (tops, bottoms))
-        tables = [dict(U.echelon()) for U in tops + bottoms] if f.q == 2 else None
+        tables = ([(rows.copy(), table.copy()) for rows, table in (U.echelon() for U in tops + bottoms)]
+                  if f.q == 2 else None)
         for (i, j), rank in zip(pairs, want):
             U, W = tops[i], bottoms[j]
             assert f.excess_rank(U, W) == rank - U.dim
@@ -725,13 +768,57 @@ def test_stack_ranks_match_oracle(f2, f3, f9, n):
                 assert f.excess_rank(U, W, cap) == min(rank - U.dim, cap)
                 assert f.excess_rank(W, U, cap) == min(rank - W.dim, cap)
         if tables:
-            # every rank reduces into a copy: the kept tables are as they were
+            # every rank reduces into a copy: the kept rows and tables are as they were
             assert [U.echelon() for U in tops + bottoms] == tables
         for cap in (None, 1):
             with pytest.raises(DimensionMismatch):
                 f.excess_rank(tops[0], Subspace.zero(f, n + 1), cap)
             with pytest.raises(DimensionMismatch):
                 f.excess_rank(Subspace.full(f, n + 1), bottoms[0], cap)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130, 192])
+def test_gf2_echelon_tables_match_oracle(f2, n):
+    # every packed GF(2) kernel reads or writes an echelon table indexed by
+    # bit length, so its ranks must be the oracle's either side of byte and
+    # word boundaries, and no rank may change a Subspace's kept table
+    rng = np.random.default_rng(3100 + n)
+    k = min(n, 12)
+    mats = [rng.integers(0, 2, (h, n)) for h in (0, 1, 3, k)]
+    mats.append(np.vstack([mats[3][:2], mats[2], mats[3][:2]]))     # dependent rows
+    mats.append(np.eye(n, dtype=np.int64)[rng.permutation(n)[:k]])
+    for M in mats:
+        assert f2.rank(M) == oracles.gf2_rank(M.tolist())
+        R, piv = f2.rref(M)
+        want, wpiv = oracles.rref(f2, M.tolist())
+        assert piv == wpiv
+        assert R[:len(piv)].tolist() == want[:len(piv)] and not R[len(piv):].any()
+    spaces = [Subspace(f2, n, M) for M in mats] + [Subspace.full(f2, n)]
+    kept = [(rows.copy(), table.copy()) for rows, table in (U.echelon() for U in spaces)]
+    for U in spaces:
+        for W in spaces:
+            e = oracles.gf2_rank(np.vstack([U.basis, W.basis]).tolist()) - U.dim
+            assert f2.excess_rank(U, W) == e
+            for cap in range(e + 2):
+                assert f2.excess_rank(U, W, cap) == min(e, cap)
+    stack = padded_stack(mats)
+    caps = [1, 0, 3, 2, n + 1]      # up, down and up again: each scan resumes
+    for M, (dim, rank) in zip(mats, f2.capped_stack_ranks(spaces, stack)):
+        assert dim == oracles.gf2_rank(M.tolist())
+        for i, U in enumerate(spaces):
+            e = oracles.gf2_rank(np.vstack([U.basis, M]).tolist()) - U.dim
+            assert [rank(i, cap) for cap in caps] == [min(e, cap) for cap in caps]
+    widths = [n // 2, n - n // 2, 65]
+    B = rng.integers(0, 2, (n, sum(widths)))
+    factor = BlockRankFactor(f2, B, widths)
+    spans = gf._block_spans(widths, sum(widths))
+    for M, (dim, rank) in zip(mats, factor.capped(stack)):
+        P = M @ B % 2
+        assert dim == oracles.gf2_rank(M.tolist())
+        for i, (s, e) in enumerate(spans):
+            block = oracles.gf2_rank(P[:, s:e].tolist())
+            assert [rank(i, cap) for cap in caps] == [min(block, cap) for cap in caps]
+    assert [U.echelon() for U in spaces] == kept
 
 
 def test_capped_excess_rank_stops_at_the_cap(f3, f9, monkeypatch):

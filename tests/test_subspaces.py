@@ -9,9 +9,11 @@ from lcdsubspace.errors import (
     DimensionMismatch,
     EncodingOutOfRange,
     FieldMismatch,
+    NotAnInteger,
     NotLCD,
 )
-from lcdsubspace.gf import _gf2_pack, _gf2_pivots
+from lcdsubspace.codes import SubspaceCode, decode_naive
+from lcdsubspace.gf import _gf2_pack, _gf2_pivots, _gf2_table
 from lcdsubspace.subspaces import (
     Subspace,
     complement_coordinates,
@@ -154,10 +156,16 @@ def test_echelon_table_is_the_pivot_table_of_the_packed_basis(f2, n):
     spaces += [U.dual() for U in spaces]
     for U in spaces:
         assert U._echelon is None
-        table = U.echelon()
-        assert table == _gf2_pivots(_gf2_pack(U.basis))
-        assert len(table) == U.dim
-        assert U.echelon() is table
+        kept = U.echelon()
+        rows, table = kept
+        # the rows in basis order, and the table indexed by bit length
+        assert rows == _gf2_pack(U.basis)
+        want = _gf2_table(n)
+        assert _gf2_pivots(_gf2_pack(U.basis), want) == U.dim
+        assert table == want
+        assert len(table) == 8 * ((n + 7) // 8) + 1
+        assert sum(map(bool, table)) == U.dim
+        assert U.echelon() is kept
     # a dual is computed once, so its table is kept with it
     assert spaces[2].dual() is spaces[2].dual()
     assert {U.dim for U in spaces} >= {0, n}
@@ -198,6 +206,38 @@ def test_echelon_table_leaves_equality_and_hash_alone(f2):
     assert hash(U) == hash(W)
     assert len({U, W}) == 1
     assert W._echelon is None
+
+
+def test_hash_is_taken_on_first_use_and_stays_structural(f2, f3):
+    # the hash is computed on the first hash or comparison, not when a
+    # Subspace is made: equal spans from permuted, redundant or scaled rows
+    # still compare and hash equal, and a Subspace only ranked never hashes
+    rng = random.Random(3102)
+    for f, n in ((f2, 5), (f2, 70), (f2, 192), (f3, 6)):
+        rows = [[rng.randrange(f.q) for _ in range(n)] for _ in range(4)]
+        two = [f.add(a, b) for a, b in zip(rows[0], rows[1])]
+        spaces = [Subspace(f, n, rows), Subspace(f, n, rows[::-1]),
+                  Subspace(f, n, rows + [rows[2], two]),
+                  Subspace(f, n, [[f.mul(f.q - 1, x) for x in r] for r in rows])]
+        other = Subspace(f, n, rows[:2])
+        code = SubspaceCode([spaces[0].dual(), other.dual()])
+        for U in spaces + [other]:
+            for W in spaces + [other]:
+                distance(U, W)
+                f.excess_rank(U, W, 1)
+            decode_naive(code, U)
+        assert all(U._hash is None for U in spaces + [other])
+        assert all(U == W and hash(U) == hash(W) for U in spaces for W in spaces)
+        assert len(set(spaces)) == 1
+        assert other not in set(spaces) and other != spaces[0]
+
+
+@pytest.mark.parametrize("n", [4.5, 4.0, True, "4"])
+def test_ambient_dimension_must_be_an_integer(f2, n):
+    # int(n) once truncated 4.5 to 4 and read True and "4"
+    with pytest.raises(NotAnInteger, match="ambient dimension"):
+        Subspace(f2, n)
+    assert Subspace(f2, np.int64(4)).n == 4
 
 
 def test_pinned_lcd_checks(f2, f3):
