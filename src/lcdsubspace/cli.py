@@ -10,6 +10,7 @@ and all conversion happens here or in fileio.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -54,11 +55,13 @@ def _jsonable(obj):
 
 
 def _emit(doc, out=None):
-    text = fileio.dumps(_jsonable(doc))
-    sys.stdout.write(text)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """Write the document to stdout, and to the file out if given, piece by
+    piece, so that no second copy of a large document is held."""
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext() as fh:
+        for piece in fileio.dump_pieces(_jsonable(doc)):
+            sys.stdout.write(piece)
+            if fh:
+                fh.write(piece)
 
 
 def _load_int_matrices(paths):

@@ -5,9 +5,10 @@ int, pm1, zpm1, fq, followed by whitespace-separated integer rows.  Blank
 lines and '#' comments are ignored everywhere.  Group and partition files
 use 1-based indices; everything in memory is 0-based.
 
-JSON documents are written by ``dumps`` as ``json.dumps(doc, sort_keys=True,
-indent=2)`` would write them with every ndarray replaced by its ``tolist()``,
-byte for byte.  ``dumps`` writes nonempty 2-D integer arrays of entries 0-9
+JSON documents are written by ``dumps``, or piece by piece by
+``dump_pieces``, as ``json.dumps(doc, sort_keys=True, indent=2)`` would write
+them with every ndarray replaced by its ``tolist()``, byte for byte.
+``dumps`` writes nonempty 2-D integer arrays of entries 0-9
 itself, as are the codeword bases of every code document over GF(q) with
 q <= 10: numpy lays out every entry of such an array, one digit each, in
 one byte buffer, decoded once, and the result is spliced into the text
@@ -278,12 +279,18 @@ def read_code_json(path):
 
 def write_json(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
+        fh.writelines(dump_pieces(doc))
     return path
 
 
 def dumps(doc):
-    """JSON text of doc with sorted keys, indent 2 and a final newline.
+    """JSON text of doc with sorted keys, indent 2 and a final newline."""
+    return "".join(dump_pieces(doc))
+
+
+def dump_pieces(doc):
+    """The text of dumps(doc) in pieces, in order, so that a writer need not
+    hold the whole document at once.
 
     json.dumps writes the document with a placeholder string in place of
     each nonempty 2-D integer array whose entries all lie in 0-9 (other
@@ -309,15 +316,21 @@ def dumps(doc):
             break
         mark += "@"
         matrices.clear()
+    # json's indenting encoder holds placeholder in a reference cycle, which
+    # only the cyclic collector frees: the arrays must not stay reachable
+    # from it, or each document's arrays outlive the call until a collection
+    arrays, matrices = matrices, None
 
-    def splice(m):
+    at = 0
+    for m in re.finditer(f'"{mark}(\\d+)"', text):
         # the array opens where its placeholder stood, on a line indented by
         # the spaces that begin it
         line = text[text.rfind("\n", 0, m.start()) + 1:m.start()]
         pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        return _matrix_text(matrices[int(m.group(1))], pad)
-
-    return re.sub(f'"{mark}(\\d+)"', splice, text) + "\n"
+        yield text[at:m.start()]
+        yield _matrix_text(arrays[int(m.group(1))], pad)
+        at = m.end()
+    yield text[at:] + "\n"
 
 
 def _matrix_text(A, pad):

@@ -102,12 +102,13 @@ number of pivots they add: ``rank`` stops there, ``rref`` back-substitutes
 in the same table and unpacks into the same int64 matrix and pivot tuple as
 every other field, and ``det`` is ``rank == n``.  A ``Subspace`` of F_2^n
 keeps its basis packed, its rows in basis order beside the table that
-``_gf2_pivots`` builds from them, once its ``echelon()`` is first called
-(never when it is made): its rref rows have distinct leading bits, so that
-is one ``_gf2_pack`` and no elimination.  The rank of a stack [U; W] of
-subspaces reduces W's kept rows, in basis order, into a ``list.copy()`` of
-U's kept table, so it packs neither basis again and reinserts none of U's
-rows.
+``_gf2_pivots`` builds from them.  A Subspace made from vectors keeps the
+packed rows and the table that ``rref`` ends with, so its rows are packed
+once, by ``rref``; a dual packs its rref rows, which have distinct leading
+bits, on its first ``echelon()`` call, one ``_gf2_pack`` and no
+elimination.  The rank of a stack [U; W] of subspaces reduces W's kept
+rows, in basis order, into a ``list.copy()`` of U's kept table, so it packs
+neither basis again and reinserts none of U's rows.
 
 ``excess_rank(U, W, cap=None)`` is the one rank of a pair of Subspaces of
 one ambient space: rank [U; W] - dim U, or the least of that and cap.  The
@@ -394,7 +395,8 @@ def _gf2_echelons(S):
 def _gf2_capped_ranks(tables, rows, fields):
     """The capped rank rank(i, cap) = min(e_i, cap), where e_i is the number
     of pivots that the bit fields (r >> shift) & mask of the packed rows r,
-    with (shift, mask) = fields[i], add to the echelon table tables[i].
+    with (shift, mask) = fields[i], add to the echelon table tables[i].  The
+    whole-row field (0, -1) takes each row r as it is, with no shift or mask.
 
     Block i reduces its rows, as _gf2_pivots does, into a copy of its table,
     taking each row's field only when it comes to it, and stops once cap
@@ -410,8 +412,9 @@ def _gf2_capped_ranks(tables, rows, fields):
         if need > 0:
             table = tables[i]
             shift, mask = fields[i]
+            whole = (shift, mask) == (0, -1)
             for k in range(read[i], len(rows)):
-                r = (rows[k] >> shift) & mask
+                r = rows[k] if whole else (rows[k] >> shift) & mask
                 while r:
                     b = r.bit_length()
                     p = table[b]
@@ -466,7 +469,9 @@ def _gf2_word_ranks(W, n):
 
 
 def _gf2_rref(A):
-    """(R, pivots) of a 0/1 int64 matrix, as GF.rref returns them."""
+    """(R, pivots, (rows, table)) of a 0/1 int64 matrix: R and pivots as
+    GF.rref returns them, then R's nonzero rows packed, in order, and the
+    echelon table that holds them, as _gf2_echelon would build from R."""
     rows, cols = A.shape
     nb = (cols + 7) // 8
     table = _gf2_table(cols)
@@ -484,12 +489,13 @@ def _gf2_rref(A):
             table[b] = r
             mask |= 1 << (b - 1)
     lead = [b for b in range(8 * nb, 0, -1) if table[b]]
+    packed = [table[b] for b in lead]
     R = np.zeros((rows, cols), dtype=np.int64)
     if lead:
-        buf = b"".join(table[b].to_bytes(nb, "big") for b in lead)
+        buf = b"".join(r.to_bytes(nb, "big") for r in packed)
         bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8))
         R[:len(lead)] = bits.reshape(len(lead), 8 * nb)[:, :cols]
-    return R, tuple(8 * nb - b for b in lead)
+    return R, tuple(8 * nb - b for b in lead), (packed, table)
 
 
 def _fermat_inv(a, p):
@@ -956,21 +962,26 @@ class GF:
         # a nonzero row's pivot column is zero in every row below it
         return np.count_nonzero(S.any(2), 1)
 
-    def rref(self, M):
-        """Reduced row echelon form.  Returns (R, pivots)."""
+    def rref(self, M, *, _kept=False):
+        """Reduced row echelon form.  Returns (R, pivots).
+
+        With _kept, for Subspace alone, a third item follows: over F_2 the
+        (rows, table) that Subspace.echelon() gives for R's nonzero rows,
+        which the reduction ends with, and None on other fields."""
         A = self._check(self._as_rows(M))
         if self.q == 2:
-            return _gf2_rref(A)
-        S = A.copy()
-        steps = self._eliminate_lone(S, full=True)
-        rows = [r for _, r, _ in steps]
-        # the rows without a pivot end zero, so pivot rows already in order
-        # (the usual case) leave the matrix in rref as it stands
-        R = S
-        if rows != list(range(len(rows))):
-            R = np.zeros(A.shape, dtype=np.int64)
-            R[:len(rows)] = S.take(rows, 0)
-        return R, tuple(c for c, _, _ in steps)
+            R, piv, kept = _gf2_rref(A)
+        else:
+            S = A.copy()
+            steps = self._eliminate_lone(S, full=True)
+            rows = [r for _, r, _ in steps]
+            # the rows without a pivot end zero, so pivot rows already in
+            # order (the usual case) leave the matrix in rref as it stands
+            R, piv, kept = S, tuple(c for c, _, _ in steps), None
+            if rows != list(range(len(rows))):
+                R = np.zeros(A.shape, dtype=np.int64)
+                R[:len(rows)] = S.take(rows, 0)
+        return (R, piv, kept) if _kept else (R, piv)
 
     def rank(self, M):
         A = self._check(self._as_rows(M))

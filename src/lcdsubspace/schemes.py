@@ -2,9 +2,11 @@
 
 A scheme is presented as its list of 0/1 relation matrices [A_0, ..., A_d]
 with A_0 = I.  Construction verifies all axioms and computes the full tensor
-of intersection numbers p_{ij}^k from matrix products, spot-checking a sample
-of them combinatorially (common-neighbour counting) so the two computation
-paths stay independent.  All arithmetic is exact int64.
+of intersection numbers p_{ij}^k from matrix products, each product compared
+with its values at each relation's first pair in one array comparison.  A
+sample of them is recounted combinatorially, by common neighbours held as
+bit masks, with no matrix product, so the two computation paths stay
+independent.  All arithmetic is exact int64.
 """
 
 from __future__ import annotations
@@ -79,52 +81,66 @@ def scheme_from_matrices(mats):
             witness=tuple(int(v) for v in bad))
 
     d = len(mats) - 1
-    supports = [M == 1 for M in mats]
     tensor = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
+    if not n:   # no pairs: every relation is empty
+        return AssociationScheme(tuple(mats), tensor)
+    # S is one relation per row, n^2 wide: label holds the relation of each
+    # pair, first each relation's first pair in row-major order, and has is 1
+    # there, or 0 for an empty relation, whose p_ij^k stays 0.  A product is
+    # closed when it equals its values at the first pairs, read through label
+    S = np.stack(mats).reshape(d + 1, n * n)
+    label = S.argmax(0)
+    first = S.argmax(1)
+    has = S[np.arange(d + 1), first]
     for i in range(d + 1):
         for j in range(i, d + 1):
-            P = int_matmul(mats[i], mats[j])
-            for k in range(d + 1):
-                vals = P[supports[k]]
-                if vals.size == 0:
-                    continue
-                v0 = int(vals[0])
-                if not (vals == v0).all():
-                    raise NotClosed(
-                        f"product A_{i} A_{j} is not constant on relation {k}",
-                        witness=(i, j, k))
-                tensor[i, j, k] = v0
-                tensor[j, i, k] = v0
+            P = int_matmul(mats[i], mats[j]).ravel()
+            v = P[first] * has
+            bad = P != v[label]
+            if bad.any():
+                k = int(label[bad].min())
+                raise NotClosed(
+                    f"product A_{i} A_{j} is not constant on relation {k}",
+                    witness=(i, j, k))
+            tensor[i, j] = tensor[j, i] = v
 
     _spot_check_tensor(mats, tensor)
     return AssociationScheme(tuple(mats), tensor)
 
 
 def _spot_check_tensor(mats, tensor):
-    """Recount a sample of p_{ij}^k by common-neighbour sets.
+    """Recount a sample of p_{ij}^k by common neighbours.
 
-    Independent path from the matrix products: neighbour lists and set
-    intersections, ten random positions per relation.
+    Independent path from the matrix products: each point's neighbours in
+    each relation as a bit mask (_neighbour_masks), common neighbours
+    counted with (a & b).bit_count(), at ten random pairs per relation.
     """
     rng = random.Random(_SPOT_SEED)
-    d = len(mats) - 1
-    nbrs = [[set(np.flatnonzero(M[x]).tolist()) for x in range(M.shape[0])]
-            for M in mats]
-    for k in range(d + 1):
-        pos = np.argwhere(mats[k] == 1)
-        if len(pos) == 0:
+    n = mats[0].shape[0]
+    nbrs = [_neighbour_masks(M) for M in mats]
+    T = tensor.tolist()
+    for k, M in enumerate(mats):
+        pos = np.flatnonzero(M == 1).tolist()
+        if not pos:
             continue
-        picks = [pos[rng.randrange(len(pos))] for _ in range(_SPOT_PAIRS)]
+        picks = [divmod(pos[rng.randrange(len(pos))], n) for _ in range(_SPOT_PAIRS)]
         for x, y in picks:
-            x, y = int(x), int(y)
-            for i in range(d + 1):
-                for j in range(d + 1):
-                    count = len(nbrs[i][x] & nbrs[j][y])
-                    if count != tensor[i, j, k]:
+            at_y = [N[y] for N in nbrs]
+            for i, N in enumerate(nbrs):
+                for j, b in enumerate(at_y):
+                    count = (N[x] & b).bit_count()
+                    if count != T[i][j][k]:
                         raise InternalInconsistency(
-                            f"tensor p_{i}{j}^{k} = {tensor[i, j, k]} but "
+                            f"tensor p_{i}{j}^{k} = {T[i][j][k]} but "
                             f"counting at ({x},{y}) gives {count}",
                             witness=(i, j, k, x, y))
+
+
+def _neighbour_masks(M):
+    """Each row x of a 0/1 matrix M as an int with bit y set where M[x, y] = 1."""
+    B = np.packbits(M == 1, axis=1, bitorder="little")
+    buf, nb = B.tobytes(), B.shape[1]
+    return [int.from_bytes(buf[x * nb:(x + 1) * nb], "little") for x in range(len(M))]
 
 
 class EquitablePartition:

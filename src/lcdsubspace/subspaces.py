@@ -38,11 +38,12 @@ class Subspace:
 
     Over F_2 the basis is also kept packed, as its rows packed into ints in
     basis order and the echelon table that gf._gf2_pivots builds (a list
-    indexed by bit length, 0 where no row has that length), but only from
-    the first call of echelon() on: nothing is packed when a Subspace is
-    made.  Every F_2 rank of a stack of subspaces [U; W] starts from a copy
-    of U's table and reduces W's packed rows into it, in basis order.  The
-    dual, once computed, is kept as a Subspace too, and with it its own
+    indexed by bit length, 0 where no row has that length).  A Subspace made
+    from vectors keeps the ones its rref ends with, so its rows are packed
+    once; a dual, made from its rref, packs them on the first call of
+    echelon().  Every F_2 rank of a stack of subspaces [U; W] starts from a
+    copy of U's table and reduces W's packed rows into it, in basis order.
+    The dual, once computed, is kept as a Subspace too, and with it its own
     table.  The hash, structural like equality, is computed on the first
     hash or comparison, so a Subspace that is only ranked never takes it.
     """
@@ -54,6 +55,7 @@ class Subspace:
         self.n = _integer(n, "ambient dimension")
         if self.n < 1:
             raise DimensionMismatch(f"ambient dimension must be at least 1, got {n}")
+        echelon = None
         if _rref is not None:
             B = _rref
         else:
@@ -67,14 +69,14 @@ class Subspace:
                 raise AmbientMismatch(f"vectors of length {V.shape[1]} in ambient {self.n}")
             if V.size == 0:
                 V = V.reshape(0, self.n)
-            R, piv = field.rref(V)
+            R, piv, echelon = field.rref(V, _kept=True)
             B = R[: len(piv)]
         B = np.ascontiguousarray(B, dtype=np.int64)
         B.setflags(write=False)
         self.basis = B
         self._hash = None
         self._dual = None
-        self._echelon = None
+        self._echelon = echelon
 
     # --- constructors ---
 
@@ -106,10 +108,11 @@ class Subspace:
     def echelon(self):
         """Over F_2, (rows, table): the basis rows packed into ints, in basis
         order, and the echelon table gf._gf2_pivots builds from them, a list
-        whose entry b is the row of bit length b (0 for none).  The rows of
-        an rref basis have distinct leading columns, so it is one pack and
-        no elimination, done on the first call and kept; ranks copy the
-        table and never change it."""
+        whose entry b is the row of bit length b (0 for none).  A Subspace
+        made from vectors has them from its rref.  A dual packs its rref
+        basis on the first call, whose rows have distinct leading columns,
+        so it is one pack and no elimination, and keeps them; ranks copy
+        the table and never change it."""
         if self._echelon is None:
             self._echelon = _gf2_echelon(self.basis)
         return self._echelon

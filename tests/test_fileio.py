@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -206,6 +208,24 @@ def test_dumps_writes_arrays_as_json_writes_their_lists():
     assert fileio.dumps(doc) == json.dumps(_to_lists(doc), sort_keys=True, indent=2) + "\n"
     with pytest.raises(TypeError):
         fileio.dumps({"s": {1, 2}})
+
+
+def test_dumps_leaves_no_array_to_the_cyclic_collector():
+    # json's indenting encoder keeps its default hook in a reference cycle;
+    # the arrays a document held must still go once the caller drops them,
+    # by reference counts alone, or each construct keeps its codewords alive
+    # until a collection
+    gc.disable()
+    try:
+        arrays = [np.arange(6).reshape(2, 3) % 10, np.array([[-1, 12]])]
+        refs = [weakref.ref(A) for A in arrays]
+        doc = {"a": arrays[0], "b": [arrays[1]]}
+        pieces = list(fileio.dump_pieces(doc))
+        assert "".join(pieces) == fileio.dumps(doc)
+        del arrays, doc
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_dumps_writes_edge_case_arrays():

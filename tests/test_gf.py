@@ -821,6 +821,30 @@ def test_gf2_echelon_tables_match_oracle(f2, n):
     assert [U.echelon() for U in spaces] == kept
 
 
+@pytest.mark.parametrize("n", [9, 70])
+def test_gf2_capped_ranks_take_a_block_field_then_whole_rows(f2, n):
+    # one capped scan over one list of tables: block 0 ranks a bit field of
+    # the packed rows into an empty table of its width, block 1 the whole
+    # rows into a Subspace's kept table, asked in turn, each resuming its own
+    # place, and neither changes the tables it was given
+    rng = np.random.default_rng(3300 + n)
+    width = 8 * ((n + 7) // 8)
+    for shift, w in ((0, 5), (width - n, n // 2), (3, n - 3)):
+        U = Subspace(f2, n, rng.integers(0, 2, (4, n)))
+        M = rng.integers(0, 2, (7, n))
+        M[3] = M[0] ^ M[1]
+        tables = [[0] * (w + 1), U.echelon()[1]]
+        kept = [t.copy() for t in tables]
+        rank = gf._gf2_capped_ranks(tables, gf._gf2_pack(M), [(shift, (1 << w) - 1), (0, -1)])
+        padded = np.hstack([M, np.zeros((7, width - n), dtype=np.int64)])
+        block = oracles.gf2_rank(padded[:, width - shift - w:width - shift].tolist())
+        whole = oracles.gf2_rank(np.vstack([U.basis, M]).tolist()) - U.dim
+        for cap in (1, 2, 8):
+            assert rank(0, cap) == min(block, cap)
+            assert rank(1, cap) == min(whole, cap)
+        assert tables == kept
+
+
 def test_capped_excess_rank_stops_at_the_cap(f3, f9, monkeypatch):
     # off GF(2) a capped pair eliminates its residual only until it has cap
     # pivots: one elimination of at most cap steps, however large the

@@ -1,8 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 
 import oracles
+from lcdsubspace import schemes
 from lcdsubspace.errors import (
+    InternalInconsistency,
     MissingIdentity,
     NotAPartition,
     NotClosed,
@@ -84,6 +88,109 @@ def test_rejections():
     Jp = np.ones((3, 3), dtype=np.int64)
     with pytest.raises(NotClosed):
         scheme_from_matrices([np.eye(3, dtype=np.int64), path, Jp - np.eye(3, dtype=np.int64) - path])
+
+
+def distance_matrices(adj):
+    """The distance classes of a connected graph, by BFS, as 0/1 matrices."""
+    dist = np.array(oracles.bfs_distances(adj), dtype=np.int64)
+    return [(dist == k).astype(np.int64) for k in range(dist.max() + 1)]
+
+
+def test_not_closed_names_the_first_product_and_its_least_relation():
+    # pinned on the relation-by-relation loop: the products A_i A_j, i <= j,
+    # in order, and the least relation k on which the first failing one is
+    # not constant
+    eye = np.eye(3, dtype=np.int64)
+    path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int64)
+    with pytest.raises(NotClosed) as exc:
+        scheme_from_matrices([eye, path, np.ones((3, 3), dtype=np.int64) - eye - path])
+    assert exc.value.witness == (1, 1, 0)
+    # A_1 is a perfect matching, so A_1 A_1 = I is closed; A_1 A_2 fails on
+    # relations 2 and 3, and the first pair in row-major order where it
+    # differs from its value at its relation's first pair lies in relation
+    # 3, but relation 2 is named
+    label = np.array([[0, 1, 3, 2], [1, 0, 3, 2], [3, 3, 0, 1], [2, 2, 1, 0]])
+    mats = [(label == k).astype(np.int64) for k in range(4)]
+    P = mats[1] @ mats[2]
+    assert {int(v) for v in P[label == 2]} == {0, 1} == {int(v) for v in P[label == 3]}
+    first = {k: P[label == k][0] for k in range(4)}
+    bad = [(x, y) for x in range(4) for y in range(4) if P[x, y] != first[label[x, y]]]
+    assert label[bad[0]] == 3
+    with pytest.raises(NotClosed) as exc:
+        scheme_from_matrices(mats)
+    assert exc.value.witness == (1, 2, 2)
+
+
+def test_empty_relation_has_zero_intersection_numbers():
+    # an all-zero matrix passes the partition check; every p_ij^k that
+    # involves it is 0, and the rest are the complete graph's
+    n = 4
+    eye = np.eye(n, dtype=np.int64)
+    zero = np.zeros((n, n), dtype=np.int64)
+    for at in (1, 2):
+        mats = [eye, zero, zero]
+        mats[3 - at] = np.ones((n, n), dtype=np.int64) - eye
+        T = scheme_from_matrices(mats).tensor
+        for S in (T[at], T[:, at], T[:, :, at]):
+            assert not S.any()
+        full = 3 - at
+        assert [int(T[i, j, k]) for i, j, k in [(0, 0, 0), (0, full, full), (full, full, 0),
+                                                (full, full, full)]] == [1, 1, n - 1, n - 2]
+    T = scheme_from_matrices([np.zeros((0, 0), dtype=np.int64)] * 2).tensor
+    assert T.shape == (2, 2, 2) and not T.any()
+
+
+@pytest.mark.parametrize("adj", [oracles.cycle_adjacency(10), oracles.cycle_adjacency(12),
+                                 oracles.petersen_adjacency()],
+                         ids=["C10", "C12", "Petersen"])
+def test_tensor_matches_the_oracle_on_distance_schemes(adj):
+    mats = distance_matrices(adj)
+    sch = scheme_from_matrices(mats)
+    assert sch.tensor.tolist() == oracles.intersection_tensor([M.tolist() for M in mats])
+
+
+def set_recount_witness(mats, tensor):
+    """The first (i, j, k, x, y) at which the spot check's sample, recounted
+    with Python sets of neighbours, disagrees with tensor; None if none."""
+    rng = random.Random(schemes._SPOT_SEED)
+    nbrs = [[set(np.flatnonzero(M[x]).tolist()) for x in range(len(M))] for M in mats]
+    for k, M in enumerate(mats):
+        pos = np.argwhere(M == 1)
+        if not len(pos):
+            continue
+        picks = [pos[rng.randrange(len(pos))] for _ in range(schemes._SPOT_PAIRS)]
+        for x, y in picks:
+            for i in range(len(mats)):
+                for j in range(len(mats)):
+                    if len(nbrs[i][x] & nbrs[j][y]) != tensor[i, j, k]:
+                        return (i, j, k, int(x), int(y))
+    return None
+
+
+def test_spot_check_names_the_witness_of_a_set_recount():
+    rng = random.Random(3201)
+    for adj in (oracles.cycle_adjacency(10), oracles.petersen_adjacency()):
+        mats = distance_matrices(adj)
+        tensor = scheme_from_matrices(mats).tensor
+        assert set_recount_witness(mats, tensor) is None
+        d = len(mats) - 1
+        for _ in range(6):
+            i, j, k = (rng.randrange(d + 1) for _ in range(3))
+            bad = tensor.copy()
+            bad[i, j, k] += rng.choice([-1, 1, 2])
+            want = set_recount_witness(mats, bad)
+            assert want is not None and want[2] == k
+            with pytest.raises(InternalInconsistency) as exc:
+                schemes._spot_check_tensor(mats, bad)
+            assert exc.value.witness == want
+
+
+def test_neighbour_masks_set_bit_y_for_neighbour_y():
+    rng = np.random.default_rng(3202)
+    for n in (1, 7, 8, 9, 20, 96):
+        M = rng.integers(0, 2, (n, n))
+        assert schemes._neighbour_masks(M) == [
+            sum(1 << int(y) for y in np.flatnonzero(row)) for row in M]
 
 
 def test_too_many_classes():

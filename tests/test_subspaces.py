@@ -12,6 +12,7 @@ from lcdsubspace.errors import (
     NotAnInteger,
     NotLCD,
 )
+from lcdsubspace import gf
 from lcdsubspace.codes import SubspaceCode, decode_naive
 from lcdsubspace.gf import _gf2_pack, _gf2_pivots, _gf2_table
 from lcdsubspace.subspaces import (
@@ -146,16 +147,41 @@ def test_distance_is_a_metric(all_fields):
                     assert d <= distance(U, T) + distance(T, W)
 
 
+def pack_spy(monkeypatch):
+    """A list that counts every gf._gf2_pack call from now on."""
+    calls = []
+    real = gf._gf2_pack
+    monkeypatch.setattr(gf, "_gf2_pack", lambda A: calls.append(A.shape) or real(A))
+    return calls
+
+
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 192])
-def test_echelon_table_is_the_pivot_table_of_the_packed_basis(f2, n):
-    # the table is built from the rref basis with no elimination; it must
-    # be what eliminating the packed basis gives, on every kind of space
+def test_echelon_table_is_the_pivot_table_of_the_packed_basis(f2, n, monkeypatch):
+    # the table is the one rref ends with, or, for a dual, is built from its
+    # rref basis with no elimination; it must be what eliminating the
+    # packed basis gives, on every kind of space
     rng = random.Random(1500 + n)
-    spaces = [Subspace.zero(f2, n), Subspace.full(f2, n)]
-    spaces += [rand_subspace(rng, f2, n, rng.randrange(0, n + 2)) for _ in range(6)]
-    spaces += [U.dual() for U in spaces]
+    packs = pack_spy(monkeypatch)
+
+    def made(make, lazy=False):
+        # a Subspace from vectors packs its rows once, in its rref, and its
+        # first echelon() packs nothing; a dual (lazy) packs its basis on its
+        # first echelon(), past any pack of its own kernel's reduction
+        packs.clear()
+        U = make()
+        built = len(packs)
+        kept = U.echelon()
+        assert (built, len(packs) - built) == ((built, 1) if lazy else (1, 0))
+        assert U.echelon() is kept and len(packs) == built + lazy
+        return U
+
+    spaces = [made(lambda: Subspace.zero(f2, n))]
+    spaces.append(made(spaces[0].dual, lazy=True))
+    spaces += [made(lambda: rand_subspace(rng, f2, n, rng.randrange(0, n + 2)))
+               for _ in range(6)]
+    # spaces[0]'s dual is spaces[1], kept with its table
+    spaces += [made(U.dual, lazy=True) for U in spaces[1:]]
     for U in spaces:
-        assert U._echelon is None
         kept = U.echelon()
         rows, table = kept
         # the rows in basis order, and the table indexed by bit length
@@ -195,17 +221,19 @@ def test_gf2_distance_matches_the_rank_formula(f2):
                 f2, n, U.basis.tolist(), W.basis.tolist())
 
 
-def test_echelon_table_leaves_equality_and_hash_alone(f2):
+def test_echelon_table_leaves_equality_and_hash_alone(f2, monkeypatch):
     rng = random.Random(1502)
     rows = [[rng.randrange(2) for _ in range(70)] for _ in range(12)]
+    packs = pack_spy(monkeypatch)
     U = Subspace(f2, 70, rows)
     W = Subspace(f2, 70, rows[::-1])
     U.echelon()
-    assert U._echelon is not None and W._echelon is None
+    # one pack per Subspace, in its rref, and none for U's echelon()
+    assert len(packs) == 2
     assert U == W and W == U
     assert hash(U) == hash(W)
     assert len({U, W}) == 1
-    assert W._echelon is None
+    assert len(packs) == 2 and U.echelon() == W.echelon()
 
 
 def test_hash_is_taken_on_first_use_and_stays_structural(f2, f3):
