@@ -75,7 +75,8 @@ from .errors import (
     PairBudgetExceeded,
     RankDeficient,
 )
-from .gf import BlockRankFactor, _integer, padded_stack
+from .gf import BlockRankFactor, padded_stack
+from .linalg import as_integer
 from .subspaces import Subspace, complement_coordinates, distance, dual_meets, is_lcd
 
 PAIR_BUDGET = 10 ** 7
@@ -165,7 +166,7 @@ def params(code, *, pair_budget=PAIR_BUDGET, allow_degenerate=False):
 
 def sampled_min_distance(code, samples=10 ** 4, seed=0):
     """Upper bound on d from random codeword pairs (non-exhaustive)."""
-    samples = _integer(samples, "the number of samples")
+    samples = as_integer(samples, "the number of samples")
     if samples < 1:
         raise InvalidSpec(f"sampled_min_distance needs at least one sample, got {samples}")
     s = len(code)

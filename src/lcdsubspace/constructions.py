@@ -57,7 +57,7 @@ from .errors import (
 from .drg import check_distance_regular, orbit_partition, scheme_from_drg
 from .gf import BlockRankFactor, field_new
 from .hadamard import UnbiasedSet, gramian_B, is_bush, partition_quotients_of_set
-from .linalg import as_int_matrix, int_matmul, kron, reduce_mod, square_root_or_none
+from .linalg import as_int_matrix, as_integer, int_matmul, kron, reduce_mod, square_root_or_none
 from .schemes import quotient_matrices, scheme_from_matrices
 from .subspaces import Subspace
 
@@ -148,7 +148,7 @@ def build_block(field, X, alpha):
     X = field.asmatrix(X)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise DimensionMismatch(f"X must be square, got {X.shape}")
-    alpha = int(alpha)
+    alpha = as_integer(alpha, "alpha")
     if alpha == 0:
         raise ZeroAlpha("alpha must be a nonzero field element")
     if not 0 < alpha < field.q:
@@ -252,7 +252,7 @@ def subspace_code_from_algebra(basis, alphas=None, *, include_zero_x=False,
         alphas = (1,)
     cleaned = []
     for x in alphas:
-        x = int(x)
+        x = as_integer(x, "alpha")
         if x == 0:
             raise ZeroAlpha("alpha values must be nonzero")
         if not 0 < x < f.q:
@@ -361,29 +361,24 @@ def _check_product_identity(f, t, ordered, pair_list):
     raises with the first failing pair in pair_list order.
 
     As N_i N_j^T = X_i X_j^T + a_i a_j I_t exactly, the identity is checked
-    as X_i X_j^T = 0, of inner dimension t, with no block built.  Each X_i
-    takes one product with the X_j^T of its partners j side by side, t x (t *
-    #partners) entries, rather than one product per pair: a BlockRankFactor
-    of that right stack, built once per distinct tuple of partners, tells
-    which of its blocks the product leaves nonzero.  With all pairs that is
-    one product per codeword.
+    as X_i X_j^T = 0, of inner dimension t, with no block built.  One
+    BlockRankFactor holds the X_j^T of every distinct partner j side by side,
+    in first-seen order, and each distinct X_i takes one product with it, t x
+    (t * #partners) entries, rather than one product per pair: the factor
+    tells which of its blocks the product leaves nonzero.  With all pairs
+    that is one product per codeword.
     """
-    partners = {}
+    if not pair_list:
+        return
+    block = {j: k for k, j in enumerate(dict.fromkeys(j for _, j in pair_list))}
+    factor = BlockRankFactor(f, np.hstack([ordered[j][0].T for j in block]), [t] * len(block))
+    nonzero = {}
     for i, j in pair_list:
-        partners.setdefault(i, {})[j] = None
-    factors = {}
-    failed = set()
-    for i, js in partners.items():
-        js = tuple(js)
-        if js not in factors:
-            right = np.hstack([ordered[j][0].T for j in js])
-            factors[js] = BlockRankFactor(f, right, [t] * len(js))
-        nonzero = factors[js].nonzero_blocks(ordered[i][0])
-        failed.update((i, js[k]) for k in np.flatnonzero(nonzero))
-    for pair in pair_list:
-        if pair in failed:
+        if i not in nonzero:
+            nonzero[i] = factor.nonzero_blocks(ordered[i][0])
+        if nonzero[i][block[j]]:
             raise VerificationFailed(
-                "product identity N_x N_y^T = a_x a_y I failed", witness=pair)
+                "product identity N_x N_y^T = a_x a_y I failed", witness=(i, j))
 
 
 def _assert_scaling_invariance(f, t, rep, seed):

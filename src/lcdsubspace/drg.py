@@ -22,7 +22,7 @@ from .errors import (
     NotDistanceRegular,
     NotSymmetric,
 )
-from .linalg import as_int_matrix, int_matmul
+from .linalg import as_int_matrix, as_integer, int_matmul
 from .schemes import AssociationScheme, EquitablePartition, scheme_from_matrices, verify_equitable
 
 
@@ -188,10 +188,10 @@ class PermutationGroup:
     __slots__ = ("degree", "generators")
 
     def __init__(self, degree, generators):
-        degree = int(degree)
+        degree = as_integer(degree, "degree")
         gens = []
         for gi, g in enumerate(generators):
-            g = tuple(int(v) for v in g)
+            g = tuple(as_integer(v, "image") for v in g)
             if sorted(g) != list(range(degree)):
                 raise NotAPartition(
                     f"generator {gi} is not a permutation of 0..{degree - 1}",

@@ -29,7 +29,8 @@ class EncodingOutOfRange(LcdError):
 
 
 class NotAnInteger(LcdError):
-    """A degree, dimension or count is not an integer (a bool is none)."""
+    """A degree, dimension, count or matrix entry is not an integer (a bool
+    is none)."""
 
 
 class DivisionByZero(LcdError):

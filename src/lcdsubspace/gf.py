@@ -11,26 +11,29 @@ For the common small cases this picks
     F_9 : x^2 + 1              F_16: x^4 + x^3 + 1
 
 Matrices over F_q are plain numpy int64 arrays of encoded values; all matrix
-routines live on the field object (``f.matmul``, ``f.rref``, ...).  Extension
-field multiplication uses log/antilog tables for q <= 2**16.  The tables
-hold the powers of the smallest primitive element g, and ``log[0]`` is a
-sentinel past every sum of two nonzero logs with ``exp`` zero from there on,
-so a product, zero included, is the single gather ``exp[log[a] + log[b]]``.
-Above 2**16 a product goes through the matrix of multiplication by b, which
-is F_p-linear: row i of M_b holds the digits of x^i b (the regular
+routines live on the field object (``f.matmul``, ``f.rref``, ...).  Every
+field, of every order, keeps one pair of log/antilog tables, built on first
+use.  They hold the powers of the smallest primitive element g, and
+``log[0]`` is a sentinel past every sum of two nonzero logs with ``exp``
+zero from there on, so an extension-field product, zero included, is the
+single gather ``exp[log[a] + log[b]]``, and an inverse on every field is
+``exp[q - 1 - log[a]]``; a product over F_p is (a b) mod p.  The powers are
+built by doubling through the matrix of multiplication by b, which is
+F_p-linear: row i of M_b holds the digits of x^i b (the regular
 representation of F_{p^r} over F_p; Lidl and Niederreiter, *Finite Fields*,
 ch. 2).  ``_shifts`` builds M_b in r - 1 vectorised steps, each shifting the
 last row up one digit and adding its top digit times the modulus tail, so
 the reduction by the modulus is built in, and a b sums a's digit i times
-row i of M_b, mod p.  ``inv`` there is a**(q - 2), by square-and-multiply
-over the whole array.
+row i of M_b, mod p.  The powers are written into exp in place, at most
+2**14 of them per step, so the build makes no digit array of all q
+elements: at 2**20 the tables keep 40 MiB.
 
 A matrix product over F_p runs through float BLAS whenever every partial
 sum, at most inner_dim * (p - 1)**2, is an integer the float type holds
 exactly whatever the summation order: float32 below 2**24, float64 below
 2**53.  Past 2**53 it is an int64 product, which numpy computes without
 BLAS.  ``linalg.exact_product`` makes that choice, for ``int_matmul`` too.
-A product over F_{p^r}, tables or none, is one such product over F_p, of
+A matrix product over F_{p^r} is one such product over F_p, of
 inner dimension k r: digits(AB) = digits(A) M_B, where M_B is the (k r x n r)
 block matrix of the M_b of B's entries, or, as ab = ba, M_A digits(B).  The
 operand with fewer entries is the one expanded, so the extra memory is at
@@ -150,12 +153,12 @@ branch.  Each nonzero row then
 has a pivot column that is zero in every row below it, so the rows left
 nonzero are independent and their count is the rank: m - 1 updates of
 some 15 to 20 numpy calls, however large B is.  Row operations are bound
-once per field: on odd F_p the update is T - fac (x) row, reduced
-as T - T // p * p (products below 2**40), with inverses from a table of
-Fermat powers; with log/exp tables a product is one gather, and a
-difference is an XOR when p = 2, a lookup in a table of all q**2
-differences for odd p up to q = 2**8, and digitwise above; past 2**16 the
-public ``mul``, ``sub`` and ``inv`` do it.  A lone matrix (``rank``,
+once per field, on its log/exp tables: on every field a division is the
+gather exp[log P + log(1 / v)]; on odd F_p the update is T - fac (x) row,
+reduced as T - T // p * p (products below 2**40), and over F_{p^r} a
+product is one gather, and a difference is an XOR when p = 2, a lookup in a
+table of all q**2 differences for odd p up to q = 2**8, and digitwise
+above.  A lone matrix (``rank``,
 ``rref``, ``det`` and ``excess_rank``) is reduced column by column by
 ``_eliminate_lone``, on 2-d slices with the pivot a Python int: each column
 pivots on its first nonzero entry in an unused row (no row moves).
@@ -212,13 +215,13 @@ from .errors import (
     FieldMismatch,
     FieldTooLarge,
     LcdError,
-    NotAnInteger,
     NotPrime,
 )
-from .linalg import exact_product
+from .linalg import as_integer, exact_product
 
 MAX_FIELD_ORDER = 1 << 20
-_TABLE_LIMIT = 1 << 16
+# powers of g that one step of the table build writes, at most
+_EXP_CHUNK = 1 << 14
 _SUB_TABLE_LIMIT = 1 << 8  # odd-p orders whose q**2 differences are tabled
 # entries of one stack that excess_ranks hands to ranks (and of one chunk
 # of simulated trials): a few hundred kB of int64 per temporary
@@ -498,19 +501,6 @@ def _gf2_rref(A):
     return R, tuple(8 * nb - b for b in lead), (packed, table)
 
 
-def _fermat_inv(a, p):
-    """a**(p - 2) mod p elementwise: 1 / a over F_p for a != 0 (0 for 0)."""
-    out = np.ones_like(a)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * a % p
-        e >>= 1
-        if e:
-            a = a * a % p
-    return out
-
-
 def _odd_permutation(perm):
     """Whether the permutation perm of range(len(perm)) is odd."""
     perm = list(perm)
@@ -532,14 +522,6 @@ def _integers(M, copy=False):
     if A.size and A.dtype.kind not in "iu":
         raise EncodingOutOfRange(f"encoded entries must be integers, not {A.dtype}")
     return A.astype(np.int64, copy=copy)
-
-
-def _integer(x, what):
-    """x as an int, once it is one: a Python or numpy integer, not a bool, a
-    float or a str, which int() would read, truncate or parse."""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return int(x)
-    raise NotAnInteger(f"{what} must be an integer, got {x!r}")
 
 
 def padded_stack(mats):
@@ -570,7 +552,7 @@ class GF:
     """
 
     def __init__(self, p, r=1):
-        if _integer(r, "extension degree") < 1:
+        if as_integer(r, "extension degree") < 1:
             raise LcdError(f"extension degree must be a positive integer, got {r}")
         if isinstance(p, str) or not p >= 2:
             raise NotPrime(f"{p!r} is not prime")
@@ -692,30 +674,19 @@ class GF:
         a, b, scalar = self._coerce2(a, b)
         if self.r == 1:
             out = (a * b) % self.p
-        elif self._ensure_tables():
-            out = self._exp[self._log[a] + self._log[b]]
         else:
-            out = self._mul_digits(a, b)
+            exp, log = self._tables()
+            out = exp[log[a] + log[b]]
         return int(out) if scalar else out
-
-    def _mul_digits(self, a, b):
-        """Product in any field, broadcast like numpy: the sum over i of a's
-        digit i times the digits of x^i b."""
-        digits = np.einsum("...i,it...->...t", self._to_digits(a),
-                           self._shifts(self._to_digits(b)))
-        return self._from_digits(self._mod_p(digits))
 
     def inv(self, a):
         scalar = np.isscalar(a)
         arr = self._elements(a)
         if not np.all(arr):
             raise DivisionByZero("0 has no inverse")
-        if self.r == 1:
-            return pow(int(arr), self.p - 2, self.p) if scalar else _fermat_inv(arr, self.p)
-        if self._ensure_tables():
-            out = self._exp[self.q - 1 - self._log[arr]]
-            return int(out) if scalar else out
-        return self.pow(a, self.q - 2)
+        exp, log = self._tables()
+        out = exp[self.q - 1 - log[arr]]
+        return int(out) if scalar else out
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -738,12 +709,11 @@ class GF:
                 base = self.mul(base, base)
         return int(result) if scalar else result
 
-    def _ensure_tables(self):
-        if self.q > _TABLE_LIMIT:
-            return False
+    def _tables(self):
+        """(exp, log), as ``_build_tables`` makes them on first use."""
         if self._exp is None:
             self._build_tables()
-        return True
+        return self._exp, self._log
 
     def _build_tables(self):
         """exp/log tables of the smallest primitive element g.
@@ -758,20 +728,26 @@ class GF:
         gen = next(g for g in range(1, q)
                    if all(_poly_powmod(self.coeffs(g), (q - 1) // ell, mod, p) != (1,)
                           for ell in order_factors))
-        # doubling: exp[k:2k] = g^k exp[:k], with g^k = exp[k - 1] g.  Multiplying
-        # by g^k is F_p-linear, so it is one product of digit vectors with M_{g^k}
-        exp = np.ones(1, dtype=np.int64)
-        while exp.size < q - 1:
-            gk = _poly_mulmod(self.coeffs(int(exp[-1])), self.coeffs(gen), mod, p)
+        # two periods of the powers, then the zero tail from the sentinel on
+        exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+        exp[0] = 1
+        # doubling in place: exp[n:n + k] = g^k exp[n - k:n], with g^k =
+        # exp[k - 1] g as k <= n.  Multiplying by g^k is F_p-linear, so it is
+        # one product of digit vectors with M_{g^k}
+        n = 1
+        while n < q - 1:
+            k = min(n, _EXP_CHUNK, q - 1 - n)
+            gk = _poly_mulmod(self.coeffs(int(exp[k - 1])), self.coeffs(gen), mod, p)
             M = self._shifts(self._to_digits(np.array(self.from_coeffs(gk))))
-            exp = np.concatenate([exp, self._from_digits(self._to_digits(exp) @ M % p)])
-        exp = exp[:q - 1]
-        sentinel = 2 * (q - 1)
+            digits = self._dot(self._to_digits(exp[n - k:n]), M)
+            exp[n:n + k] = self._from_digits(self._mod_p(digits))
+            n += k
+        exp[q - 1:2 * (q - 1)] = exp[:q - 1]
         log = np.empty(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        log[0] = sentinel
+        log[exp[:q - 1]] = np.arange(q - 1)
+        log[0] = 2 * (q - 1)
         self.generator = gen
-        self._exp = np.concatenate([exp, exp, np.zeros(sentinel + 1, dtype=np.int64)])
+        self._exp = exp
         self._log = log
 
     # --- matrices (int64 arrays of encoded values) ---
@@ -835,40 +811,29 @@ class GF:
         (T to T - fac (x) P for a lone T)."""
         if self._ops is None:
             p, q = self.p, self.q
+            exp, log = self._tables()
+            # 1 / v = g**(q - 1 - log v): a log in [1, q - 1], so its sum
+            # with log[0] stays in the zero part of exp, any other in range
+            inv_log = q - 1 - log
             if self.r == 1:
-                inv = (_fermat_inv(np.arange(p, dtype=np.int64), p).__getitem__
-                       if p <= _TABLE_LIMIT else lambda a: _fermat_inv(a, p))
-
                 def elim(T, fac, P):
                     # entries lie below 2**20, so products stay below 2**40;
                     # a floor division by a scalar is faster than numpy's %
                     T -= fac[..., None] * P[..., None, :]
                     T -= T // p * p
-
-                self._ops = (lambda P, v: P * inv(v) % p, elim)
-            elif self._ensure_tables():
-                exp, log = self._exp, self._log
-                # 1 / v = g**(q - 1 - log v): a log in [1, q - 1], so its sum
-                # with log[0] stays in the zero part of exp, any other in range
-                inv_log = q - 1 - log
-                if p == 2:
-                    def elim(T, fac, P):
-                        T ^= exp[log[fac][..., None] + log[P][..., None, :]]
-                else:
-                    # a - b read off a table of all q**2 differences when small
-                    table = (self._sub_digits(*np.divmod(np.arange(q * q), q))
-                             if q <= _SUB_TABLE_LIMIT else None)
-
-                    def elim(T, fac, P):
-                        X = exp[log[fac][..., None] + log[P][..., None, :]]
-                        T[...] = self._sub_digits(T, X) if table is None else table[T * q + X]
-
-                self._ops = (lambda P, v: exp[log[P] + inv_log[v]], elim)
-            else:
+            elif p == 2:
                 def elim(T, fac, P):
-                    T[...] = self.sub(T, self.mul(fac[..., None], P[..., None, :]))
+                    T ^= exp[log[fac][..., None] + log[P][..., None, :]]
+            else:
+                # a - b read off a table of all q**2 differences when small
+                table = (self._sub_digits(*np.divmod(np.arange(q * q), q))
+                         if q <= _SUB_TABLE_LIMIT else None)
 
-                self._ops = (lambda P, v: self.mul(P, self.inv(v)), elim)
+                def elim(T, fac, P):
+                    X = exp[log[fac][..., None] + log[P][..., None, :]]
+                    T[...] = self._sub_digits(T, X) if table is None else table[T * q + X]
+
+            self._ops = (lambda P, v: exp[log[P] + inv_log[v]], elim)
         return self._ops
 
     def _eliminate_lone(self, A, full, limit=None):
@@ -952,8 +917,8 @@ class GF:
         every = np.arange(B)
         for i in range(m - 1):
             # each matrix pivots on the first nonzero entry of its row i and
-            # clears that column below it; a zero row i divides by 1, as an
-            # untabled inverse rejects 0, and clears nothing
+            # clears that column below it; a zero row i divides by 1, not by
+            # 0, whose inv_log entry is negative, and clears nothing
             row = S[:, i]
             c = (row != 0).argmax(1)
             v = row[every, c]

@@ -38,7 +38,7 @@ from .errors import (
     OrderTooLarge,
     UnequalCells,
 )
-from .linalg import as_int_matrix, int_matmul, kron, square_root_or_none
+from .linalg import as_int_matrix, as_integer, int_matmul, kron, square_root_or_none
 from .schemes import quotient_matrices
 
 _SEARCH_BUDGET = 10 ** 8
@@ -67,7 +67,7 @@ class WeighingMatrix:
             raise BadAlphabet(f"entry at {at} is not one of {self._alphabet}",
                               witness=at)
         n = M.shape[0]
-        k = int(np.count_nonzero(M[0]) if weight is None else weight)
+        k = int(np.count_nonzero(M[0])) if weight is None else as_integer(weight, "weight")
         # the Gram diagonal is the nonzero count of each row and column
         for G in (int_matmul(M, M.T), int_matmul(M.T, M)):
             bad = G != k * np.eye(n, dtype=np.int64)

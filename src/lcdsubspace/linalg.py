@@ -11,6 +11,11 @@ in the narrowest such type and is cast back: every partial sum is then an
 integer the float type holds exactly, whatever the summation order.  Past
 2**53 it is numpy's int64 product, and past 2**62 ``int_matmul`` raises
 ``IntOverflow``.  ``GF.matmul`` takes its products over F_p the same way.
+
+Integers are taken as they are, never cast: ``as_int_matrix`` rejects an
+operand whose dtype is not an integer one, and ``as_integer`` a scalar that
+is not an integer, with ``NotAnInteger``, since a cast would truncate 1.7 to
+1, read True or an object as an integer and parse "1".
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, IntOverflow
+from .errors import DimensionMismatch, IntOverflow, NotAnInteger
 
 _SAFE = 1 << 62
 # float types for integer products, narrowest first, each with the power of
@@ -33,8 +38,22 @@ def square_root_or_none(v):
     return s if s * s == v else None
 
 
+def as_integer(x, what):
+    """x as an int, once it is one: a Python or numpy integer, not a bool, a
+    float or a str, which int() would read, truncate or parse."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    raise NotAnInteger(f"{what} must be an integer, got {x!r}")
+
+
 def as_int_matrix(M):
-    A = np.asarray(M, dtype=np.int64)
+    """M as an int64 matrix, once its entries are integers: a nonempty
+    operand of any other dtype raises ``NotAnInteger`` (an empty list, which
+    numpy reads as floats, holds no entry)."""
+    A = np.asarray(M)
+    if A.size and A.dtype.kind not in "iu":
+        raise NotAnInteger(f"matrix entries must be integers, not {A.dtype}")
+    A = A.astype(np.int64, copy=False)
     if A.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={A.ndim}")
     return A

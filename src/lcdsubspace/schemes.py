@@ -28,7 +28,7 @@ from .errors import (
     NotSymmetric,
     TooManyClasses,
 )
-from .linalg import as_int_matrix, int_matmul
+from .linalg import as_int_matrix, as_integer, int_matmul
 
 _SPOT_SEED = 0x5C4E
 _SPOT_PAIRS = 10
@@ -149,11 +149,11 @@ class EquitablePartition:
     __slots__ = ("size", "cells", "char_matrix", "cell_sizes", "cell_of")
 
     def __init__(self, cells, size):
-        size = int(size)
+        size = as_integer(size, "partition size")
         seen = np.full(size, -1, dtype=np.int64)
         norm = []
         for ci, cell in enumerate(cells):
-            cell = sorted(int(v) for v in cell)
+            cell = sorted(as_integer(v, "cell index") for v in cell)
             if not cell:
                 raise NotAPartition("empty cell")
             for v in cell:

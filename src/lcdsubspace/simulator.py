@@ -131,16 +131,8 @@ class TrialStats:
             raise InternalInconsistency("outcome tallies do not sum to trials")
 
     def as_dict(self):
-        return {
-            "trials": self.trials,
-            "correct": self.correct,
-            "failure": self.failure,
-            "wrong": self.wrong,
-            "agreement": self.agreement,
-            "mean_distance": self.mean_distance,
-            "naive_seconds": self.naive_seconds,
-            "projection_seconds": self.projection_seconds,
-        }
+        """The fields by name, in declaration order."""
+        return dict(vars(self))
 
 
 def corrupt(codeword, spec, trial_index):

@@ -30,7 +30,8 @@ from .errors import (
     InternalInconsistency,
     NotLCD,
 )
-from .gf import _gf2_echelon, _integer
+from .gf import _gf2_echelon
+from .linalg import as_integer
 
 
 class Subspace:
@@ -52,7 +53,7 @@ class Subspace:
 
     def __init__(self, field, n, vectors=None, *, _rref=None):
         self.field = field
-        self.n = _integer(n, "ambient dimension")
+        self.n = as_integer(n, "ambient dimension")
         if self.n < 1:
             raise DimensionMismatch(f"ambient dimension must be at least 1, got {n}")
         echelon = None

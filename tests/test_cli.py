@@ -146,6 +146,26 @@ def test_search_mub_order4(tmp_path, capsys):
     assert are_unbiased(HadamardMatrix(mats[0]), HadamardMatrix(mats[1])).ok
 
 
+def test_successive_calls_give_identical_documents(tmp_path, capsys):
+    # the parser is built once per process, so no call may leave state in it
+    # for the next: the --seed-file list (an append action) included
+    h = write_pm1(tmp_path / "h.txt", sylvester(2).entries)
+    calls = [("verify", "hadamard", h),
+             ("search", "mub", "--order", "4", "--target", "3", "--seed-file", h,
+              "--seed-file", h, "--out", str(tmp_path / "twice")),
+             ("search", "mub", "--order", "4", "--target", "2", "--out", str(tmp_path / "none")),
+             ("search", "mub", "--order", "4", "--target", "2", "--seed-file", h,
+              "--out", str(tmp_path / "once"))]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [run(capsys, *argv) for argv in calls] == first
+    for argv in calls:
+        assert run(capsys, *argv) == run(capsys, *argv)
+    # H and H are not unbiased; the set grown from the built-in seed, or from
+    # H once, reaches its target
+    assert first[1][0] == 1 and json.loads(first[1][2])["error"] == "NotUnbiased"
+    assert [json.loads(first[k][1])["found"] for k in (2, 3)] == [2, 2]
+
+
 def test_search_budget_exhausted_is_exit_1(tmp_path, capsys):
     rc, _, err = run(capsys, "search", "mub", "--order", "4", "--target", "2",
                      "--budget", "0", "--out", str(tmp_path / "mub"))

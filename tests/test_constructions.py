@@ -370,10 +370,11 @@ def test_product_identity_agrees_with_matmul_on_random_codes(p, r, t):
             assert _reported_failures(f, t, ordered, pair_list) == want
 
 
-def test_product_identity_builds_no_block_and_one_factor_per_partner_tuple(f2, f3, monkeypatch):
-    # the check multiplies the X blocks alone, never [X | aI]; codewords with
-    # the same partners, in the same order, share one factor
-    built, factors = [], []
+def test_product_identity_builds_no_block_and_one_factor(f2, f3, monkeypatch):
+    # the check multiplies the X blocks alone, never [X | aI]; one factor
+    # holds every distinct partner, in first-seen order, and each distinct
+    # codeword takes one product with it
+    built, factors, products = [], [], []
 
     def forbidden(field, X, alpha):
         built.append(1)
@@ -384,6 +385,10 @@ def test_product_identity_builds_no_block_and_one_factor_per_partner_tuple(f2, f
             factors.append(B.shape)
             super().__init__(field, B, widths)
 
+        def nonzero_blocks(self, M):
+            products.append(M.shape)
+            return super().nonzero_blocks(M)
+
     monkeypatch.setattr(constructions, "build_block", forbidden)
     monkeypatch.setattr(constructions, "BlockRankFactor", Counting)
     t = 4
@@ -392,13 +397,38 @@ def test_product_identity_builds_no_block_and_one_factor_per_partner_tuple(f2, f
         for pair_list in ([(0, 1), (1, 0), (1, 1), (0, 1), (3, 0), (2, 0), (2, 1)],
                           _pair_lists(5, 0)[0], _pair_lists(5, 0)[2]):
             factors.clear()
+            products.clear()
             _check_product_identity(f, t, ordered, pair_list)
-            partners = {}
-            for i, j in pair_list:
-                partners.setdefault(i, {})[j] = None
-            tuples = {tuple(js) for js in partners.values()}
-            assert sorted(factors) == sorted((t, t * len(js)) for js in tuples)
+            partners = {j for _, j in pair_list}
+            assert factors == [(t, t * len(partners))]
+            assert products == [(t, t)] * len({i for i, _ in pair_list})
     assert built == []
+
+
+def test_product_identity_on_sampled_pairs_names_the_first_failing_pair():
+    # past 100 codewords the construction checks 100 seeded random pairs, as
+    # here.  X_k = c_k v^T with v . v = 0 passes with every X; X_a = e_0 u^T
+    # and X_b = e_0 w^T with u, w orthogonal to v and to themselves but
+    # u . w = 1 fail together, (a, b) and (b, a) alone, and the witness is
+    # whichever comes first in the pair list
+    f, t, size = field_new(2), 5, 120
+    rng = np.random.default_rng(59)
+    v = _self_orthogonal(f, t)[0]
+    assert v.tolist() == [0, 0, 0, 1, 1]
+    ordered = [(np.outer(rng.integers(0, 2, t), v), 1) for _ in range(size)]
+    rnd = random.Random(59)
+    pair_list = [(rnd.randrange(size), rnd.randrange(size)) for _ in range(100)]
+    _check_product_identity(f, t, ordered, pair_list)
+    a, b = next(pair for pair in pair_list[50:] if pair[0] != pair[1])
+    e0 = np.eye(t, dtype=np.int64)[0]
+    planted = list(ordered)
+    planted[a] = (np.outer(e0, [1, 1, 0, 0, 0]), 1)
+    planted[b] = (np.outer(e0, [1, 0, 1, 0, 0]), 1)
+    failing = _identity_failures(f, t, planted, pair_list)
+    assert failing and set(failing) <= {(a, b), (b, a)}
+    with pytest.raises(VerificationFailed) as exc:
+        _check_product_identity(f, t, planted, pair_list)
+    assert exc.value.witness == failing[0]
 
 
 def test_algebra_code_rejects_non_lcd(f2):

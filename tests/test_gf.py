@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -149,10 +150,10 @@ def test_extension_fields_match_polynomial_oracle(f4, f8, f9):
             assert f.mul(a, b) == oracles.ext_mul(f, a, b)
         for a in range(1, f.q):
             assert f.inv(a) == oracles.ext_inv(f, a)
-    # the untabled fields, on both sides of 2**16 and at the largest order:
-    # elementwise products and inverses on broadcast arrays, and matrix
-    # products expanding either operand, with empty shapes, all recomputed
-    # from oracle polynomial products
+    # fields past 2**16, up to the largest order, whose tables are written
+    # in many steps of 2**14 powers: elementwise products and inverses on
+    # broadcast arrays, and matrix products expanding either operand, with
+    # empty shapes, all recomputed from oracle polynomial products
     rng = np.random.default_rng(17)
     for f in (field_new(2, 17), field_new(3, 11), field_new(2, 20)):
         a, b = rng.integers(0, f.q, (4, 1)), rng.integers(0, f.q, (1, 5))
@@ -209,6 +210,51 @@ def test_tables_are_powers_of_the_smallest_primitive_element():
         assert f.generator == gen
         assert f._exp[:q - 1].tolist() == powers
         assert [int(f._log[v]) for v in powers] == list(range(q - 1))
+
+
+@pytest.mark.parametrize("p", [3, 5, 1048573])
+def test_prime_field_inverses_read_the_tables(p):
+    # inv and div over F_p come off its log/exp tables: scalars and arrays
+    # against Fermat's a**(p - 2) mod p, and 0 still has no inverse
+    f = field_new(p)
+    rng = np.random.default_rng(p)
+    units = np.concatenate([np.arange(1, min(p, 40)), rng.integers(1, p, 40), [p - 1]])
+    want = [pow(int(a), p - 2, p) for a in units]
+    assert f.inv(units).tolist() == want
+    assert f.inv(units[:6].reshape(2, 3)).tolist() == [want[:3], want[3:6]]
+    assert [f.inv(int(a)) for a in units] == want
+    assert type(f.inv(int(units[0]))) is int
+    b = rng.integers(0, p, units.shape)
+    assert f.div(b, units).tolist() == [int(x) * w % p for x, w in zip(b, want)]
+    assert f.div(int(b[1]), int(units[1])) == int(b[1]) * want[1] % p
+    for zero in (0, np.array([1, 0]), np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(DivisionByZero):
+            f.inv(zero)
+        with pytest.raises(DivisionByZero):
+            f.div(1, zero)
+
+
+def test_largest_tables_are_written_in_place():
+    # exp is written into its final buffer, at most 2**14 powers a step, so
+    # the build makes no digit array of all 2**20 elements: the tables keep
+    # 4 (q - 1) + 1 exp and q log entries, 40 MiB, at a peak under 56 MiB
+    f = GF(2, 20)
+    q = f.q
+    tracemalloc.start()
+    try:
+        f._tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 << 20
+    assert f._exp.shape == (4 * (q - 1) + 1,) and f._log.shape == (q,)
+    # the layout, spot-checked: powers of g across the step boundaries, a
+    # second period, the zero tail and the sentinel log[0]
+    exp, log = f._exp, f._log
+    for i in (0, 1, (1 << 14) - 1, 1 << 14, 1 << 15, 3 << 14, q - 3):
+        assert int(exp[i + 1]) == oracles.ext_mul(f, int(exp[i]), f.generator)
+        assert exp[i + q - 1] == exp[i] and log[exp[i]] == i
+    assert log[0] == 2 * (q - 1) and not exp[2 * (q - 1):].any()
 
 
 def test_scalar_ops_accept_arrays(f9):
@@ -316,8 +362,9 @@ def test_rref_matches_oracle_randomized(all_fields):
 
 @pytest.mark.parametrize("p, r", [(5, 1), (2, 16), (2, 17), (1048573, 1)])
 def test_elimination_matches_oracle_at_the_boundaries(p, r):
-    # 2**16 is the largest order with log/exp tables and 2**17 the smallest
-    # without; 1048573 is the largest prime below 2**20
+    # 2**16 and 2**17 have tables written in several steps of 2**14 powers;
+    # 1048573 is the largest prime below 2**20, inverted off the largest
+    # prime-field tables
     f = field_new(p, r)
     rng = random.Random(p + r)
 
@@ -382,16 +429,16 @@ def test_elimination_rejects_encodings_outside_the_field(f2, f3, f4, f9):
     assert f3.ranks(np.zeros((2, 0, 3))).tolist() == [0, 0]
 
 
-# every table regime: GF(2)'s packed rows, prime and extension tables (odd
-# and even p, and a tabled difference for GF(9)), the largest tabled order
-# 2**16, and the untabled 2**17 and 1048573
+# every elimination regime: GF(2)'s packed rows, prime and extension tables
+# (odd and even p, and a tabled difference for GF(9)), and the large orders
+# 2**16, 2**17 and 1048573, whose tables are written in several steps
 STACK_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 16), (2, 17), (1048573, 1)]
 
 
 def _stack_cases(f, rng):
     """Lists of matrices: empty, zero, repeated-row and random ones of mixed
     shapes."""
-    small = f.q > 1 << 16  # elimination without tables is slow
+    small = f.q > 1 << 16  # the oracle inverts by exhaustive search
 
     def rand(k, n):
         return rng.integers(0, f.q, (k, n))

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from lcdsubspace.errors import DimensionMismatch, IntOverflow
-from lcdsubspace.linalg import int_matmul
+from lcdsubspace.constructions import algebra_closure, build_block, subspace_code_from_algebra
+from lcdsubspace.drg import Graph, PermutationGroup
+from lcdsubspace.errors import DimensionMismatch, IntOverflow, LcdError
+from lcdsubspace.fileio import format_matrix_text
+from lcdsubspace.gf import field_new
+from lcdsubspace.hadamard import HadamardMatrix, WeighingMatrix
+from lcdsubspace.linalg import int_matmul, kron
+from lcdsubspace.schemes import EquitablePartition, scheme_from_matrices
 
 
 def _python_product(A, B):
@@ -53,3 +59,46 @@ def test_int_matmul_overflow_guard():
     assert int_matmul(A, B).tolist() == [[(1 << 62) - 1]]
     with pytest.raises(DimensionMismatch):
         int_matmul(np.ones((2, 3), dtype=np.int64), np.ones((2, 3), dtype=np.int64))
+
+
+def _matrix(pattern, x):
+    """pattern with x for each 1 and x's type's default for each 0: a whole
+    operand of x's dtype (True among ints would be read as 1 by numpy)."""
+    return np.array([[x if e else type(x)() for e in row] for row in pattern])
+
+
+_K2 = [[0, 1], [1, 0]]
+_F3 = field_new(3)
+
+# one entry point each, called with the value under test in its integer slot
+_INTEGER_ENTRY_POINTS = {
+    "Graph": lambda x: Graph(_matrix(_K2, x)),
+    "HadamardMatrix": lambda x: HadamardMatrix(_matrix([[1]], x)),
+    "scheme_from_matrices": lambda x: scheme_from_matrices(
+        [_matrix([[1, 0], [0, 1]], x), _matrix(_K2, x)]),
+    "int_matmul": lambda x: int_matmul(_K2, _matrix(_K2, x)),
+    "kron": lambda x: kron(_matrix(_K2, x), _K2),
+    "format_matrix_text": lambda x: format_matrix_text(_matrix(_K2, x), "int"),
+    "build_block": lambda x: build_block(_F3, np.eye(2, dtype=np.int64), x),
+    "subspace_code_from_algebra": lambda x: subspace_code_from_algebra(
+        algebra_closure(_F3, [np.ones((3, 3), dtype=np.int64)]), alphas=(x,)),
+    "WeighingMatrix.weight": lambda x: WeighingMatrix([[1]], weight=x),
+    "EquitablePartition.cells": lambda x: EquitablePartition([[0], [x]], 2),
+    "EquitablePartition.size": lambda x: EquitablePartition([[0]], x),
+    "PermutationGroup.degree": lambda x: PermutationGroup(x, [(0,)]),
+    "PermutationGroup.images": lambda x: PermutationGroup(2, [(x, 0)]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRY_POINTS))
+def test_integer_inputs_are_taken_as_they_are(entry):
+    # a cast once truncated 1.7 to 1 and read True, an object or "1" as an
+    # integer: Graph([[0, 1.7], [1.7, 0]]) was K2 and build_block's alpha
+    # 1.5 was 1.  Each such value is rejected; ints and uints still pass
+    call = _INTEGER_ENTRY_POINTS[entry]
+    rng = np.random.default_rng(sum(map(ord, entry)))
+    for bad in (1.7, True, object(), "1", 1 + rng.random()):
+        with pytest.raises(LcdError):
+            call(bad)
+    for good in (1, np.int64(1), np.uint8(1), np.uint64(1)):
+        call(good)

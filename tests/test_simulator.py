@@ -1,3 +1,4 @@
+import dataclasses
 import statistics
 
 import numpy as np
@@ -108,6 +109,9 @@ def test_trial_stats_consistency_enforced():
     st = TrialStats(10, 5, 4, 1, 10, 0.5, 0.1, 0.1)
     d = st.as_dict()
     assert d["trials"] == 10 and d["correct"] == 5
+    # every field, in declaration order, as the CLI document lists them
+    assert list(d) == [f.name for f in dataclasses.fields(TrialStats)]
+    assert list(d.values()) == [10, 5, 4, 1, 10, 0.5, 0.1, 0.1]
 
 
 def test_run_experiment_validation(code_f5, f3):
