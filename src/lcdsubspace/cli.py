@@ -26,7 +26,7 @@ from .constructions import (
     ClassicalCodeReport,
     theorem_pipeline,
 )
-from .drg import check_distance_regular, intersection_array, scheme_from_drg
+from .drg import check_distance_regular, scheme_from_drg
 from .errors import BudgetExhausted, InvalidSpec, LcdError
 from .gf import field_new
 from .hadamard import UnbiasedSet, search_unbiased_extension, sylvester, validate
@@ -144,7 +144,7 @@ def _cmd_verify(args):
         if not check.ok:
             _emit({"ok": False, "kind": "drg", "witness": check.witness})
             return 1
-        arr = intersection_array(graph)
+        arr = check.array
         doc = {"ok": True, "kind": "drg", "vertices": graph.n,
                "diameter": arr.diameter,
                "intersection_array": {"b": list(arr.b), "c": list(arr.c)},

@@ -45,6 +45,7 @@ from .errors import (
     InvalidSpec,
     NotAnAutomorphism,
     NotBushType,
+    NotDistanceRegular,
     NotEquitable,
     NotRegular,
     NotUnbiased,
@@ -54,7 +55,7 @@ from .errors import (
     VerificationFailed,
     ZeroAlpha,
 )
-from .drg import check_distance_regular, orbit_partition, scheme_from_drg
+from .drg import orbit_partition, scheme_from_drg
 from .gf import BlockRankFactor, field_new
 from .hadamard import UnbiasedSet, gramian_B, is_bush, partition_quotients_of_set
 from .linalg import as_int_matrix, as_integer, int_matmul, kron, reduce_mod, square_root_or_none
@@ -182,6 +183,7 @@ def lcd_code_thm42(scheme, partition, index, p, r=1, alpha=1):
     """[M_i mod q | aI_t] generates a [2t, t]_q LCD code when every
     p_{i,i}^k is divisible by p and all cells share one size."""
     field = field_new(p, r)
+    index = as_integer(index, "class index")
     d = scheme.classes
     if not 0 <= index <= d:
         raise IndexOutOfRange(f"class index {index} outside 0..{d}")
@@ -287,30 +289,25 @@ def subspace_code_from_algebra(basis, alphas=None, *, include_zero_x=False,
         coeff_iter = _sampled()
 
     reps = {}
-    words = []
-    pair_tally = 0
+
+    def add(X):
+        for al in alphas:
+            reps.setdefault(Subspace(f, 2 * t, build_block(f, X, al)), (X, al))
+
+    elements = 0
     for coeffs in coeff_iter:
         X = element(coeffs)
         if not X.any():
             raise InternalInconsistency(
                 "independent basis produced zero from nonzero coefficients")
-        for al in alphas:
-            pair_tally += 1
-            S = Subspace(f, 2 * t, build_block(f, X, al))
-            if S not in reps:
-                reps[S] = (X, al)
-                words.append(S)
-    tallies = {"x_alpha_pairs": pair_tally, "row_spaces": len(words)}
+        add(X)
+        elements += 1
+    tallies = {"x_alpha_pairs": elements * len(alphas), "row_spaces": len(reps)}
     if include_zero_x:
-        zero = np.zeros((t, t), dtype=np.int64)
-        for al in alphas:
-            pair_tally += 1
-            S = Subspace(f, 2 * t, build_block(f, zero, al))
-            if S not in reps:
-                reps[S] = (zero, al)
-                words.append(S)
-        tallies["x_alpha_pairs_with_zero"] = pair_tally
-        tallies["row_spaces_with_zero"] = len(words)
+        add(np.zeros((t, t), dtype=np.int64))
+        tallies["x_alpha_pairs_with_zero"] = (elements + 1) * len(alphas)
+        tallies["row_spaces_with_zero"] = len(reps)
+    words = list(reps)
 
     code = SubspaceCode(words)
     if len(code) != len(words):
@@ -617,7 +614,7 @@ def _scheme_step(hyp, field, given, source):
     scheme, partition, indices = given["scheme"], given["partition"], given["indices"]
     if not indices:
         raise InvalidSpec("need at least one class index")
-    indices = sorted(set(int(i) for i in indices))
+    indices = sorted({as_integer(i, "class index") for i in indices})
     d = scheme.classes
     for i in indices:
         if not 0 <= i <= d:
@@ -651,10 +648,8 @@ def _cor45_step(hyp, field, given, source):
     part = hyp.attempt("group generators are graph automorphisms",
                        lambda: orbit_partition(given["group"], graph),
                        NotAnAutomorphism)
-    drg_check = check_distance_regular(graph)
-    hyp.check("graph is distance-regular", drg_check.ok,
-              witness=drg_check.witness)
-    met = scheme_from_drg(graph)
+    met = hyp.attempt("graph is distance-regular", lambda: scheme_from_drg(graph),
+                      NotDistanceRegular)
     hyp.check("orbits have equal length", part.equal_cells,
               witness=tuple(sorted(set(part.cell_sizes))))
     generators = _scheme_step(hyp, field, {**given, "scheme": met, "partition": part}, source)

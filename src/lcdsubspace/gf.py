@@ -105,13 +105,12 @@ number of pivots they add: ``rank`` stops there, ``rref`` back-substitutes
 in the same table and unpacks into the same int64 matrix and pivot tuple as
 every other field, and ``det`` is ``rank == n``.  A ``Subspace`` of F_2^n
 keeps its basis packed, its rows in basis order beside the table that
-``_gf2_pivots`` builds from them.  A Subspace made from vectors keeps the
-packed rows and the table that ``rref`` ends with, so its rows are packed
-once, by ``rref``; a dual packs its rref rows, which have distinct leading
-bits, on its first ``echelon()`` call, one ``_gf2_pack`` and no
-elimination.  The rank of a stack [U; W] of subspaces reduces W's kept
-rows, in basis order, into a ``list.copy()`` of U's kept table, so it packs
-neither basis again and reinserts none of U's rows.
+``_gf2_pivots`` builds from them.  Every Subspace is made from vectors, a
+dual from the kernel basis ``_kernel_basis`` gives, and keeps the packed
+rows and the table that ``rref`` ends with, so its rows are packed once, by
+the ``rref`` that makes it.  The rank of a stack [U; W] of subspaces
+reduces W's kept rows, in basis order, into a ``list.copy()`` of U's kept
+table, so it packs neither basis again and reinserts none of U's rows.
 
 ``excess_rank(U, W, cap=None)`` is the one rank of a pair of Subspaces of
 one ambient space: rank [U; W] - dim U, or the least of that and cap.  The
@@ -374,16 +373,6 @@ def _gf2_pivots(rows, table):
     return added
 
 
-def _gf2_echelon(B):
-    """(rows, table) of a 0/1 matrix B in row echelon form: its packed rows in
-    B's order and the table _gf2_pivots builds from them.  The rows' leading
-    columns differ, so it is one pack and no elimination."""
-    rows = _gf2_pack(B)
-    table = _gf2_table(B.shape[1])
-    _gf2_pivots(rows, table)    # each row goes straight in, with no XOR
-    return rows, table
-
-
 def _gf2_echelons(S):
     """For each matrix of a 0/1 stack, the packed rows of an echelon set of
     its rows, as _gf2_pivots finds them, leading bit first."""
@@ -474,7 +463,7 @@ def _gf2_word_ranks(W, n):
 def _gf2_rref(A):
     """(R, pivots, (rows, table)) of a 0/1 int64 matrix: R and pivots as
     GF.rref returns them, then R's nonzero rows packed, in order, and the
-    echelon table that holds them, as _gf2_echelon would build from R."""
+    echelon table that holds them, as _gf2_pivots builds it from them."""
     rows, cols = A.shape
     nb = (cols + 7) // 8
     table = _gf2_table(cols)
@@ -695,7 +684,7 @@ class GF:
         """Square-and-multiply, elementwise on arrays; e may be negative for
         nonzero a."""
         scalar = np.isscalar(a)
-        e = int(e)
+        e = as_integer(e, "exponent")
         if e < 0:
             a = self.inv(a)
             e = -e
@@ -1064,27 +1053,20 @@ class GF:
 
     def kernel(self, M):
         """Basis of the right null space {x : M x = 0}, rows in rref form."""
-        A = self._as_rows(M)
-        if A.shape[0] == 0:
-            return np.eye(A.shape[1], dtype=np.int64)
-        return self.kernel_of_rref(*self.rref(A))
+        return self.rref(self._kernel_basis(*self.rref(M)))[0]
 
-    def kernel_of_rref(self, R, piv):
-        """kernel(R) of a matrix R in rref with pivot columns piv, which
-        skips reducing R again (a Subspace basis is in rref already)."""
+    def _kernel_basis(self, R, piv):
+        """A basis of kernel(R), one row per free column, of a matrix R in rref
+        with pivot columns piv, not reduced (a Subspace reduces it when it is
+        made): row i is 1 at the i-th free column and -R's entries of that
+        column at the pivot columns."""
         n = R.shape[1]
-        if not piv:
-            return np.eye(n, dtype=np.int64)
         free = np.ones(n, dtype=bool)
         free[list(piv)] = False
         free = np.flatnonzero(free)
-        if not free.size:
-            return np.zeros((0, n), dtype=np.int64)
-        # x_free = e_i forces x_pivot = -R[:, free] e_i
         K = np.zeros((free.size, n), dtype=np.int64)
         K[np.arange(free.size), free] = 1
         K[:, list(piv)] = self.neg(R[:len(piv), free]).T
-        K, _ = self.rref(K)
         return K
 
     def inv_matrix(self, A):
@@ -1248,7 +1230,7 @@ def field_new(p, r=1):
 
 def field_from_order(q):
     """Field of order q = p^r, inferring (p, r)."""
-    q = int(q)
+    q = as_integer(q, "field order")
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
     # compared before trial division, which would take O(sqrt q) steps; so a

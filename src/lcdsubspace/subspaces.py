@@ -30,54 +30,47 @@ from .errors import (
     InternalInconsistency,
     NotLCD,
 )
-from .gf import _gf2_echelon
 from .linalg import as_integer
 
 
 class Subspace:
     """An immutable subspace of F_q^n held as an rref basis matrix.
 
-    Over F_2 the basis is also kept packed, as its rows packed into ints in
-    basis order and the echelon table that gf._gf2_pivots builds (a list
-    indexed by bit length, 0 where no row has that length).  A Subspace made
-    from vectors keeps the ones its rref ends with, so its rows are packed
-    once; a dual, made from its rref, packs them on the first call of
-    echelon().  Every F_2 rank of a stack of subspaces [U; W] starts from a
-    copy of U's table and reduces W's packed rows into it, in basis order.
-    The dual, once computed, is kept as a Subspace too, and with it its own
-    table.  The hash, structural like equality, is computed on the first
-    hash or comparison, so a Subspace that is only ranked never takes it.
+    Every Subspace, a dual too, is made from vectors and reduced once, by
+    GF.rref.  Over F_2 it keeps the basis packed as well, as the rref ends
+    with it: its rows packed into ints in basis order and the echelon table
+    that gf._gf2_pivots builds (a list indexed by bit length, 0 where no row
+    has that length), so its rows are packed once, when it is made.  Every
+    F_2 rank of a stack of subspaces [U; W] starts from a copy of U's table
+    and reduces W's packed rows into it, in basis order.  The dual, once
+    computed, is kept as a Subspace too, and with it its own table.  The
+    hash, structural like equality, is computed on the first hash or
+    comparison, so a Subspace that is only ranked never takes it.
     """
 
     __slots__ = ("field", "n", "basis", "_hash", "_dual", "_echelon")
 
-    def __init__(self, field, n, vectors=None, *, _rref=None):
+    def __init__(self, field, n, vectors=None):
         self.field = field
         self.n = as_integer(n, "ambient dimension")
         if self.n < 1:
             raise DimensionMismatch(f"ambient dimension must be at least 1, got {n}")
-        echelon = None
-        if _rref is not None:
-            B = _rref
-        else:
-            if vectors is None:
-                vectors = np.zeros((0, self.n), dtype=np.int64)
-            # entries outside [0, q) raise in rref, the one range check: they
-            # are not field elements, and elimination would make the
-            # canonical form depend on row order
-            V = field._as_rows(vectors)
-            if V.shape[1] != self.n and V.size:
-                raise AmbientMismatch(f"vectors of length {V.shape[1]} in ambient {self.n}")
-            if V.size == 0:
-                V = V.reshape(0, self.n)
-            R, piv, echelon = field.rref(V, _kept=True)
-            B = R[: len(piv)]
-        B = np.ascontiguousarray(B, dtype=np.int64)
+        if vectors is None:
+            vectors = np.zeros((0, self.n), dtype=np.int64)
+        # entries outside [0, q) raise in rref, the one range check: they
+        # are not field elements, and elimination would make the canonical
+        # form depend on row order
+        V = field._as_rows(vectors)
+        if V.shape[1] != self.n and V.size:
+            raise AmbientMismatch(f"vectors of length {V.shape[1]} in ambient {self.n}")
+        if V.size == 0:
+            V = V.reshape(0, self.n)
+        R, piv, self._echelon = field.rref(V, _kept=True)
+        B = np.ascontiguousarray(R[: len(piv)], dtype=np.int64)
         B.setflags(write=False)
         self.basis = B
         self._hash = None
         self._dual = None
-        self._echelon = echelon
 
     # --- constructors ---
 
@@ -109,13 +102,9 @@ class Subspace:
     def echelon(self):
         """Over F_2, (rows, table): the basis rows packed into ints, in basis
         order, and the echelon table gf._gf2_pivots builds from them, a list
-        whose entry b is the row of bit length b (0 for none).  A Subspace
-        made from vectors has them from its rref.  A dual packs its rref
-        basis on the first call, whose rows have distinct leading columns,
-        so it is one pack and no elimination, and keeps them; ranks copy
-        the table and never change it."""
-        if self._echelon is None:
-            self._echelon = _gf2_echelon(self.basis)
+        whose entry b is the row of bit length b (0 for none), as the rref
+        that made the Subspace ends with them; None on other fields.  Ranks
+        copy the table and never change it."""
         return self._echelon
 
     def _check_mate(self, other):
@@ -137,13 +126,14 @@ class Subspace:
     def dual(self):
         """Orthogonal complement under the standard dot product.
 
-        It is computed once and kept, so every call returns the same
-        Subspace, and with it the echelon table it builds on first use.
+        It is made, like every Subspace, from vectors (the kernel basis of
+        this basis), computed once and kept, so every call returns the same
+        Subspace, and with it its echelon table.
         """
         if self._dual is None:
             B = self.basis
             # the basis is in rref: its pivots are the rows' leading entries
-            self._dual = Subspace(self.field, self.n, _rref=self.field.kernel_of_rref(
+            self._dual = Subspace(self.field, self.n, self.field._kernel_basis(
                 B, tuple((B != 0).argmax(1).tolist())))
         return self._dual
 

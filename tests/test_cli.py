@@ -115,6 +115,22 @@ def test_verify_drg(tmp_path, capsys):
     assert json.loads(out)["ok"] is False
 
 
+def test_verify_drg_checks_once(tmp_path, capsys, monkeypatch):
+    # the intersection array is read off the one check
+    from lcdsubspace import cli, drg
+
+    checks = []
+    real = drg.check_distance_regular
+    for module in (cli, drg):
+        monkeypatch.setattr(module, "check_distance_regular",
+                            lambda g: checks.append(g) or real(g))
+    g = tmp_path / "c6.txt"
+    g.write_text("".join(f"{u + 1} {(u + 1) % 6 + 1}\n" for u in range(6)))
+    rc, out, _ = run(capsys, "verify", "drg", str(g))
+    assert rc == 0 and len(checks) == 1
+    assert json.loads(out)["intersection_array"] == {"b": [2, 1, 1], "c": [1, 1, 2]}
+
+
 def test_verify_partition(tmp_path, capsys):
     part = tmp_path / "p.txt"
     part.write_text("1 3\n2\n")

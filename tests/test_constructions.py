@@ -27,6 +27,7 @@ from lcdsubspace.errors import (
     IdentityFails,
     IndexOutOfRange,
     InvalidSpec,
+    NotAnInteger,
     NotBushType,
     UnequalCells,
     VerificationFailed,
@@ -595,6 +596,37 @@ def test_pipeline_cor45(c4):
     rot = PermutationGroup(4, [(1, 2, 3, 0)])
     with pytest.raises(HypothesisFailed, match="nonzero mod p"):
         theorem_pipeline("cor45", p=2, graph=c4, group=rot, indices=(1,))
+
+
+def test_pipeline_cor45_checks_distance_regularity_once(c4, monkeypatch):
+    # scheme_from_drg checks the graph, and cor45 takes the hypothesis from
+    # that one check: one per construction, and its witness on a failure
+    from lcdsubspace import drg
+    from lcdsubspace.drg import Graph, PermutationGroup
+
+    checks = []
+    real = drg.check_distance_regular
+    monkeypatch.setattr(drg, "check_distance_regular", lambda g: checks.append(g) or real(g))
+    theorem_pipeline("cor45", p=2, graph=c4, group=PermutationGroup(4, [(0, 1, 2, 3)]),
+                     indices=(1,))
+    assert checks == [c4]
+    star = Graph(np.array([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]))
+    checks.clear()
+    with pytest.raises(HypothesisFailed) as exc:
+        theorem_pipeline("cor45", p=2, graph=star, group=PermutationGroup(4, [(0, 1, 2, 3)]),
+                         indices=(1,))
+    assert exc.value.name == "graph is distance-regular"
+    assert exc.value.witness == real(star).witness and checks == [star]
+
+
+def test_pipeline_class_indices_are_integers(k44_scheme):
+    # a cast once read 1.7, True and "1" as class 1
+    for bad in (1.7, True, "1"):
+        with pytest.raises(NotAnInteger):
+            theorem_pipeline("thm43", p=2, scheme=k44_scheme,
+                             partition=EquitablePartition.singletons(8), indices=[bad])
+        with pytest.raises(NotAnInteger):
+            lcd_code_thm42(k44_scheme, EquitablePartition.singletons(8), bad, 2)
 
 
 def test_pipeline_thm43(k44_scheme):

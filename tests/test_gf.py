@@ -643,9 +643,13 @@ def test_packed_gf2_kernel_matches_oracle(f2, n):
         assert f2.ranks(np.zeros((0, height, n), dtype=np.int64)).tolist() == []
 
 
-def test_kernel_pinned_and_oracle(f2, f3):
+def test_kernel_pinned_and_oracle(f2, f3, f9):
     K = f2.kernel([[1, 1]])
     assert K.tolist() == [[1, 1]]
+    # no rows: every vector is in the kernel
+    for f in (f2, f3, f9):
+        for n in (1, 4):
+            assert f.kernel(np.zeros((0, n), dtype=np.int64)).tolist() == np.eye(n).tolist()
     rng = random.Random(7)
     for f in (f2, f3):
         for _ in range(40):

@@ -3,9 +3,9 @@ import pytest
 
 from lcdsubspace.constructions import algebra_closure, build_block, subspace_code_from_algebra
 from lcdsubspace.drg import Graph, PermutationGroup
-from lcdsubspace.errors import DimensionMismatch, IntOverflow, LcdError
+from lcdsubspace.errors import DimensionMismatch, IntOverflow, LcdError, NotAnInteger
 from lcdsubspace.fileio import format_matrix_text
-from lcdsubspace.gf import field_new
+from lcdsubspace.gf import field_from_order, field_new
 from lcdsubspace.hadamard import HadamardMatrix, WeighingMatrix
 from lcdsubspace.linalg import int_matmul, kron
 from lcdsubspace.schemes import EquitablePartition, scheme_from_matrices
@@ -87,6 +87,7 @@ _INTEGER_ENTRY_POINTS = {
     "EquitablePartition.size": lambda x: EquitablePartition([[0]], x),
     "PermutationGroup.degree": lambda x: PermutationGroup(x, [(0,)]),
     "PermutationGroup.images": lambda x: PermutationGroup(2, [(x, 0)]),
+    "GF.pow": lambda x: _F3.pow(2, x),
 }
 
 
@@ -102,3 +103,13 @@ def test_integer_inputs_are_taken_as_they_are(entry):
             call(bad)
     for good in (1, np.int64(1), np.uint8(1), np.uint64(1)):
         call(good)
+
+
+def test_field_orders_are_taken_as_they_are():
+    # int() once read 9.7 as 9 and parsed "9"; 1 is no order, so the good
+    # values here are orders
+    for bad in (9.7, "9", True, np.float64(9)):
+        with pytest.raises(NotAnInteger):
+            field_from_order(bad)
+    for good in (9, np.int64(9), np.uint8(9), np.uint64(9)):
+        assert field_from_order(good) is field_new(3, 2)

@@ -157,30 +157,27 @@ def pack_spy(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 192])
 def test_echelon_table_is_the_pivot_table_of_the_packed_basis(f2, n, monkeypatch):
-    # the table is the one rref ends with, or, for a dual, is built from its
-    # rref basis with no elimination; it must be what eliminating the
-    # packed basis gives, on every kind of space
+    # the table is the one rref ends with, a dual's too; it must be what
+    # eliminating the packed basis gives, on every kind of space
     rng = random.Random(1500 + n)
     packs = pack_spy(monkeypatch)
 
-    def made(make, lazy=False):
-        # a Subspace from vectors packs its rows once, in its rref, and its
-        # first echelon() packs nothing; a dual (lazy) packs its basis on its
-        # first echelon(), past any pack of its own kernel's reduction
+    def made(make):
+        # every Subspace, a dual too, packs its rows once, in the rref that
+        # makes it, and echelon() packs nothing
         packs.clear()
         U = make()
-        built = len(packs)
+        assert len(packs) == 1
         kept = U.echelon()
-        assert (built, len(packs) - built) == ((built, 1) if lazy else (1, 0))
-        assert U.echelon() is kept and len(packs) == built + lazy
+        assert U.echelon() is kept and len(packs) == 1
         return U
 
     spaces = [made(lambda: Subspace.zero(f2, n))]
-    spaces.append(made(spaces[0].dual, lazy=True))
+    spaces.append(made(spaces[0].dual))
     spaces += [made(lambda: rand_subspace(rng, f2, n, rng.randrange(0, n + 2)))
                for _ in range(6)]
     # spaces[0]'s dual is spaces[1], kept with its table
-    spaces += [made(U.dual, lazy=True) for U in spaces[1:]]
+    spaces += [made(U.dual) for U in spaces[1:]]
     for U in spaces:
         kept = U.echelon()
         rows, table = kept
