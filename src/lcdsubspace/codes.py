@@ -151,6 +151,7 @@ def params(code, *, pair_budget=PAIR_BUDGET, allow_degenerate=False):
     pair scan would be too large; see sampled_min_distance for the honest
     fallback.
     """
+    pair_budget = as_integer(pair_budget, "pair_budget")
     s = len(code)
     if s == 1 and not allow_degenerate:
         raise DegenerateCode("minimum distance undefined for one codeword")

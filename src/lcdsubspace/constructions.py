@@ -612,9 +612,12 @@ def _as_unbiased_set(hyp, matrices, kind, weight):
 def _scheme_step(hyp, field, given, source):
     """thm43: the quotients mod p of the given classes of a scheme."""
     scheme, partition, indices = given["scheme"], given["partition"], given["indices"]
+    try:
+        indices = sorted({as_integer(i, "class index") for i in indices})
+    except TypeError:
+        raise InvalidSpec(f"class indices must be iterable, got {indices!r}") from None
     if not indices:
         raise InvalidSpec("need at least one class index")
-    indices = sorted({as_integer(i, "class index") for i in indices})
     d = scheme.classes
     for i in indices:
         if not 0 <= i <= d:

@@ -2,15 +2,15 @@
 dimensions, inject random error vectors, then decode with both decoders.
 
 Per-trial randomness is counter-based: every trial derives its own RNG
-stream from (rng_seed, trial_index), so results are reproducible and do not
-depend on execution order.  The two decoders are required to agree exactly
+stream from (rng_seed, trial_index, 0), so results are reproducible and do
+not depend on execution order.  The two decoders are required to agree exactly
 on every trial; a disagreement is an internal error, not a statistic.
 
-Trial i draws its codeword index from np.random.default_rng((rng_seed, i, 0))
-and its channel from np.random.default_rng((rng_seed, i)), bit for bit, but
-no Generator and no bit generator is built, and numpy.random is not
-imported.  The streams of a chunk of trials are drawn in a fixed number of
-array passes, whatever the seed and the trial indices:
+Trial i draws from the one stream of np.random.default_rng((rng_seed, i,
+0)), bit for bit, whatever the seed, but no Generator and no bit generator
+is built, and numpy.random is not imported.  The streams of a chunk of
+trials are drawn in a fixed number of array passes, whatever the seed and
+the trial indices:
 
 - ``_states`` builds the SeedSequence entropy words of every stream as the
   columns of a uint32 array and hashes them together, as SeedSequence does;
@@ -29,20 +29,20 @@ array passes, whatever the seed and the trial indices:
   Generator.integers(0, q) draws below 2^32, and packs each stream's kept
   draws to the left;
 - a trial's coefficient attempts and its error rows are slices of its
-  stream's draws (``_Draws.take``); only a stream that runs short draws a
-  further window, from where its last one ended.
+  stream's draws from its second output on (``_Draws.take``); only a
+  stream that runs short draws a further window, from where its last one
+  ended.
 
-SeedSequence zero-pads its entropy words up to its pool of four, so while
-rng_seed and i take at most three 32-bit words between them (rng_seed <
-2^64 and i < 2^32, say), (rng_seed, i, 0) and (rng_seed, i) seed the same
-stream: the codeword index and the channel each read it from its first
-output, so the two are not independent.  Such a stream is seeded and run
-once: the index is the first draw below the number of codewords that the
-first raw output of the channel's window gives (a second pass, from the
-same states, if both its halves are rejected or there is no window).  A longer seed's index has
-its own stream, seeded and drawn apart.  Every seeded tally pinned in the
-tests and the benchmark's re-draw depend on these streams, so they stay as
-they are.
+The codeword index is the stream's first Generator.integers(0,
+len(words)) draw, which reads the first output, and the channel reads the
+stream from its second output on, whatever the number of codewords.  So
+the erasures and errors of a trial do not depend on the codeword it sends
+(as on the operator channel of Koetter and Kschischang, "Coding for errors
+and erasures in random network coding", IEEE T-IT 2008), and
+``corrupt(codeword, spec, i)`` draws trial i as run_experiment does.  Only
+when both halves of the first output are rejected does the index read on
+into the channel's outputs, as numpy's draw does.  Every seeded tally
+pinned in the tests and the benchmark's re-draw depend on these streams.
 
 ``run_experiment`` runs its trials in chunks, sized so that the largest
 stacked array of a chunk (the naive decoder's stacks [C_i; R]) holds about
@@ -140,8 +140,9 @@ def corrupt(codeword, spec, trial_index):
     subspace of the codeword with error_count uniform vectors adjoined.
 
     It is drawn as run_experiment draws trial trial_index, by the same
-    _draw, from the stream of default_rng((rng_seed, trial_index)), bit for
-    bit."""
+    _draw, from the stream of default_rng((rng_seed, trial_index, 0)) from
+    its second 64-bit output on, bit for bit: whichever codeword that trial
+    sends, this is its received word."""
     trial_index = _count("trial_index", trial_index)
     if spec.erasure_count > codeword.dim:
         raise InvalidSpec(
@@ -233,10 +234,9 @@ def _entropy_words(entropy):
     return words
 
 
-def _states(seed, start, m, tails):
-    """SeedSequence((seed, i, *tail)).generate_state(4, np.uint64) for each
-    tail of tails and each trial index i of range(start, start + m), as a
-    (4, len(tails) m) uint64 array, tail by tail.
+def _states(seed, start, m):
+    """SeedSequence((seed, i, 0)).generate_state(4, np.uint64) for each trial
+    index i of range(start, start + m), as a (4, m) uint64 array.
 
     The low word of i is start's low word plus 0, ..., m - 1, and its carry
     c, the same for a run of trial indices, picks the words above it, those
@@ -245,23 +245,19 @@ def _states(seed, start, m, tails):
     the columns of each length are hashed in one _seed_states pass.
     """
     head, low = _entropy_words((seed,)), start & _MASK32
-    runs = {}
+    runs = []
     for c in range((low + m - 1 >> 32) + 1):
         high = (start >> 32) + c
         at = np.arange(max(low, c << 32), min(low + m, c + 1 << 32))
-        for t, tail in enumerate(tails):
-            words = head + [0] + (_entropy_words((high,)) if high else []) + _entropy_words(tail)
-            cols = np.zeros((max(len(words), _POOL), len(at)), dtype=np.uint32)
-            cols[:len(words)] = np.reshape(words, (-1, 1))
-            cols[len(head)] = at & _MASK32
-            runs.setdefault(len(cols), []).append((t * m + at[0] - low, cols))
-    out = np.empty((_POOL, len(tails) * m), dtype=np.uint64)
-    for parts in runs.values():
-        hashed, k = _seed_states(np.hstack([cols for _, cols in parts])), 0
-        for offset, cols in parts:
-            out[:, offset:offset + cols.shape[1]] = hashed[:, k:k + cols.shape[1]]
-            k += cols.shape[1]
-    return out
+        words = head + [0] + (_entropy_words((high,)) if high else []) + [0]
+        cols = np.zeros((max(len(words), _POOL), len(at)), dtype=np.uint32)
+        cols[:len(words)] = np.reshape(words, (-1, 1))
+        cols[len(head)] = at & _MASK32
+        # a run of the length of the one before it joins its pass
+        if runs and len(runs[-1]) == len(cols):
+            cols = np.hstack([runs.pop(), cols])
+        runs.append(cols)
+    return np.hstack([_seed_states(cols) for cols in runs])
 
 
 @functools.lru_cache(maxsize=None)
@@ -338,14 +334,15 @@ def _bounded(raw, q):
 
 class _Draws:
     """The Generator.integers(0, q) draws of the PCG64 stream of each column
-    r of seed states (4 x m uint64), drawn a window at a time.
+    r of seed states (4 x m uint64) from its second raw output on, drawn a
+    window at a time.
 
     Column r of draws holds the first have[r] draws of stream r; the first
-    window maps `words` raw outputs of every stream, and a stream that is
-    asked past its draws maps a further window, from its state, where its
-    last one ended.  The first window's raw outputs stay as window (words x
-    m), so that draws below another bound can be read from the same
-    outputs.
+    window maps `words` raw outputs of every stream after its first, and a
+    stream that is asked past its draws maps a further window, from its
+    state, where its last one ended.  The first raw outputs, which no draw
+    reads, stay apart as first (1 x m), so that the codeword index can be
+    drawn from them.
     """
 
     def __init__(self, states, q, words):
@@ -353,8 +350,9 @@ class _Draws:
             raise InternalInconsistency(f"bounded draws need 1 <= q <= 2**32, got {q}")
         self.q = np.uint64(q)
         self.pcg = _pcg(states)
-        self.window = self._outputs(slice(None), words, 1)
-        self.draws, self.have = _bounded(self.window, self.q)
+        raw = self._outputs(slice(None), 1 + words, 1)
+        self.first = raw[:1]
+        self.draws, self.have = _bounded(raw[1:], self.q)
 
     def _outputs(self, rows, words, lead=0):
         """The next `words` raw outputs of the streams rows (an index array
@@ -404,26 +402,23 @@ def _draw(words, spec, start, m):
     """Codeword indices into words, and the generator rows of the received
     words as one stack (m x h x n), of trials i = start, ..., start + m - 1.
 
-    Trial i's codeword index is the first draw of Generator.integers(0,
-    len(words)) on the stream of np.random.default_rng((rng_seed, i, 0)),
-    bit for bit, and none is read for one codeword.  Its channel draws from
-    the stream of default_rng((rng_seed, i)): coefficient matrices until
-    one has full rank (giving up past _RANK_RETRY_CAP attempts), then the
-    error rows, every entry one Generator.integers(0, q) draw, so that
-    attempt a is draws a kd, ..., (a + 1) kd - 1 for kd = keep x dim, and
-    the error rows follow the first full-rank one.  The codewords share one
-    dimension (an LCD code has one), so the trials share one shape.  Every
-    stream is seeded in one _states pass, and the channel streams are drawn
-    by one _Draws, whose first window holds the first round of attempts and
-    the error rows.  While (rng_seed, start + m - 1) takes at most three
-    entropy words, each trial's two seeds pad to one stream, so the chunk
-    seeds the channel streams alone and maps the first raw output of their
-    window once more, below len(words): each trial's index is the first
-    kept draw of its two halves.  A longer seed's index streams are seeded
-    apart, and drawn by a second _Draws of one raw output each; so is a
-    chunk in which some trial keeps neither half, over the channel's states
-    (at most (len(words) / 2^32)^2 per trial, or certain when the window is
-    empty).
+    Trial i draws from the one stream of np.random.default_rng((rng_seed,
+    i, 0)), bit for bit.  Its codeword index is the stream's first draw of
+    Generator.integers(0, len(words)), which is 0 for one codeword.
+    Its channel reads the stream from its second 64-bit output on, whatever
+    the number of codewords: coefficient matrices until one has full rank
+    (giving up past _RANK_RETRY_CAP attempts), then the error rows, every
+    entry one Generator.integers(0, q) draw, so that attempt a is draws
+    a kd, ..., (a + 1) kd - 1 for kd = keep x dim, and the error rows follow
+    the first full-rank one.  The codewords share one dimension (an LCD
+    code has one), so the trials share one shape.  Every stream is seeded
+    in one _states pass and drawn by one _Draws, whose first window holds
+    the first round of attempts and the error rows, and which keeps each
+    stream's first output apart: a trial's index is the first kept draw of
+    its two halves below len(words).  A trial that keeps neither half, with
+    probability at most ((2^32 mod N) / 2^32)^2 for N = len(words), draws
+    its index on from the second output, as numpy does, by a second _Draws
+    over its state; its index then reads outputs its channel reads too.
     Round by round each pending trial takes _attempts(...) attempts, all
     ranked in one stack, and keeps its first full-rank one.  One product
     then multiplies the chosen coefficients of all trials by the bases of
@@ -435,20 +430,16 @@ def _draw(words, spec, start, m):
         raise InternalInconsistency("the codewords of one draw must share one dimension")
     keep = dim - spec.erasure_count
     kd, en, every = keep * dim, spec.error_count * n, np.arange(m)
-    several = len(words) > 1
-    # (seed, i, 0) pads to the entropy of (seed, i) while that takes <= 3 words
-    shared = several and len(_entropy_words((spec.rng_seed, start + m - 1))) < _POOL
-    states = _states(spec.rng_seed, start, m, ((), (0,)) if several and not shared else ((),))
+    states = _states(spec.rng_seed, start, m)
     tries = _attempts(f, keep, dim, m) if keep else 0
-    draws = _Draws(states[:, :m], f.q, (tries * kd + en + 1) // 2)
-    sent = None if several else np.zeros(m, dtype=np.int64)
-    if shared:
-        first, kept = _bounded(draws.window[:1], np.uint64(len(words)))
-        if kept.all():
-            sent = first[0]
-    if sent is None:
-        # the index's own stream, or one whose first output keeps no index draw
-        sent = _Draws(states[:, -m:], len(words), 1).take(every, 0, 1)[:, 0]
+    draws = _Draws(states, f.q, (tries * kd + en + 1) // 2)
+    # for one codeword every draw below 1 is kept, and is 0
+    index, kept = _bounded(draws.first, np.uint64(len(words)))
+    sent, lost = index[0], np.flatnonzero(kept == 0)
+    if len(lost):
+        # both halves rejected: the index reads on from the second output
+        again = _Draws(states[:, lost], len(words), 1)
+        sent[lost] = again.take(np.arange(len(lost)), 0, 1)[:, 0]
     chosen = np.zeros(m, dtype=np.int64)
     pending, tried = (every if keep else every[:0]), 0
     while len(pending):
@@ -477,10 +468,11 @@ def run_experiment(code, spec, trials):
     """Simulate `trials` transmissions and tabulate decoder outcomes.
 
     Trials run in chunks, each small enough that its stacked arrays hold
-    about gf.STACK_ENTRIES entries.  A chunk's codeword indices, from the
-    streams of default_rng((rng_seed, i, 0)), and its received words, from
-    those of default_rng((rng_seed, i)), bit for bit, are drawn by
-    corrupt()'s _draw, in a fixed number of array passes, the received
+    about gf.STACK_ENTRIES entries.  A chunk's codeword indices and its
+    received words, each trial's from the first output of the stream of
+    default_rng((rng_seed, i, 0)) and from its second output on, bit for
+    bit, are drawn by corrupt()'s _draw, in a fixed number of array passes,
+    the received
     words into one read-only stack, which both decisions take as it is:
     decode_naive_many's and the projection decoder's decode_many's.  The
     two verdicts must match exactly (same index, -1 for a tie, and

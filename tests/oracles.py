@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: textbook row reduction over an
 abstract field, Leibniz determinants, brute-force span enumeration, BFS,
-and direct triple counting.  The only package code an oracle may touch is
+direct triple counting, and the seeded channel drawn one trial at a time on
+numpy's own Generator.  The only package code an oracle may touch is
 the scalar arithmetic of a field object (add/sub/mul/inv/neg), which the
 axiom tests pin down before anything else relies on it.  Prime-field
 scalars are additionally cross-checked against plain integers mod p, and
@@ -12,6 +13,8 @@ shared layer is itself double-checked.
 
 from collections import deque
 from itertools import permutations, product
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +258,36 @@ def _dot(field, x, y):
     for a, b in zip(x, y):
         s = field.add(s, field.mul(a, b))
     return int(s)
+
+
+# ---------------------------------------------------------------------------
+# the operator channel, one trial at a time on numpy's own Generator
+
+
+def channel_trial(field, bases, erasures, errors, seed, i):
+    """(sent index, received rows) of trial i of the seeded operator channel
+    on the codewords bases (lists of basis rows, of one dimension).
+
+    The index is default_rng((seed, i, 0)).integers(0, len(bases)), none
+    for one codeword.  The channel reads a copy of that stream advanced by
+    one raw output: coefficient matrices until one has full rank, their
+    product with the sent basis, then the error rows; every entry is one
+    integers(0, q) draw.
+    """
+    stream = np.random.default_rng((seed, i, 0))
+    channel = np.random.default_rng((seed, i, 0))
+    channel.bit_generator.random_raw(1)
+    sent = int(stream.integers(0, len(bases))) if len(bases) > 1 else 0
+    basis = bases[sent]
+    keep, n = len(basis) - erasures, len(basis[0])
+    rows = []
+    if keep:
+        while True:
+            coeff = channel.integers(0, field.q, size=(keep, len(basis))).tolist()
+            if rank(field, coeff) == keep:
+                break
+        rows = [[_dot(field, c, col) for col in zip(*basis)] for c in coeff]
+    return sent, rows + channel.integers(0, field.q, size=(errors, n)).tolist()
 
 
 # ---------------------------------------------------------------------------

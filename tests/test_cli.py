@@ -681,7 +681,9 @@ def test_decode_and_simulate(tmp_path, capsys, f5):
     assert rc == 0
     doc = json.loads(out)
     assert doc["trials"] == 300 and doc["agreement"] == 300
-    assert (doc["correct"], doc["failure"], doc["wrong"]) == (66, 234, 0)
+    # the tallies of the replay through oracles.channel_trial, as
+    # test_simulator's frozen regression pins them
+    assert (doc["correct"], doc["failure"], doc["wrong"]) == (47, 253, 0)
     assert "naive_seconds" in doc["informational"]
 
 

@@ -629,6 +629,28 @@ def test_pipeline_class_indices_are_integers(k44_scheme):
             lcd_code_thm42(k44_scheme, EquitablePartition.singletons(8), bad, 2)
 
 
+def test_pipeline_class_indices_are_any_iterable(c4_scheme):
+    # `not indices` once took an array's truth value (numpy's ValueError)
+    # and read an int as a TypeError: an array gives the report of the
+    # equal list, and a non-iterable or empty one is InvalidSpec
+    part = EquitablePartition.singletons(4)
+
+    def run(indices):
+        return theorem_pipeline("thm43", p=2, scheme=c4_scheme, partition=part, indices=indices)
+
+    failed = []
+    for indices in ([1, 2], np.array([1, 2])):
+        with pytest.raises(HypothesisFailed) as exc:
+            run(indices)
+        failed.append((exc.value.name, exc.value.witness))
+    assert failed == [("p divides every p_(i,j)^k for i, j in I", (1, 2, 1, 1))] * 2
+    assert run(np.array([1])).source == run([1]).source == {
+        "kind": "thm43", "p": 2, "r": 1, "indices": [1]}
+    for bad in (1, [], np.array([], dtype=np.int64)):
+        with pytest.raises(InvalidSpec, match="class ind"):
+            run(bad)
+
+
 def test_pipeline_thm43(k44_scheme):
     rep = theorem_pipeline("thm43", p=2, r=2, scheme=k44_scheme,
                            partition=EquitablePartition.singletons(8),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lcdsubspace.codes import SubspaceCode, params
 from lcdsubspace.constructions import algebra_closure, build_block, subspace_code_from_algebra
 from lcdsubspace.drg import Graph, PermutationGroup
 from lcdsubspace.errors import DimensionMismatch, IntOverflow, LcdError, NotAnInteger
@@ -9,6 +10,7 @@ from lcdsubspace.gf import field_from_order, field_new
 from lcdsubspace.hadamard import HadamardMatrix, WeighingMatrix
 from lcdsubspace.linalg import int_matmul, kron
 from lcdsubspace.schemes import EquitablePartition, scheme_from_matrices
+from lcdsubspace.subspaces import span
 
 
 def _python_product(A, B):
@@ -69,6 +71,8 @@ def _matrix(pattern, x):
 
 _K2 = [[0, 1], [1, 0]]
 _F3 = field_new(3)
+# one pair of codewords, within a budget of 1
+_TWO_LINES = SubspaceCode([span(_F3, 2, [[1, 0]]), span(_F3, 2, [[0, 1]])])
 
 # one entry point each, called with the value under test in its integer slot
 _INTEGER_ENTRY_POINTS = {
@@ -88,6 +92,7 @@ _INTEGER_ENTRY_POINTS = {
     "PermutationGroup.degree": lambda x: PermutationGroup(x, [(0,)]),
     "PermutationGroup.images": lambda x: PermutationGroup(2, [(x, 0)]),
     "GF.pow": lambda x: _F3.pow(2, x),
+    "params.pair_budget": lambda x: params(_TWO_LINES, pair_budget=x),
 }
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import statistics
+from fractions import Fraction
 
 import numpy as np
 import oracles
@@ -79,18 +81,21 @@ def test_corrupt_validation(word_f2):
     spec = ChannelSpec(1, 1, 3)
     assert corrupt(word_f2, spec, np.int64(2)) == corrupt(word_f2, spec, 2)
     # a negative entropy word would wrap silently in a uint32 array
-    for seed, tail in ((-1, ()), (3, (-1,))):
-        with pytest.raises(InvalidSpec, match="non-negative"):
-            simulator._states(seed, 0, 1, (tail,))
+    with pytest.raises(InvalidSpec, match="non-negative"):
+        simulator._states(-1, 0, 1)
 
 
-def test_corrupt_frozen_fixtures(word_f2):
+def test_corrupt_frozen_fixtures(word_f2, f2):
+    # the values of oracles.channel_trial, the replay on numpy's Generator
     spec = ChannelSpec(0, 1, 42)
-    assert corrupt(word_f2, spec, 0) == word_f2  # error row fell inside the span
+    assert corrupt(word_f2, spec, 3) == word_f2  # error row fell inside the span
     out = corrupt(word_f2, spec, 2)
-    assert out.basis.tolist() == [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    assert out.basis.tolist() == [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
     out = corrupt(word_f2, ChannelSpec(1, 0, 42), 0)
-    assert out.basis.tolist() == [[0, 1, 0, 1]]
+    assert out.basis.tolist() == [[1, 0, 1, 0]]
+    for (erasures, errors), i in (((0, 1), 3), ((0, 1), 2), ((1, 0), 0)):
+        _, rows = oracles.channel_trial(f2, [word_f2.basis.tolist()], erasures, errors, 42, i)
+        assert corrupt(word_f2, ChannelSpec(erasures, errors, 42), i) == Subspace(f2, 4, rows)
 
 
 def test_corrupt_deterministic_per_trial(word_f2):
@@ -149,10 +154,12 @@ def test_experiment_deterministic(code_f5):
 
 
 def test_experiment_frozen_regression(code_f5):
+    # the tallies of the replay through oracles.channel_trial and
+    # oracles.syndrome_decode
     st = run_experiment(code_f5, ChannelSpec(0, 1, 7), 300)
-    assert (st.trials, st.correct, st.failure, st.wrong) == (300, 66, 234, 0)
+    assert (st.trials, st.correct, st.failure, st.wrong) == (300, 47, 253, 0)
     assert st.agreement == 300
-    assert st.mean_distance == pytest.approx(0.78)
+    assert st.mean_distance == 253 / 300
 
 
 def test_experiment_matches_manual_replay(code_f5):
@@ -197,31 +204,30 @@ def test_erasures_and_errors_combined(f4):
 
 _SEEDS = (0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 100 + 7)
 _TRIALS = (0, 1, 199, 2 ** 32 - 1, 2 ** 32)
-_TAILS = ((), (0,))
+_STARTS = (0, 199, 2 ** 32 - 2)
 
 
 def test_streams_are_default_rng_streams():
-    # entropy of 2 to 7 words, those past 4 through the extra mixing loop,
-    # seeded as a chunk's are: every tail and trial index of a run at once,
-    # one _seed_states pass per length, the runs below crossing 2^32
-    assert {len(simulator._entropy_words((s, i, *tail)))
-            for s in _SEEDS for i in _TRIALS for tail in _TAILS} == {2, 3, 4, 5, 6, 7}
+    # entropy of 3 to 7 words, those past 4 through the extra mixing loop,
+    # seeded as a chunk's are: every trial index of a run at once, one
+    # _seed_states pass per length, the runs below crossing 2^32
+    assert {len(simulator._entropy_words((s, i, 0)))
+            for s in _SEEDS for i in _TRIALS} == {3, 4, 5, 6, 7}
     for s in _SEEDS:
-        for start, m in ((0, 3), (199, 1), (2 ** 32 - 2, 4)):
-            pcg = simulator._pcg(simulator._states(s, start, m, _TAILS))
+        for start, m in zip(_STARTS, (3, 1, 4)):
+            pcg = simulator._pcg(simulator._states(s, start, m))
             first, after = simulator._raw(pcg, 3, 1)
             # outputs past the first window, from where it ended
             pcg[0][0], pcg[1][0] = after
             more, _ = simulator._raw(pcg, 8, 0)
-            for t, tail in enumerate(_TAILS):
-                for j in range(m):
-                    e = (s, start + j, *tail)
-                    want = np.random.default_rng(e).bit_generator.random_raw(11).tolist()
-                    assert first[:, t * m + j].tolist() + more[:, t * m + j].tolist() == want, e
+            for j in range(m):
+                e = (s, start + j, 0)
+                want = np.random.default_rng(e).bit_generator.random_raw(11).tolist()
+                assert first[:, j].tolist() + more[:, j].tolist() == want, e
     # one trial at a time, as corrupt seeds its stream
     for i in _TRIALS:
-        pcg = simulator._pcg(simulator._states(2 ** 100 + 7, i, 1, ((),)))
-        want = np.random.default_rng((2 ** 100 + 7, i)).bit_generator.random_raw(2)
+        pcg = simulator._pcg(simulator._states(2 ** 100 + 7, i, 1))
+        want = np.random.default_rng((2 ** 100 + 7, i, 0)).bit_generator.random_raw(2)
         assert simulator._raw(pcg, 2, 1)[0][:, 0].tolist() == want.tolist()
 
 
@@ -229,14 +235,16 @@ def test_streams_are_default_rng_streams():
 def test_bounded_draws_are_generator_integers(q):
     # consecutive calls with odd counts and scalar draws: a call that ends
     # on the low half of a raw output leaves its high half to the next call,
-    # so the calls draw one sequence, which _Draws reads in slices.  Its
-    # first window holds 2 raw outputs a stream, so most slices are drawn
-    # by later windows, each from where the last one ended
-    entropies = [(s, i, *tail) for tail in _TAILS for s in _SEEDS[:4] for i in _TRIALS[:3]]
-    states = np.hstack([simulator._states(s, i, 1, (tuple(tail),)) for s, i, *tail in entropies])
+    # so the calls draw one sequence, which _Draws reads in slices, from a
+    # stream's second raw output on.  Its first window holds 2 raw outputs a
+    # stream past the first, so most slices are drawn by later windows, each
+    # from where the last one ended
+    entropies = [(s, i, 0) for s in _SEEDS for i in _TRIALS[:3]]
+    states = np.hstack([simulator._states(s, i, 1) for s, i, _ in entropies])
     draws = simulator._Draws(states, q, 2)
     rows = np.arange(len(entropies))
     gens = [np.random.default_rng(e) for e in entropies]
+    assert draws.first[0].tolist() == [g.bit_generator.random_raw() for g in gens]
     at = 0
     for count in (1, 3, None, 5, 1, 7, None, 2, 9):
         got = draws.take(rows, at, count or 1)
@@ -252,42 +260,39 @@ def test_bounded_draws_are_generator_integers(q):
     _, kept = simulator._bounded(raw, np.uint64(q))
     assert (kept.sum() < raw.size * 2) == (q > 2 ** 30)
     if q == 1:
-        # numpy reads no output for q == 1, and _draw seeds no index stream
-        # for a one-codeword code, whose index draws are all 0
-        assert all(g.bit_generator.state == np.random.default_rng(e).bit_generator.state
-                   for g, e in zip(gens, entropies))
+        # numpy reads no output for q == 1, so a one-codeword code's index
+        # draws, all 0, leave its stream to the channel from the second
+        # output on
+        for g, e in zip(gens, entropies):
+            fresh = np.random.default_rng(e)
+            fresh.bit_generator.random_raw(1)
+            assert g.bit_generator.state == fresh.bit_generator.state
 
 
-def test_codeword_index_and_channel_share_a_stream_for_short_seeds(f5):
-    # SeedSequence zero-pads entropy up to its pool of 4 words, so while
-    # (rng_seed, i) takes at most 3 words, (rng_seed, i, 0) seeds the stream
-    # of (rng_seed, i): the codeword index is drawn from a copy of the
-    # channel's stream.  Pinned so that changing it is deliberate: it would
-    # change every seeded tally
-    for s in _SEEDS[:5]:
-        for i in _TRIALS[:4]:
-            a = np.random.default_rng((s, i, 0))
-            b = np.random.default_rng((s, i))
-            assert a.bit_generator.state == b.bit_generator.state
-            assert _outputs(a, 4) == _outputs(b, 4)
-            # the two columns _states gives them are one state
-            states = simulator._states(s, i, 1, _TAILS)
-            assert (states[:, 0] == states[:, 1]).all()
-    s, i = 2 ** 100 + 7, 3  # five words and six: two streams
-    assert (np.random.default_rng((s, i, 0)).bit_generator.state
-            != np.random.default_rng((s, i)).bit_generator.state)
-    states = simulator._states(s, i, 1, _TAILS)
-    assert (states[:, 0] != states[:, 1]).any()
-    # the index and the channel each read their stream from its first output
+def _channel(seed, i):
+    """The channel's Generator for trial i: the stream of
+    default_rng((seed, i, 0)) after its first raw output."""
+    rng = np.random.default_rng((seed, i, 0))
+    rng.bit_generator.random_raw(1)
+    return rng
+
+
+def test_channel_reads_the_index_stream_after_its_first_output(f5):
+    # one stream per trial, whatever the seed: the index is its first draw,
+    # from its first output, and the channel reads on from the second, for
+    # a seed of one word and for one of four (three entropy words and six)
     code = SubspaceCode([span(f5, 2, [[1, 1]]), span(f5, 2, [[1, 0]])])
-    for seed in (7, s):
+    i = 4
+    for seed in (7, 2 ** 100 + 7):
         spec = ChannelSpec(0, 1, seed)
         sent, rows = simulator._draw(list(code), spec, i, 1)
         assert sent.tolist() == [int(np.random.default_rng((seed, i, 0)).integers(0, 2))]
-        channel = np.random.default_rng((seed, i))
+        channel = _channel(seed, i)
         coeff = int(channel.integers(0, 5))  # nonzero here: a full-rank 1 x 1 attempt
         assert coeff and rows[0].tolist() == [(coeff * code[sent[0]].basis[0] % 5).tolist(),
                                               channel.integers(0, 5, size=2).tolist()]
+        # the channel of one codeword alone, as corrupt draws it, is the same
+        assert corrupt(code[sent[0]], spec, i) == Subspace(f5, 2, rows[0])
 
 
 def _spy_draw(monkeypatch):
@@ -326,69 +331,102 @@ def _f9_code(f9):
     return SubspaceCode(_f9_words(f9))
 
 
-def test_short_seeds_draw_index_and_channel_in_one_pass(f2, monkeypatch):
-    # while (rng_seed, i) takes at most 3 words, a chunk seeds only the
-    # channel streams, one column a trial, and reads each codeword index
-    # from the first output of its channel window: one _Draws.  At 2^64
-    # (three words) the index streams are their own, hashed apart (five
-    # words against the channel's four, so two passes) and drawn apart: two
+def _gf3_code(f3):
+    return SubspaceCode([span(f3, 6, [[1, 1, 0, 0, 1, 2], [0, 0, 1, 0, 1, 0]]),
+                         span(f3, 6, [[1, 0, 2, 1, 1, 0], [0, 1, 1, 1, 0, 2]]),
+                         span(f3, 6, [[1, 0, 1, 1, 1, 2], [0, 1, 1, 0, 1, 0]])])
+
+
+def _f4_code(f4):
+    return SubspaceCode([span(f4, 5, [[1, 0, 2, 0, 3], [0, 1, 2, 2, 2]]),
+                         span(f4, 5, [[1, 0, 2, 3, 2], [0, 1, 1, 0, 2]]),
+                         span(f4, 5, [[1, 0, 0, 3, 0], [0, 1, 2, 3, 3]])])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_draw_is_the_oracle_replay_trial_by_trial(q, f2, f3, f4, f9):
+    # index and rows of every trial, whatever the seed's length, from chunks
+    # that start below and cross 2^32, against oracles.channel_trial
+    code = {2: _readme_code(f2), 3: _gf3_code(f3), 4: _f4_code(f4), 9: _f9_code(f9)}[q]
+    words = list(code)
+    bases = [w.basis.tolist() for w in words]
+    for seed in _SEEDS + (2 ** 64 - 1,):
+        for start in _STARTS:
+            for erasures, errors in ((1, 1), (0, 2), (2, 1)):
+                spec = ChannelSpec(erasures, errors, seed)
+                sent, rows = simulator._draw(words, spec, start, 4)
+                for j in range(4):
+                    want = oracles.channel_trial(code.field, bases, erasures, errors,
+                                                 seed, start + j)
+                    assert (sent[j], rows[j].tolist()) == want, (seed, start + j, spec)
+
+
+def test_every_seed_draws_index_and_channel_in_one_pass(f2, monkeypatch):
+    # a chunk seeds one stream a trial, in one _seed_states pass of m
+    # columns, and reads each codeword index from the first output of the
+    # channel's _Draws, for a seed of one word, of three and of four
     columns, built = _spy_draw(monkeypatch)
     words = list(_readme_code(f2))
-    for seed, want_columns, want_built in ((7, [200], [2]), (2 ** 64, [200, 200], [2, 3])):
+    for seed in (7, 2 ** 64, 2 ** 100 + 7):
         columns.clear(), built.clear()
         simulator._draw(words, ChannelSpec(1, 1, seed), 0, 200)
-        assert columns == want_columns and built == want_built
+        assert columns == [200] and built == [2]
 
 
 def test_codeword_indices_are_default_rng_draws_either_side_of_the_pool(f2, f9, monkeypatch):
-    # (s, i) takes 3 words for s = 2^64 - 1 and i < 2^32, 4 words for
-    # s = 2^64 or i >= 2^32: a chunk reads the index from the shared window
-    # only if its last trial's seed fits, so the chunk from 2^32 - 3, which
-    # crosses into a fourth word, seeds the index streams apart
+    # (s, i, 0) takes 4 words for s = 2^64 - 1 and i < 2^32, 5 words for
+    # s = 2^64 or i >= 2^32: whatever side of SeedSequence's pool of 4 a
+    # trial's seed falls, and in the chunk from 2^32 - 3, which crosses from
+    # one to the other, the chunk draws index and channel by one _Draws
     _, built = _spy_draw(monkeypatch)
     for code in (_readme_code(f2), _f9_code(f9)):
         words = list(code)
+        bases = [w.basis.tolist() for w in words]
         for seed in (2 ** 64 - 1, 2 ** 64):
             for start in (0, 2 ** 32 - 3):
                 built.clear()
-                spec = ChannelSpec(1, 1, seed)
-                sent, rows = simulator._draw(words, spec, start, 6)
-                assert len(built) == (1 if seed < 2 ** 64 and start == 0 else 2)
+                sent, rows = simulator._draw(words, ChannelSpec(1, 1, seed), start, 6)
+                assert len(built) == 1
                 for j, i in enumerate(range(start, start + 6)):
                     assert sent[j] == np.random.default_rng((seed, i, 0)).integers(0, 3)
-                    assert Subspace(code.field, code.n, rows[j]) == _one_draw(words[sent[j]], spec, i)
+                    want = oracles.channel_trial(code.field, bases, 1, 1, seed, i)
+                    assert (sent[j], rows[j].tolist()) == want
 
 
-def test_index_without_a_draw_in_the_window_has_its_own_stream(f2, f9, monkeypatch):
-    # a column whose window's first raw output keeps no index draw, both
-    # halves rejected (at most (k / 2^32)^2 per trial), or that has no
-    # window at all (every dimension erased and no errors) takes the index
-    # from its own _Draws, over the same states; no draw changes.  The
-    # bounded map below 3 rejects both halves of a raw output of 0, so a
-    # channel window whose first output reads 0 once the channel has mapped
-    # it keeps no index draw
+def test_index_without_a_draw_in_the_first_output_reads_on(f2, f9, monkeypatch):
+    # a trial whose first raw output keeps no index draw, both halves
+    # rejected (at most ((2^32 mod k) / 2^32)^2 per trial for k codewords),
+    # draws its index on from the second output, as numpy's integers does,
+    # by a second _Draws over its state alone; no channel draw changes.
+    # The bounded map below 3 rejects both halves of a raw output of 0, so
+    # trial 0's first output is set to 0 once the channel's _Draws has read it
     init, built = simulator._Draws.__init__, []
 
     def no_index_draw(self, states, q, words):
         init(self, states, q, words)
-        built.append(q)
+        built.append((q, states.shape[1]))
         if q != 3:
-            self.window[0, 0] = 0
+            self.first[0, 0] = 0
 
     for code, spec in ((_readme_code(f2), ChannelSpec(1, 1, 31)),
                        (_f9_code(f9), ChannelSpec(1, 2, 33))):
         words = list(code)
         want = [simulator._draw(words, spec, 0, m) for m in (1, 150)]
-        tallies = _replay(code, spec, 150)
+        reads_on = int(_channel(spec.rng_seed, 0).integers(0, 3))
         monkeypatch.setattr(simulator._Draws, "__init__", no_index_draw)
         for m, (sent, rows) in zip((1, 150), want):
             built.clear()
             got = simulator._draw(words, spec, 0, m)
-            assert built == [code.field.q, 3]
-            assert np.array_equal(got[0], sent) and np.array_equal(got[1], rows)
-        st = run_experiment(code, spec, 150)
-        assert (st.correct, st.failure, st.wrong, st.mean_distance) == tallies
+            assert built == [(code.field.q, m), (3, 1)]
+            assert got[0][0] == reads_on and np.array_equal(got[0][1:], sent[1:])
+            assert np.array_equal(got[1][1:], rows[1:])
+            # trial 0's channel is unchanged; its index may send another word
+            one = [words[reads_on].basis.tolist()]
+            _, rows0 = oracles.channel_trial(code.field, one, spec.erasure_count,
+                                             spec.error_count, spec.rng_seed, 0)
+            assert got[1][0].tolist() == rows0
         monkeypatch.undo()
+    # a channel that reads no draw (every dimension erased and no errors)
     sent, rows = simulator._draw(list(_readme_code(f2)), ChannelSpec(2, 0, 7), 0, 5)
     assert rows.shape == (5, 0, 4)
     assert sent.tolist() == [np.random.default_rng((7, i, 0)).integers(0, 3) for i in range(5)]
@@ -401,34 +439,18 @@ def _outputs(rng, words):
     return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel().tolist()
 
 
-def _one_draw(word, spec, i):
-    """The received word of trial i drawn one trial at a time, as a reference:
-    coefficient matrices from the stream (rng_seed, i) until one has full
-    rank, their product with the basis, then the error rows."""
-    f = word.field
-    rng = np.random.default_rng((spec.rng_seed, i))
-    keep = word.dim - spec.erasure_count
-    rows = []
-    if keep > 0:
-        while True:
-            coeff = rng.integers(0, f.q, size=(keep, word.dim))
-            if f.rank(coeff) == keep:
-                break
-        rows.append(f.matmul(coeff, word.basis))
-    if spec.error_count > 0:
-        rows.append(rng.integers(0, f.q, size=(spec.error_count, word.n)))
-    return Subspace(f, word.n, np.vstack(rows) if rows else np.zeros((0, word.n)))
-
-
 def _replay(code, spec, trials):
-    """Tallies of a per-trial replay through corrupt, decode_naive and
-    decode_projection, with the codeword drawn as run_experiment draws it."""
+    """Tallies of a per-trial replay: each trial drawn by
+    oracles.channel_trial, on numpy's own Generator, checked against
+    corrupt, and decoded by decode_naive and decode_projection."""
+    bases = [w.basis.tolist() for w in code]
     correct = failure = wrong = 0
     dists = []
     for i in range(trials):
-        sent = int(np.random.default_rng((spec.rng_seed, i, 0)).integers(0, len(code)))
-        received = corrupt(code[sent], spec, i)
-        assert received == _one_draw(code[sent], spec, i)
+        sent, rows = oracles.channel_trial(code.field, bases, spec.erasure_count,
+                                           spec.error_count, spec.rng_seed, i)
+        received = Subspace(code.field, code.n, np.array(rows, dtype=np.int64).reshape(-1, code.n))
+        assert corrupt(code[sent], spec, i) == received
         a = decode_naive(code, received)
         b = decode_projection(code, received)
         assert a == b
@@ -444,9 +466,9 @@ def _replay(code, spec, trials):
 
 # the prime field of order 1048367 = 2^20 - 209, near the largest supported
 # order, rejects (2^32 - q) mod q = 856064 of the 2^32 outputs, about 1 in
-# 5,000; seed 40766 rejects two outputs of the channel streams of trials 0
-# to 149, and draws a singular first coefficient matrix for trial 7
-_BIG_P, _BIG_SEED = 1048367, 40766
+# 5,000; seed 43130 rejects an output of the channel streams of trials 0 to
+# 149, and draws a singular first coefficient matrix for trial 52
+_BIG_P, _BIG_SEED = 1048367, 43130
 
 
 def _big_prime_code():
@@ -466,14 +488,15 @@ def test_big_prime_seed_rejects_outputs_and_retries_attempts():
     q, skip = _BIG_P, (2 ** 32 - _BIG_P) % _BIG_P
     rejected, singular = [], []
     for i in range(150):
-        channel = np.random.default_rng((spec.rng_seed, i))
+        channel = _channel(spec.rng_seed, i)
         # the first attempt and the error rows read 12 draws, from the
-        # first 12 outputs or more; an output is read if one after it is
-        outputs = _outputs(np.random.default_rng((spec.rng_seed, i)), 6)
+        # channel's first 12 outputs or more; an output is read if one
+        # after it is
+        outputs = _outputs(_channel(spec.rng_seed, i), 6)
         rejected += [(i, j) for j, u in enumerate(outputs) if u * q % 2 ** 32 < skip]
         if oracles.rank(code.field, channel.integers(0, q, size=(2, 2)).tolist()) < 2:
             singular.append(i)
-    assert rejected == [(88, 0), (109, 9)] and singular == [7]
+    assert rejected == [(23, 1)] and singular == [52]
     assert simulator._attempts(code.field, 2, 2, 150) == 1
 
 
@@ -488,17 +511,16 @@ def _chunk_codes(f2, f4, f5, f9):
     yield code, ChannelSpec(1, 2, 33)
     # p = 2 with r > 1: a chunk sends several distinct codewords through one
     # product, and each trial takes its own codeword's block
-    f4_code = SubspaceCode([span(f4, 5, [[1, 0, 2, 0, 3], [0, 1, 2, 2, 2]]),
-                            span(f4, 5, [[1, 0, 2, 3, 2], [0, 1, 1, 0, 2]]),
-                            span(f4, 5, [[1, 0, 0, 3, 0], [0, 1, 2, 3, 3]])])
+    f4_code = _f4_code(f4)
     assert bool(is_lcd_subspace_code(f4_code))
     yield f4_code, ChannelSpec(1, 1, 38)
-    # every dimension erased, on a seed whose codeword index and channel
-    # streams differ (five entropy words and four); no errors; no noise
+    # every dimension erased, on a seed of three words (five entropy words
+    # with the trial index and 0); no errors; no noise
     yield readme, ChannelSpec(2, 1, 2 ** 64 + 34)
     yield code, ChannelSpec(1, 0, 35)
     yield f5_code, ChannelSpec(0, 0, 36)
-    # one codeword: the codeword index reads no output of its stream
+    # one codeword: no index is drawn, and the channel still reads its
+    # stream from the second output on
     one = SubspaceCode(f9_words[:1])
     assert bool(is_lcd_subspace_code(one))
     yield one, ChannelSpec(1, 1, 37)
@@ -559,21 +581,65 @@ def test_erasures_are_uniform(p, n, basis):
     # run_experiment's draw, the chi-square statistic of the line counts
     # stays below 21.1, the 0.9999 quantile for q = 3 degrees of freedom
     # (18.4 for q = 2), whatever the draw's rounds
-    f = field_new(p)
-    word = Subspace.span(f, n, basis)
-    trials = 6000
-    _, received = simulator._draw([word], ChannelSpec(1, 0, 2024), 0, trials)
-    rows = received[:, 0]
+    word = Subspace.span(field_new(p), n, basis)
+    _, received = simulator._draw([word], ChannelSpec(1, 0, 2024), 0, 6000)
+    _assert_uniform_lines(word, received[:, 0])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_erasures_are_uniform_whatever_the_codeword_sent(p, f2, f3):
+    # the channel does not depend on the codeword sent: among the trials
+    # that send each of three codewords, one erasure leaves each of its
+    # lines alike, under the same bound.  A codeword index read from the
+    # channel's first output once made codeword 0 of the README code keep
+    # (0, 0, 0, 1) in two trials out of three
+    code = _readme_code(f2) if p == 2 else _gf3_code(f3)
+    words = list(code)
+    sent, received = simulator._draw(words, ChannelSpec(1, 0, 2024), 0, 6000)
+    for k, word in enumerate(words):
+        assert np.count_nonzero(sent == k) > 1800
+        _assert_uniform_lines(word, received[sent == k, 0])
+
+
+def _assert_uniform_lines(word, rows):
+    """The rows (one a trial) lie on every line of the 2-dimensional word
+    over a prime field, with a chi-square statistic of the line counts
+    below the 0.9999 quantile for q degrees of freedom."""
+    p = word.field.p
     # each line by its vector whose first nonzero entry is 1
-    lead = rows[np.arange(trials), (rows != 0).argmax(axis=1)]
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
     assert lead.all()
     lines = {}
     for row in (rows * lead[:, None] ** (p - 2) % p).tolist():
         lines[tuple(row)] = lines.get(tuple(row), 0) + 1
     assert len(lines) == p + 1 and all(word.contains(list(v)) for v in lines)
-    expect = trials / (p + 1)
+    expect = len(rows) / (p + 1)
     chi2 = sum((c - expect) ** 2 / expect for c in lines.values())
     assert chi2 < {2: 18.4, 3: 21.1}[p], lines
+
+
+def test_one_erasure_fails_at_the_exact_rate(f2):
+    # on the LCD code {<1000, 0001>, <1000, 0111>, <1010, 0111>} of F_2^4 an
+    # erasure leaves one of the three lines of the codeword sent, each
+    # alike, and a line that lies in two codewords is a tie, a failure.  So
+    # the failure rate is the share of ties among the codewords' lines, 4/9,
+    # and 9,000 trials fail within 4 sigma of 9,000 x 4/9 = 4,000 (3,812 to
+    # 4,188).  An index that shared the channel's first output once read
+    # 2,519 failures at seed 7
+    code = SubspaceCode([span(f2, 4, [[1, 0, 0, 0], [0, 0, 0, 1]]),
+                         span(f2, 4, [[1, 0, 0, 0], [0, 1, 1, 1]]),
+                         span(f2, 4, [[1, 0, 1, 0], [0, 1, 1, 1]])])
+    spans = [oracles.span_tuples(f2, 4, w.basis.tolist()) for w in code]
+    # over GF(2) a line is its one nonzero vector
+    ties = [sum(v in other for other in spans) > 1 for own in spans for v in own if any(v)]
+    rate = Fraction(sum(ties), len(ties))
+    assert rate == Fraction(4, 9)
+    trials = 9000
+    mean, sigma = trials * rate, math.sqrt(trials * rate * (1 - rate))
+    assert (math.ceil(mean - 4 * sigma), math.floor(mean + 4 * sigma)) == (3812, 4188)
+    for seed in (7, 12345):
+        st = run_experiment(code, ChannelSpec(1, 0, seed), trials)
+        assert abs(st.failure - mean) <= 4 * sigma, (seed, st.failure)
 
 
 def _skewed_run(code, spec, monkeypatch, skew):
