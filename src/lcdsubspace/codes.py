@@ -422,8 +422,7 @@ class ProjectionDecoder:
                              witness=check.witness)
         self.code = code
         blocks = [complement_coordinates(w)[0] for w in code]
-        self.coordinates = np.hstack(blocks)
-        self._factor = BlockRankFactor(code.field, self.coordinates,
+        self._factor = BlockRankFactor(code.field, np.hstack(blocks),
                                        [b.shape[1] for b in blocks])
 
     def decode(self, received):

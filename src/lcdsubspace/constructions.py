@@ -149,16 +149,22 @@ def build_block(field, X, alpha):
     X = field.asmatrix(X)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise DimensionMismatch(f"X must be square, got {X.shape}")
-    alpha = as_integer(alpha, "alpha")
-    if alpha == 0:
-        raise ZeroAlpha("alpha must be a nonzero field element")
-    if not 0 < alpha < field.q:
-        raise InvalidSpec(f"alpha encoding {alpha} outside [1, {field.q})")
+    alpha = _alpha(field, alpha)
     t = X.shape[0]
     N = np.zeros((t, 2 * t), dtype=np.int64)
     N[:, :t] = X
     N[np.arange(t), t + np.arange(t)] = alpha
     return N
+
+
+def _alpha(field, x):
+    """x as the encoding of a nonzero element of field."""
+    x = as_integer(x, "alpha")
+    if x == 0:
+        raise ZeroAlpha("alpha must be a nonzero field element")
+    if not 0 < x < field.q:
+        raise InvalidSpec(f"alpha encoding {x} outside [1, {field.q})")
+    return x
 
 
 @dataclass(frozen=True)
@@ -250,28 +256,18 @@ def subspace_code_from_algebra(basis, alphas=None, *, include_zero_x=False,
     a = basis.dim
     if a == 0:
         raise InvalidSpec("empty algebra basis")
-    if alphas is None:
-        alphas = (1,)
-    cleaned = []
-    for x in alphas:
-        x = as_integer(x, "alpha")
-        if x == 0:
-            raise ZeroAlpha("alpha values must be nonzero")
-        if not 0 < x < f.q:
-            raise InvalidSpec(f"alpha encoding {x} outside [1, {f.q})")
-        if x not in cleaned:
-            cleaned.append(x)
-    alphas = tuple(cleaned)
+    alphas = (1,) if alphas is None else alphas
+    alphas = tuple(dict.fromkeys(_alpha(f, x) for x in alphas))
 
     total = f.q ** a
     complete = total <= cap
 
+    # an element is its coefficient row times the flattened basis, one
+    # product over F_q; both operands lie in [0, q) by construction
+    flat = np.reshape(basis.basis, (a, t * t))
+
     def element(coeffs):
-        X = np.zeros((t, t), dtype=np.int64)
-        for c, B in zip(coeffs, basis.basis):
-            if c:
-                X = f.add(X, f.mul(np.int64(c), B))
-        return X
+        return f._product(np.array([coeffs], dtype=np.int64), flat).reshape(t, t)
 
     if complete:
         coeff_iter = (c for c in _cartesian(range(f.q), repeat=a) if any(c))
@@ -281,8 +277,8 @@ def subspace_code_from_algebra(basis, alphas=None, *, include_zero_x=False,
         def _sampled():
             produced = 0
             while produced < sample:
-                c = tuple(int(v) for v in rng.integers(0, f.q, size=a))
-                if any(c):
+                c = rng.integers(0, f.q, size=a)
+                if c.any():
                     produced += 1
                     yield c
 
@@ -604,6 +600,20 @@ def _as_unbiased_set(hyp, matrices, kind, weight):
                        DimensionMismatch)
 
 
+def _class_quotients(hyp, field, scheme, partition, classes):
+    """The quotients mod p of the given classes of a scheme, once the
+    partition is equitable for every relation, with cells of one size."""
+    if scheme.size != partition.size:
+        raise DimensionMismatch(
+            f"scheme on {scheme.size} points vs partition on {partition.size}")
+    hyp.check("partition cells have equal size", partition.equal_cells,
+              witness=tuple(sorted(set(partition.cell_sizes))))
+    quot = hyp.attempt("partition is equitable for every relation",
+                       lambda: quotient_matrices(partition, scheme),
+                       NotEquitable)
+    return [reduce_mod(quot.quotients[i], field) for i in classes]
+
+
 # Generator steps: step(hyp, field, given, source) checks the kind's
 # hypotheses on its inputs `given`, adds to the informational `source`, and
 # returns the generators of the algebra its code is built from.
@@ -622,14 +632,7 @@ def _scheme_step(hyp, field, given, source):
     for i in indices:
         if not 0 <= i <= d:
             raise IndexOutOfRange(f"class index {i} outside 0..{d}")
-    if scheme.size != partition.size:
-        raise DimensionMismatch(
-            f"scheme on {scheme.size} points vs partition on {partition.size}")
-    hyp.check("partition cells have equal size", partition.equal_cells,
-              witness=tuple(sorted(set(partition.cell_sizes))))
-    quot = hyp.attempt("partition is equitable for every relation",
-                       lambda: quotient_matrices(partition, scheme),
-                       NotEquitable)
+    generators = _class_quotients(hyp, field, scheme, partition, indices)
     bad = None
     for i in indices:
         for j in indices:
@@ -641,7 +644,7 @@ def _scheme_step(hyp, field, given, source):
             break
     hyp.check("p divides every p_(i,j)^k for i, j in I", bad is None, witness=bad)
     source["indices"] = indices
-    return [reduce_mod(quot.quotients[i], field) for i in indices]
+    return generators
 
 
 def _cor45_step(hyp, field, given, source):
@@ -711,17 +714,9 @@ def _derived_step(scheme_name, classes, divisor, hyp, field, given, source):
     if partition is None:
         raise InvalidSpec("this pipeline needs an equitable partition "
                           "of the derived scheme")
-    if partition.size != sch.size:
-        raise DimensionMismatch(
-            f"partition on {partition.size} points vs scheme on {sch.size}")
-    hyp.check("partition cells have equal size", partition.equal_cells,
-              witness=tuple(sorted(set(partition.cell_sizes))))
-    quot = hyp.attempt("partition is equitable for every relation",
-                       lambda: quotient_matrices(partition, sch),
-                       NotEquitable)
     source.update({"m": len(uset), "order": uset.order, "n": n,
                    "generator_classes": list(classes)})
-    return [reduce_mod(quot.quotients[i], field) for i in classes]
+    return _class_quotients(hyp, field, sch, partition, classes)
 
 
 def _blocks(given):

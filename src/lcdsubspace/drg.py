@@ -21,9 +21,15 @@ from .errors import (
     NotAPartition,
     NotDistanceRegular,
     NotSymmetric,
+    OrderTooLarge,
 )
 from .linalg import as_int_matrix, as_integer, int_matmul
 from .schemes import AssociationScheme, EquitablePartition, scheme_from_matrices, verify_equitable
+
+# the most entries a graph's distance matrices A_0 ... A_d may hold together:
+# 2**23 int64 entries, 64 MiB.  A cycle on n vertices has diameter n // 2,
+# so (n // 2 + 1) n^2 entries: 4.0 million at 200 vertices, 32.2 million at 400
+DISTANCE_ENTRIES = 1 << 23
 
 
 class Graph:
@@ -58,21 +64,31 @@ class Graph:
         return f"Graph(n={self.n}, diameter={self.diameter})"
 
 
+def _check_entries(n, kept):
+    """Raise OrderTooLarge if one more n x n matrix beside `kept` of them
+    would take the distance matrices past DISTANCE_ENTRIES entries."""
+    if (kept + 1) * n * n > DISTANCE_ENTRIES:
+        raise OrderTooLarge(
+            f"the distance matrices of {n} vertices exceed {DISTANCE_ENTRIES} entries",
+            witness=(n, kept))
+
+
 def _distance_matrices(A):
-    """[A_0, ..., A_diam] by repeated frontier expansion; exact 0/1 int64."""
+    """[A_0, ..., A_diam] by repeated frontier expansion; exact 0/1 int64.
+
+    Raises OrderTooLarge, before allocating it, once the next matrix would
+    take the list past DISTANCE_ENTRIES entries."""
     n = A.shape[0]
-    ident = np.eye(n, dtype=np.int64)
-    mats = [ident]
-    reached = ident.astype(bool)
-    frontier = ident
+    mats = []
+    reached = np.zeros((n, n), dtype=bool)
+    grown = np.eye(n, dtype=bool)
     while True:
-        grown = (int_matmul(frontier, A) > 0) & ~reached
+        _check_entries(n, len(mats))
+        mats.append(grown.astype(np.int64))
+        reached |= grown
+        grown = (int_matmul(mats[-1], A) > 0) & ~reached
         if not grown.any():
             break
-        nxt = grown.astype(np.int64)
-        mats.append(nxt)
-        reached |= grown
-        frontier = nxt
     if not reached.all():
         u, v = np.argwhere(~reached)[0]
         raise Disconnected(f"no path between vertices {u} and {v}",

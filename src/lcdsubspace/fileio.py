@@ -41,6 +41,18 @@ _KINDS = ("int", "pm1", "zpm1", "fq")
 MAX_AMBIENT = 1024
 
 
+# an integer token is ASCII digits with an optional sign: int() alone would
+# also read "1_0" as 10 and non-ASCII digits such as "\u0661\u0662" as 12
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _ints(tokens, what, line):
+    """The integer tokens of a line as ints; any other token raises."""
+    if not all(_INTEGER.fullmatch(v) for v in tokens):
+        raise FileFormatError(f"non-integer {what} in {line!r}")
+    return [int(v) for v in tokens]
+
+
 def _content_lines(text):
     out = []
     for raw in text.splitlines():
@@ -66,11 +78,8 @@ def parse_matrix_text(text):
         raise FileFormatError(
             f"bad header {lines[0]!r}: expected 'kind rows cols [modulus]'")
     kind = head[0]
-    try:
-        rows, cols = int(head[1]), int(head[2])
-        modulus = int(head[3]) if len(head) == 4 else None
-    except ValueError:
-        raise FileFormatError(f"non-integer header fields in {lines[0]!r}")
+    rows, cols, *modulus = _ints(head[1:], "header fields", lines[0])
+    modulus = modulus[0] if modulus else None
     if min(rows, cols) < 0:
         raise FileFormatError(f"negative matrix size in {lines[0]!r}")
     if kind == "fq" and modulus is None:
@@ -79,10 +88,7 @@ def parse_matrix_text(text):
         raise FileFormatError(f"expected {rows} rows, found {len(lines) - 1}")
     data = []
     for ln in lines[1:]:
-        try:
-            row = [int(v) for v in ln.split()]
-        except ValueError:
-            raise FileFormatError(f"non-integer entry in row {ln!r}")
+        row = _ints(ln.split(), "entry in row", ln)
         if len(row) != cols:
             raise FileFormatError(f"expected {cols} columns, row has {len(row)}")
         data.append(row)
@@ -138,10 +144,7 @@ def parse_group_text(text):
     gens = []
     degree = None
     for ln in lines:
-        try:
-            images = [int(v) for v in ln.split()]
-        except ValueError:
-            raise FileFormatError(f"non-integer image in {ln!r}")
+        images = _ints(ln.split(), "image", ln)
         if degree is None:
             degree = len(images)
         elif len(images) != degree:
@@ -167,12 +170,7 @@ def parse_partition_text(text, size=None):
     lines = _content_lines(text)
     if not lines:
         raise FileFormatError("empty partition file")
-    cells = []
-    for ln in lines:
-        try:
-            cells.append([int(v) - 1 for v in ln.split()])
-        except ValueError:
-            raise FileFormatError(f"non-integer index in {ln!r}")
+    cells = [[v - 1 for v in _ints(ln.split(), "index", ln)] for ln in lines]
     if size is None:
         size = sum(map(len, cells))
     return EquitablePartition(cells, size)
@@ -185,7 +183,7 @@ def read_partition(path, size=None):
 
 def parse_graph_text(text):
     """Dense matrix file with an int header, or an edge list of 1-based pairs."""
-    from .drg import Graph
+    from .drg import Graph, _check_entries
 
     lines = _content_lines(text)
     if not lines:
@@ -198,19 +196,18 @@ def parse_graph_text(text):
         parts = ln.split()
         if len(parts) != 2:
             raise FileFormatError(f"edge line {ln!r} needs exactly two vertices")
-        try:
-            u, v = int(parts[0]) - 1, int(parts[1]) - 1
-        except ValueError:
-            raise FileFormatError(f"non-integer vertex in {ln!r}")
+        u, v = (x - 1 for x in _ints(parts, "vertex", ln))
         if u < 0 or v < 0:
             raise FileFormatError("vertices are 1-based")
         edges.append((u, v))
         top = max(top, u + 1, v + 1)
     # a connected graph, as Graph requires, on top vertices has at least
-    # top - 1 edges: known before the top x top matrix is allocated
+    # top - 1 edges, and distance matrices A_0 and A_1 within the cap: both
+    # known before the top x top matrix is allocated
     if top > len(edges) + 1:
         raise Disconnected(f"{top} vertices need at least {top - 1} edges, "
                            f"the list has {len(edges)}", witness=(top, len(edges)))
+    _check_entries(top, 1)
     A = np.zeros((top, top), dtype=np.int64)
     for u, v in edges:
         A[u, v] = A[v, u] = 1

@@ -479,6 +479,44 @@ def test_fuzzed_partition_files_never_end_in_a_traceback(tmp_path, capsys):
     assert seen == {(cmd, rc) for cmd in ("verify", "construct") for rc in (0, 1)}
 
 
+def test_verify_drg_caps_the_distance_matrices(tmp_path, capsys):
+    # a 400-vertex cycle's distance matrices would hold 32 million entries;
+    # a 200-vertex cycle's 4 million are within the cap
+    for n, rc_want in ((400, 1), (200, 0)):
+        g = tmp_path / f"c{n}.txt"
+        g.write_text("".join(f"{i + 1} {(i + 1) % n + 1}\n" for i in range(n)))
+        rc, out, err = run(capsys, "verify", "drg", str(g))
+        assert rc == rc_want, err
+        if rc:
+            doc = json.loads(err)
+            assert (doc["error"], doc["witness"]) == ("OrderTooLarge", [400, 52])
+        else:
+            assert json.loads(out)["diameter"] == 100
+
+
+def test_loose_integer_tokens_are_exit_1(tmp_path, capsys):
+    # "1_0" and Arabic-Indic digits, which int() reads as 10 and 12, in each
+    # integer format the commands read: a FileFormatError naming the line
+    files = k44_files(tmp_path)
+    texts = {"h.txt": "pm1 2 2\n1 1\n1 -1_0\n", "p.txt": "1 2 3 4\n5 6 7 \u0668\n",
+             "grp.txt": "1 2 3 \u0664\n", "c4.txt": "1 2\n2 3\n3 4\n4 1_0\n"}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    c4 = str(tmp_path / "c4.txt")
+    (tmp_path / "ok.txt").write_text("1 2\n2 3\n3 4\n4 1\n")
+    for argv, line in (
+            (("verify", "hadamard", str(tmp_path / "h.txt")), "1 -1_0"),
+            (("verify", "partition", str(tmp_path / "p.txt"), *files), "5 6 7 \u0668"),
+            (("construct", "cor45", str(tmp_path / "ok.txt"), "--group",
+              str(tmp_path / "grp.txt"), "--p", "2", "--indices", "1"), "1 2 3 \u0664"),
+            (("verify", "drg", c4), "4 1_0")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == "", argv
+        doc = json.loads(err)
+        assert set(doc) == {"error", "message", "witness"}
+        assert doc["error"] == "FileFormatError" and repr(line) in doc["message"], argv
+
+
 def test_construct_thm51(tmp_path, capsys):
     prefix = str(tmp_path / "mub")
     run(capsys, "search", "mub", "--order", "4", "--target", "2",
@@ -584,6 +622,39 @@ def test_construct_matches_theorem_pipeline(kind, tmp_path, capsys, request):
     prm = rep.params
     assert doc["params"] == {"n": prm.n, "size": prm.size, "d": prm.d,
                              "K": list(prm.dims), "q": prm.q}
+
+
+# the construct document of each kind on its _parity_case inputs at p = 2,
+# as the sha256 of its sorted-key JSON without the input file names; thm56
+# and thm58 fail "p divides n/2" there and pin their error message instead
+_GOLDEN = {
+    "thm42": "8debf9d3cbe773d0d3c908d05f9284bd507f41e795c1c6cc6c36a84b75e9b8ed",
+    "thm43": "a84c01a2bdeddadc8b9910a23d23016964d8b6c912e0ce70812833fbd77cd128",
+    "cor45": "1d5f74a3f657281086ee2b57564fa5fc572b9633ad4ecae7eb63aa403743bf7d",
+    "thm51": "6cc6b4919a51d1c11ac2f6b88bd17007cac3bd40bdcf7571fa4b199182cdc95f",
+    "thm52": "ed092331c4198cf918f33cf05e9d3a7c8d6894bc3cf061b90255d473948bc204",
+    "thm54": "4e56316c694cca34e5565cc751d06756c00ba148fa2576139a578817ead2f4d2",
+    "thm55": "abaa7a9f517fcd56f0e00789edb4ce5c767804be8f1056278a1f6d2e5d9e3fc4",
+    "thm56": "hypothesis failed: p divides n/2",
+    "thm58": "hypothesis failed: p divides n/2",
+    "thm59": "f5208cdfdc469875331a2f2551033b120baca15eeea8bce4639994387940f6a3",
+}
+
+
+@pytest.mark.parametrize("kind", PIPELINE_KINDS)
+def test_construct_document_is_golden(kind, tmp_path, capsys, request):
+    files, options, _ = _parity_case(kind, tmp_path, request)
+    rc, out, err = run(capsys, "construct", kind, *files, "--p", "2", *options)
+    if rc:
+        assert rc == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "HypothesisFailed"
+        assert doc["message"] == _GOLDEN[kind]
+        return
+    doc = json.loads(out)
+    assert doc["informational"]["source"].pop("files") == files
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN[kind]
 
 
 def test_construct_without_a_needed_option_is_exit_1(tmp_path, capsys):

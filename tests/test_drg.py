@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from lcdsubspace.drg import (
+    DISTANCE_ENTRIES,
     Graph,
     PermutationGroup,
     check_distance_regular,
@@ -15,6 +16,7 @@ from lcdsubspace.errors import (
     NotAnAutomorphism,
     NotDistanceRegular,
     NotSymmetric,
+    OrderTooLarge,
 )
 
 
@@ -23,6 +25,19 @@ def test_graph_validation():
         Graph([[0, 1], [0, 0]])
     with pytest.raises(Disconnected):
         Graph([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+
+
+def test_distance_matrices_are_capped():
+    # C_n keeps n // 2 + 1 matrices of n^2 entries: C_200 4,040,000 entries,
+    # within the cap, and C_400 would keep 32,320,000
+    c200 = Graph(oracles.cycle_adjacency(200))
+    assert c200.diameter == 100
+    assert intersection_array(c200).b == (2,) + (1,) * 99
+    with pytest.raises(OrderTooLarge) as err:
+        Graph(oracles.cycle_adjacency(400))
+    # raised as the 53rd matrix would take the 52 kept past the cap
+    assert err.value.witness == (400, DISTANCE_ENTRIES // 400 ** 2)
+    assert 52 * 400 ** 2 <= DISTANCE_ENTRIES < 53 * 400 ** 2
 
 
 def test_distance_matrices_match_bfs(petersen, cube, c6):

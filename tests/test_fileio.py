@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from lcdsubspace import fileio
 from lcdsubspace.codes import SubspaceCode
-from lcdsubspace.errors import Disconnected, EncodingOutOfRange, FileFormatError
+from lcdsubspace.drg import DISTANCE_ENTRIES
+from lcdsubspace.errors import Disconnected, EncodingOutOfRange, FileFormatError, OrderTooLarge
 from lcdsubspace.subspaces import span
 
 
@@ -106,6 +108,78 @@ def test_graph_edge_list_too_short_to_connect_fails_before_allocating(monkeypatc
             fileio.parse_graph_text(text)
     # a path has exactly top - 1 edges
     assert fileio.parse_graph_text("1 2\n2 3\n3 4\n").diameter == 3
+
+
+def test_graph_edge_list_past_the_distance_cap_fails_before_allocating():
+    # A_0 and A_1 of 2049 vertices hold 2 * 2049^2 > 2^23 entries, so the
+    # 2049-vertex cycle raises before its 34 MB adjacency matrix is allocated
+    n = 2049
+    text = "".join(f"{i + 1} {(i + 1) % n + 1}\n" for i in range(n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderTooLarge) as err:
+            fileio.parse_graph_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.witness == (n, 1) and peak < 4 << 20
+    assert 2 * (n - 1) ** 2 <= DISTANCE_ENTRIES < 2 * n ** 2
+
+
+# a valid text of each integer format, and what its reader reads from a text
+_INTEGER_FORMATS = {
+    "matrix": ("pm1 2 4\n1 -1 1 -1\n1 1 -1 -1\n",
+               lambda text: fileio.parse_matrix_text(text).matrix.tolist()),
+    "group": ("2 3 4 1\n1 2 3 4\n",
+              lambda text: [list(g) for g in fileio.parse_group_text(text).generators]),
+    "partition": ("1 4\n2 3\n", lambda text: fileio.parse_partition_text(text).cells),
+    "edges": ("1 2\n2 3\n3 4\n4 1\n",
+              lambda text: fileio.parse_graph_text(text).adjacency.tolist()),
+}
+
+
+def _loose_spelling(rng, token):
+    """token as int() also reads it: with a digit separator, or in
+    Arabic-Indic, Devanagari or fullwidth digits."""
+    sign, digits = ("-", token[1:]) if token.startswith("-") else ("", token)
+    base = rng.choice([0x660, 0x966, 0xFF10, None])
+    if base is None:
+        return f"{sign}0_{digits}"
+    return sign + "".join(chr(base + int(c)) for c in digits)
+
+
+@pytest.mark.parametrize("fmt", sorted(_INTEGER_FORMATS))
+def test_integer_tokens_are_ascii_digits_with_a_sign(fmt):
+    # seeded: one token of a valid file spelt so that int() alone reads the
+    # same value raises a FileFormatError naming its line; the same token
+    # with a leading + reads as before
+    text, parse = _INTEGER_FORMATS[fmt]
+    rng = random.Random(37)
+    lines = text.splitlines()
+    for _ in range(40):
+        row = rng.randrange(len(lines))
+        tokens = lines[row].split()
+        # the kind of a matrix header is a word, not an integer
+        col = rng.randrange(1 if fmt == "matrix" and row == 0 else 0, len(tokens))
+        loose = _loose_spelling(rng, tokens[col])
+        assert int(loose) == int(tokens[col])
+        bad = tokens[:col] + [loose] + tokens[col + 1:]
+        with pytest.raises(FileFormatError) as err:
+            parse("\n".join(lines[:row] + [" ".join(bad)] + lines[row + 1:]) + "\n")
+        assert repr(" ".join(bad)) in str(err.value)
+        if not tokens[col].startswith("-"):
+            signed = tokens[:col] + ["+" + tokens[col]] + tokens[col + 1:]
+            again = parse("\n".join(lines[:row] + [" ".join(signed)] + lines[row + 1:]) + "\n")
+            assert again == parse(text)
+
+
+def test_matrix_header_sizes_are_ascii_digits():
+    # int() reads "1_0" as 10, and this header as one of ten rows
+    with pytest.raises(FileFormatError, match="non-integer header fields in 'int 1_0 1'"):
+        fileio.parse_matrix_text("int 1_0 1\n" + "1\n" * 10)
+    with pytest.raises(FileFormatError, match="non-integer entry in row"):
+        fileio.parse_matrix_text("int 1 1\n\u0661\u0662\n")
+    assert fileio.parse_matrix_text("int +1 1\n-1\n").matrix.tolist() == [[-1]]
 
 
 def test_code_json_roundtrip(tmp_path, f4):
